@@ -368,10 +368,11 @@ def exponent_test(
 
 
 def _check_schedule_increasing(schedule: Sequence[DegreeWindow]) -> None:
+    """Each window must contain the previous one and grow in tmax or xmax."""
     for a, b in zip(schedule, schedule[1:]):
-        if not (b.tmin <= a.tmin and b.tmax >= a.tmax and b.xmax > a.xmax or
-                b.tmax > a.tmax and b.xmax >= a.xmax):
-            raise ValueError("schedule windows must be strictly increasing")
+        nested = b.tmin <= a.tmin and b.tmax >= a.tmax and b.xmax >= a.xmax and b.gmax >= a.gmax
+        if not (nested and (b.tmax > a.tmax or b.xmax > a.xmax)):
+            raise ValueError("schedule windows must be nested and strictly increasing")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Sparse exact rational linear algebra.
 
 Rank, solvability, nullspaces and cokernel dimensions over Q, computed by
-sparse Gaussian elimination with Markowitz-style pivot selection (minimum
-fill-in estimate, deterministic tie-breaks on coefficient bit length and
-then index order).  All arithmetic is exact.
+sparse Gaussian elimination with Markowitz-style pivot selection.  The pivot
+rule is exact and deterministic: within the column class being eliminated,
+take the column minimizing (active nonzero count, column index); within that
+column, take the active row minimizing (row nnz, numerator bit length, row
+index).  The column minimum comes from a lazy heap that is updated as counts
+change, so a pivot costs no scan over the columns.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class SparseMatrixQ:
         if v == 0:
             self.cols[c].pop(r, None)
         else:
-            self.cols[c][r] = Q(v)
+            self.cols[c][r] = v if type(v) is Q else Q(v)
 
     def add(self, r: int, c: int, v) -> None:
         cur = self.cols[c].get(r, QZERO) + v
@@ -81,11 +84,18 @@ class SparseMatrixQ:
 
 
 class _Eliminator:
-    """Row-based sparse elimination with approximate Markowitz pivoting.
+    """Row-based sparse elimination with Markowitz pivoting.
 
-    Pivot choice: among the allowed column class, take the column with the
-    fewest active nonzeros; within it, the row minimizing
-    (row_nnz, numerator bit length, row index).  Fully deterministic.
+    Pivot rule: among the columns of the class passed to eliminate(), take
+    the column c minimizing (len(col_rows[c]), c) over columns with an active
+    nonzero; within it, the active row minimizing (row nnz, numerator bit
+    length, row index).  Fully deterministic.
+
+    The column choice uses a lazy min-heap of (active count, column) entries
+    for the current class: every change of an in-class column's count pushes
+    a fresh entry, and entries whose count is no longer current (or is 0) are
+    dropped when they reach the top.  The top valid entry is therefore the
+    exact argmin, found without scanning the class.
     """
 
     def __init__(self, ncols: int):
@@ -94,6 +104,8 @@ class _Eliminator:
         self.col_rows: list[set[int]] = [set() for _ in range(ncols)]
         self.active: set[int] = set()
         self.pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
+        self._cls: range = range(0)  # column class of the running eliminate()
+        self._heap: list[tuple[int, int]] = []
 
     def add_row(self, row: dict[int, object]) -> int:
         idx = len(self.rows)
@@ -103,18 +115,17 @@ class _Eliminator:
             self.col_rows[c].add(idx)
         return idx
 
-    def _pick_pivot(self, cols: Sequence[int]) -> Optional[tuple[int, int]]:
-        heap = [(len(self.col_rows[c]), c) for c in cols if self.col_rows[c]]
-        if not heap:
-            return None
-        heapq.heapify(heap)
+    def _count_changed(self, c: int) -> None:
+        cnt = len(self.col_rows[c])
+        if cnt and c in self._cls:
+            heapq.heappush(self._heap, (cnt, c))
+
+    def _pick_pivot(self) -> Optional[tuple[int, int]]:
+        heap = self._heap
         while heap:
-            cnt, c = heapq.heappop(heap)
-            cur = len(self.col_rows[c])
-            if cur == 0:
-                continue
-            if cur != cnt:
-                heapq.heappush(heap, (cur, c))
+            cnt, c = heap[0]
+            if cnt != len(self.col_rows[c]):
+                heapq.heappop(heap)  # stale: a fresher entry exists, or c is empty
                 continue
             r = min(
                 self.col_rows[c],
@@ -127,13 +138,16 @@ class _Eliminator:
             return r, c
         return None
 
-    def eliminate(self, cols: Sequence[int], jordan: bool = False) -> int:
+    def eliminate(self, cols: range, jordan: bool = False) -> int:
         """Eliminate using pivots only from the given columns; returns the
         number of pivots found.  With jordan=True the pivot column is also
         cleared from previously retired pivot rows."""
+        self._cls = cols
+        self._heap = [(len(self.col_rows[c]), c) for c in cols if self.col_rows[c]]
+        heapq.heapify(self._heap)
         found = 0
         while True:
-            pick = self._pick_pivot(cols)
+            pick = self._pick_pivot()
             if pick is None:
                 return found
             pr, pc = pick
@@ -152,6 +166,7 @@ class _Eliminator:
         self.active.discard(r)
         for c in self.rows[r]:
             self.col_rows[c].discard(r)
+            self._count_changed(c)
 
     def _axpy(self, r: int, src: dict[int, object], factor, active: bool) -> None:
         row = self.rows[r]
@@ -162,9 +177,11 @@ class _Eliminator:
                     del row[c]
                     if active:
                         self.col_rows[c].discard(r)
+                        self._count_changed(c)
             else:
                 if c not in row and active:
                     self.col_rows[c].add(r)
+                    self._count_changed(c)
                 row[c] = s
 
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import Q, is_integer, rat
+from .rational import Q, QZERO, is_integer, rat
 from .ring import DegreeWindow, Monomial, RingElement, partial_t, partial_x
 
 
@@ -181,16 +181,17 @@ def apply(op: Operator, e: RingElement, g: RingElement | None = None) -> RingEle
         return e
     if isinstance(op, Scale):
         return apply(op.op, e, g).scale(op.c)
-    # per-monomial leaves
+    # per-monomial leaves: valid monomials go to valid monomials, and every
+    # coefficient is a product of Q values, so no re-validation is needed
     out: dict[Monomial, object] = {}
     for m, c in e.terms.items():
         for coef, m2 in _act_monomial(op, m):
-            s = out.get(m2, 0) + c * coef
+            s = out.get(m2, QZERO) + c * coef
             if s == 0:
                 out.pop(m2, None)
             else:
                 out[m2] = s
-    return RingElement(e.n, out)
+    return RingElement._trusted(e.n, out)
 
 
 def _act_monomial(op: Operator, m: Monomial):

@@ -57,6 +57,17 @@ class RingElement:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Monomial, object]) -> "RingElement":
+        """Wrap terms without validation.  Callers guarantee what __init__
+        checks: valid monomials over n variables, non-zero coefficients of
+        type Q.  Arithmetic on valid elements preserves this."""
+        e = object.__new__(cls)
+        e.n = n
+        e.terms = terms
+        e._hash = None
+        return e
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -127,10 +138,10 @@ class RingElement:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return RingElement(self.n, out)
+        return RingElement._trusted(self.n, out)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.n, {m: -c for m, c in self.terms.items()})
+        return RingElement._trusted(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
@@ -150,23 +161,24 @@ class RingElement:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        return RingElement(self.n, out)
+        return RingElement._trusted(self.n, out)
 
     def scale(self, c) -> "RingElement":
         c = rat(c)
         if c == 0:
             return RingElement.zero(self.n)
-        return RingElement(self.n, {m: c * v for m, v in self.terms.items()})
+        return RingElement._trusted(self.n, {m: c * v for m, v in self.terms.items()})
 
     def mul_t(self, power: int = 1) -> "RingElement":
-        return RingElement(
+        return RingElement._trusted(
             self.n, {Monomial(m.tdeg + power, m.xdeg, m.gpow): c for m, c in self.terms.items()}
         )
 
     def shift_gpow(self, delta: int) -> "RingElement":
-        return RingElement(
-            self.n, {Monomial(m.tdeg, m.xdeg, m.gpow + delta): c for m, c in self.terms.items()}
-        )
+        shifted = {Monomial(m.tdeg, m.xdeg, m.gpow + delta): c for m, c in self.terms.items()}
+        if delta < 0:  # may produce a negative g-layer: validate
+            return RingElement(self.n, shifted)
+        return RingElement._trusted(self.n, shifted)
 
     def __pow__(self, k: int) -> "RingElement":
         if k < 0:

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -87,6 +88,35 @@ def test_exponent_test_cusp():
         assert rep.verdict is verdict, a
 
 
+def brieskorn_pham_count(exps, alpha):
+    """#{(j_i) : 1 <= j_i < a_i, sum j_i/a_i = alpha mod Z} (Brieskorn 1970)."""
+    return sum(
+        1
+        for js in itertools.product(*[range(1, a) for a in exps])
+        if (sum(Q(j, a) for j, a in zip(js, exps)) - alpha).denominator == 1
+    )
+
+
+def test_brieskorn_pham_late_windows():
+    # x1^5 + x2^5 at 3/5: the pairs (1,2), (2,1), (4,4); the estimates on the
+    # default windows are 2, 2, 3, 3, so the last two windows agree on it
+    p = instance("x1^5+x2^5", n=2, alpha="3/5")
+    expected = brieskorn_pham_count((5, 5), Q(3, 5))
+    assert expected == 3
+    rep = exponent_test(p, default_schedule(p, rounds=4)[2:])
+    assert (rep.verdict, rep.cokernel_dim) == (Verdict.EXPONENT, expected)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the two-window stabilisation rule stops at the early estimates 2, 2 "
+    "(ROADMAP item 4: harden the verdict rule)",
+)
+def test_brieskorn_pham_default_schedule():
+    p = instance("x1^5+x2^5", n=2, alpha="3/5")
+    assert exponent_test(p).cokernel_dim == brieskorn_pham_count((5, 5), Q(3, 5))
+
+
 def test_exponent_test_nontrivial_g():
     # f = x^2/(1-x) behaves like x^2 near the origin
     for a, verdict in [("1/2", Verdict.EXPONENT), ("1/3", Verdict.NOT_EXPONENT)]:
@@ -108,6 +138,14 @@ def test_schedule_validation():
         exponent_test(p, [DegreeWindow(-3, 3, 3, 0)])
     with pytest.raises(ValueError):
         exponent_test(p, [DegreeWindow(-3, 3, 3, 0), DegreeWindow(-3, 3, 3, 0)])
+    # growing windows that are not nested: gmax shrinks, or tmin rises
+    for bad in (
+        [DegreeWindow(-3, 3, 3, 2), DegreeWindow(-3, 5, 3, 0)],
+        [DegreeWindow(-3, 3, 3, 0), DegreeWindow(0, 5, 3, 0)],
+        [DegreeWindow(-3, 3, 3, 4), DegreeWindow(-5, 5, 6, 0)],
+    ):
+        with pytest.raises(ValueError):
+            exponent_test(p, bad)
 
 
 def test_default_schedule_growth():

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gmexp import linalg
 from gmexp.linalg import (
     SparseMatrixQ,
     cokernel_dim_on,
@@ -93,6 +95,69 @@ def test_nullspace_rank_nullity(rows):
     for vec in basis:
         for r in range(m.nrows):
             assert sum((m.get(r, c) * v for c, v in vec.items()), Q(0)) == 0
+
+
+class _CheckedEliminator(linalg._Eliminator):
+    """Asserts at every step that the pivot equals a brute-force argmin
+    computed from the live rows: column (active count, index), then row
+    (row nnz, numerator bit length, index)."""
+
+    steps = 0
+
+    def eliminate(self, cols, jordan=False):
+        self.checked_cols = cols
+        return super().eliminate(cols, jordan)
+
+    def _pick_pivot(self):
+        for c in range(self.ncols):
+            assert self.col_rows[c] == {r for r in self.active if c in self.rows[r]}
+        counts = [(len(self.col_rows[c]), c) for c in self.checked_cols if self.col_rows[c]]
+        want = None
+        if counts:
+            _, c = min(counts)
+            r = min(
+                self.col_rows[c],
+                key=lambda rr: (
+                    len(self.rows[rr]), int(self.rows[rr][c].numerator).bit_length(), rr
+                ),
+            )
+            want = (r, c)
+        got = super()._pick_pivot()
+        assert got == want
+        type(self).steps += 1
+        return got
+
+
+nonzero_entries = st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+sparse_entries = st.one_of(st.just(Q(0)), st.just(Q(0)), nonzero_entries)
+sparse_matrices = st.integers(1, 9).flatmap(
+    lambda w: st.lists(st.lists(sparse_entries, min_size=w, max_size=w), min_size=1, max_size=9)
+)
+extra_columns = st.lists(
+    st.dictionaries(st.integers(0, 8), nonzero_entries, max_size=4), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices, extra_columns)
+# two fills raise column 2's count above every queued entry for it; the
+# queue must take the raised count, or column 2 is never pivoted
+@example(
+    rows=[[Q(4), 0, 0], [0, -1, -3], [-3, 1, 0], [Q(-5, 3), 1, Q(-4, 3)],
+          [Q(-4, 3), -1, 0], [Q(-5, 3), 0, -5], [Q(-5, 2), 0, -2]],
+    extra=[],
+)
+def test_pivot_order_is_brute_force_argmin(rows, extra):
+    m = from_dense(rows)
+    extra = [{r: v for r, v in col.items() if r < m.nrows} for col in extra]
+    with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
+        _CheckedEliminator.steps = 0
+        rk = rank(m)  # mode rank
+        assert _CheckedEliminator.steps == rk + 1  # every pivot, then the empty pick
+        base, more = rank_with_extension(m, extra)  # second class after the first
+        augmented = [list(row) + [col.get(i, 0) for col in extra] for i, row in enumerate(rows)]
+        assert (base, more) == (rk, dense_rank(augmented) - rk)
+        assert len(nullspace(m)) == m.ncols - rk  # jordan=True
 
 
 def test_rank_with_extension_orders_pivots():

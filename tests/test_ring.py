@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmexp.operators import ArS, Dtr, PhiC, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
 from gmexp.ring import (
@@ -38,6 +39,29 @@ def test_ring_axioms(a, b, c):
     assert a + RingElement.zero(2) == a
     assert a * RingElement.one(2) == a
     assert a - a == RingElement.zero(2)
+
+
+def assert_canonical(e, n=2):
+    """What the validating constructor guarantees, checked on a result that
+    arithmetic built without it."""
+    assert e == RingElement(n, dict(e.terms))
+    for m, c in e.terms.items():
+        assert type(c) is Q and c != 0
+        assert len(m.xdeg) == n and m.gpow >= 0 and all(u >= 0 for u in m.xdeg)
+
+
+nonint_q = st.builds(Q, st.integers(-9, 9), st.integers(2, 5)).filter(lambda q: q.denominator > 1)
+any_q = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
+# integers in the t-degree range of elem() make leaf eigenvalues vanish
+resonant_q = st.one_of(st.integers(-4, 4).map(Q), any_q)
+
+
+@given(elem(), elem(), any_q, st.integers(-3, 3), st.integers(0, 3), resonant_q, nonint_q)
+def test_arithmetic_results_are_canonical(a, b, c, tpow, k, r, alpha):
+    for res in (a + b, a - b, -a, a * b, a.scale(c), a.mul_t(tpow), a.shift_gpow(k)):
+        assert_canonical(res)
+    for op in (PhiC(r), Dtr(r), ArS(alpha, r, -alpha + Q(1, 7)), ArS(alpha, -alpha - 1, 0)):
+        assert_canonical(apply(op, a))
 
 
 @given(elem(allow_g=False), elem(allow_g=False))
