@@ -33,8 +33,9 @@ from .engine import (
     DegreeWindow,
     ProblemInstance,
     ResourceLimitError,
-    default_schedule,
+    _shift_analysis,
     assemble_phi,
+    default_schedule,
     exponent_test,
 )
 from .operators import apply as op_apply
@@ -140,7 +141,7 @@ def _run_exponent_test(args, started):
         sched = _schedule(p, args)
         if args.dump_matrix and not results:
             win = sched[0]
-            mat = assemble_phi(p, win, win.expand(1, p.f.max_xdeg() + g.max_xdeg() + 1, p.f.max_gpow() + 1))
+            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win))
             with open(args.dump_matrix, "w") as fh:
                 fh.write(mat.dump_triplets() + "\n")
         rep = exponent_test(p, sched, method=args.method)

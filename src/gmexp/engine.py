@@ -16,6 +16,13 @@ schedule of nested windows.
 The localization by g is handled formally: window bases use monomials
 t^k x^u g^-m and the assembled image is augmented with the relation
 columns g * g^-(m+1) - g^-m, so cokernels are computed in the quotient.
+
+Assembly walks no operator tree per monomial: each component of phi_row,
+and the relation generator, is compiled once into a stencil of shifted
+terms with coefficients affine in (k, m, u) (operators.compile_stencil),
+and a column is that stencil at one monomial, its rows found by index
+arithmetic over the output window's canonical order (t-major, then
+ring._xdegs_upto order, then gpow).
 """
 
 from __future__ import annotations
@@ -27,19 +34,10 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
-from .operators import (
-    Compose,
-    MulByElem,
-    MulByT,
-    Operator,
-    PartialX,
-    PhiC,
-    Scale,
-    Sum,
-    apply,
-)
+from .operators import Compose, Identity, MulByElem, MulByT, Operator, PartialX, PhiC, Scale, Sum
+from .operators import apply_stencil, compile_stencil
 from .rational import Q, rat
-from .ring import DegreeWindow, Monomial, RingElement, clear_g, partial_x, serialize
+from .ring import DegreeWindow, Monomial, RingElement, _xdegs_upto, clear_g, partial_x, serialize
 
 
 class WindowError(ValueError):
@@ -126,15 +124,13 @@ def phi_row(p: ProblemInstance) -> list[Operator]:
 
 
 def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
-    """Exact pairwise commutation of the row components on window monomials."""
-    comps = phi_row(p)
-    monos = list(w.monomials(p.n))
-    for a, b in itertools.combinations(comps, 2):
-        for m in monos:
-            e = RingElement.monomial(p.n, m)
-            ab = apply(a, apply(b, e, p.g), p.g)
-            ba = apply(b, apply(a, e, p.g), p.g)
-            if ab != ba:
+    """Exact pairwise commutation on window monomials of the compiled row
+    components, the stencils that assembly evaluates."""
+    stencils = [compile_stencil(c, p.g) for c in phi_row(p)]
+    for m in w.monomials(p.n):
+        images = [apply_stencil(st, {m: Q(1)}) for st in stencils]
+        for a, b in itertools.combinations(range(len(stencils)), 2):
+            if apply_stencil(stencils[a], images[b]) != apply_stencil(stencils[b], images[a]):
                 return False
     return True
 
@@ -151,6 +147,10 @@ class _Shifts:
     x_margin: int  # interior margin in x
     g_margin: int  # interior margin in gpow
     t_margin: int = 2  # max |t|-shift (1) times safety factor 2
+
+    def output_window(self, win: DegreeWindow) -> DegreeWindow:
+        """The window holding the image of win under the row components and relations."""
+        return win.expand(dt=1, dx=self.dx, dg=self.dg)
 
 
 def _shift_analysis(p: ProblemInstance) -> _Shifts:
@@ -200,15 +200,51 @@ def _interior(win: DegreeWindow, sh: _Shifts) -> DegreeWindow:
 # ---------------------------------------------------------------------------
 
 
-def _basis(n: int, win: DegreeWindow) -> tuple[list[Monomial], dict[Monomial, int]]:
-    monos = list(win.monomials(n))
-    return monos, {m: i for i, m in enumerate(monos)}
-
-
 def _check_cells(cells: int) -> None:
     cap = os.environ.get(MAX_WINDOW_CELLS_ENV)
     if cap is not None and cells > int(cap):
         raise ResourceLimitError(f"window needs {cells} cells, cap is {cap}")
+
+
+def _stencil_columns(
+    stencil: tuple, monos: list[Monomial], win: DegreeWindow, n: int
+) -> list[Optional[dict[int, object]]]:
+    """Each monomial's image under a compiled stencil as a column {row: value}
+    over win's canonical order, or None if a non-zero term falls outside win.
+    The row of t^k x^u g^-m is ((k - tmin) * X + pos(u)) * (gmax + 1) + m, pos(u)
+    the place of u among the X x-degrees of ring._xdegs_upto(n, xmax)."""
+    gsize = win.gmax + 1
+    xrow = {u: i * gsize for i, u in enumerate(_xdegs_upto(n, win.xmax))}
+    tsize = len(xrow) * gsize
+    tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
+    terms = [
+        (s[0], s[1], s[0] * tsize + s[1], [(c, var, r, {}) for c, var, r in pairs])
+        for s, pairs in stencil
+    ]
+    by_u: dict[tuple, list] = {}  # u -> row offset of u + dx for each term, None outside
+    cols: list[Optional[dict[int, object]]] = []
+    for k, u, m in monos:
+        xs = by_u.get(u)
+        if xs is None:
+            xs = by_u[u] = [xrow.get(tuple(map(sum, zip(u, s[2:-1])))) for s, _ in stencil]
+        e = (k, m, *u, 1)
+        base = (k - tmin) * tsize + m
+        col: Optional[dict[int, object]] = {}
+        for (dt, dg, off, pairs), x in zip(terms, xs):
+            v = None
+            for c, var, r, memo in pairs:
+                cv = memo.get(e[var])
+                if cv is None:
+                    cv = memo[e[var]] = c * (e[var] + r)
+                v = cv if v is None else v + cv
+            if not v:
+                continue
+            if x is None or not tmin <= k + dt <= tmax or m + dg > gmax:
+                col = None
+                break
+            col[base + x + off] = v
+        cols.append(col)
+    return cols
 
 
 def assemble_phi(
@@ -216,52 +252,32 @@ def assemble_phi(
 ) -> SparseMatrixQ:
     """Matrix of the row map from the (n+1)-fold basis of win_in to win_out.
 
+    Each component is compiled once into a stencil; its columns, in win_in's
+    canonical order, are the stencil at each monomial, with rows in win_out's
+    canonical order (t-major, then ring._xdegs_upto order, then gpow).
     Raises WindowError when win_out cannot hold the image.
     """
-    comps = phi_row(p)
-    in_monos, _ = _basis(p.n, win_in)
-    out_monos, out_index = _basis(p.n, win_out)
+    in_monos = list(win_in.monomials(p.n))
     _check_cells((p.n + 1) * len(in_monos))
-    col_labels = []
-    mat = SparseMatrixQ(len(out_monos), (p.n + 1) * len(in_monos), row_labels=out_monos)
-    col = 0
-    for ci, comp in enumerate(comps):
-        for m in in_monos:
-            image = apply(comp, RingElement.monomial(p.n, m), p.g)
-            for im, c in image.terms.items():
-                idx = out_index.get(im)
-                if idx is None:
-                    raise WindowError(
-                        f"image term {serialize(RingElement.monomial(p.n, im))} of "
-                        f"component {ci} falls outside the output window"
-                    )
-                mat.add(idx, col, c)
-            col_labels.append((ci, m))
-            col += 1
-    mat.col_labels = col_labels
-    return mat
+    cols: list = []
+    for ci, comp in enumerate(phi_row(p)):
+        image = _stencil_columns(compile_stencil(comp, p.g), in_monos, win_out, p.n)
+        if None in image:
+            bad = RingElement.monomial(p.n, in_monos[image.index(None)])
+            raise WindowError(f"image of {serialize(bad)} under component {ci} leaves the window")
+        cols += image
+    rows = list(win_out.monomials(p.n))
+    labels = [(ci, m) for ci in range(p.n + 1) for m in in_monos]
+    return SparseMatrixQ.from_columns(len(rows), cols, rows, labels)
 
 
-def _relation_columns(
-    p: ProblemInstance, win_in: DegreeWindow, out_index: dict[Monomial, int]
-) -> list[dict[int, object]]:
-    """Columns spanning mono * (g * g^-(m+1) - g^-m) for window monomials."""
+def _relation_columns(p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow) -> list[dict]:
+    """Columns mono * (g * g^-(m+1) - g^-m) over win's basis, for the
+    monomials of gens whose relation lies inside win."""
     if p.g.is_one():
         return []
-    cols = []
-    for m in win_in.monomials(p.n):
-        rel = (RingElement.monomial(p.n, m) * p.g).shift_gpow(1) - RingElement.monomial(p.n, m)
-        col: dict[int, object] = {}
-        ok = True
-        for im, c in rel.terms.items():
-            idx = out_index.get(im)
-            if idx is None:
-                ok = False
-                break
-            col[idx] = col.get(idx, Q(0)) + c
-        if ok:
-            cols.append({k: v for k, v in col.items() if v != 0})
-    return cols
+    rel = compile_stencil(Sum(MulByElem(p.g.shift_gpow(1)), Scale(-1, Identity())), p.g)
+    return [c for c in _stencil_columns(rel, list(gens.monomials(p.n)), win, p.n) if c is not None]
 
 
 def _slack_columns(monos, threshold: int) -> list[dict[int, object]]:
@@ -274,30 +290,23 @@ def _slack_columns(monos, threshold: int) -> list[dict[int, object]]:
     return [{i: Q(1)} for i, m in enumerate(monos) if m.tdeg >= threshold]
 
 
+def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
+    """cols repeated in each of `blocks` stacked copies of a size-row basis."""
+    return [{b * size + r: v for r, v in c.items()} if b else c
+            for b in range(blocks) for c in cols]
+
+
 def _window_cokernel(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> int:
-    win_out = win.expand(dt=1, dx=sh.dx, dg=sh.dg)
+    win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out)
-    out_monos = mat.row_labels
-    out_index = {m: i for i, m in enumerate(out_monos)}
-    rel = _relation_columns(p, win, out_index)
-    slack = _slack_columns(out_monos, win.tmax)
-    interior = _interior(win, sh)
-    targets = [out_index[m] for m in interior.monomials(p.n)]
-    target_cols = [{r: Q(1)} for r in sorted(set(targets))]
+    out_index = {m: i for i, m in enumerate(mat.row_labels)}
+    targets = sorted({out_index[m] for m in _interior(win, sh).monomials(p.n)})
     # image columns (matrix + relations + tail slack) are pivoted first,
     # then the surviving target directions are counted
-    extra_image = rel + slack
-    combined = mat
-    if extra_image:
-        extra = SparseMatrixQ(mat.nrows, mat.ncols + len(extra_image))
-        for c, coldict in enumerate(mat.cols):
-            for r, v in coldict.items():
-                extra.set(r, c, v)
-        for j, coldict in enumerate(extra_image):
-            for r, v in coldict.items():
-                extra.set(r, mat.ncols + j, v)
-        combined = extra
-    _, coker = rank_with_extension(combined, target_cols)
+    image = mat.cols + _relation_columns(p, win, win_out)
+    image += _slack_columns(mat.row_labels, win.tmax)
+    combined = SparseMatrixQ.from_columns(mat.nrows, image)
+    _, coker = rank_with_extension(combined, [{r: Q(1)} for r in targets])
     return coker
 
 
@@ -382,52 +391,43 @@ def _check_schedule_increasing(schedule: Sequence[DegreeWindow]) -> None:
 
 def _koszul_bases(n: int):
     """Subsets of {0..n} by cardinality, each sorted, in a fixed order."""
-    items = list(range(n + 1))
-    by_deg = []
-    for j in range(n + 2):
-        by_deg.append([tuple(s) for s in itertools.combinations(items, j)])
-    return by_deg
+    return [list(itertools.combinations(range(n + 1), j)) for j in range(n + 2)]
 
 
-def _koszul_matrix(
-    p: ProblemInstance,
-    comps: list[Operator],
-    j: int,
-    win_dom: DegreeWindow,
-    win_cod: DegreeWindow,
-):
-    """Matrix of d^j from K^j(win_dom) to K^(j+1)(win_cod), exact."""
-    by_deg = _koszul_bases(p.n)
-    dom_monos, _ = _basis(p.n, win_dom)
-    cod_monos, cod_index = _basis(p.n, win_cod)
-    dom_sets = by_deg[j]
-    cod_sets = by_deg[j + 1]
-    cod_set_index = {s: k for k, s in enumerate(cod_sets)}
-    nrows = len(cod_sets) * len(cod_monos)
-    ncols = len(dom_sets) * len(dom_monos)
-    _check_cells(ncols)
-    mat = SparseMatrixQ(nrows, ncols)
-    col = 0
-    col_labels = []
-    for s in dom_sets:
-        for m in dom_monos:
-            e = RingElement.monomial(p.n, m)
-            for i in range(p.n + 1):
-                if i in s:
-                    continue
-                sign = (-1) ** sum(1 for x in s if x < i)
-                s2 = tuple(sorted(s + (i,)))
-                base = cod_set_index[s2] * len(cod_monos)
-                image = apply(comps[i], e, p.g)
-                for im, c in image.terms.items():
-                    idx = cod_index.get(im)
-                    if idx is None:
-                        raise WindowError("Koszul codomain window too small")
-                    mat.add(base + idx, col, sign * c)
-            col_labels.append((s, m))
-            col += 1
-    mat.col_labels = col_labels
-    return mat, dom_monos, cod_monos
+def _koszul_matrices(
+    p: ProblemInstance, win_dom: DegreeWindow, win_cod: DegreeWindow
+) -> list[SparseMatrixQ]:
+    """Matrices of d^0..d^n from K^j(win_dom) to K^(j+1)(win_cod), exact.
+
+    K^j has one copy of the window basis per j-subset s of {0..n}.  The images
+    of each component are assembled once and shared by every d^j.
+    """
+    n = p.n
+    by_deg = _koszul_bases(n)
+    dom = list(win_dom.monomials(n))
+    _check_cells(max(len(sets) for sets in by_deg[: n + 1]) * len(dom))
+    images = [_stencil_columns(compile_stencil(c, p.g), dom, win_cod, n) for c in phi_row(p)]
+    if any(None in image for image in images):
+        raise WindowError("Koszul codomain window too small")
+    size = win_cod.size(n)
+    mats = []
+    for j in range(n + 1):
+        cod_pos = {s: k for k, s in enumerate(by_deg[j + 1])}
+        cols = []
+        for s in by_deg[j]:
+            # component i maps the copy of s to that of s + {i}, sign (-1)^#{x in s: x < i}
+            parts = [
+                (images[i], cod_pos[tuple(sorted(s + (i,)))] * size, sum(x < i for x in s) % 2)
+                for i in range(n + 1)
+                if i not in s
+            ]
+            cols += (
+                {b + r: -v if odd else v for img, b, odd in parts for r, v in img[mi].items()}
+                for mi in range(len(dom))
+            )
+        labels = [(s, m) for s in by_deg[j] for m in dom]
+        mats.append(SparseMatrixQ.from_columns(len(cod_pos) * size, cols, col_labels=labels))
+    return mats
 
 
 def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
@@ -447,86 +447,35 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     probe = DegreeWindow(-2, 2, 2, min(2, 2 if not p.g.is_one() else 0))
     if not check_row_commutation(p, probe):
         raise ValueError("row components do not commute; assembly is inconsistent")
-    comps = phi_row(p)
     sh = _shift_analysis(p)
-    by_deg = _koszul_bases(p.n)
-    big = win.expand(1, sh.dx, sh.dg)
-
-    interior = _interior(win, sh)
-    dims: dict[int, int] = {}
-    mats: dict[int, tuple] = {}
-    for j in range(p.n + 1):
-        mats[j] = _koszul_matrix(p, comps, j, win, big)
-
-    for j in range(p.n + 2):
-        dims[j] = _koszul_h(p, j, mats, win, big, interior, by_deg)
-    return dims
+    big = sh.output_window(win)
+    mats = _koszul_matrices(p, win, big)
+    return {j: _koszul_h(p, j, mats, win, big, _interior(win, sh)) for j in range(p.n + 2)}
 
 
-def _component_relations(p, sets, monos, index_of_mono, win):
-    """Relation columns in each direct-sum component of a Koszul term."""
-    if p.g.is_one():
-        return []
-    cols = []
-    nm = len(monos)
-    gen_win = DegreeWindow(win.tmin, win.tmax, max(0, win.xmax - p.g.max_xdeg()),
-                          max(0, win.gmax - 1))
-    for k, _s in enumerate(sets):
-        base = k * nm
-        for m in gen_win.monomials(p.n):
-            rel = (RingElement.monomial(p.n, m) * p.g).shift_gpow(1) - RingElement.monomial(
-                p.n, m
-            )
-            col: dict[int, object] = {}
-            ok = True
-            for im, c in rel.terms.items():
-                idx = index_of_mono.get(im)
-                if idx is None:
-                    ok = False
-                    break
-                col[base + idx] = col.get(base + idx, Q(0)) + c
-            if ok:
-                cols.append({kk: v for kk, v in col.items() if v != 0})
-    return cols
-
-
-def _component_slack(sets, monos, threshold: int) -> list[dict[int, object]]:
-    cols = []
-    nm = len(monos)
-    for k in range(len(sets)):
-        for i, m in enumerate(monos):
-            if m.tdeg >= threshold:
-                cols.append({k * nm + i: Q(1)})
-    return cols
-
-
-def _koszul_h(p, j, mats, win, big, interior, by_deg):
+def _koszul_h(p, j, mats, win, big, interior):
     n = p.n
+    by_deg = _koszul_bases(n)
     # cycles and boundaries are compared inside K^j(big)
     big_monos = list(big.monomials(n))
     big_index = {m: i for i, m in enumerate(big_monos)}
     sets_j = by_deg[j]
-    set_pos = {s: k for k, s in enumerate(sets_j)}
     nm = len(big_monos)
+    gen_x, gen_g = max(0, big.xmax - p.g.max_xdeg()), max(0, big.gmax - 1)
+    rel = _relation_columns(p, DegreeWindow(big.tmin, big.tmax, gen_x, gen_g), big)
 
     # kernel vectors of d^j supported on the interior; only finitely
     # supported cycles are detected (closing up to the localization
     # relations), so lower-degree dimensions are lower bounds
     if j <= n:
-        mat_j = mats[j][0]
+        mat_j = mats[j]
+        set_pos = {s: k for k, s in enumerate(sets_j)}
         interior_cols = [
             col for col, (s, m) in enumerate(mat_j.col_labels) if interior.contains(m)
         ]
-        rel_cod = _component_relations(p, by_deg[j + 1], big_monos, big_index, big)
-        aug = SparseMatrixQ(mat_j.nrows, len(interior_cols) + len(rel_cod))
-        for k, col in enumerate(interior_cols):
-            for r, v in mat_j.cols[col].items():
-                aug.set(r, k, v)
-        for k, coldict in enumerate(rel_cod):
-            for r, v in coldict.items():
-                aug.set(r, len(interior_cols) + k, v)
+        aug_cols = [mat_j.cols[c] for c in interior_cols] + _stack(rel, len(by_deg[j + 1]), nm)
         zvecs = []
-        for vec in nullspace(aug):
+        for vec in nullspace(SparseMatrixQ.from_columns(mat_j.nrows, aug_cols)):
             z: dict[int, object] = {}
             for c, v in vec.items():
                 if c < len(interior_cols):
@@ -544,20 +493,10 @@ def _koszul_h(p, j, mats, win, big, interior, by_deg):
 
     # boundaries: image of d^(j-1) plus relations, plus slack for the top
     # t-layers where a truncated ascending tail leaves its residual
-    bcols: list[dict[int, object]] = []
-    if j >= 1:
-        mat_b = mats[j - 1][0]
-        for col in mat_b.cols:
-            if col:
-                bcols.append(dict(col))
-    bcols.extend(_component_relations(p, sets_j, big_monos, big_index, big))
-    bcols.extend(_component_slack(sets_j, big_monos, win.tmax))
-
-    bmat = SparseMatrixQ(len(sets_j) * nm, len(bcols))
-    for c, coldict in enumerate(bcols):
-        for r, v in coldict.items():
-            bmat.set(r, c, v)
-    _, extra = rank_with_extension(bmat, zvecs)
+    bcols = [col for col in mats[j - 1].cols if col] if j >= 1 else []
+    bcols += _stack(rel, len(sets_j), nm)
+    bcols += _stack(_slack_columns(big_monos, win.tmax), len(sets_j), nm)
+    _, extra = rank_with_extension(SparseMatrixQ.from_columns(len(sets_j) * nm, bcols), zvecs)
     return extra
 
 

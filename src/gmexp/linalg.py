@@ -42,10 +42,6 @@ class SparseMatrixQ:
         else:
             self.cols[c][r] = v if type(v) is Q else Q(v)
 
-    def add(self, r: int, c: int, v) -> None:
-        cur = self.cols[c].get(r, QZERO) + v
-        self.set(r, c, cur)
-
     def get(self, r: int, c: int):
         return self.cols[c].get(r, QZERO)
 
@@ -57,10 +53,10 @@ class SparseMatrixQ:
         return sum(len(col) for col in self.cols)
 
     @classmethod
-    def from_entries(cls, nrows, ncols, entries, row_labels=None, col_labels=None):
-        m = cls(nrows, ncols, row_labels, col_labels)
-        for (r, c), v in entries.items():
-            m.set(r, c, v)
+    def from_columns(cls, nrows, cols, row_labels=None, col_labels=None):
+        """The matrix with these {row: value} columns (Q values, no zeros), not copied."""
+        m = cls(nrows, 0, row_labels, col_labels)
+        m.ncols, m.cols = len(cols), cols
         return m
 
     def transpose(self) -> "SparseMatrixQ":

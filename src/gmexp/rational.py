@@ -14,12 +14,11 @@ try:
     from gmpy2 import mpq as Q
 
     HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency in practice
+except ImportError:  # gmpy2 is optional (the "fast" extra)
     Q = Fraction
     HAVE_GMPY2 = False
 
 QZERO = Q(0)
-QONE = Q(1)
 
 
 def rat(x, y=None):

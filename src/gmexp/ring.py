@@ -8,9 +8,8 @@ normalization pass (clear_g) produces the canonical minimal-layer form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .rational import Q, QZERO, qstr, rat
 
@@ -28,10 +27,6 @@ class Monomial(NamedTuple):
 
     def sort_key(self):
         return (self.tdeg, self.xdeg, self.gpow)
-
-
-def mono(tdeg: int = 0, xdeg: Iterable[int] = (), gpow: int = 0) -> Monomial:
-    return Monomial(tdeg, tuple(xdeg), gpow)
 
 
 def unit_monomial(n: int) -> Monomial:
@@ -119,10 +114,6 @@ class RingElement:
     def max_gpow(self) -> int:
         return max((m.gpow for m in self.terms), default=0)
 
-    def tdeg_range(self) -> tuple[int, int]:
-        degs = [m.tdeg for m in self.terms] or [0]
-        return min(degs), max(degs)
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other: "RingElement") -> None:
@@ -148,20 +139,13 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = Monomial(
-                    m1.tdeg + m2.tdeg,
-                    tuple(a + b for a, b in zip(m1.xdeg, m2.xdeg)),
-                    m1.gpow + m2.gpow,
-                )
-                s = out.get(m, QZERO) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return RingElement._trusted(self.n, out)
+        products = (
+            (Monomial(a.tdeg + b.tdeg, tuple(map(sum, zip(a.xdeg, b.xdeg))), a.gpow + b.gpow),
+             c * d)
+            for a, c in self.terms.items()
+            for b, d in other.terms.items()
+        )
+        return RingElement._trusted(self.n, _collect(products))
 
     def scale(self, c) -> "RingElement":
         c = rat(c)
@@ -206,6 +190,18 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"RingElement({serialize(self)!r})"
+
+
+def _collect(items) -> dict:
+    """Sum (key, value) pairs by key, dropping keys whose sum is 0."""
+    out: dict = {}
+    for key, c in items:
+        s = out[key] + c if key in out else c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gmexp import engine
 from gmexp.cli import main
 
 
@@ -87,19 +88,29 @@ def test_json_determinism(capsys, tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
-def test_matrix_dump(capsys, tmp_path):
-    dump = tmp_path / "mat.txt"
-    code, _, _ = run_cli(
-        capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2",
-        "--dump-matrix", str(dump),
+def test_matrix_dump(capsys, tmp_path, monkeypatch):
+    # the dump is the first-window matrix that the engine itself eliminates
+    assembled = []
+    real = engine.assemble_phi
+    monkeypatch.setattr(
+        engine, "assemble_phi", lambda *args: assembled.append(real(*args)) or assembled[-1]
     )
-    assert code == 0
-    lines = dump.read_text().splitlines()
-    nrows, ncols = map(int, lines[0].split())
-    assert nrows > 0 and ncols > 0 and len(lines) > 1
-    for line in lines[1:]:
-        r, c, v = line.split()
-        assert 0 <= int(r) < nrows and 0 <= int(c) < ncols
+    for fs, gs in [("x1", "1"), ("x1^3", "1"), ("x1^2", "x1")]:
+        dump = tmp_path / "mat.txt"
+        assembled.clear()
+        code, _, _ = run_cli(
+            capsys, "exponent-test", "--n", "1", "--f", fs, "--g", gs, "--alphas", "1/2",
+            "--dump-matrix", str(dump),
+        )
+        assert code == 0
+        text = dump.read_text()
+        assert text == assembled[0].dump_triplets() + "\n"
+        lines = text.splitlines()
+        nrows, ncols = map(int, lines[0].split())
+        assert nrows > 0 and ncols > 0 and len(lines) > 1
+        for line in lines[1:]:
+            r, c, v = line.split()
+            assert 0 <= int(r) < nrows and 0 <= int(c) < ncols
 
 
 def test_output_file(capsys, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gmexp.engine import (
     DegreeWindow,
@@ -9,6 +10,11 @@ from gmexp.engine import (
     ResourceLimitError,
     Verdict,
     WindowError,
+    _koszul_bases,
+    _koszul_matrices,
+    _relation_columns,
+    _shift_analysis,
+    _stack,
     assemble_phi,
     check_corollary_dominance,
     check_row_commutation,
@@ -40,11 +46,137 @@ def test_instance_validation():
     assert p.f == parse_poly("x1", 1)
 
 
+def trees_commute(p, w):
+    """Pairwise commutation of the phi_row operator trees, applied by tree walk."""
+    for a, b in itertools.combinations(phi_row(p), 2):
+        for m in w.monomials(p.n):
+            e = RingElement.monomial(p.n, m)
+            if apply(a, apply(b, e, p.g), p.g) != apply(b, apply(a, e, p.g), p.g):
+                return False
+    return True
+
+
 def test_phi_row_components_commute():
     for fs, n, gs in [("x1^2*(1-x1)", 1, "1"), ("x1*x2", 2, "1"), ("x1^2*ginv", 1, "x1")]:
         p = instance(fs, n=n, gs=gs, alpha="1/2")
         probe = DegreeWindow(-2, 2, 2, 0 if gs == "1" else 2)
         assert check_row_commutation(p, probe)
+        assert trees_commute(p, probe)
+
+
+# -- the tree walk as the oracle for stencil assembly ---------------------------
+
+
+def tree_image(op, p, m, index):
+    """{row: value} of op applied to monomial m by tree walk; WindowError
+    when a term falls outside the rows of index."""
+    image = apply(op, RingElement.monomial(p.n, m), p.g)
+    if any(t not in index for t in image.terms):
+        raise WindowError("outside")
+    return {index[t]: c for t, c in image.terms.items()}
+
+
+def tree_relations(p, win_in, index):
+    """mono * (g * g^-(m+1) - g^-m) for the monomials whose relation fits."""
+    if p.g.is_one():
+        return []
+    cols = []
+    for m in win_in.monomials(p.n):
+        mono = RingElement.monomial(p.n, m)
+        rel = (mono * p.g).shift_gpow(1) - mono
+        if all(t in index for t in rel.terms):
+            cols.append({index[t]: c for t, c in rel.terms.items()})
+    return cols
+
+
+def tree_koszul(p, j, win_in, index):
+    """Columns of d^j by tree walk, K^j blocks ordered as _koszul_bases."""
+    by_deg = _koszul_bases(p.n)
+    pos = {s: k for k, s in enumerate(by_deg[j + 1])}
+    comps = phi_row(p)
+    cols = []
+    for s in by_deg[j]:
+        for m in win_in.monomials(p.n):
+            col = {}
+            for i in range(p.n + 1):
+                if i not in s:
+                    sign = (-1) ** sum(1 for x in s if x < i)
+                    base = pos[tuple(sorted(s + (i,)))] * len(index)
+                    for r, c in tree_image(comps[i], p, m, index).items():
+                        col[base + r] = sign * c
+            cols.append(col)
+    return cols
+
+
+def assert_columns(cols, expected):
+    assert len(cols) == len(expected)
+    for col, exp in zip(cols, expected):
+        assert col == exp
+        assert all(type(v) is Q and v != 0 for v in col.values())
+
+
+G_POOL = {1: ["1", "x1", "-(2*x1)"], 2: ["1", "x1", "x1+x2", "x1*x2+1", "-(2*x1)"]}
+
+
+@st.composite
+def stencil_cases(draw):
+    n = draw(st.integers(1, 2))
+    powers = st.tuples(*[st.integers(0, 2)] * n, st.integers(0, 2))
+    terms = draw(st.dictionaries(powers, st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    fs = " + ".join(
+        f"{c}*" + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(pw[:n])) + f"*ginv^{pw[n]}"
+        for pw, c in terms.items()
+    )
+    gs = draw(st.sampled_from(G_POOL[n]))
+    alpha = draw(st.sampled_from(["0", "1", "-2", "1/2", "-1/3", "5/4"]))
+    tmin = draw(st.integers(-2, 1))
+    win = DegreeWindow(tmin, tmin + draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                       draw(st.integers(0, 2)))
+    return n, fs, gs, alpha, win
+
+
+@settings(max_examples=60, deadline=None)
+@given(stencil_cases())
+@example((1, "x1^2", "x1", "1", DegreeWindow(-2, 2, 2, 2)))
+@example((2, "x1^2*ginv^2+x2", "x1+x2", "1/3", DegreeWindow(-1, 1, 2, 2)))
+@example((2, "-x1^2*ginv^2+3*x2", "-(2*x1)-2*x2", "-2/3", DegreeWindow(-1, 1, 2, 2)))
+def test_stencil_assembly_matches_tree_walk(case):
+    n, fs, gs, alpha, win = case
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    # the output window equal to the input, widened in t, and the engine's own
+    for win_out in (win, win.expand(dt=1), _shift_analysis(p).output_window(win)):
+        rows = list(win_out.monomials(n))
+        index = {m: i for i, m in enumerate(rows)}
+        try:
+            expected = [tree_image(c, p, m, index) for c in phi_row(p)
+                        for m in win.monomials(n)]
+        except WindowError:
+            with pytest.raises(WindowError):
+                assemble_phi(p, win, win_out)
+        else:
+            mat = assemble_phi(p, win, win_out)
+            assert (mat.nrows, mat.ncols) == (len(rows), len(expected))
+            assert mat.row_labels == rows
+            assert mat.col_labels == [(ci, m) for ci in range(n + 1) for m in win.monomials(n)]
+            assert_columns(mat.cols, expected)
+
+        rel = tree_relations(p, win, index)
+        assert_columns(_relation_columns(p, win, win_out), rel)
+        stacked = [{b * len(rows) + r: v for r, v in c.items()} for b in range(3) for c in rel]
+        assert_columns(_stack(_relation_columns(p, win, win_out), 3, len(rows)), stacked)
+
+        try:
+            expected_k = [tree_koszul(p, j, win, index) for j in range(n + 1)]
+        except WindowError:
+            with pytest.raises(WindowError):
+                _koszul_matrices(p, win, win_out)
+        else:
+            by_deg = _koszul_bases(n)
+            for j, mat in enumerate(_koszul_matrices(p, win, win_out)):
+                assert (mat.nrows, mat.ncols) == (
+                    len(by_deg[j + 1]) * len(rows), len(expected_k[j]))
+                assert mat.col_labels == [(s, m) for s in by_deg[j] for m in win.monomials(n)]
+                assert_columns(mat.cols, expected_k[j])
 
 
 def test_phi_row_shape():
