@@ -7,11 +7,11 @@ Given f in k[x1..xn, 1/g] and a rational class alpha, the row map
 from R^(n+1) to R = k((t))[x, 1/g] is surjective exactly when alpha mod Z
 is not an exponent at the origin of the direct image of the structure
 sheaf under f; the cokernel dimension counts the Jordan blocks of the
-zeroth cohomology for that class.  This module assembles finite window
-restrictions of that map (and of the full Koszul complex built from its
-pairwise-commuting components), measures cokernels on window interiors,
-and reports verdicts once the estimates stabilize across a growth
-schedule of nested windows.
+zeroth cohomology for that class.  On each window this module builds the
+Koszul complex of the pairwise-commuting components once, with one set of
+relation columns; its top degree n+1, the cokernel on the window interior,
+is both exponent_test's estimate and koszul_cohomology's degree n+1.
+Verdicts come once the estimates stabilize over a schedule of nested windows.
 
 The localization by g is handled formally: window bases use monomials
 t^k x^u g^-m and the assembled image is augmented with the relation
@@ -125,13 +125,18 @@ def phi_row(p: ProblemInstance) -> list[Operator]:
 
 def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
     """Exact pairwise commutation on window monomials of the compiled row
-    components, the stencils that assembly evaluates."""
+    components, the stencils that assembly evaluates.  The g-layers are formal
+    (g * g^-1 stays), so sides that differ are compared in k[x, 1/g] by clear_g."""
     stencils = [compile_stencil(c, p.g) for c in phi_row(p)]
     for m in w.monomials(p.n):
         images = [apply_stencil(st, {m: Q(1)}) for st in stencils]
         for a, b in itertools.combinations(range(len(stencils)), 2):
-            if apply_stencil(stencils[a], images[b]) != apply_stencil(stencils[b], images[a]):
-                return False
+            lhs = apply_stencil(stencils[a], images[b])
+            rhs = apply_stencil(stencils[b], images[a])
+            if lhs != rhs:
+                diff = RingElement(p.n, lhs) - RingElement(p.n, rhs)
+                if not clear_g(diff, p.g).is_zero():
+                    return False
     return True
 
 
@@ -189,10 +194,6 @@ def default_schedule(
         gmax = 0 if g_trivial else xmax
         out.append(DegreeWindow(-tmax, tmax, xmax, gmax))
     return out
-
-
-def _interior(win: DegreeWindow, sh: _Shifts) -> DegreeWindow:
-    return win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +297,39 @@ def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
             for b in range(blocks) for c in cols]
 
 
-def _window_cokernel(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> int:
+@dataclass(frozen=True)
+class _WindowComplex:
+    """One window's complex, built once from (p, win): the component images
+    (column (ci, m) for component ci and monomial m of win, rows over the output
+    window), the relation columns generated in win, the slack columns on the top
+    t-layers, and targets, the output-window row of each interior monomial."""
+
+    mat: SparseMatrixQ
+    relations: list[dict]
+    slack: list[dict]
+    targets: dict[Monomial, int]
+
+
+def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
     win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out)
-    out_index = {m: i for i, m in enumerate(mat.row_labels)}
-    targets = sorted({out_index[m] for m in _interior(win, sh).monomials(p.n)})
-    # image columns (matrix + relations + tail slack) are pivoted first,
-    # then the surviving target directions are counted
-    image = mat.cols + _relation_columns(p, win, win_out)
-    image += _slack_columns(mat.row_labels, win.tmax)
-    combined = SparseMatrixQ.from_columns(mat.nrows, image)
-    _, coker = rank_with_extension(combined, [{r: Q(1)} for r in targets])
+    index = {m: i for i, m in enumerate(mat.row_labels)}
+    interior = win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
+    return _WindowComplex(
+        mat,
+        _relation_columns(p, win, win_out),
+        _slack_columns(mat.row_labels, win.tmax),
+        {m: index[m] for m in interior.monomials(p.n)},
+    )
+
+
+def _top_cokernel(cx: _WindowComplex) -> int:
+    """Degree n+1 of the complex: the interior rows modulo the image of the
+    components, the relations and the slack (image columns are pivoted
+    first, then the surviving target directions are counted)."""
+    image = cx.mat.cols + cx.relations + cx.slack
+    combined = SparseMatrixQ.from_columns(cx.mat.nrows, image)
+    _, coker = rank_with_extension(combined, [{r: Q(1)} for r in sorted(cx.targets.values())])
     return coker
 
 
@@ -352,7 +375,7 @@ def exponent_test(
     estimates: list[int] = []
     used: list[DegreeWindow] = []
     for win in schedule:
-        estimates.append(_window_cokernel(p, win, sh))
+        estimates.append(_top_cokernel(_window_complex(p, win, sh)))
         used.append(win)
         if len(estimates) >= 2 and estimates[-1] == estimates[-2]:
             v = estimates[-1]
@@ -394,22 +417,17 @@ def _koszul_bases(n: int):
     return [list(itertools.combinations(range(n + 1), j)) for j in range(n + 2)]
 
 
-def _koszul_matrices(
-    p: ProblemInstance, win_dom: DegreeWindow, win_cod: DegreeWindow
-) -> list[SparseMatrixQ]:
-    """Matrices of d^0..d^n from K^j(win_dom) to K^(j+1)(win_cod), exact.
+def _koszul_matrices(n: int, mat: SparseMatrixQ) -> list[SparseMatrixQ]:
+    """Matrices of d^0..d^n from K^j(win) to K^(j+1)(win_out), exact, for
+    mat = assemble_phi(p, win, win_out).
 
-    K^j has one copy of the window basis per j-subset s of {0..n}.  The images
-    of each component are assembled once and shared by every d^j.
+    K^j has one copy of the window basis per j-subset s of {0..n}; every d^j
+    is signed slices of mat's component columns.
     """
-    n = p.n
     by_deg = _koszul_bases(n)
-    dom = list(win_dom.monomials(n))
-    _check_cells(max(len(sets) for sets in by_deg[: n + 1]) * len(dom))
-    images = [_stencil_columns(compile_stencil(c, p.g), dom, win_cod, n) for c in phi_row(p)]
-    if any(None in image for image in images):
-        raise WindowError("Koszul codomain window too small")
-    size = win_cod.size(n)
+    size = mat.nrows
+    dom = [m for _ci, m in mat.col_labels[: mat.ncols // (n + 1)]]
+    images = [mat.cols[i * len(dom) : (i + 1) * len(dom)] for i in range(n + 1)]
     mats = []
     for j in range(n + 1):
         cod_pos = {s: k for k, s in enumerate(by_deg[j + 1])}
@@ -434,12 +452,14 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     """Interior cohomology dimensions of the Koszul complex of the row
     components, degrees 0..n+1.
 
-    Every differential is assembled exactly with domain win and codomain
-    win expanded once by the shift bounds, so chaining two differentials
-    on the overlap composes to zero.  Cycles are taken with interior
-    support (closing up to the localization relations); boundaries come
-    from the full domain window, with slack for the top t-layers where a
-    truncated ascending tail leaves its residual.
+    The complex is the one exponent_test builds on win: every differential
+    has domain win and codomain its output window, so chaining two
+    differentials on the overlap composes to zero, and degree n+1 is
+    exponent_test's window cokernel, computed by the same call.  Cycles are
+    taken with interior support (closing up to the localization relations);
+    boundaries come from the full domain window, with slack for the top
+    t-layers where a truncated ascending tail leaves its residual.  Every
+    degree uses the one relation set, generated in win.
 
     Raises WindowError on assembly problems and ValueError when the
     components fail their pairwise commutation check (an assembly bug).
@@ -447,55 +467,43 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     probe = DegreeWindow(-2, 2, 2, min(2, 2 if not p.g.is_one() else 0))
     if not check_row_commutation(p, probe):
         raise ValueError("row components do not commute; assembly is inconsistent")
-    sh = _shift_analysis(p)
-    big = sh.output_window(win)
-    mats = _koszul_matrices(p, win, big)
-    return {j: _koszul_h(p, j, mats, win, big, _interior(win, sh)) for j in range(p.n + 2)}
+    by_deg = _koszul_bases(p.n)
+    _check_cells(max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
+    cx = _window_complex(p, win, _shift_analysis(p))
+    mats = _koszul_matrices(p.n, cx.mat)
+    dims = {j: _koszul_h(j, mats, cx, by_deg) for j in range(p.n + 1)}
+    dims[p.n + 1] = _top_cokernel(cx)
+    return dims
 
 
-def _koszul_h(p, j, mats, win, big, interior):
-    n = p.n
-    by_deg = _koszul_bases(n)
-    # cycles and boundaries are compared inside K^j(big)
-    big_monos = list(big.monomials(n))
-    big_index = {m: i for i, m in enumerate(big_monos)}
+def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> int:
+    """Dimension of degree j <= n, compared inside K^j(win_out)."""
+    nm = cx.mat.nrows
     sets_j = by_deg[j]
-    nm = len(big_monos)
-    gen_x, gen_g = max(0, big.xmax - p.g.max_xdeg()), max(0, big.gmax - 1)
-    rel = _relation_columns(p, DegreeWindow(big.tmin, big.tmax, gen_x, gen_g), big)
-
     # kernel vectors of d^j supported on the interior; only finitely
     # supported cycles are detected (closing up to the localization
     # relations), so lower-degree dimensions are lower bounds
-    if j <= n:
-        mat_j = mats[j]
-        set_pos = {s: k for k, s in enumerate(sets_j)}
-        interior_cols = [
-            col for col, (s, m) in enumerate(mat_j.col_labels) if interior.contains(m)
-        ]
-        aug_cols = [mat_j.cols[c] for c in interior_cols] + _stack(rel, len(by_deg[j + 1]), nm)
-        zvecs = []
-        for vec in nullspace(SparseMatrixQ.from_columns(mat_j.nrows, aug_cols)):
-            z: dict[int, object] = {}
-            for c, v in vec.items():
-                if c < len(interior_cols):
-                    s, m = mat_j.col_labels[interior_cols[c]]
-                    z[set_pos[s] * nm + big_index[m]] = v
-            if z:
-                zvecs.append(z)
-    else:
-        # top degree: everything interior is a cycle
-        zvecs = [
-            {s_pos * nm + big_index[m]: Q(1)}
-            for s_pos in range(len(sets_j))
-            for m in interior.monomials(n)
-        ]
+    mat_j = mats[j]
+    set_pos = {s: k for k, s in enumerate(sets_j)}
+    interior_cols = [
+        col for col, (s, m) in enumerate(mat_j.col_labels) if m in cx.targets
+    ]
+    aug_cols = [mat_j.cols[c] for c in interior_cols] + _stack(cx.relations, len(by_deg[j + 1]), nm)
+    zvecs = []
+    for vec in nullspace(SparseMatrixQ.from_columns(mat_j.nrows, aug_cols)):
+        z: dict[int, object] = {}
+        for c, v in vec.items():
+            if c < len(interior_cols):
+                s, m = mat_j.col_labels[interior_cols[c]]
+                z[set_pos[s] * nm + cx.targets[m]] = v
+        if z:
+            zvecs.append(z)
 
     # boundaries: image of d^(j-1) plus relations, plus slack for the top
     # t-layers where a truncated ascending tail leaves its residual
     bcols = [col for col in mats[j - 1].cols if col] if j >= 1 else []
-    bcols += _stack(rel, len(sets_j), nm)
-    bcols += _stack(_slack_columns(big_monos, win.tmax), len(sets_j), nm)
+    bcols += _stack(cx.relations, len(sets_j), nm)
+    bcols += _stack(cx.slack, len(sets_j), nm)
     _, extra = rank_with_extension(SparseMatrixQ.from_columns(len(sets_j) * nm, bcols), zvecs)
     return extra
 

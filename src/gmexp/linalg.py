@@ -1,7 +1,7 @@
 """Sparse exact rational linear algebra.
 
-Rank, solvability, nullspaces and cokernel dimensions over Q, computed by
-sparse Gaussian elimination with Markowitz-style pivot selection.  The pivot
+Ranks, ranks of extensions and nullspaces over Q, computed by sparse
+Gaussian elimination with Markowitz-style pivot selection.  The pivot
 rule is exact and deterministic: within the column class being eliminated,
 take the column minimizing (active nonzero count, column index); within that
 column, take the active row minimizing (row nnz, numerator bit length, row
@@ -12,7 +12,7 @@ change, so a pivot costs no scan over the columns.  All arithmetic is exact.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .rational import Q, QZERO
 
@@ -34,14 +34,6 @@ class SparseMatrixQ:
         self.row_labels = row_labels
         self.col_labels = col_labels
 
-    def set(self, r: int, c: int, v) -> None:
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError(f"entry ({r}, {c}) out of range")
-        if v == 0:
-            self.cols[c].pop(r, None)
-        else:
-            self.cols[c][r] = v if type(v) is Q else Q(v)
-
     def get(self, r: int, c: int):
         return self.cols[c].get(r, QZERO)
 
@@ -57,13 +49,6 @@ class SparseMatrixQ:
         """The matrix with these {row: value} columns (Q values, no zeros), not copied."""
         m = cls(nrows, 0, row_labels, col_labels)
         m.ncols, m.cols = len(cols), cols
-        return m
-
-    def transpose(self) -> "SparseMatrixQ":
-        m = SparseMatrixQ(self.ncols, self.nrows, self.col_labels, self.row_labels)
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                m.set(c, r, v)
         return m
 
     def dump_triplets(self) -> str:
@@ -104,8 +89,9 @@ class _Eliminator:
         self._heap: list[tuple[int, int]] = []
 
     def add_row(self, row: dict[int, object]) -> int:
+        """Take row (owned by the eliminator from now on) as the next row."""
         idx = len(self.rows)
-        self.rows.append(dict(row))
+        self.rows.append(row)
         self.active.add(idx)
         for c in row:
             self.col_rows[c].add(idx)
@@ -196,31 +182,6 @@ def rank(a: SparseMatrixQ) -> int:
     return elim.eliminate(range(a.ncols))
 
 
-def solve(a: SparseMatrixQ, b: Sequence) -> Optional[list]:
-    """One exact solution of A x = b, or None if b is not in the column
-    space.  Deterministic for a fixed pivot rule; free variables are 0."""
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side has wrong length")
-    bc = a.ncols  # augmented column index
-    elim = _Eliminator(a.ncols + 1)
-    rows = _as_rows(a)
-    for r, row in enumerate(rows):
-        if b[r] != 0:
-            row[bc] = Q(b[r])
-        elim.add_row(row)
-    elim.eliminate(range(a.ncols), jordan=True)
-    # inconsistent iff a row reduced to (0 ... 0 | nonzero)
-    for r in elim.active:
-        if elim.rows[r]:
-            if set(elim.rows[r]) == {bc}:
-                return None
-    x = [QZERO] * a.ncols
-    for r, c in elim.pivots:
-        row = elim.rows[r]
-        x[c] = row.get(bc, QZERO) / row[c]
-    return x
-
-
 def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
     """Basis of ker(A) as sparse {col: value} vectors, one per free column."""
     elim = _Eliminator(a.ncols)
@@ -254,14 +215,3 @@ def rank_with_extension(a: SparseMatrixQ, extra_cols: list[dict[int, object]]):
     base = elim.eliminate(range(a.ncols))
     extra = elim.eliminate(range(a.ncols, a.ncols + len(extra_cols)))
     return base, extra
-
-
-def cokernel_dim_on(a: SparseMatrixQ, target_rows: Iterable[int]) -> int:
-    """Dimension of span{e_r : r in target_rows} modulo its intersection
-    with the column space of A; exact."""
-    targets = sorted(set(target_rows))
-    for r in targets:
-        if not 0 <= r < a.nrows:
-            raise IndexError(f"target row {r} out of range")
-    _, extra = rank_with_extension(a, [{r: Q(1)} for r in targets])
-    return extra

@@ -297,9 +297,11 @@ class DegreeWindow:
         return DegreeWindow(self.tmin - dt, self.tmax + dt, self.xmax + dx, self.gmax + dg)
 
     def shrink(self, dt: int = 0, dx: int = 0, dg: int = 0) -> "DegreeWindow":
+        """The window dt inside in t (ValueError if nothing is left), with xmax
+        and gmax lowered by dx and dg but kept nonnegative."""
         return DegreeWindow(
             self.tmin + dt,
-            max(self.tmin + dt, self.tmax - dt),
+            self.tmax - dt,
             max(0, self.xmax - dx),
             max(0, self.gmax - dg),
         )

@@ -5,6 +5,7 @@ exact (rational arithmetic end to end); no tolerances anywhere.
 """
 
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -36,6 +37,8 @@ from gmexp.parser import parse_poly
 from gmexp.rational import Q, is_integer
 from gmexp.ring import DegreeWindow, Monomial, RingElement
 from gmexp.reduction import UnivariateOperator, univariate_regular_exponents
+
+from test_engine import brieskorn_pham_count
 
 
 def _line(num, ok, detail):
@@ -334,3 +337,28 @@ def test_criterion_12_univariate_oracle():
             bad += 1
     _line(12, bad == 0, f"rank and rational-root multisets match 50 generated "
                         f"operators ({bad} mismatches)")
+
+
+def test_criterion_13_brieskorn_pham():
+    # f = x1^a + x2^b: the cokernel at alpha counts the pairs (j1, j2) with
+    # 1 <= j_i < a_i and j1/a + j2/b = alpha mod Z (Brieskorn 1970)
+    bad = []
+    total = 0
+    for a, b in ((2, 3), (3, 3), (2, 4), (2, 5), (3, 4)):
+        lcm = math.lcm(a, b)
+        for j in range(1, lcm + 1):
+            alpha = Q(j, lcm)
+            p = ProblemInstance(
+                n=2, f=parse_poly(f"x1^{a}+x2^{b}", 2), g=RingElement.one(2), alpha=alpha
+            )
+            got = exponent_test(p).cokernel_dim
+            want = brieskorn_pham_count((a, b), alpha)
+            total += 1
+            if got != want:
+                bad.append((a, b, str(alpha), got, want))
+    _line(
+        13,
+        not bad,
+        f"cokernel equals the Brieskorn-Pham count on {total} classes of x1^a+x2^b"
+        + (f"; failures: {bad[:5]}" if bad else ""),
+    )

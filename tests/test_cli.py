@@ -74,6 +74,14 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "arrangement", "--weights", "1", "--alphas", "")
     assert code == 3 and "precondition" in err
 
+    # windows too short for their t-margins have no interior
+    for t_start in ("0", "1"):
+        code, _, err = run_cli(
+            capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2",
+            "--t-start", t_start,
+        )
+        assert code == 3 and "precondition" in err
+
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "5")
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1")
     assert code == 4 and "resource" in err

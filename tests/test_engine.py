@@ -4,6 +4,7 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gmexp import engine
 from gmexp.engine import (
     DegreeWindow,
     ProblemInstance,
@@ -24,7 +25,7 @@ from gmexp.engine import (
     phi_row,
 )
 from gmexp.linalg import rank
-from gmexp.operators import apply
+from gmexp.operators import PartialX, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
 from gmexp.ring import Monomial, RingElement
@@ -169,10 +170,10 @@ def test_stencil_assembly_matches_tree_walk(case):
             expected_k = [tree_koszul(p, j, win, index) for j in range(n + 1)]
         except WindowError:
             with pytest.raises(WindowError):
-                _koszul_matrices(p, win, win_out)
+                _koszul_matrices(n, assemble_phi(p, win, win_out))
         else:
             by_deg = _koszul_bases(n)
-            for j, mat in enumerate(_koszul_matrices(p, win, win_out)):
+            for j, mat in enumerate(_koszul_matrices(n, assemble_phi(p, win, win_out))):
                 assert (mat.nrows, mat.ncols) == (
                     len(by_deg[j + 1]) * len(rows), len(expected_k[j]))
                 assert mat.col_labels == [(s, m) for s in by_deg[j] for m in win.monomials(n)]
@@ -290,6 +291,15 @@ def test_default_schedule_growth():
     assert all(w.gmax == w.xmax for w in default_schedule(pg))
 
 
+def test_window_without_interior():
+    p = instance("x1", alpha="1/2")
+    short = [DegreeWindow(-1, 1, 3, 0), DegreeWindow(-1, 2, 4, 0)]
+    with pytest.raises(ValueError, match="tmin"):
+        exponent_test(p, short)
+    with pytest.raises(ValueError, match="tmin"):
+        koszul_cohomology(p, short[0])
+
+
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "10")
     with pytest.raises(ResourceLimitError):
@@ -306,9 +316,36 @@ def test_koszul_top_matches_cokernel():
 
 def test_koszul_dominance():
     for fs, gs, a in [("x1", "1", "1/2"), ("x1*(1-x1)", "1", "1/3"),
-                      ("x1^2*ginv", "x1", "1/5")]:
+                      ("x1^2*ginv", "x1", "1/5"),
+                      ("x1^2*ginv", "1-x1", "1/2"), ("x1^2*ginv", "1-x1", "1/3"),
+                      ("x1^3*ginv", "x1^2+1", "1/3"), ("x1^3*ginv", "x1^2+1", "1/2")]:
         p = instance(fs, gs=gs, alpha=a)
         assert check_corollary_dominance(p, default_schedule(p)[0])
+
+
+def test_koszul_keeps_g_layer():
+    # f keeps a g-layer: the components commute only in k[x, 1/g]
+    for fs, gs, a, dims in [
+        ("x1^2*ginv", "1-x1", "1/2", {0: 0, 1: 0, 2: 1}),
+        ("x1^2*ginv", "1-x1", "1/3", {0: 0, 1: 0, 2: 0}),
+        ("x1^3*ginv", "x1^2+1", "1/3", {0: 0, 1: 0, 2: 1}),
+        ("x1^3*ginv", "x1^2+1", "1/2", {0: 0, 1: 0, 2: 0}),
+    ]:
+        p = instance(fs, gs=gs, alpha=a)
+        assert p.f.max_gpow() > 0
+        assert koszul_cohomology(p, default_schedule(p)[0]) == dims, (fs, gs, a)
+        assert exponent_test(p).cokernel_dim == dims[2], (fs, gs, a)
+
+
+def test_koszul_rejects_non_commuting_components(monkeypatch):
+    # d/dx1 does not commute with multiplication by f - t when f' != 0
+    real = engine.phi_row
+    monkeypatch.setattr(engine, "phi_row", lambda p: real(p)[:1] + [PartialX(1)])
+    for fs, gs in [("x1^2", "1"), ("x1^2*ginv", "1-x1")]:
+        p = instance(fs, gs=gs, alpha="1/2")
+        assert not check_row_commutation(p, DegreeWindow(-2, 2, 2, 2))
+        with pytest.raises(ValueError, match="do not commute"):
+            koszul_cohomology(p, default_schedule(p)[0])
 
 
 def test_determinism():
