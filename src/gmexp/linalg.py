@@ -175,13 +175,6 @@ def _as_rows(a: SparseMatrixQ) -> list[dict[int, object]]:
     return rows
 
 
-def rank(a: SparseMatrixQ) -> int:
-    elim = _Eliminator(a.ncols)
-    for row in _as_rows(a):
-        elim.add_row(row)
-    return elim.eliminate(range(a.ncols))
-
-
 def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
     """Basis of ker(A) as sparse {col: value} vectors, one per free column."""
     elim = _Eliminator(a.ncols)

@@ -7,16 +7,17 @@ Symbolic operator trees with exact per-monomial actions:
     MulByT          multiplication by t
     MulByTInv       multiplication by t^-1
     MulByElem(e)    multiplication by a ring element
-    PhiC(c)         d/dt + c*t^-1,            t^k -> (k+c) t^(k-1)
-    Dtr(r)          t*d/dt + r,               t^k -> (k+r) t^k
-    ArS(a, r, s)    t + r * PhiC(a+s)^-1,     t^k -> ((k+1+a+r+s)/(k+1+a+s)) t^(k+1)
+    PhiC(c)         d/dt + c*t^-1
+    Dtr(r)          t*d/dt + r
+    ArS(a, r, s)    t + r * PhiC(a+s)^-1
     AbetaD(a, b, i, r, s)
-                    t + b*(x_i d_i + r) * PhiC(a+s)^-1,
-                    t^k x^u -> ((k+1+a+s+b(u_i+r))/(k+1+a+s)) t^(k+1) x^u
+                    t + b*(x_i d_i + r) * PhiC(a+s)^-1
 
-plus Sum, Compose (right-to-left) and Scale nodes.  Applications are exact:
-terms falling outside any window are retained; truncation is the caller's
-business.
+plus Sum, Compose (right-to-left) and Scale nodes.  The last four leaves act
+diagonally on monomials; _diagonal states each of those actions once, and
+apply, invert_diagonal and invertible_on all read it.  Applications are
+exact: terms falling outside any window are retained; truncation is the
+caller's business.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ class AbetaD(Operator):
         object.__setattr__(self, "beta", rat(self.beta))
         object.__setattr__(self, "r", rat(self.r))
         object.__setattr__(self, "s", rat(self.s))
+        if self.i < 1:
+            raise OperatorError(f"AbetaD needs a variable index i >= 1, got {self.i}")
         if is_integer(self.alpha + self.s):
             raise UndefinedInverseError(
                 f"AbetaD requires alpha + s not an integer, got {self.alpha + self.s}"
@@ -181,30 +184,40 @@ def apply(op: Operator, e: RingElement, g: RingElement | None = None) -> RingEle
         return e
     if isinstance(op, Scale):
         return apply(op.op, e, g).scale(op.c)
-    # per-monomial leaves: valid monomials go to valid monomials, and every
+    # diagonal leaves: valid monomials go to valid monomials, and every
     # coefficient is a product of Q values, so no re-validation is needed
-    image = ((m2, c * coef) for m, c in e.terms.items() for coef, m2 in _act_monomial(op, m))
+    leaf = _diagonal(op)
+    image = []
+    for m, c in e.terms.items():
+        lam = _eigenvalue(leaf, m.tdeg, m.xdeg)
+        if lam:
+            image.append((Monomial(m.tdeg + leaf[0], m.xdeg, m.gpow), c * lam))
     return RingElement._trusted(e.n, _collect(image))
 
 
-def _act_monomial(op: Operator, m: Monomial):
-    k = m.tdeg
+def _diagonal(op: Operator) -> tuple:
+    """(dt, a, beta, i, b): op sends t^k x^u to lambda * t^(k+dt) x^u, with
+
+        lambda = (k + a + beta*u_i) / (k + b),
+
+    no denominator where b is None, and i = 0 where lambda reads no x-degree.
+    """
     if isinstance(op, Dtr):
-        ev = k + op.r
-        return [(ev, m)] if ev else []
+        return 0, op.r, 0, 0, None
     if isinstance(op, PhiC):
-        ev = k + op.c
-        return [(ev, Monomial(k - 1, m.xdeg, m.gpow))] if ev else []
+        return -1, op.c, 0, 0, None
     if isinstance(op, ArS):
-        num = k + 1 + op.alpha + op.r + op.s
-        den = k + 1 + op.alpha + op.s
-        return [(Q(num) / den, Monomial(k + 1, m.xdeg, m.gpow))] if num else []
+        return 1, 1 + op.alpha + op.r + op.s, 0, 0, 1 + op.alpha + op.s
     if isinstance(op, AbetaD):
-        u = m.xdeg[op.i - 1]
-        num = k + 1 + op.alpha + op.s + op.beta * (u + op.r)
-        den = k + 1 + op.alpha + op.s
-        return [(Q(num) / den, Monomial(k + 1, m.xdeg, m.gpow))] if num else []
-    raise OperatorError(f"cannot apply operator {op!r}")
+        return 1, 1 + op.alpha + op.s + op.beta * op.r, op.beta, op.i, 1 + op.alpha + op.s
+    raise OperatorError(f"not a diagonal operator: {op!r}")
+
+
+def _eigenvalue(leaf: tuple, k: int, u: tuple[int, ...]):
+    """lambda of the _diagonal table entry leaf at t^k x^u."""
+    _dt, a, beta, i, b = leaf
+    num = k + a + beta * u[i - 1] if i else k + a
+    return num if b is None else num / (k + b)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +302,6 @@ def apply_stencil(stencil: tuple, terms: dict[Monomial, object]) -> dict[Monomia
 class InvertibilityVerdict:
     invertible: bool
     witness: Optional[Monomial] = None
-    eigenvalue: Optional[object] = None
 
     def __post_init__(self):
         if self.invertible and self.witness is not None:
@@ -309,13 +321,14 @@ def _phi_mult(op: Operator):
 
 
 def invertible_on(op: Operator, w: DegreeWindow, n: int = 1) -> InvertibilityVerdict:
-    """Global closed-form invertibility criterion, with an in-window witness.
+    """Global closed-form invertibility criterion over k((t))[x_1..x_n].
 
     Supported: Dtr, PhiC, ArS, AbetaD, MulByT/MulByTInv, Identity, and
     Scale/Compose combinations thereof.  The verdict reports the global
-    (untruncated) criterion; when non-invertible, the witness is a monomial
-    whose eigenvalue vanishes (taken inside the window when one exists
-    there, else the nearest one outside).
+    (untruncated) criterion and does not depend on the window.  When
+    non-invertible, the witness is a monomial the first failing leaf kills:
+    t^-(a + beta*u) x_i^u at the smallest such u for a diagonal leaf (see
+    _diagonal), and t^(w.tmin) for a zero Scale.
     """
     for leaf in _phi_mult(op):
         v = _leaf_invertible(leaf, w, n)
@@ -324,53 +337,23 @@ def invertible_on(op: Operator, w: DegreeWindow, n: int = 1) -> InvertibilityVer
     return InvertibilityVerdict(True)
 
 
-def _witness_mono(k: int, n: int, xdeg: tuple[int, ...] | None = None) -> Monomial:
-    return Monomial(k, xdeg if xdeg is not None else (0,) * n, 0)
-
-
 def _leaf_invertible(op: Operator, w: DegreeWindow, n: int) -> InvertibilityVerdict:
     if isinstance(op, (Identity, MulByT, MulByTInv)):
         return InvertibilityVerdict(True)
     if isinstance(op, Scale):
         if op.c == 0:
-            return InvertibilityVerdict(False, _witness_mono(w.tmin, n), Q(0))
+            return InvertibilityVerdict(False, Monomial(w.tmin, (0,) * n, 0))
         return InvertibilityVerdict(True)
-    if isinstance(op, Dtr):
-        if not is_integer(op.r):
-            return InvertibilityVerdict(True)
-        k = -int(op.r)
-        return InvertibilityVerdict(False, _witness_mono(k, n), Q(0))
-    if isinstance(op, PhiC):
-        if not is_integer(op.c):
-            return InvertibilityVerdict(True)
-        k = -int(op.c)
-        return InvertibilityVerdict(False, _witness_mono(k, n), Q(0))
-    if isinstance(op, ArS):
-        tot = op.alpha + op.r + op.s
-        if not is_integer(tot):
-            return InvertibilityVerdict(True)
-        k = -int(tot) - 1
-        return InvertibilityVerdict(False, _witness_mono(k, n), Q(0))
-    if isinstance(op, AbetaD):
-        hit = _abetad_offending_xdeg(op)
-        if hit is None:
-            return InvertibilityVerdict(True)
-        u = hit
-        k = -int(op.beta * (u + op.r) + op.alpha + op.s) - 1
-        xdeg = tuple(u if j == op.i - 1 else 0 for j in range(n))
-        return InvertibilityVerdict(False, Monomial(k, xdeg, 0), Q(0))
-    raise OperatorError(f"invertibility criterion undefined for {op!r}")
-
-
-def _abetad_offending_xdeg(op: AbetaD) -> Optional[int]:
-    """Smallest u >= 0 with beta*(u+r)+alpha+s an integer, or None."""
-    if op.beta == 0:
-        return None
-    q = op.beta.denominator
-    for u in range(q):
-        if is_integer(op.beta * (u + op.r) + op.alpha + op.s):
-            return u
-    return None
+    _dt, a, beta, i, _b = _diagonal(op)
+    if i > n:
+        raise OperatorError(f"{op!r} reads x_{i}, beyond n = {n}")
+    # lambda vanishes at t^k x_i^u iff k = -(a + beta*u), and a + beta*u is an
+    # integer for some u >= 0 iff it is one for some u below beta's denominator
+    for u in range(beta.denominator):
+        if is_integer(v := a + beta * u):
+            xdeg = tuple(u if j == i - 1 else 0 for j in range(n))
+            return InvertibilityVerdict(False, Monomial(-int(v), xdeg, 0))
+    return InvertibilityVerdict(True)
 
 
 def invert_diagonal(op: Operator, e: RingElement, w: DegreeWindow) -> RingElement:
@@ -392,39 +375,17 @@ def invert_diagonal(op: Operator, e: RingElement, w: DegreeWindow) -> RingElemen
         return e.mul_t(-1)
     if isinstance(op, MulByTInv):
         return e.mul_t(1)
+    if e.is_zero():
+        return e
+    leaf = _diagonal(op)
     out: dict[Monomial, object] = {}
     for m, c in e.terms.items():
-        coef, pre = _invert_monomial(op, m)
-        out[pre] = out.get(pre, 0) + c * coef
-    return RingElement(e.n, {m: c for m, c in out.items() if c != 0})
-
-
-def _invert_monomial(op: Operator, m: Monomial):
-    k = m.tdeg
-    if isinstance(op, Dtr):
-        ev = k + op.r
-        if ev == 0:
+        k = m.tdeg - leaf[0]  # the preimage is t^k x^u
+        lam = _eigenvalue(leaf, k, m.xdeg)
+        if lam == 0:
             raise OperatorError(f"vanishing eigenvalue at {m}")
-        return Q(1) / ev, m
-    if isinstance(op, PhiC):
-        ev = k + 1 + op.c
-        if ev == 0:
-            raise OperatorError(f"vanishing eigenvalue at {m}")
-        return Q(1) / ev, Monomial(k + 1, m.xdeg, m.gpow)
-    if isinstance(op, ArS):
-        num = k + op.alpha + op.r + op.s
-        den = k + op.alpha + op.s
-        if num == 0:
-            raise OperatorError(f"vanishing eigenvalue at {m}")
-        return Q(den) / num, Monomial(k - 1, m.xdeg, m.gpow)
-    if isinstance(op, AbetaD):
-        u = m.xdeg[op.i - 1]
-        num = k + op.alpha + op.s + op.beta * (u + op.r)
-        den = k + op.alpha + op.s
-        if num == 0:
-            raise OperatorError(f"vanishing eigenvalue at {m}")
-        return Q(den) / num, Monomial(k - 1, m.xdeg, m.gpow)
-    raise OperatorError(f"not a diagonal-style operator: {op!r}")
+        out[Monomial(k, m.xdeg, m.gpow)] = c / lam
+    return RingElement(e.n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,18 @@ QZERO = Q(0)
 
 
 def rat(x, y=None):
-    """Build a rational from ints, strings like '3/2', or another rational."""
-    if y is not None:
-        return Q(x, y)
+    """Build a rational from ints, strings like '3/2', or another rational.
+
+    A zero denominator raises ValueError, like any other malformed input.
+    """
     if isinstance(x, str):
-        x = x.strip()
-        if "/" in x:
-            num, den = x.split("/", 1)
-            return Q(int(num), int(den))
-        return Q(int(x))
-    return Q(x)
+        num, slash, den = x.strip().partition("/")
+        x, y = int(num), (int(den) if slash else None)
+    if y is None:
+        return Q(x)
+    if y == 0:
+        raise ValueError(f"zero denominator in {x}/{y}")
+    return Q(x, y)
 
 
 def is_integer(q) -> bool:

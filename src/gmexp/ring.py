@@ -324,10 +324,6 @@ def _xdegs_exact(n: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def truncate(e: RingElement, w: DegreeWindow) -> RingElement:
-    return RingElement(e.n, {m: c for m, c in e.terms.items() if w.contains(m)})
-
-
 # ---------------------------------------------------------------------------
 # g-layer normalization
 # ---------------------------------------------------------------------------

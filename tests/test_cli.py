@@ -82,6 +82,16 @@ def test_exit_codes(capsys, monkeypatch):
         )
         assert code == 3 and "precondition" in err
 
+    # a zero denominator, and an AbetaD index outside x_1..x_n
+    for argv in (
+        ("exponent-test", "--n", "1", "--f", "x1^2", "--alphas", "1/0"),
+        ("operator-check", "--op", "Dtr(1/0)"),
+        ("operator-check", "--op", "AbetaD(1/2,1/3,0,0,0)", "--apply", "t*x1"),
+        ("operator-check", "--op", "AbetaD(1/2,1/2,3,0,0)"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and "precondition" in err
+
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "5")
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1")
     assert code == 4 and "resource" in err

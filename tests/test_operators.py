@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gmexp.operators import (
     AbetaD,
@@ -158,6 +158,46 @@ def test_invert_diagonal_roundtrip():
         assert invertible_on(op, w, 1).invertible
         sol = invert_diagonal(op, e, w)
         assert apply(op, sol) == e
+
+
+# every diagonal leaf kind over two variables, AbetaD reading x_1 or x_2; a
+# nonint alpha + s is drawn as a and split into alpha = a - s and s
+diagonal_leaves = st.one_of(
+    rationals.map(Dtr),
+    rationals.map(PhiC),
+    st.builds(lambda a, r, s: ArS(a - s, r, s), nonint, rationals, rationals),
+    st.builds(
+        lambda a, beta, i, r, s: AbetaD(a - s, beta, i, r, s),
+        nonint, rationals, st.sampled_from([1, 2]), rationals, rationals,
+    ),
+)
+elements2 = st.dictionaries(
+    st.builds(Monomial, st.integers(-4, 4), st.tuples(st.integers(0, 3), st.integers(0, 3)),
+              st.just(0)),
+    rationals.filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: RingElement(2, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonal_leaves, elements2)
+def test_invert_diagonal_roundtrip_leaves(op, e):
+    w = DegreeWindow(-4, 4, 3, 0)
+    assume(invertible_on(op, w, 2).invertible)
+    assert apply(op, invert_diagonal(op, e, w)) == e
+
+
+def test_abetad_variable_index():
+    with pytest.raises(OperatorError):
+        AbetaD(Q(1, 2), Q(1, 3), 0, 0, 0)
+    w = DegreeWindow(-4, 4, 2, 0)
+    op = AbetaD(Q(1, 2), Q(1, 2), 3, 0, 0)
+    with pytest.raises(OperatorError):
+        invertible_on(op, w, 1)  # x_3 is not a variable of k((t))[x_1]
+    v = invertible_on(op, w, 3)
+    assert v.witness == Monomial(-2, (0, 0, 1), 0)
+    assert apply(op, RingElement.monomial(3, v.witness)).is_zero()
 
 
 def test_perturbation_solve_degree_raising():

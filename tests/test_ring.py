@@ -13,7 +13,6 @@ from gmexp.ring import (
     partial_t,
     partial_x,
     serialize,
-    truncate,
 )
 
 
@@ -122,14 +121,12 @@ def test_exact_divide_roundtrip(a, which):
     assert quo == a
 
 
-def test_window_monomials_and_truncate():
+def test_window_monomials():
     w = DegreeWindow(-1, 1, 2, 0)
     monos = list(w.monomials(1))
     assert len(monos) == w.size(1) == 9
     assert all(w.contains(m) for m in monos)
     assert len(set(monos)) == len(monos)
-    e = parse_poly("t^-2 + t + x1^3 + x1", 1, allow_t=True)
-    assert truncate(e, w) == parse_poly("t + x1", 1, allow_t=True)
 
 
 def test_window_expand_shrink():
