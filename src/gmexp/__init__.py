@@ -22,7 +22,6 @@ from .engine import (
     ResourceLimitError,
     Verdict,
     WindowError,
-    check_corollary_dominance,
     default_schedule,
     exponent_test,
     koszul_cohomology,
@@ -54,7 +53,6 @@ __all__ = [
     "WindowError",
     "alternating_sum",
     "candidate_exponents",
-    "check_corollary_dominance",
     "class_rep",
     "convolution_candidate_set",
     "default_schedule",

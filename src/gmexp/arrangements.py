@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .engine import (
-    DegreeWindow,
     ExponentReport,
     ProblemInstance,
     Verdict,
@@ -192,17 +191,16 @@ def recognize_arrangement(f: RingElement, n: int) -> Optional[Arrangement]:
     return a
 
 
-def per_degree_exponent_test(
-    p: ProblemInstance, schedule=None
-) -> Optional[ExponentReport]:
+def per_degree_exponent_test(p: ProblemInstance) -> Optional[ExponentReport]:
     """Exact per-degree route, or None when it does not apply.
 
     Applies when g = 1, f is an arrangement polynomial, and wi*alpha is
     never an integer.  Then every per-(x-degree, t-degree) block is
     solvable: the scaling operators invert by the closed-form criterion
     and (for w0 >= 2) the block determinant is nonzero, so the verdict is
-    NotExponent with cokernel 0.  All block checks over the scan grid are
-    performed; any failure falls back to the generic path.
+    NotExponent with cokernel 0.  The blocks checked are the (x-degree,
+    t-degree) grid of the second default window, which contains the first;
+    any failure falls back to the generic path.
     """
     if not p.g.is_one():
         return None
@@ -211,31 +209,25 @@ def per_degree_exponent_test(
         return None
     if any(is_integer(w * p.alpha) for w in a.weights):
         return None
-    if schedule is None:
-        schedule = default_schedule(p)
-    windows = list(schedule)[:2]
-    probe = DegreeWindow(-1, 1, 1, 0)
+    windows = default_schedule(p, rounds=2)
     for i in range(1, a.n + 1):
         wi = a.weights[i]
         for j in range(1, wi + 1):
             op = AbetaD(p.alpha, Q(1, wi), i, j, 0)
-            if not invertible_on(op, probe, p.n).invertible:
+            if not invertible_on(op, p.n).invertible:
                 return None
-    w0 = a.weights[0]
-    estimates = []
-    for win in windows:
-        if w0 >= 2:
-            for m in range(win.xmax + 1):
-                for l in range(win.tmin, win.tmax + 1):
-                    if p.alpha + l == 0 or determinant_d(a, p.alpha, l, m) == 0:
-                        return None
-        estimates.append(0)
+    if a.weights[0] >= 2:
+        win = windows[-1]
+        for m in range(win.xmax + 1):
+            for l in range(win.tmin, win.tmax + 1):
+                if p.alpha + l == 0 or determinant_d(a, p.alpha, l, m) == 0:
+                    return None
     return ExponentReport(
         verdict=Verdict.NOT_EXPONENT,
         cokernel_dim=0,
         windows_used=windows,
         stabilized=True,
-        estimates=estimates,
+        estimates=[0, 0],
         method="per-degree",
     )
 
@@ -245,7 +237,7 @@ def per_degree_exponent_test(
 # ---------------------------------------------------------------------------
 
 
-def oracle_suite(a: Arrangement, extra_alphas=(), schedule=None) -> list[dict]:
+def oracle_suite(a: Arrangement, extra_alphas=()) -> list[dict]:
     """Engine verdicts on lam for every candidate class and every extra
     alpha, compared against the closed-form candidate set.
 
@@ -257,7 +249,7 @@ def oracle_suite(a: Arrangement, extra_alphas=(), schedule=None) -> list[dict]:
     rows = []
     for alpha in alphas:
         inst = ProblemInstance(n=a.n, f=f, g=RingElement.one(a.n), alpha=alpha)
-        rep = exponent_test(inst, schedule)
+        rep = exponent_test(inst)
         expected = alpha in cands
         if rep.verdict is Verdict.UNDETERMINED:
             agree = None

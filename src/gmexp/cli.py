@@ -6,12 +6,15 @@ Subcommands:
     arrangement     --weights w0,w1,...  [--alphas ...]
     family          --n N --p EXPR --q EXPR [--r EXPR] --d D --alphas ...
     univariate      --L "A0=(D-1/2)*(D-1/3); A1=D^5"
-    operator-check  --op "compose(Dtr(1/2), t)" [--apply EXPR] [--window a,b,c]
+    operator-check  --op "compose(Dtr(1/2), t)" [--apply EXPR]
 
 Reports are JSON with a schema field, an echo of the inputs, the library
 version, and a timing field (the only nondeterministic part).  Exit
 codes: 0 success, 2 parse error, 3 precondition violation, 4 resource
 limit exceeded.
+
+The degree windows come from the shift analysis of each instance
+(engine.default_schedule); --max-rounds sets only how many are tried.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .arrangements import (
     oracle_suite,
 )
 from .engine import (
-    DegreeWindow,
     ProblemInstance,
     ResourceLimitError,
     _shift_analysis,
@@ -39,7 +41,7 @@ from .engine import (
     exponent_test,
 )
 from .operators import apply as op_apply
-from .operators import invertible_on, parse_operator
+from .operators import NotDiagonalError, invertible_on, parse_operator
 from .parser import ParseError, parse_poly
 from .rational import rat
 from .reduction import (
@@ -62,11 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--output", help="write the JSON report here instead of stdout")
-        sp.add_argument("--t-start", type=int, default=None)
-        sp.add_argument("--x-start", type=int, default=None)
-        sp.add_argument("--t-step", type=int, default=2)
-        sp.add_argument("--x-step", type=int, default=3)
-        sp.add_argument("--max-rounds", type=int, default=5)
+        sp.add_argument("--max-rounds", type=int, default=5, help="how many windows to try")
         sp.add_argument(
             "--method", choices=["generic", "per-degree"], default="generic"
         )
@@ -82,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("arrangement")
     sp.add_argument("--weights", required=True, help="w0,w1,...,wn")
     sp.add_argument("--alphas", default="", help="extra classes beyond the candidates")
-    add_common(sp)
+    sp.add_argument("--output")
 
     sp = sub.add_parser("family")
     sp.add_argument("--n", type=int, required=True)
@@ -101,20 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--op", required=True)
     sp.add_argument("--apply", help="a t/x expression to apply the operator to")
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--window", default="-6,6,4", help="tmin,tmax,xmax")
     sp.add_argument("--output")
     return ap
-
-
-def _schedule(p: ProblemInstance, args):
-    return default_schedule(
-        p,
-        rounds=args.max_rounds,
-        t_start=args.t_start,
-        x_start=args.x_start,
-        t_step=args.t_step,
-        x_step=args.x_step,
-    )
 
 
 def _alphas(text: str):
@@ -138,13 +124,12 @@ def _run_exponent_test(args, started):
     results = []
     for alpha in _alphas(args.alphas):
         p = ProblemInstance(n=args.n, f=f, g=g, alpha=alpha)
-        sched = _schedule(p, args)
         if args.dump_matrix and not results:
-            win = sched[0]
+            win = default_schedule(p)[0]
             mat = assemble_phi(p, win, _shift_analysis(p).output_window(win))
             with open(args.dump_matrix, "w") as fh:
                 fh.write(mat.dump_triplets() + "\n")
-        rep = exponent_test(p, sched, method=args.method)
+        rep = exponent_test(p, rounds=args.max_rounds, method=args.method)
         results.append({"alpha": str(alpha), **rep.to_dict()})
     inputs = {"n": args.n, "f": args.f, "g": args.g, "alphas": args.alphas}
     return _report("exponent-test", inputs, {"results": results}, started)
@@ -173,7 +158,7 @@ def _run_family(args, started):
     results = []
     for alpha in _alphas(args.alphas):
         pi = ProblemInstance(n=args.n, f=inst.f, g=inst.g, alpha=alpha)
-        rep = exponent_test(pi, _schedule(pi, args), method=args.method)
+        rep = exponent_test(pi, rounds=args.max_rounds, method=args.method)
         scaled = scale_exponents([alpha], scale)[0] if rep.verdict.value == "exponent" else None
         results.append(
             {
@@ -206,24 +191,19 @@ def _run_univariate(args, started):
 
 def _run_operator_check(args, started):
     op = parse_operator(args.op)
-    tmin, tmax, xmax = (int(v) for v in args.window.split(","))
-    win = DegreeWindow(tmin, tmax, xmax)
-    verdict = invertible_on(op, win, args.n)
+    try:
+        verdict = invertible_on(op, args.n)
+    except NotDiagonalError:  # no invertibility criterion; --apply still works
+        verdict = None
+    witness = verdict.witness if verdict else None
     body = {
-        "invertible": verdict.invertible,
-        "witness": (
-            {
-                "tdeg": verdict.witness.tdeg,
-                "xdeg": list(verdict.witness.xdeg),
-            }
-            if verdict.witness
-            else None
-        ),
+        "invertible": verdict.invertible if verdict else None,
+        "witness": {"tdeg": witness.tdeg, "xdeg": list(witness.xdeg)} if witness else None,
     }
     if args.apply:
         e = parse_poly(args.apply, args.n, allow_t=True)
         body["applied"] = serialize(op_apply(op, e, RingElement.one(args.n)))
-    return _report("operator-check", {"op": args.op, "window": args.window}, body, started)
+    return _report("operator-check", {"op": args.op}, body, started)
 
 
 _RUNNERS = {

@@ -31,7 +31,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
 from .operators import Compose, Identity, MulByElem, MulByT, Operator, PartialX, PhiC, Scale, Sum
@@ -174,25 +174,17 @@ def _shift_analysis(p: ProblemInstance) -> _Shifts:
     return _Shifts(dx=dx, dg=dg, x_margin=x_margin, g_margin=g_margin)
 
 
-def default_schedule(
-    p: ProblemInstance,
-    rounds: int = 5,
-    t_start: int | None = None,
-    x_start: int | None = None,
-    t_step: int = 2,
-    x_step: int = 3,
-) -> list[DegreeWindow]:
-    """Nested growth schedule; tmax and xmax grow by fixed steps."""
+def default_schedule(p: ProblemInstance, rounds: int = 5) -> list[DegreeWindow]:
+    """The nested windows exponent_test runs on, shaped by the shift analysis:
+    t in [-tmax, tmax] with tmax = t_margin + 1 + 2r, xmax = x_margin + 2 + 3r
+    (and gmax = xmax when g != 1) at round r.  A longer run begins with the
+    windows of a shorter one, so rounds only sets how many there are."""
     sh = _shift_analysis(p)
-    t0 = t_start if t_start is not None else sh.t_margin + 1
-    x0 = x_start if x_start is not None else sh.x_margin + 2
-    g_trivial = p.g.is_one()
     out = []
     for r in range(rounds):
-        tmax = t0 + t_step * r
-        xmax = x0 + x_step * r
-        gmax = 0 if g_trivial else xmax
-        out.append(DegreeWindow(-tmax, tmax, xmax, gmax))
+        tmax = sh.t_margin + 1 + 2 * r
+        xmax = sh.x_margin + 2 + 3 * r
+        out.append(DegreeWindow(-tmax, tmax, xmax, 0 if p.g.is_one() else xmax))
     return out
 
 
@@ -339,13 +331,11 @@ def _top_cokernel(cx: _WindowComplex) -> int:
 
 
 def exponent_test(
-    p: ProblemInstance,
-    schedule: Sequence[DegreeWindow] | None = None,
-    *,
-    method: str = "generic",
+    p: ProblemInstance, *, rounds: int = 5, method: str = "generic"
 ) -> ExponentReport:
-    """Cokernel estimates across a window schedule; verdict on agreement
-    of the last two windows.
+    """Cokernel estimates on the windows of default_schedule(p, rounds);
+    verdict on agreement of the last two windows.  rounds is a budget: more
+    rounds can settle an undetermined verdict but never change a settled one.
 
     method 'generic' always uses the truncation path; 'per-degree' uses
     the exact per-degree reduction when it applies (arrangement-shaped f,
@@ -358,23 +348,19 @@ def exponent_test(
     (e.g. f = x^2, g = x, class 1 shows estimates 0, 0, 1, 1, ...), so
     two agreeing zeros are not yet evidence of surjectivity there.
     """
+    if rounds < 2:
+        raise ValueError("the schedule needs at least two rounds")
     if method == "per-degree":
         from .arrangements import per_degree_exponent_test
 
-        rep = per_degree_exponent_test(p, schedule)
+        rep = per_degree_exponent_test(p)
         if rep is not None:
             return rep
         # fall through: reduction not applicable
-    if schedule is None:
-        schedule = default_schedule(p)
-    schedule = list(schedule)
-    if len(schedule) < 2:
-        raise ValueError("schedule must contain at least two windows")
-    _check_schedule_increasing(schedule)
     sh = _shift_analysis(p)
     estimates: list[int] = []
     used: list[DegreeWindow] = []
-    for win in schedule:
+    for win in default_schedule(p, rounds):
         estimates.append(_top_cokernel(_window_complex(p, win, sh)))
         used.append(win)
         if len(estimates) >= 2 and estimates[-1] == estimates[-2]:
@@ -397,14 +383,6 @@ def exponent_test(
         stabilized=False,
         estimates=estimates,
     )
-
-
-def _check_schedule_increasing(schedule: Sequence[DegreeWindow]) -> None:
-    """Each window must contain the previous one and grow in tmax or xmax."""
-    for a, b in zip(schedule, schedule[1:]):
-        nested = b.tmin <= a.tmin and b.tmax >= a.tmax and b.xmax >= a.xmax and b.gmax >= a.gmax
-        if not (nested and (b.tmax > a.tmax or b.xmax > a.xmax)):
-            raise ValueError("schedule windows must be nested and strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +484,3 @@ def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> 
     bcols += _stack(cx.slack, len(sets_j), nm)
     _, extra = rank_with_extension(SparseMatrixQ.from_columns(len(sets_j) * nm, bcols), zvecs)
     return extra
-
-
-def check_corollary_dominance(p: ProblemInstance, win: DegreeWindow) -> bool:
-    """True iff vanishing of the top cohomology forces full interior
-    acyclicity on the window (a false return flags an implementation bug,
-    not a counterexample to the theory)."""
-    dims = koszul_cohomology(p, win)
-    top = dims[p.n + 1]
-    if top != 0:
-        return True
-    return all(v == 0 for v in dims.values())

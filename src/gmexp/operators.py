@@ -38,6 +38,10 @@ class UndefinedInverseError(OperatorError):
     """A PhiC(c) with integer c is being inverted inside ArS/AbetaD."""
 
 
+class NotDiagonalError(OperatorError):
+    """The operator has no diagonal action, so no invertibility criterion."""
+
+
 class Operator:
     __slots__ = ()
 
@@ -210,7 +214,7 @@ def _diagonal(op: Operator) -> tuple:
         return 1, 1 + op.alpha + op.r + op.s, 0, 0, 1 + op.alpha + op.s
     if isinstance(op, AbetaD):
         return 1, 1 + op.alpha + op.s + op.beta * op.r, op.beta, op.i, 1 + op.alpha + op.s
-    raise OperatorError(f"not a diagonal operator: {op!r}")
+    raise NotDiagonalError(f"not a diagonal operator: {op!r}")
 
 
 def _eigenvalue(leaf: tuple, k: int, u: tuple[int, ...]):
@@ -320,29 +324,28 @@ def _phi_mult(op: Operator):
     return [op]
 
 
-def invertible_on(op: Operator, w: DegreeWindow, n: int = 1) -> InvertibilityVerdict:
+def invertible_on(op: Operator, n: int = 1) -> InvertibilityVerdict:
     """Global closed-form invertibility criterion over k((t))[x_1..x_n].
 
     Supported: Dtr, PhiC, ArS, AbetaD, MulByT/MulByTInv, Identity, and
-    Scale/Compose combinations thereof.  The verdict reports the global
-    (untruncated) criterion and does not depend on the window.  When
-    non-invertible, the witness is a monomial the first failing leaf kills:
-    t^-(a + beta*u) x_i^u at the smallest such u for a diagonal leaf (see
-    _diagonal), and t^(w.tmin) for a zero Scale.
+    Scale/Compose combinations thereof; any other leaf raises NotDiagonalError.
+    When non-invertible, the witness is a monomial the first failing leaf
+    kills: t^-(a + beta*u) x_i^u at the smallest such u for a diagonal leaf
+    (see _diagonal), and t^0 x^0 for a zero Scale.
     """
     for leaf in _phi_mult(op):
-        v = _leaf_invertible(leaf, w, n)
+        v = _leaf_invertible(leaf, n)
         if not v.invertible:
             return v
     return InvertibilityVerdict(True)
 
 
-def _leaf_invertible(op: Operator, w: DegreeWindow, n: int) -> InvertibilityVerdict:
+def _leaf_invertible(op: Operator, n: int) -> InvertibilityVerdict:
     if isinstance(op, (Identity, MulByT, MulByTInv)):
         return InvertibilityVerdict(True)
     if isinstance(op, Scale):
         if op.c == 0:
-            return InvertibilityVerdict(False, Monomial(w.tmin, (0,) * n, 0))
+            return InvertibilityVerdict(False, Monomial(0, (0,) * n, 0))
         return InvertibilityVerdict(True)
     _dt, a, beta, i, _b = _diagonal(op)
     if i > n:
@@ -356,19 +359,19 @@ def _leaf_invertible(op: Operator, w: DegreeWindow, n: int) -> InvertibilityVerd
     return InvertibilityVerdict(True)
 
 
-def invert_diagonal(op: Operator, e: RingElement, w: DegreeWindow) -> RingElement:
+def invert_diagonal(op: Operator, e: RingElement) -> RingElement:
     """Solve op(result) = e monomial by monomial.
 
-    Requires invertible_on(op, w); raises on a vanishing eigenvalue.
+    Requires invertible_on(op); raises on a vanishing eigenvalue.
     """
     if isinstance(op, Compose):
         for sub in op.ops:  # invert outermost first
-            e = invert_diagonal(sub, e, w)
+            e = invert_diagonal(sub, e)
         return e
     if isinstance(op, Scale):
         if op.c == 0:
             raise OperatorError("cannot invert the zero operator")
-        return invert_diagonal(op.op, e.scale(Q(1) / op.c), w)
+        return invert_diagonal(op.op, e.scale(Q(1) / op.c))
     if isinstance(op, Identity):
         return e
     if isinstance(op, MulByT):
@@ -450,57 +453,6 @@ def check_commutation(w: DegreeWindow, alpha, beta, r, rp, s, sp, n: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# Perturbation solving (order-by-order in t)
-# ---------------------------------------------------------------------------
-
-
-def perturbation_solve(
-    phi: Operator,
-    psi: Operator,
-    w: DegreeWindow,
-    targets: list[RingElement],
-    g: RingElement | None = None,
-) -> list[RingElement]:
-    """Solve (phi + psi) a = b for each b, truncated at w.tmax.
-
-    phi must preserve t-degree and be invertible monomial-by-monomial on
-    the window; psi must raise t-degree by at least 1.  The recursion
-    solves the lowest remaining t-order with phi and pushes the error up
-    through psi; the residual of the returned solution vanishes below
-    t^(tmax+1).
-    """
-    _check_degree_preserving(phi, w)
-    solutions = []
-    for b in targets:
-        a = RingElement.zero(b.n)
-        resid = b
-        while not resid.is_zero():
-            low = min(m.tdeg for m in resid.terms)
-            if low > w.tmax:
-                break
-            slice_low = RingElement(
-                b.n, {m: c for m, c in resid.terms.items() if m.tdeg == low}
-            )
-            delta = invert_diagonal(phi, slice_low, w)
-            if any(m.tdeg != low for m in delta.terms):
-                raise OperatorError("phi does not preserve t-degree")
-            a = a + delta
-            resid = resid - apply(phi, delta, g) - apply(psi, delta, g)
-        solutions.append(a)
-    return solutions
-
-
-def _check_degree_preserving(phi: Operator, w: DegreeWindow) -> None:
-    for leaf in _phi_mult(phi):
-        if isinstance(leaf, (MulByT, MulByTInv, PhiC, ArS, AbetaD, PartialT)):
-            raise OperatorError(f"phi must preserve t-degree, found {leaf!r}")
-        if isinstance(leaf, Dtr) and is_integer(leaf.r):
-            k = -int(leaf.r)
-            if w.tmin <= k <= w.tmax:
-                raise OperatorError(f"phi is not invertible on the window (t^{k})")
-
-
-# ---------------------------------------------------------------------------
 # Textual operator expressions (CLI debugging grammar)
 # ---------------------------------------------------------------------------
 
@@ -514,6 +466,10 @@ def parse_operator(src: str) -> Operator:
     if src[rest:].strip():
         raise ValueError(f"trailing input in operator expression: {src[rest:]!r}")
     return op
+
+
+# name -> (leaf, argument count) of the leaves written as name(rational, ...)
+_LEAVES = {"dtr": (Dtr, 1), "phi": (PhiC, 1), "ars": (ArS, 3), "abetad": (AbetaD, 5)}
 
 
 def _parse_op(src: str, pos: int):
@@ -566,16 +522,16 @@ def _parse_op(src: str, pos: int):
             continue
         break
     pos = _expect_char(src, pos, ")")
-    if lname == "dtr":
-        return Dtr(*args), pos
-    if lname == "phi":
-        return PhiC(*args), pos
-    if lname == "ars":
-        return ArS(*args), pos
-    if lname == "abetad":
-        alpha, beta, i, r, s = args
-        return AbetaD(alpha, beta, int(i), r, s), pos
-    raise ValueError(f"unknown operator {name!r}")
+    if lname not in _LEAVES:
+        raise ValueError(f"unknown operator {name!r}")
+    leaf, arity = _LEAVES[lname]
+    if len(args) != arity:
+        raise ValueError(f"{name} takes {arity} argument(s), got {len(args)}")
+    if leaf is AbetaD:
+        if not is_integer(args[2]):
+            raise ValueError(f"AbetaD needs an integer variable index, got {args[2]}")
+        args[2] = int(args[2])
+    return leaf(*args), pos
 
 
 def _skip_ws(src: str, pos: int) -> int:

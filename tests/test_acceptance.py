@@ -191,7 +191,6 @@ def test_criterion_5_commutation_suite():
 
 def test_criterion_6_invertibility_criteria():
     rng = random.Random(977)
-    win = DegreeWindow(-6, 6, 3, 0)
     bad = 0
     checked = 0
     while checked < 500:
@@ -216,7 +215,7 @@ def test_criterion_6_invertibility_criteria():
                 not is_integer(beta * (u + r) + a + s) for u in range(beta.denominator)
             )
         checked += 1
-        v = invertible_on(op, win, 1)
+        v = invertible_on(op, 1)
         if v.invertible != expect:
             bad += 1
             continue

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gmexp import engine
-from gmexp.cli import main
+from gmexp.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +66,18 @@ def test_operator_check_mode(capsys):
     rep = json.loads(out)
     assert rep["invertible"] is False and rep["witness"]["tdeg"] == 2
 
+    code, out, _ = run_cli(capsys, "operator-check", "--op", "scale(0, Dtr(1/2))")
+    rep = json.loads(out)
+    assert rep["witness"] == {"tdeg": 0, "xdeg": [0]}
+
+    # operators without an invertibility criterion can still be applied
+    for op, e, applied in [("sum(dt, t)", "t", "1 + t^2"), ("dx1", "x1^2", "2*x1")]:
+        code, out, _ = run_cli(capsys, "operator-check", "--op", op, "--apply", e)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["invertible"] is None and rep["witness"] is None
+        assert rep["applied"] == applied
+
 
 def test_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^", "--alphas", "1")
@@ -74,20 +86,16 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "arrangement", "--weights", "1", "--alphas", "")
     assert code == 3 and "precondition" in err
 
-    # windows too short for their t-margins have no interior
-    for t_start in ("0", "1"):
-        code, _, err = run_cli(
-            capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2",
-            "--t-start", t_start,
-        )
-        assert code == 3 and "precondition" in err
-
-    # a zero denominator, and an AbetaD index outside x_1..x_n
+    # a zero denominator, an AbetaD index outside x_1..x_n or not an integer,
+    # too few windows, and a leaf with the wrong number of arguments
     for argv in (
         ("exponent-test", "--n", "1", "--f", "x1^2", "--alphas", "1/0"),
+        ("exponent-test", "--n", "1", "--f", "x1^2", "--alphas", "1/2", "--max-rounds", "1"),
         ("operator-check", "--op", "Dtr(1/0)"),
         ("operator-check", "--op", "AbetaD(1/2,1/3,0,0,0)", "--apply", "t*x1"),
         ("operator-check", "--op", "AbetaD(1/2,1/2,3,0,0)"),
+        ("operator-check", "--op", "AbetaD(1/2,1/3,3/2,0,0)", "--apply", "t*x1"),
+        ("operator-check", "--op", "Dtr(1,2)"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and "precondition" in err
@@ -95,6 +103,43 @@ def test_exit_codes(capsys, monkeypatch):
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "5")
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1")
     assert code == 4 and "resource" in err
+
+
+def _options(parser):
+    """{subcommand: option strings} of an argparse parser, help excluded."""
+    (sub,) = [a for a in parser._actions if a.dest == "mode"]
+    return {
+        mode: sorted(s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for mode, sp in sub.choices.items()
+    }
+
+
+def test_option_surface(capsys):
+    # windows come from the shift analysis: no flag shapes them, and no
+    # subcommand takes a flag it does not read
+    opts = _options(_build_parser())
+    assert opts == {
+        "exponent-test": ["--alphas", "--dump-matrix", "--f", "--g", "--max-rounds",
+                          "--method", "--n", "--output"],
+        "arrangement": ["--alphas", "--output", "--weights"],
+        "family": ["--alphas", "--d", "--max-rounds", "--method", "--n", "--output",
+                   "--p", "--q", "--r"],
+        "univariate": ["--L", "--output"],
+        "operator-check": ["--apply", "--n", "--op", "--output"],
+    }
+    assert sum(map(len, opts.values())) == 26
+
+    # window shapes that gave a wrong, stabilized not-exponent are refused
+    for argv, shape in [
+        (("--f", "x1^3", "--g", "x1", "--alphas", "1/3"), ("--t-step", "0")),
+        (("--f", "x1^2", "--g", "x1", "--alphas", "1"), ("--x-start", "10")),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent-test", "--n", "1", *argv, *shape])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "exponent-test", "--n", "1", *argv)
+        (res,) = json.loads(out)["results"]
+        assert code == 0 and (res["verdict"], res["cokernel_dim"]) == ("exponent", 1)
 
 
 def test_json_determinism(capsys, tmp_path):

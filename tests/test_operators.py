@@ -23,7 +23,6 @@ from gmexp.operators import (
     invert_diagonal,
     invertible_on,
     parse_operator,
-    perturbation_solve,
 )
 from gmexp.parser import parse_poly
 from gmexp.rational import Q, is_integer
@@ -119,7 +118,6 @@ def test_commutation_identity_names_cover_displayed_relations():
     st.builds(Q, st.integers(-6, 6), st.integers(1, 4)),
 )
 def test_invertibility_matches_closed_form(kind, a, r, s, beta):
-    w = DegreeWindow(-6, 6, 3, 0)
     if kind == "dtr":
         op, expect = Dtr(r), not is_integer(r)
     elif kind == "phi":
@@ -135,7 +133,7 @@ def test_invertibility_matches_closed_form(kind, a, r, s, beta):
         expect = all(
             not is_integer(beta * (u + r) + a + s) for u in range(beta.denominator)
         )
-    v = invertible_on(op, w, 1)
+    v = invertible_on(op, 1)
     assert v.invertible == expect
     if not v.invertible:
         # the witness monomial really is killed (or maps with zero eigenvalue)
@@ -145,7 +143,6 @@ def test_invertibility_matches_closed_form(kind, a, r, s, beta):
 
 
 def test_invert_diagonal_roundtrip():
-    w = DegreeWindow(-4, 4, 2, 0)
     ops = [
         Dtr(Q(1, 2)),
         PhiC(Q(1, 3)),
@@ -155,8 +152,8 @@ def test_invert_diagonal_roundtrip():
     ]
     e = parse_poly("t^-2 + 2*t*x1 - 3*x1^2", 1, allow_t=True)
     for op in ops:
-        assert invertible_on(op, w, 1).invertible
-        sol = invert_diagonal(op, e, w)
+        assert invertible_on(op, 1).invertible
+        sol = invert_diagonal(op, e)
         assert apply(op, sol) == e
 
 
@@ -183,42 +180,19 @@ elements2 = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(diagonal_leaves, elements2)
 def test_invert_diagonal_roundtrip_leaves(op, e):
-    w = DegreeWindow(-4, 4, 3, 0)
-    assume(invertible_on(op, w, 2).invertible)
-    assert apply(op, invert_diagonal(op, e, w)) == e
+    assume(invertible_on(op, 2).invertible)
+    assert apply(op, invert_diagonal(op, e)) == e
 
 
 def test_abetad_variable_index():
     with pytest.raises(OperatorError):
         AbetaD(Q(1, 2), Q(1, 3), 0, 0, 0)
-    w = DegreeWindow(-4, 4, 2, 0)
     op = AbetaD(Q(1, 2), Q(1, 2), 3, 0, 0)
     with pytest.raises(OperatorError):
-        invertible_on(op, w, 1)  # x_3 is not a variable of k((t))[x_1]
-    v = invertible_on(op, w, 3)
+        invertible_on(op, 1)  # x_3 is not a variable of k((t))[x_1]
+    v = invertible_on(op, 3)
     assert v.witness == Monomial(-2, (0, 0, 1), 0)
     assert apply(op, RingElement.monomial(3, v.witness)).is_zero()
-
-
-def test_perturbation_solve_degree_raising():
-    # (Dtr(1/2) + t*M) a = b is solvable order by order; residual pushed
-    # beyond the window top
-    w = DegreeWindow(-3, 3, 2, 0)
-    phi = Dtr(Q(1, 2))
-    psi = Compose(MulByT(), MulByElem(parse_poly("1 + x1", 1)))
-    b = parse_poly("t^-1 + x1", 1, allow_t=True)
-    (a,) = perturbation_solve(phi, psi, w, [b])
-    resid = b - apply(phi, a) - apply(psi, a)
-    assert all(m.tdeg > w.tmax for m in resid.terms)
-
-
-def test_perturbation_solve_rejects_bad_phi():
-    w = DegreeWindow(-3, 3, 2, 0)
-    with pytest.raises(OperatorError):
-        perturbation_solve(MulByT(), Dtr(1), w, [tk(0)])
-    with pytest.raises(OperatorError):
-        # integer r makes Dtr non-invertible inside the window
-        perturbation_solve(Dtr(1), MulByT(), w, [tk(0)])
 
 
 def test_parse_operator():
@@ -232,6 +206,12 @@ def test_parse_operator():
     assert apply(op, parse_poly("x1^2", 1)) == parse_poly("2*x1", 1)
     with pytest.raises(ValueError):
         parse_operator("bogus(1)")
+    # each leaf takes its own number of arguments, and AbetaD an integer index
+    for bad in ("Dtr(1,2)", "Phi(1,2)", "ArS(1/3,0)", "AbetaD(1/2,1/3,1,0)",
+                "AbetaD(1/2,1/3,3/2,0,0)"):
+        with pytest.raises(ValueError):
+            parse_operator(bad)
+    assert parse_operator("AbetaD(1/2,1/3,2,0,0)").i == 2
 
 
 # -- stencils: the compiled per-monomial action ---------------------------------
