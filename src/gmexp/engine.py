@@ -21,8 +21,10 @@ Assembly walks no operator tree per monomial: each component of phi_row,
 and the relation generator, is compiled once into a stencil of shifted
 terms with coefficients affine in (k, m, u) (operators.compile_stencil),
 and a column is that stencil at one monomial, its rows found by index
-arithmetic over the output window's canonical order (t-major, then
-ring._xdegs_upto order, then gpow).
+arithmetic over the output window's canonical order
+(DegreeWindow.layout).  A window matrix is its row count and a list of
+{row: value} columns from the stencil to the pivot: window cells are
+named by their positions, never by Monomial labels.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .linalg import SparseMatrixQ, nullspace, rank_with_extension
 from .operators import Compose, Identity, MulByElem, MulByT, Operator, PartialX, PhiC, Scale, Sum
 from .operators import apply_stencil, compile_stencil
 from .rational import Q, rat
-from .ring import DegreeWindow, Monomial, RingElement, _xdegs_upto, clear_g, partial_x, serialize
+from .ring import DegreeWindow, Monomial, RingElement, clear_g, partial_x, serialize
 
 
 class WindowError(ValueError):
@@ -175,17 +177,19 @@ def _shift_analysis(p: ProblemInstance) -> _Shifts:
 
 
 def default_schedule(p: ProblemInstance, rounds: int = 5) -> list[DegreeWindow]:
-    """The nested windows exponent_test runs on, shaped by the shift analysis:
-    t in [-tmax, tmax] with tmax = t_margin + 1 + 2r, xmax = x_margin + 2 + 3r
-    (and gmax = xmax when g != 1) at round r.  A longer run begins with the
-    windows of a shorter one, so rounds only sets how many there are."""
+    """The nested windows exponent_test runs on, shaped by the shift analysis
+    (see _round_window).  A longer run begins with the windows of a shorter
+    one, so rounds only sets how many there are."""
     sh = _shift_analysis(p)
-    out = []
-    for r in range(rounds):
-        tmax = sh.t_margin + 1 + 2 * r
-        xmax = sh.x_margin + 2 + 3 * r
-        out.append(DegreeWindow(-tmax, tmax, xmax, 0 if p.g.is_one() else xmax))
-    return out
+    return [_round_window(p, sh, r) for r in range(rounds)]
+
+
+def _round_window(p: ProblemInstance, sh: _Shifts, r: int) -> DegreeWindow:
+    """Window r of the schedule: t in [-tmax, tmax] with tmax = t_margin + 1 + 2r,
+    xmax = x_margin + 2 + 3r, and gmax = xmax when g != 1."""
+    tmax = sh.t_margin + 1 + 2 * r
+    xmax = sh.x_margin + 2 + 3 * r
+    return DegreeWindow(-tmax, tmax, xmax, 0 if p.g.is_one() else xmax)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +207,9 @@ def _stencil_columns(
     stencil: tuple, monos: list[Monomial], win: DegreeWindow, n: int
 ) -> list[Optional[dict[int, object]]]:
     """Each monomial's image under a compiled stencil as a column {row: value}
-    over win's canonical order, or None if a non-zero term falls outside win.
-    The row of t^k x^u g^-m is ((k - tmin) * X + pos(u)) * (gmax + 1) + m, pos(u)
-    the place of u among the X x-degrees of ring._xdegs_upto(n, xmax)."""
-    gsize = win.gmax + 1
-    xrow = {u: i * gsize for i, u in enumerate(_xdegs_upto(n, win.xmax))}
-    tsize = len(xrow) * gsize
+    over win's canonical order (rows placed by win.layout), or None if a
+    non-zero term falls outside win."""
+    xrow, tsize = win.layout(n)
     tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
     terms = [
         (s[0], s[1], s[0] * tsize + s[1], [(c, var, r, {}) for c, var, r in pairs])
@@ -247,7 +248,7 @@ def assemble_phi(
 
     Each component is compiled once into a stencil; its columns, in win_in's
     canonical order, are the stencil at each monomial, with rows in win_out's
-    canonical order (t-major, then ring._xdegs_upto order, then gpow).
+    canonical order: column ci * win_in.size(n) + i is component ci at cell i.
     Raises WindowError when win_out cannot hold the image.
     """
     in_monos = list(win_in.monomials(p.n))
@@ -259,9 +260,7 @@ def assemble_phi(
             bad = RingElement.monomial(p.n, in_monos[image.index(None)])
             raise WindowError(f"image of {serialize(bad)} under component {ci} leaves the window")
         cols += image
-    rows = list(win_out.monomials(p.n))
-    labels = [(ci, m) for ci in range(p.n + 1) for m in in_monos]
-    return SparseMatrixQ.from_columns(len(rows), cols, rows, labels)
+    return SparseMatrixQ(win_out.size(p.n), cols)
 
 
 def _relation_columns(p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow) -> list[dict]:
@@ -273,16 +272,6 @@ def _relation_columns(p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow)
     return [c for c in _stencil_columns(rel, list(gens.monomials(p.n)), win, p.n) if c is not None]
 
 
-def _slack_columns(monos, threshold: int) -> list[dict[int, object]]:
-    """Unit columns for rows at t-degree >= threshold.
-
-    Solutions in k((t))[x, 1/g] carry infinite ascending t-tails; a window
-    truncation of a true preimage leaves its residual in the top t-layers,
-    so those rows are not required to be matched exactly.
-    """
-    return [{i: Q(1)} for i, m in enumerate(monos) if m.tdeg >= threshold]
-
-
 def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
     """cols repeated in each of `blocks` stacked copies of a size-row basis."""
     return [{b * size + r: v for r, v in c.items()} if b else c
@@ -292,36 +281,47 @@ def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
 @dataclass(frozen=True)
 class _WindowComplex:
     """One window's complex, built once from (p, win): the component images
-    (column (ci, m) for component ci and monomial m of win, rows over the output
-    window), the relation columns generated in win, the slack columns on the top
-    t-layers, and targets, the output-window row of each interior monomial."""
+    (assemble_phi from win to its output window), the relation columns
+    generated in win, the slack columns, and targets, {position in win: row in
+    the output window} of each interior cell.
+
+    The slack columns are the unit columns on the output rows at t-degree >=
+    win.tmax, the t-major tail of the rows.  Solutions in k((t))[x, 1/g] carry
+    infinite ascending t-tails; a window truncation of a true preimage leaves
+    its residual in the top t-layers, so those rows need not be matched exactly.
+    """
 
     mat: SparseMatrixQ
     relations: list[dict]
     slack: list[dict]
-    targets: dict[Monomial, int]
+    targets: dict[int, int]
 
 
 def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
     win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out)
-    index = {m: i for i, m in enumerate(mat.row_labels)}
-    interior = win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
+    interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
+    _xrow, tsize = win_out.layout(p.n)
     return _WindowComplex(
         mat,
         _relation_columns(p, win, win_out),
-        _slack_columns(mat.row_labels, win.tmax),
-        {m: index[m] for m in interior.monomials(p.n)},
+        [{r: Q(1)} for r in range((win.tmax - win_out.tmin) * tsize, mat.nrows)],
+        dict(zip(_positions(win, p.n, interior), _positions(win_out, p.n, interior))),
     )
+
+
+def _positions(win: DegreeWindow, n: int, monos: list[Monomial]) -> list[int]:
+    """The places of monos in win's canonical order."""
+    xrow, tsize = win.layout(n)
+    return [(m.tdeg - win.tmin) * tsize + xrow[m.xdeg] + m.gpow for m in monos]
 
 
 def _top_cokernel(cx: _WindowComplex) -> int:
     """Degree n+1 of the complex: the interior rows modulo the image of the
     components, the relations and the slack (image columns are pivoted
     first, then the surviving target directions are counted)."""
-    image = cx.mat.cols + cx.relations + cx.slack
-    combined = SparseMatrixQ.from_columns(cx.mat.nrows, image)
-    _, coker = rank_with_extension(combined, [{r: Q(1)} for r in sorted(cx.targets.values())])
+    image = SparseMatrixQ(cx.mat.nrows, cx.mat.cols + cx.relations + cx.slack)
+    _, coker = rank_with_extension(image, [{r: Q(1)} for r in sorted(cx.targets.values())])
     return coker
 
 
@@ -360,7 +360,8 @@ def exponent_test(
     sh = _shift_analysis(p)
     estimates: list[int] = []
     used: list[DegreeWindow] = []
-    for win in default_schedule(p, rounds):
+    for r in range(rounds):
+        win = _round_window(p, sh, r)
         estimates.append(_top_cokernel(_window_complex(p, win, sh)))
         used.append(win)
         if len(estimates) >= 2 and estimates[-1] == estimates[-2]:
@@ -399,13 +400,14 @@ def _koszul_matrices(n: int, mat: SparseMatrixQ) -> list[SparseMatrixQ]:
     """Matrices of d^0..d^n from K^j(win) to K^(j+1)(win_out), exact, for
     mat = assemble_phi(p, win, win_out).
 
-    K^j has one copy of the window basis per j-subset s of {0..n}; every d^j
-    is signed slices of mat's component columns.
+    K^j has one copy of the window basis per j-subset s of {0..n}, column
+    k * dom + i of d^j the cell i of the copy of by_deg[j][k]; every d^j is
+    signed slices of mat's component columns.
     """
     by_deg = _koszul_bases(n)
     size = mat.nrows
-    dom = [m for _ci, m in mat.col_labels[: mat.ncols // (n + 1)]]
-    images = [mat.cols[i * len(dom) : (i + 1) * len(dom)] for i in range(n + 1)]
+    dom = mat.ncols // (n + 1)
+    images = [mat.cols[i * dom : (i + 1) * dom] for i in range(n + 1)]
     mats = []
     for j in range(n + 1):
         cod_pos = {s: k for k, s in enumerate(by_deg[j + 1])}
@@ -419,10 +421,9 @@ def _koszul_matrices(n: int, mat: SparseMatrixQ) -> list[SparseMatrixQ]:
             ]
             cols += (
                 {b + r: -v if odd else v for img, b, odd in parts for r, v in img[mi].items()}
-                for mi in range(len(dom))
+                for mi in range(dom)
             )
-        labels = [(s, m) for s in by_deg[j] for m in dom]
-        mats.append(SparseMatrixQ.from_columns(len(cod_pos) * size, cols, col_labels=labels))
+        mats.append(SparseMatrixQ(len(cod_pos) * size, cols))
     return mats
 
 
@@ -462,18 +463,17 @@ def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> 
     # supported cycles are detected (closing up to the localization
     # relations), so lower-degree dimensions are lower bounds
     mat_j = mats[j]
-    set_pos = {s: k for k, s in enumerate(sets_j)}
-    interior_cols = [
-        col for col, (s, m) in enumerate(mat_j.col_labels) if m in cx.targets
-    ]
+    dom = mat_j.ncols // len(sets_j)
+    interior = sorted(cx.targets)
+    interior_cols = [k * dom + q for k in range(len(sets_j)) for q in interior]
     aug_cols = [mat_j.cols[c] for c in interior_cols] + _stack(cx.relations, len(by_deg[j + 1]), nm)
     zvecs = []
-    for vec in nullspace(SparseMatrixQ.from_columns(mat_j.nrows, aug_cols)):
+    for vec in nullspace(SparseMatrixQ(mat_j.nrows, aug_cols)):
         z: dict[int, object] = {}
         for c, v in vec.items():
             if c < len(interior_cols):
-                s, m = mat_j.col_labels[interior_cols[c]]
-                z[set_pos[s] * nm + cx.targets[m]] = v
+                k, q = divmod(interior_cols[c], dom)
+                z[k * nm + cx.targets[q]] = v
         if z:
             zvecs.append(z)
 
@@ -482,5 +482,5 @@ def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> 
     bcols = [col for col in mats[j - 1].cols if col] if j >= 1 else []
     bcols += _stack(cx.relations, len(sets_j), nm)
     bcols += _stack(cx.slack, len(sets_j), nm)
-    _, extra = rank_with_extension(SparseMatrixQ.from_columns(len(sets_j) * nm, bcols), zvecs)
+    _, extra = rank_with_extension(SparseMatrixQ(len(sets_j) * nm, bcols), zvecs)
     return extra

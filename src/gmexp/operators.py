@@ -15,9 +15,10 @@ Symbolic operator trees with exact per-monomial actions:
 
 plus Sum, Compose (right-to-left) and Scale nodes.  The last four leaves act
 diagonally on monomials; _diagonal states each of those actions once, and
-apply, invert_diagonal and invertible_on all read it.  Applications are
-exact: terms falling outside any window are retained; truncation is the
-caller's business.
+apply and invertible_on both read it.  Applications are exact: terms
+falling outside any window are retained; truncation is the caller's
+business.  parse_operator reads the textual form; a syntax error there is
+a parser.ParseError, like one in a polynomial.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .parser import ParseError
 from .rational import Q, is_integer, rat
 from .ring import DegreeWindow, Monomial, RingElement, _collect, partial_t, partial_x
 
@@ -298,7 +300,7 @@ def apply_stencil(stencil: tuple, terms: dict[Monomial, object]) -> dict[Monomia
 
 
 # ---------------------------------------------------------------------------
-# Invertibility and diagonal inversion
+# Invertibility
 # ---------------------------------------------------------------------------
 
 
@@ -357,38 +359,6 @@ def _leaf_invertible(op: Operator, n: int) -> InvertibilityVerdict:
             xdeg = tuple(u if j == i - 1 else 0 for j in range(n))
             return InvertibilityVerdict(False, Monomial(-int(v), xdeg, 0))
     return InvertibilityVerdict(True)
-
-
-def invert_diagonal(op: Operator, e: RingElement) -> RingElement:
-    """Solve op(result) = e monomial by monomial.
-
-    Requires invertible_on(op); raises on a vanishing eigenvalue.
-    """
-    if isinstance(op, Compose):
-        for sub in op.ops:  # invert outermost first
-            e = invert_diagonal(sub, e)
-        return e
-    if isinstance(op, Scale):
-        if op.c == 0:
-            raise OperatorError("cannot invert the zero operator")
-        return invert_diagonal(op.op, e.scale(Q(1) / op.c))
-    if isinstance(op, Identity):
-        return e
-    if isinstance(op, MulByT):
-        return e.mul_t(-1)
-    if isinstance(op, MulByTInv):
-        return e.mul_t(1)
-    if e.is_zero():
-        return e
-    leaf = _diagonal(op)
-    out: dict[Monomial, object] = {}
-    for m, c in e.terms.items():
-        k = m.tdeg - leaf[0]  # the preimage is t^k x^u
-        lam = _eigenvalue(leaf, k, m.xdeg)
-        if lam == 0:
-            raise OperatorError(f"vanishing eigenvalue at {m}")
-        out[Monomial(k, m.xdeg, m.gpow)] = c / lam
-    return RingElement(e.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +430,12 @@ def check_commutation(w: DegreeWindow, alpha, beta, r, rp, s, sp, n: int = 1):
 def parse_operator(src: str) -> Operator:
     """Parse expressions like 'Dtr(1/2)', 'Phi(-1/3)', 'ArS(1/3,1,0)',
     'AbetaD(1/2,1/3,1,0,0)', 'compose(...)', 'sum(...)', 'scale(1/2, op)',
-    'id', 't', 'tinv', 'dt', 'dx1'."""
-    src = src.strip()
+    'id', 't', 'tinv', 'dt', 'dx1'.  Syntax errors raise ParseError with
+    their position; well-formed leaves with bad arguments raise ValueError."""
     op, rest = _parse_op(src, 0)
-    if src[rest:].strip():
-        raise ValueError(f"trailing input in operator expression: {src[rest:]!r}")
+    rest = _skip_ws(src, rest)
+    if rest < len(src):
+        raise ParseError(f"trailing input {src[rest:]!r}", rest, expected="end of input")
     return op
 
 
@@ -473,12 +444,11 @@ _LEAVES = {"dtr": (Dtr, 1), "phi": (PhiC, 1), "ars": (ArS, 3), "abetad": (AbetaD
 
 
 def _parse_op(src: str, pos: int):
-    while pos < len(src) and src[pos].isspace():
-        pos += 1
+    pos = _skip_ws(src, pos)
     m = re.match(r"[A-Za-z]+\d*", src[pos:])
     if not m:
-        raise ValueError(f"expected operator name at position {pos}")
-    name = m.group(0)
+        raise ParseError("unexpected input", pos, expected="operator name")
+    start, name = pos, m.group(0)
     pos += m.end()
     lname = name.lower()
     if lname == "id":
@@ -490,9 +460,13 @@ def _parse_op(src: str, pos: int):
     if lname == "dt":
         return PartialT(), pos
     if lname.startswith("dx"):
+        if not lname[2:].isdigit():
+            raise ParseError(f"{name!r} has no variable index", start, expected="dx<index>")
         return PartialX(int(lname[2:])), pos
+    if lname not in _LEAVES and lname not in ("compose", "sum", "scale"):
+        raise ParseError(f"unknown operator {name!r}", start)
     if src[pos : pos + 1] != "(":
-        raise ValueError(f"expected '(' after {name} at position {pos}")
+        raise ParseError("unexpected input", pos, expected="'('")
     pos += 1
     if lname in ("compose", "sum"):
         ops = []
@@ -522,8 +496,6 @@ def _parse_op(src: str, pos: int):
             continue
         break
     pos = _expect_char(src, pos, ")")
-    if lname not in _LEAVES:
-        raise ValueError(f"unknown operator {name!r}")
     leaf, arity = _LEAVES[lname]
     if len(args) != arity:
         raise ValueError(f"{name} takes {arity} argument(s), got {len(args)}")
@@ -543,7 +515,7 @@ def _skip_ws(src: str, pos: int) -> int:
 def _expect_char(src: str, pos: int, ch: str) -> int:
     pos = _skip_ws(src, pos)
     if src[pos : pos + 1] != ch:
-        raise ValueError(f"expected {ch!r} at position {pos}")
+        raise ParseError("unexpected input", pos, expected=repr(ch))
     return pos + 1
 
 
@@ -551,5 +523,5 @@ def _parse_rat(src: str, pos: int):
     pos = _skip_ws(src, pos)
     m = re.match(r"-?\d+(/\d+)?", src[pos:])
     if not m:
-        raise ValueError(f"expected rational at position {pos}")
+        raise ParseError("unexpected input", pos, expected="rational")
     return rat(m.group(0)), pos + m.end()

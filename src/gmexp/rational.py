@@ -48,7 +48,3 @@ def class_rep(q):
     """Canonical representative in (0, 1] of the class of q modulo Z."""
     r = q - qfloor(q)
     return Q(1) if r == 0 else r
-
-
-def qstr(q) -> str:
-    return str(q)

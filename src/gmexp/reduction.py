@@ -14,6 +14,7 @@ residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .engine import ProblemInstance
@@ -158,9 +159,7 @@ def univariate_regular_exponents(op: UnivariateOperator):
 def _find_rational_root(coefs):
     """Smallest rational root of a dense Q-polynomial, or None."""
     # clear denominators to integers
-    den = 1
-    for c in coefs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = math.lcm(*(int(c.denominator) for c in coefs))
     ints = [int(c * den) for c in coefs]
     if ints[0] == 0:
         return Q(0)
@@ -201,9 +200,3 @@ def _deflate(coefs, root):
         out[k - 1] = carry
     rem = coefs[0] + carry * root
     return out if rem == 0 else None
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(int(a), int(b))

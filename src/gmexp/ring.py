@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .rational import Q, QZERO, qstr, rat
+from .rational import Q, QZERO, rat
 
 
 class Monomial(NamedTuple):
@@ -24,9 +24,6 @@ class Monomial(NamedTuple):
     @property
     def total_xdeg(self) -> int:
         return sum(self.xdeg)
-
-    def sort_key(self):
-        return (self.tdeg, self.xdeg, self.gpow)
 
 
 def unit_monomial(n: int) -> Monomial:
@@ -273,19 +270,20 @@ class DegreeWindow:
         if self.xmax < 0 or self.gmax < 0:
             raise ValueError("xmax and gmax must be nonnegative")
 
-    def contains(self, m: Monomial) -> bool:
-        return (
-            self.tmin <= m.tdeg <= self.tmax
-            and m.total_xdeg <= self.xmax
-            and m.gpow <= self.gmax
-        )
-
     def monomials(self, n: int) -> Iterator[Monomial]:
-        """All window monomials in canonical (tdeg, xdeg, gpow) order."""
+        """All window monomials in canonical order: t-major, then the x-degrees
+        in _xdegs_upto order, then gpow; layout gives their positions."""
         for tdeg in range(self.tmin, self.tmax + 1):
             for xdeg in _xdegs_upto(n, self.xmax):
                 for gpow in range(self.gmax + 1):
                     yield Monomial(tdeg, xdeg, gpow)
+
+    def layout(self, n: int) -> tuple[dict[tuple[int, ...], int], int]:
+        """(xrow, tsize): t^k x^u g^-m is cell (k - tmin) * tsize + xrow[u] + m
+        of the canonical order, the place it has in monomials(n)."""
+        gsize = self.gmax + 1
+        xrow = {u: i * gsize for i, u in enumerate(_xdegs_upto(n, self.xmax))}
+        return xrow, len(xrow) * gsize
 
     def size(self, n: int) -> int:
         import math
@@ -416,7 +414,7 @@ def serialize(e: RingElement) -> str:
     if e.is_zero():
         return "0"
     parts = []
-    for m in sorted(e.terms, key=Monomial.sort_key):
+    for m in sorted(e.terms):
         c = e.terms[m]
         factors = []
         if m.tdeg != 0:
@@ -429,13 +427,13 @@ def serialize(e: RingElement) -> str:
         if m.gpow:
             factors.append(f"ginv^{m.gpow}")
         if not factors:
-            term = qstr(c)
+            term = str(c)
         elif c == 1:
             term = "*".join(factors)
         elif c == -1:
             term = "-" + "*".join(factors)
         else:
-            term = qstr(c) + "*" + "*".join(factors)
+            term = str(c) + "*" + "*".join(factors)
         parts.append(term)
     out = parts[0]
     for term in parts[1:]:

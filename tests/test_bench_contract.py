@@ -1,0 +1,54 @@
+"""The names and counts the benchmark's tracer reads from gmexp.
+
+perfbench/tracing.py wraps gmexp functions by module attribute and takes
+counts from their arguments and results.  This runs one exponent_test and
+one koszul_cohomology under that tracer (imported read-only from the
+benchmark) and checks that every wrapped name exists and that the counted
+spans carry their counts.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from gmexp import arrangements, engine, parser, rational, ring
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_and_counts_the_engine_layers():
+    tracing = load_tracing()
+    modules = {"engine": engine, "parser": parser, "arrangements": arrangements,
+               "rational": rational, "ring": ring}
+    tracer = tracing.Tracer(modules)
+    with tracer.installed():
+        for name, (attrs, _counts) in tracing.WRAPPED.items():
+            for mod, attr in attrs:
+                assert hasattr(getattr(modules[mod], attr), "__wrapped__"), (name, mod, attr)
+        f = parser.parse_poly("x1^2*(1-x1)", 1)
+        p = engine.ProblemInstance(n=1, f=f, g=parser.parse_poly("1", 1), alpha="1/2")
+        assert engine.exponent_test(p).cokernel_dim == 1
+        dims = engine.koszul_cohomology(p, engine.default_schedule(p)[0])
+        assert dims[2] == 1
+
+    counts = {}
+    for name, _t0, _t1, _parent, _query, c in tracer.spans:
+        counts.setdefault(name, []).append(c)
+    expected = {
+        "linalg.rank_with_extension": {"input_nnz", "pivots"},
+        "engine.assemble_phi": {"nnz", "cells"},
+        "linalg.nullspace": {"kernel_dim"},
+    }
+    for name, keys in expected.items():
+        assert counts.get(name), name
+        for c in counts[name]:
+            assert set(c) == keys and all(isinstance(v, int) for v in c.values()), (name, c)
+    # one assembly per window of the verdict, one for the Koszul window
+    assert len(counts["engine.assemble_phi"]) == 3
+    assert all(c["cells"] > 0 and c["nnz"] > 0 for c in counts["engine.assemble_phi"])

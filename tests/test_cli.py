@@ -83,6 +83,11 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^", "--alphas", "1")
     assert code == 2 and "parse error" in err
 
+    # operator syntax errors are parse errors too
+    for op in ("Dtr(1", "Dtr(1))", "foo(1)", "dx", "%"):
+        code, _, err = run_cli(capsys, "operator-check", "--op", op)
+        assert code == 2 and "parse error" in err, op
+
     code, _, err = run_cli(capsys, "arrangement", "--weights", "1", "--alphas", "")
     assert code == 3 and "precondition" in err
 

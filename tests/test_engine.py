@@ -117,6 +117,14 @@ def assert_columns(cols, expected):
         assert all(type(v) is Q and v != 0 for v in col.values())
 
 
+def positions(win, n):
+    """{monomial: its index in win.monomials(n)}, checked against win.layout(n)."""
+    index = {m: i for i, m in enumerate(win.monomials(n))}
+    xrow, tsize = win.layout(n)
+    assert all((m.tdeg - win.tmin) * tsize + xrow[m.xdeg] + m.gpow == i for m, i in index.items())
+    return index
+
+
 G_POOL = {1: ["1", "x1", "-(2*x1)"], 2: ["1", "x1", "x1+x2", "x1*x2+1", "-(2*x1)"]}
 
 
@@ -148,7 +156,7 @@ def test_stencil_assembly_matches_tree_walk(case):
     # the output window equal to the input, widened in t, and the engine's own
     for win_out in (win, win.expand(dt=1), _shift_analysis(p).output_window(win)):
         rows = list(win_out.monomials(n))
-        index = {m: i for i, m in enumerate(rows)}
+        index = positions(win_out, n)
         try:
             expected = [tree_image(c, p, m, index) for c in phi_row(p)
                         for m in win.monomials(n)]
@@ -158,8 +166,6 @@ def test_stencil_assembly_matches_tree_walk(case):
         else:
             mat = assemble_phi(p, win, win_out)
             assert (mat.nrows, mat.ncols) == (len(rows), len(expected))
-            assert mat.row_labels == rows
-            assert mat.col_labels == [(ci, m) for ci in range(n + 1) for m in win.monomials(n)]
             assert_columns(mat.cols, expected)
 
         rel = tree_relations(p, win, index)
@@ -177,8 +183,20 @@ def test_stencil_assembly_matches_tree_walk(case):
             for j, mat in enumerate(_koszul_matrices(n, assemble_phi(p, win, win_out))):
                 assert (mat.nrows, mat.ncols) == (
                     len(by_deg[j + 1]) * len(rows), len(expected_k[j]))
-                assert mat.col_labels == [(s, m) for s in by_deg[j] for m in win.monomials(n)]
                 assert_columns(mat.cols, expected_k[j])
+
+    # the window complex names cells by position: targets take each interior
+    # cell of the input window to its output row, and the slack columns are
+    # the unit columns on the output rows at t-degree >= tmax; the input
+    # window is widened in t so that it has an interior
+    sh = _shift_analysis(p)
+    big = win.expand(dt=sh.t_margin)
+    out = sh.output_window(big)
+    index_in, index_out = positions(big, n), positions(out, n)
+    cx = _window_complex(p, big, sh)
+    interior = big.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
+    assert cx.targets == {index_in[m]: index_out[m] for m in interior.monomials(n)}
+    assert cx.slack == [{i: Q(1)} for m, i in index_out.items() if m.tdeg >= big.tmax]
 
 
 def test_phi_row_shape():
@@ -279,6 +297,19 @@ def test_default_schedule_growth():
     assert all(w.gmax == w.xmax for w in default_schedule(pg))
     with pytest.raises(ValueError):
         exponent_test(p, rounds=1)
+
+
+def test_windows_built_only_when_reached(monkeypatch):
+    # a large round budget costs nothing beyond the windows the verdict needs
+    built = []
+
+    def counting(*args):
+        built.append(DegreeWindow(*args))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "DegreeWindow", counting)
+    rep = exponent_test(instance("x1", alpha="1/2"), rounds=10**5)
+    assert rep.stabilized and built == rep.windows_used
 
 
 def test_window_without_interior():

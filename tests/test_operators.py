@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gmexp.operators import (
     AbetaD,
@@ -20,7 +20,6 @@ from gmexp.operators import (
     check_commutation,
     compile_stencil,
     commutation_identities,
-    invert_diagonal,
     invertible_on,
     parse_operator,
 )
@@ -140,48 +139,6 @@ def test_invertibility_matches_closed_form(kind, a, r, s, beta):
         m = v.witness
         e = RingElement.monomial(1, m)
         assert apply(op, e).is_zero()
-
-
-def test_invert_diagonal_roundtrip():
-    ops = [
-        Dtr(Q(1, 2)),
-        PhiC(Q(1, 3)),
-        ArS(Q(1, 4), Q(1, 2), 0),
-        Compose(Dtr(Q(1, 2)), ArS(Q(1, 4), 1, 0)),
-        Scale(Q(3, 2), Dtr(Q(1, 5))),
-    ]
-    e = parse_poly("t^-2 + 2*t*x1 - 3*x1^2", 1, allow_t=True)
-    for op in ops:
-        assert invertible_on(op, 1).invertible
-        sol = invert_diagonal(op, e)
-        assert apply(op, sol) == e
-
-
-# every diagonal leaf kind over two variables, AbetaD reading x_1 or x_2; a
-# nonint alpha + s is drawn as a and split into alpha = a - s and s
-diagonal_leaves = st.one_of(
-    rationals.map(Dtr),
-    rationals.map(PhiC),
-    st.builds(lambda a, r, s: ArS(a - s, r, s), nonint, rationals, rationals),
-    st.builds(
-        lambda a, beta, i, r, s: AbetaD(a - s, beta, i, r, s),
-        nonint, rationals, st.sampled_from([1, 2]), rationals, rationals,
-    ),
-)
-elements2 = st.dictionaries(
-    st.builds(Monomial, st.integers(-4, 4), st.tuples(st.integers(0, 3), st.integers(0, 3)),
-              st.just(0)),
-    rationals.filter(bool),
-    min_size=1,
-    max_size=4,
-).map(lambda terms: RingElement(2, terms))
-
-
-@settings(max_examples=200, deadline=None)
-@given(diagonal_leaves, elements2)
-def test_invert_diagonal_roundtrip_leaves(op, e):
-    assume(invertible_on(op, 2).invertible)
-    assert apply(op, invert_diagonal(op, e)) == e
 
 
 def test_abetad_variable_index():
