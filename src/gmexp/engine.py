@@ -476,6 +476,8 @@ def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> 
                 z[k * nm + cx.targets[q]] = v
         if z:
             zvecs.append(z)
+    if not zvecs:
+        return 0  # rank([B | Z]) - rank(B) with Z empty
 
     # boundaries: image of d^(j-1) plus relations, plus slack for the top
     # t-layers where a truncated ascending tail leaves its residual

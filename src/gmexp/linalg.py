@@ -7,14 +7,22 @@ take the column minimizing (active nonzero count, column index); within that
 column, take the active row minimizing (row nnz, numerator bit length, row
 index).  The column minimum comes from a lazy heap that is updated as counts
 change, so a pivot costs no scan over the columns.  All arithmetic is exact.
+
+Matrices hold Q values.  The eliminator converts them once, on entry, to
+reduced (numerator, denominator) pairs of Python ints with a positive
+denominator, and does every row update on those pairs; Q values come back
+only in nullspace's basis vectors.  The pairs are the same reduced rationals
+the Q values were, so the pivots do not depend on the representation; the
+pairs only skip the per-operation dispatch of Fraction.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 from typing import Optional
 
-from .rational import Q, QZERO
+from .rational import Q
 
 
 class SparseMatrixQ:
@@ -62,14 +70,24 @@ class _Eliminator:
     a fresh entry, and entries whose count is no longer current (or is 0) are
     dropped when they reach the top.  The top valid entry is therefore the
     exact argmin, found without scanning the class.
+
+    Every entry of self.rows is a reduced pair (num, den) of ints with
+    den > 0 and num != 0; a row update that cancels an entry deletes it.
     """
 
     def __init__(self, nrows: int, cols: list[dict[int, object]]):
-        # the one transposition: the eliminator owns, and mutates, these rows
-        self.rows: list[dict[int, object]] = [dict() for _ in range(nrows)]
+        # the one transposition: the eliminator owns, and mutates, these rows.
+        # Each distinct value object is converted once and its pair shared:
+        # stencil columns repeat a few thousand values over many entries.
+        # Keying by id() is sound because cols keeps every value alive.
+        self.rows: list[dict[int, tuple[int, int]]] = [dict() for _ in range(nrows)]
+        pairs: dict[int, tuple[int, int]] = {}
         for c, col in enumerate(cols):
             for r, v in col.items():
-                self.rows[r][c] = v
+                pair = pairs.get(id(v))
+                if pair is None:
+                    pair = pairs[id(v)] = (int(v.numerator), int(v.denominator))
+                self.rows[r][c] = pair
         # set(col.keys()) sizes each table as add() would; set(col) presizes
         # from the dict, and that layout raised peak RSS on `sweep` by 0.6 MiB
         self.col_rows: list[set[int]] = [set(col.keys()) for col in cols]
@@ -94,7 +112,7 @@ class _Eliminator:
                 self.col_rows[c],
                 key=lambda rr: (
                     len(self.rows[rr]),
-                    int(self.rows[rr][c].numerator).bit_length(),
+                    self.rows[rr][c][0].bit_length(),
                     rr,
                 ),
             )
@@ -118,12 +136,18 @@ class _Eliminator:
             self.pivots.append((pr, pc))
             found += 1
             prow = self.rows[pr]
-            pval = prow[pc]
+            pn, pd = prow[pc]
             victims = list(self.col_rows[pc])
             if jordan:
                 victims += [r for (r, _c) in self.pivots[:-1] if pc in self.rows[r]]
             for r in victims:
-                self._axpy(r, prow, -(self.rows[r][pc] / pval), active=r in self.active)
+                # factor -(a/p) = -(an*pd) / (ad*pn), reduced, denominator > 0
+                an, ad = self.rows[r][pc]
+                fn, fd = -an * pd, ad * pn
+                if fd < 0:
+                    fn, fd = -fn, -fd
+                g = gcd(fn, fd)
+                self._axpy(r, prow, fn // g, fd // g, active=r in self.active)
 
     def _retire(self, r: int) -> None:
         self.active.discard(r)
@@ -131,21 +155,26 @@ class _Eliminator:
             self.col_rows[c].discard(r)
             self._count_changed(c)
 
-    def _axpy(self, r: int, src: dict[int, object], factor, active: bool) -> None:
+    def _axpy(self, r: int, src: dict[int, tuple[int, int]], fn: int, fd: int,
+              active: bool) -> None:
+        """row r += (fn/fd) * src, on reduced pairs; fn != 0 < fd."""
         row = self.rows[r]
-        for c, v in src.items():
-            s = row.get(c, QZERO) + factor * v
-            if s == 0:
-                if c in row:
-                    del row[c]
-                    if active:
-                        self.col_rows[c].discard(r)
-                        self._count_changed(c)
+        for c, (vn, vd) in src.items():
+            tn, td = fn * vn, fd * vd  # the term, td > 0
+            cn, cd = row.get(c, (0, 1))
+            n = cn * td + tn * cd
+            if n == 0:  # tn != 0, so only a stored entry can cancel
+                del row[c]
+                if active:
+                    self.col_rows[c].discard(r)
+                    self._count_changed(c)
             else:
                 if c not in row and active:
                     self.col_rows[c].add(r)
                     self._count_changed(c)
-                row[c] = s
+                d = cd * td
+                g = gcd(n, d)
+                row[c] = (n // g, d // g)
 
 
 def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
@@ -162,7 +191,8 @@ def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
             row = elim.rows[r]
             v = row.get(c_free)
             if v is not None:
-                vec[c_piv] = -v / row[c_piv]
+                (vn, vd), (pn, pd) = v, row[c_piv]
+                vec[c_piv] = Q(-vn * pd, vd * pn)
         basis.append(vec)
     return basis
 

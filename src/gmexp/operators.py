@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .parser import ParseError
+from .parser import MAX_NESTING, ParseError
 from .rational import Q, is_integer, rat
 from .ring import DegreeWindow, Monomial, RingElement, _collect, partial_t, partial_x
 
@@ -443,8 +443,10 @@ def parse_operator(src: str) -> Operator:
 _LEAVES = {"dtr": (Dtr, 1), "phi": (PhiC, 1), "ars": (ArS, 3), "abetad": (AbetaD, 5)}
 
 
-def _parse_op(src: str, pos: int):
+def _parse_op(src: str, pos: int, depth: int = 0):
     pos = _skip_ws(src, pos)
+    if depth > MAX_NESTING:
+        raise ParseError(f"operators nest deeper than {MAX_NESTING}", pos)
     m = re.match(r"[A-Za-z]+\d*", src[pos:])
     if not m:
         raise ParseError("unexpected input", pos, expected="operator name")
@@ -471,7 +473,7 @@ def _parse_op(src: str, pos: int):
     if lname in ("compose", "sum"):
         ops = []
         while True:
-            op, pos = _parse_op(src, pos)
+            op, pos = _parse_op(src, pos, depth + 1)
             ops.append(op)
             pos = _skip_ws(src, pos)
             if src[pos : pos + 1] == ",":
@@ -483,7 +485,7 @@ def _parse_op(src: str, pos: int):
     if lname == "scale":
         c, pos = _parse_rat(src, pos)
         pos = _expect_char(src, pos, ",")
-        op, pos = _parse_op(src, pos)
+        op, pos = _parse_op(src, pos, depth + 1)
         pos = _expect_char(src, pos, ")")
         return Scale(c, op), pos
     args = []

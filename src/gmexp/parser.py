@@ -11,7 +11,8 @@ Grammar (LL(1), whitespace-insensitive):
 
 Variables are x1..xn, plus 't' and 'ginv' where the caller allows them.
 Negative exponents are legal only on t.  Parse errors carry the position
-and the expected token.
+and the expected token.  Parentheses nest at most MAX_NESTING deep, so deep
+input is a parse error rather than a recursion overflow.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ import re
 
 from .rational import Q
 from .ring import Monomial, RingElement
+
+# deepest nesting either textual grammar (this one and operators.parse_operator)
+# accepts; each level costs a few Python frames, so this stays far below the
+# interpreter's recursion limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -60,6 +66,7 @@ class _Parser:
                  var_names: dict[str, int] | None):
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
         self.n = n
         self.allow_t = allow_t
         self.allow_ginv = allow_ginv
@@ -105,10 +112,12 @@ class _Parser:
         return e
 
     def unary(self) -> RingElement:
-        if self.peek()[:2] == ("op", "-"):
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        e = self.power()
+        return -e if negate else e
 
     def power(self) -> RingElement:
         tok = self.peek()
@@ -150,8 +159,12 @@ class _Parser:
             raise ParseError(f"unknown variable {name!r}", tok[2])
         if tok[:2] == ("op", "("):
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok[2])
             e = self.expr()
             self.expect("op", ")")
+            self.depth -= 1
             return e
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected="expression")
 

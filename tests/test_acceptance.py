@@ -35,7 +35,7 @@ from gmexp.operators import (
 )
 from gmexp.parser import parse_poly
 from gmexp.rational import Q, is_integer
-from gmexp.ring import DegreeWindow, Monomial, RingElement
+from gmexp.ring import DegreeWindow, RingElement
 from gmexp.reduction import UnivariateOperator, univariate_regular_exponents
 
 from test_engine import brieskorn_pham_count

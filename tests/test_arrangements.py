@@ -1,7 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gmexp.arrangements import (
     Arrangement,
@@ -19,7 +18,7 @@ from gmexp.arrangements import (
 from gmexp.engine import ProblemInstance, Verdict, exponent_test
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
-from gmexp.ring import RingElement, serialize
+from gmexp.ring import RingElement
 
 
 def test_lambda_poly_examples():

@@ -88,6 +88,16 @@ def test_exit_codes(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "operator-check", "--op", op)
         assert code == 2 and "parse error" in err, op
 
+    # nesting past the parsers' bound is a parse error, not a recursion overflow;
+    # 50 levels still parse
+    for depth, want in ((3000, 2), (50, 0)):
+        f = "(" * depth + "x1" + ")" * depth
+        code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", f, "--alphas", "1")
+        assert code == want and ("parse error" in err) == (want == 2), depth
+        op = "compose(" * depth + "id" + ")" * depth
+        code, _, err = run_cli(capsys, "operator-check", "--op", op)
+        assert code == want and ("parse error" in err) == (want == 2), depth
+
     code, _, err = run_cli(capsys, "arrangement", "--weights", "1", "--alphas", "")
     assert code == 3 and "precondition" in err
 

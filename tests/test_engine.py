@@ -1,5 +1,4 @@
 import itertools
-import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +28,7 @@ from gmexp.linalg import rank_with_extension
 from gmexp.operators import PartialX, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
-from gmexp.ring import Monomial, RingElement
+from gmexp.ring import RingElement
 
 
 def instance(fs, n=1, gs="1", alpha="0"):
@@ -355,6 +354,24 @@ def test_koszul_keeps_g_layer():
         assert p.f.max_gpow() > 0
         assert koszul_cohomology(p, default_schedule(p)[0]) == dims, (fs, gs, a)
         assert exponent_test(p).cokernel_dim == dims[2], (fs, gs, a)
+
+
+def test_koszul_skips_boundaries_without_cycles(monkeypatch):
+    # no interior cycle survives in degrees 0 and 1, so their boundary
+    # matrices are never eliminated: only the top degree's cokernel call,
+    # whose extension is the unit columns of the interior targets, remains
+    calls = []
+    real = engine.rank_with_extension
+
+    def counting(a, extra):
+        calls.append(extra)
+        return real(a, extra)
+
+    monkeypatch.setattr(engine, "rank_with_extension", counting)
+    p = instance("x1^2*(1-x1)^3", alpha="1/5")
+    assert koszul_cohomology(p, default_schedule(p)[0]) == {0: 0, 1: 0, 2: 0}
+    (extra,) = calls
+    assert extra and all(list(col.values()) == [1] for col in extra)
 
 
 def test_koszul_rejects_non_commuting_components(monkeypatch):

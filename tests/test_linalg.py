@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -53,9 +54,19 @@ matrices = st.lists(
     max_size=6,
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
+# entries far past machine words: the eliminator's integer pairs must stay exact
+wide_entries = st.builds(Q, st.integers(-10**20, 10**20), st.integers(1, 10**6))
+wide_matrices = st.integers(1, 6).flatmap(
+    lambda w: st.lists(
+        st.lists(st.one_of(st.just(Q(0)), wide_entries), min_size=w, max_size=w),
+        min_size=1,
+        max_size=6,
+    )
+)
 
-@settings(max_examples=200, deadline=None)
-@given(matrices)
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(matrices, wide_matrices))
 def test_rank_matches_dense_oracle(rows):
     m = from_dense(rows)
     assert rank(m) == dense_rank(rows)
@@ -68,13 +79,14 @@ def test_rank_transpose_invariant(rows):
     assert rank(m) == rank(transpose(m))
 
 
-@settings(max_examples=100, deadline=None)
-@given(matrices)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, wide_matrices))
 def test_nullspace_rank_nullity(rows):
     m = from_dense(rows)
     basis = nullspace(m)
     assert len(basis) == m.ncols - rank(m)
     for vec in basis:
+        assert all(type(v) is Q for v in vec.values())
         for r in range(m.nrows):
             assert sum((m.cols[c].get(r, 0) * v for c, v in vec.items()), Q(0)) == 0
 
@@ -82,7 +94,8 @@ def test_nullspace_rank_nullity(rows):
 class _CheckedEliminator(linalg._Eliminator):
     """Asserts at every step that the pivot equals a brute-force argmin
     computed from the live rows: column (active count, index), then row
-    (row nnz, numerator bit length, index)."""
+    (row nnz, numerator bit length, index), and that every stored entry is
+    a reduced (num, den) pair with num != 0 and den > 0."""
 
     steps = 0
 
@@ -91,6 +104,9 @@ class _CheckedEliminator(linalg._Eliminator):
         return super().eliminate(cols, jordan)
 
     def _pick_pivot(self):
+        for row in self.rows:
+            for n, d in row.values():
+                assert n != 0 and d > 0 and gcd(n, d) == 1, (n, d)
         for c in range(len(self.col_rows)):
             assert self.col_rows[c] == {r for r in self.active if c in self.rows[r]}
         counts = [(len(self.col_rows[c]), c) for c in self.checked_cols if self.col_rows[c]]
@@ -100,7 +116,7 @@ class _CheckedEliminator(linalg._Eliminator):
             r = min(
                 self.col_rows[c],
                 key=lambda rr: (
-                    len(self.rows[rr]), int(self.rows[rr][c].numerator).bit_length(), rr
+                    len(self.rows[rr]), self.rows[rr][c][0].bit_length(), rr
                 ),
             )
             want = (r, c)

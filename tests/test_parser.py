@@ -22,6 +22,9 @@ def test_rational_coefficients():
     assert e == RingElement.constant(1, Q(1, 2))
     e = parse_poly("-1/3*x1", 1)
     assert e.terms[Monomial(0, (1,), 0)] == Q(-1, 3)
+    # unary minus binds looser than '^' and repeats without recursing
+    assert parse_poly("--x1^2", 1) == parse_poly("x1^2", 1)
+    assert parse_poly("-" * 3001 + "x1", 1) == -parse_poly("x1", 1)
 
 
 def test_t_and_ginv_gating():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from gmexp.operators import ArS, Dtr, PhiC, apply
 from gmexp.parser import parse_poly
