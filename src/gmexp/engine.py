@@ -17,14 +17,15 @@ The localization by g is handled formally: window bases use monomials
 t^k x^u g^-m and the assembled image is augmented with the relation
 columns g * g^-(m+1) - g^-m, so cokernels are computed in the quotient.
 
-Assembly walks no operator tree per monomial: each component of phi_row,
-and the relation generator, is compiled once into a stencil of shifted
-terms with coefficients affine in (k, m, u) (operators.compile_stencil),
-and a column is that stencil at one monomial, its rows found by index
-arithmetic over the output window's canonical order
-(DegreeWindow.layout).  A window matrix is its row count and a list of
-{row: value} columns from the stencil to the pivot: window cells are
-named by their positions, never by Monomial labels.
+Each row component, and the relation generator, is a stencil: a few
+shifted terms with coefficients affine in the exponents (k, m, u) of
+t^k x^u g^-m, written once per instance straight from f, its derivatives,
+g and alpha (_row_stencils).  A column is a stencil at one monomial, its
+rows found by index arithmetic over the output window's canonical order
+(DegreeWindow.layout); the commutation check composes the same columns.
+A window matrix is its row count and a list of {row: value} columns from
+the stencil to the pivot: window cells are named by their positions,
+never by Monomial labels.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
-from .operators import Compose, Identity, MulByElem, MulByT, Operator, PartialX, PhiC, Scale, Sum
-from .operators import apply_stencil, compile_stencil
 from .rational import Q, rat
-from .ring import DegreeWindow, Monomial, RingElement, clear_g, partial_x, serialize
+from .ring import DegreeWindow, Monomial, RingElement, _collect, clear_g, partial_x, serialize
 
 
 class WindowError(ValueError):
@@ -74,8 +74,16 @@ class ProblemInstance:
             raise ValueError("variable count mismatch")
         object.__setattr__(self, "f", clear_g(self.f, self.g))
 
-    def derivatives(self) -> list[RingElement]:
-        return [clear_g(partial_x(i, self.f, self.g), self.g) for i in range(1, self.n + 1)]
+    @cached_property
+    def derivatives(self) -> tuple[RingElement, ...]:
+        """d_i f for i = 1..n in minimal g-layer form, computed on first use."""
+        return tuple(clear_g(partial_x(i, self.f, self.g), self.g) for i in range(1, self.n + 1))
+
+    @cached_property
+    def stencils(self) -> tuple[tuple, tuple]:
+        """(component stencils, relation stencil), written on first use by
+        _row_stencils; instances that never assemble never build them."""
+        return _row_stencils(self)
 
 
 class Verdict(str, Enum):
@@ -116,28 +124,55 @@ class ExponentReport:
 # ---------------------------------------------------------------------------
 
 
-def phi_row(p: ProblemInstance) -> list[Operator]:
-    """The n+1 pairwise-commuting components of the row map."""
-    phi = PhiC(-p.alpha)
-    comps: list[Operator] = [Sum(MulByElem(p.f), Scale(-1, MulByT()))]
-    for i, df in enumerate(p.derivatives(), start=1):
-        comps.append(Sum(PartialX(i), Compose(MulByElem(df), phi)))
-    return comps
+def _times(e: RingElement, dt: int = 0, dg: int = 0, var: int = -1, r=0) -> list[tuple]:
+    """Stencil terms of multiplication by e, moved by t^dt g^-dg, with each
+    coefficient c of e read as c * (e[var] + r)."""
+    return [((dt, m.gpow + dg, *m.xdeg), c, var, r) for m, c in e.terms.items()]
+
+
+def _row_stencils(p: ProblemInstance) -> tuple[tuple, tuple]:
+    """The n+1 row components and the relation g * g^-(m+1) - g^-m as stencils.
+
+    A stencil is a tuple of terms (shift, c, var, r).  With e = (k, m, u_1,
+    ..., u_n, 1) the exponents of t^k x^u g^-m, a term sends it to
+    c * (e[var] + r) times the monomial with exponents e + shift, shift =
+    (dt, dg, dx_1, ..., dx_n); var = -1 reads the constant slot.  The
+    components are f - t and d_i + f'_i (d/dt - alpha/t), where d_i acts on
+    x^u g^-m as u_i x^(u - e_i) g^-m - m (d_i g) x^u g^-(m+1).  No two terms
+    of one stencil share a shift.
+    """
+    n, g = p.n, p.g
+    comps = [tuple(_times(p.f) + [((1,) + (0,) * (n + 1), Q(-1), -1, 0)])]  # f - t
+    for i, df in enumerate(p.derivatives, start=1):
+        lower = ((0, 0, *(-1 if j == i else 0 for j in range(1, n + 1))), Q(1), i + 1, 0)
+        quotient = _times(-partial_x(i, g, g), dg=1, var=1)
+        comps.append(tuple([lower] + quotient + _times(df, dt=-1, var=0, r=-p.alpha)))
+    return tuple(comps), tuple(_times(g, dg=1) + [((0,) * (n + 2), Q(-1), -1, 0)])
 
 
 def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
-    """Exact pairwise commutation on window monomials of the compiled row
-    components, the stencils that assembly evaluates.  The g-layers are formal
-    (g * g^-1 stays), so sides that differ are compared in k[x, 1/g] by clear_g."""
-    stencils = [compile_stencil(c, p.g) for c in phi_row(p)]
-    for m in w.monomials(p.n):
-        images = [apply_stencil(st, {m: Q(1)}) for st in stencils]
-        for a, b in itertools.combinations(range(len(stencils)), 2):
-            lhs = apply_stencil(stencils[a], images[b])
-            rhs = apply_stencil(stencils[b], images[a])
+    """Exact pairwise commutation of the row components on the monomials of
+    w, by assembly's own evaluator: the component columns from w into its
+    output window, composed with those from there into the next output
+    window.  The g-layers are formal (g * g^-1 stays), so sides that differ
+    are compared in k[x, 1/g] by clear_g."""
+    sh = _shift_analysis(p)
+    mid = sh.output_window(w)
+    out = sh.output_window(mid)
+    mid_monos = list(mid.monomials(p.n))
+    first = _images(p, list(w.monomials(p.n)), mid)
+    reached = sorted({r for cols in first for col in cols for r in col})
+    second = [dict(zip(reached, cols)) for cols in _images(p, [mid_monos[r] for r in reached], out)]
+    out_monos: list[Monomial] = []
+    for a, b in itertools.combinations(range(p.n + 1), 2):
+        for col_a, col_b in zip(first[a], first[b]):
+            lhs = _collect((r, v * c) for q, v in col_b.items() for r, c in second[a][q].items())
+            rhs = _collect((r, v * c) for q, v in col_a.items() for r, c in second[b][q].items())
             if lhs != rhs:
-                diff = RingElement(p.n, lhs) - RingElement(p.n, rhs)
-                if not clear_g(diff, p.g).is_zero():
+                out_monos = out_monos or list(out.monomials(p.n))
+                diff = _collect([*lhs.items(), *((r, -v) for r, v in rhs.items())])
+                if not clear_g(RingElement(p.n, {out_monos[r]: v for r, v in diff.items()}),
+                               p.g).is_zero():
                     return False
     return True
 
@@ -165,7 +200,7 @@ def _shift_analysis(p: ProblemInstance) -> _Shifts:
     dgx = p.g.max_xdeg()
     dx = max(p.f.max_xdeg(), 1)
     dg = p.f.max_gpow()
-    for df in p.derivatives():
+    for df in p.derivatives:
         dx = max(dx, df.max_xdeg())
         dg = max(dg, df.max_gpow() + 1 if not g_trivial else 0)
     if not g_trivial:
@@ -206,31 +241,25 @@ def _check_cells(cells: int) -> None:
 def _stencil_columns(
     stencil: tuple, monos: list[Monomial], win: DegreeWindow, n: int
 ) -> list[Optional[dict[int, object]]]:
-    """Each monomial's image under a compiled stencil as a column {row: value}
-    over win's canonical order (rows placed by win.layout), or None if a
-    non-zero term falls outside win."""
+    """Each monomial's image under a stencil (see _row_stencils) as a column
+    {row: value} over win's canonical order (rows placed by win.layout), or
+    None if a non-zero term falls outside win."""
     xrow, tsize = win.layout(n)
     tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
-    terms = [
-        (s[0], s[1], s[0] * tsize + s[1], [(c, var, r, {}) for c, var, r in pairs])
-        for s, pairs in stencil
-    ]
+    terms = [(s[0], s[1], s[0] * tsize + s[1], c, var, r, {}) for s, c, var, r in stencil]
     by_u: dict[tuple, list] = {}  # u -> row offset of u + dx for each term, None outside
     cols: list[Optional[dict[int, object]]] = []
     for k, u, m in monos:
         xs = by_u.get(u)
         if xs is None:
-            xs = by_u[u] = [xrow.get(tuple(map(sum, zip(u, s[2:-1])))) for s, _ in stencil]
+            xs = by_u[u] = [xrow.get(tuple(map(sum, zip(u, s[2:])))) for s, *_ in stencil]
         e = (k, m, *u, 1)
         base = (k - tmin) * tsize + m
         col: Optional[dict[int, object]] = {}
-        for (dt, dg, off, pairs), x in zip(terms, xs):
-            v = None
-            for c, var, r, memo in pairs:
-                cv = memo.get(e[var])
-                if cv is None:
-                    cv = memo[e[var]] = c * (e[var] + r)
-                v = cv if v is None else v + cv
+        for (dt, dg, off, c, var, r, memo), x in zip(terms, xs):
+            v = memo.get(e[var])
+            if v is None:
+                v = memo[e[var]] = c * (e[var] + r)
             if not v:
                 continue
             if x is None or not tmin <= k + dt <= tmax or m + dg > gmax:
@@ -241,26 +270,33 @@ def _stencil_columns(
     return cols
 
 
+def _images(p: ProblemInstance, monos: list[Monomial], win: DegreeWindow) -> list[list[dict]]:
+    """The columns over win of each row component at each of monos; raises
+    WindowError when an image leaves win."""
+    images = []
+    for ci, stencil in enumerate(p.stencils[0]):
+        cols = _stencil_columns(stencil, monos, win, p.n)
+        if None in cols:
+            bad = RingElement.monomial(p.n, monos[cols.index(None)])
+            raise WindowError(f"image of {serialize(bad)} under component {ci} leaves the window")
+        images.append(cols)
+    return images
+
+
 def assemble_phi(
     p: ProblemInstance, win_in: DegreeWindow, win_out: DegreeWindow
 ) -> SparseMatrixQ:
     """Matrix of the row map from the (n+1)-fold basis of win_in to win_out.
 
-    Each component is compiled once into a stencil; its columns, in win_in's
-    canonical order, are the stencil at each monomial, with rows in win_out's
-    canonical order: column ci * win_in.size(n) + i is component ci at cell i.
-    Raises WindowError when win_out cannot hold the image.
+    Its columns, in win_in's canonical order, are each component's stencil
+    at each monomial, with rows in win_out's canonical order: column
+    ci * win_in.size(n) + i is component ci at cell i.  The cell cap is
+    checked before any monomial is enumerated.  Raises WindowError when
+    win_out cannot hold the image.
     """
-    in_monos = list(win_in.monomials(p.n))
-    _check_cells((p.n + 1) * len(in_monos))
-    cols: list = []
-    for ci, comp in enumerate(phi_row(p)):
-        image = _stencil_columns(compile_stencil(comp, p.g), in_monos, win_out, p.n)
-        if None in image:
-            bad = RingElement.monomial(p.n, in_monos[image.index(None)])
-            raise WindowError(f"image of {serialize(bad)} under component {ci} leaves the window")
-        cols += image
-    return SparseMatrixQ(win_out.size(p.n), cols)
+    _check_cells((p.n + 1) * win_in.size(p.n))
+    images = _images(p, list(win_in.monomials(p.n)), win_out)
+    return SparseMatrixQ(win_out.size(p.n), [col for cols in images for col in cols])
 
 
 def _relation_columns(p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow) -> list[dict]:
@@ -268,8 +304,8 @@ def _relation_columns(p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow)
     monomials of gens whose relation lies inside win."""
     if p.g.is_one():
         return []
-    rel = compile_stencil(Sum(MulByElem(p.g.shift_gpow(1)), Scale(-1, Identity())), p.g)
-    return [c for c in _stencil_columns(rel, list(gens.monomials(p.n)), win, p.n) if c is not None]
+    cols = _stencil_columns(p.stencils[1], list(gens.monomials(p.n)), win, p.n)
+    return [c for c in cols if c is not None]
 
 
 def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
@@ -443,11 +479,11 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     Raises WindowError on assembly problems and ValueError when the
     components fail their pairwise commutation check (an assembly bug).
     """
+    by_deg = _koszul_bases(p.n)
+    _check_cells(max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
     probe = DegreeWindow(-2, 2, 2, min(2, 2 if not p.g.is_one() else 0))
     if not check_row_commutation(p, probe):
         raise ValueError("row components do not commute; assembly is inconsistent")
-    by_deg = _koszul_bases(p.n)
-    _check_cells(max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
     cx = _window_complex(p, win, _shift_analysis(p))
     mats = _koszul_matrices(p.n, cx.mat)
     dims = {j: _koszul_h(j, mats, cx, by_deg) for j in range(p.n + 1)}

@@ -119,10 +119,9 @@ class _Eliminator:
             return r, c
         return None
 
-    def eliminate(self, cols: range, jordan: bool = False) -> int:
+    def eliminate(self, cols: range) -> int:
         """Eliminate using pivots only from the given columns; returns the
-        number of pivots found.  With jordan=True the pivot column is also
-        cleared from previously retired pivot rows."""
+        number of pivots found."""
         self._cls = cols
         self._heap = [(len(self.col_rows[c]), c) for c in cols if self.col_rows[c]]
         heapq.heapify(self._heap)
@@ -137,17 +136,8 @@ class _Eliminator:
             found += 1
             prow = self.rows[pr]
             pn, pd = prow[pc]
-            victims = list(self.col_rows[pc])
-            if jordan:
-                victims += [r for (r, _c) in self.pivots[:-1] if pc in self.rows[r]]
-            for r in victims:
-                # factor -(a/p) = -(an*pd) / (ad*pn), reduced, denominator > 0
-                an, ad = self.rows[r][pc]
-                fn, fd = -an * pd, ad * pn
-                if fd < 0:
-                    fn, fd = -fn, -fd
-                g = gcd(fn, fd)
-                self._axpy(r, prow, fn // g, fd // g, active=r in self.active)
+            for r in list(self.col_rows[pc]):
+                self._axpy(r, prow, *_ratio(self.rows[r][pc], (pn, pd)))
 
     def _retire(self, r: int) -> None:
         self.active.discard(r)
@@ -155,9 +145,8 @@ class _Eliminator:
             self.col_rows[c].discard(r)
             self._count_changed(c)
 
-    def _axpy(self, r: int, src: dict[int, tuple[int, int]], fn: int, fd: int,
-              active: bool) -> None:
-        """row r += (fn/fd) * src, on reduced pairs; fn != 0 < fd."""
+    def _axpy(self, r: int, src: dict[int, tuple[int, int]], fn: int, fd: int) -> None:
+        """Active row r += (fn/fd) * src, on reduced pairs; fn != 0 < fd."""
         row = self.rows[r]
         for c, (vn, vd) in src.items():
             tn, td = fn * vn, fd * vd  # the term, td > 0
@@ -165,11 +154,10 @@ class _Eliminator:
             n = cn * td + tn * cd
             if n == 0:  # tn != 0, so only a stored entry can cancel
                 del row[c]
-                if active:
-                    self.col_rows[c].discard(r)
-                    self._count_changed(c)
+                self.col_rows[c].discard(r)
+                self._count_changed(c)
             else:
-                if c not in row and active:
+                if c not in row:
                     self.col_rows[c].add(r)
                     self._count_changed(c)
                 d = cd * td
@@ -177,24 +165,48 @@ class _Eliminator:
                 row[c] = (n // g, d // g)
 
 
+def _ratio(a: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
+    """-(a/p) as a reduced pair with positive denominator, a and p non-zero."""
+    (an, ad), (pn, pd) = a, p
+    fn, fd = -an * pd, ad * pn
+    if fd < 0:
+        fn, fd = -fn, -fd
+    g = gcd(fn, fd)
+    return fn // g, fd // g
+
+
 def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
-    """Basis of ker(A) as sparse {col: value} vectors, one per free column."""
+    """Basis of ker(A) as sparse {col: value} vectors, one per free column c:
+    the kernel vector that is 1 at c and 0 at every other free column.
+
+    After elimination, pivot row k holds its own pivot column, columns of
+    later pivots and free columns only, so one back-substitution in reverse
+    pivot order gives each pivot coordinate as {free column: value}."""
     elim = _Eliminator(a.nrows, a.cols)
-    elim.eliminate(range(a.ncols), jordan=True)
-    pivot_cols = {c: r for (r, c) in elim.pivots}
-    basis = []
-    for c_free in range(a.ncols):
-        if c_free in pivot_cols:
-            continue
-        vec = {c_free: Q(1)}
-        for c_piv, r in pivot_cols.items():
-            row = elim.rows[r]
-            v = row.get(c_free)
-            if v is not None:
-                (vn, vd), (pn, pd) = v, row[c_piv]
-                vec[c_piv] = Q(-vn * pd, vd * pn)
-        basis.append(vec)
-    return basis
+    elim.eliminate(range(a.ncols))
+    solved: dict[int, dict[int, tuple[int, int]]] = {}  # pivot column -> coordinate
+    for r, pc in reversed(elim.pivots):
+        row = elim.rows[r]
+        coord: dict[int, tuple[int, int]] = {}
+        for c, v in row.items():
+            if c == pc:
+                continue
+            fn, fd = _ratio(v, row[pc])
+            for f, (xn, xd) in solved.get(c, {c: (1, 1)}).items():
+                tn, td = fn * xn, fd * xd
+                cn, cd = coord.get(f, (0, 1))
+                n, d = cn * td + tn * cd, cd * td
+                if n == 0:
+                    del coord[f]
+                else:
+                    g = gcd(n, d)
+                    coord[f] = (n // g, d // g)
+        solved[pc] = coord
+    basis = {c: {c: Q(1)} for c in range(a.ncols) if c not in solved}
+    for _r, pc in elim.pivots:
+        for f, (n, d) in solved[pc].items():
+            basis[f][pc] = Q(n, d)
+    return list(basis.values())
 
 
 def rank_with_extension(a: SparseMatrixQ, extra_cols: list[dict[int, object]]):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .parser import MAX_NESTING, ParseError
-from .rational import Q, is_integer, rat
+from .rational import is_integer, rat
 from .ring import DegreeWindow, Monomial, RingElement, _collect, partial_t, partial_x
 
 
@@ -224,79 +224,6 @@ def _eigenvalue(leaf: tuple, k: int, u: tuple[int, ...]):
     _dt, a, beta, i, b = leaf
     num = k + a + beta * u[i - 1] if i else k + a
     return num if b is None else num / (k + b)
-
-
-# ---------------------------------------------------------------------------
-# Stencils: the per-monomial action, compiled once
-# ---------------------------------------------------------------------------
-
-
-def compile_stencil(op: Operator, g: RingElement) -> tuple:
-    """The action of op on one monomial t^k x^u g^-m, as ((shift, pairs), ...).
-
-    With e = (k, m, u_1, ..., u_n, 1), op sends e to the sum of coef * (e + shift)
-    over the distinct shifts, coef the sum of c * (e[var] + r) over the pairs
-    (c, var, r), c a non-zero Q (var = -1 is the constant slot).  Sums, scalings
-    and compositions of Identity, MulByT, MulByElem, PhiC and PartialX compile;
-    other nodes, and products of two non-constant coefficients, raise OperatorError.
-    """
-    by_shift: dict[tuple, list] = {}
-    for (shift, var, r), c in _stencil_terms(op, g).items():
-        by_shift.setdefault(shift, []).append((c, var, r))
-    return tuple((shift, tuple(pairs)) for shift, pairs in by_shift.items())
-
-
-def _stencil_terms(op: Operator, g: RingElement) -> dict:
-    """{(shift, var, r): c} with every c non-zero; see compile_stencil."""
-    n = g.n
-    zero = (0,) * (n + 3)
-    if isinstance(op, Identity):
-        return {(zero, -1, 0): Q(1)}
-    if isinstance(op, MulByT):
-        return {((1,) + zero[1:], -1, 0): Q(1)}
-    if isinstance(op, MulByElem):
-        return {((m.tdeg, m.gpow, *m.xdeg, 0), -1, 0): c for m, c in op.elem.terms.items()}
-    if isinstance(op, PartialX):  # u_i x^(u - e_i) g^-m - m (d_i g) x^u g^-(m+1)
-        lower = tuple(-1 if j == op.i + 1 else 0 for j in range(n + 3))
-        quotient = {((0, 1, *m.xdeg, 0), 1, 0): -c for m, c in partial_x(op.i, g, g).terms.items()}
-        return {(lower, op.i + 1, 0): Q(1), **quotient}
-    if isinstance(op, PhiC):  # t^k -> (k + c) t^(k-1)
-        return {((-1,) + zero[1:], 0, op.c): Q(1)}
-    if isinstance(op, Sum):
-        return _collect(t for sub in op.ops for t in _stencil_terms(sub, g).items())
-    if isinstance(op, Scale):
-        return _collect((key, op.c * c) for key, c in _stencil_terms(op.op, g).items())
-    if isinstance(op, Compose):
-        out = _stencil_terms(Identity(), g)
-        for sub in reversed(op.ops):  # sub acts after what out describes
-            after = _stencil_terms(sub, g)
-            out = _collect(_compose_term(a, b) for a in after.items() for b in out.items())
-        return out
-    raise OperatorError(f"no stencil for operator {op!r}")
-
-
-def _compose_term(a, b):
-    """The term of (a after b) for single stencil terms a and b."""
-    (sa, va, ra), ca = a
-    (sb, vb, rb), cb = b
-    if va != -1 and vb != -1:
-        raise OperatorError("stencil coefficient would not be affine in the exponents")
-    shift = tuple(x + y for x, y in zip(sa, sb))
-    # a's coefficient is read at the exponents b has already shifted
-    var, r = (va, ra + sb[va]) if va != -1 else (vb, rb)
-    return (shift, var, r), ca * cb
-
-
-def apply_stencil(stencil: tuple, terms: dict[Monomial, object]) -> dict[Monomial, object]:
-    """Terms of op(e), for e given by its terms and stencil = compile_stencil(op, g)."""
-    image: list = []
-    for (k, u, m), coef in terms.items():
-        e = (k, m, *u, 1)
-        for shift, pairs in stencil:
-            t = tuple(x + y for x, y in zip(e, shift))
-            target = Monomial(t[0], t[2:-1], t[1])  # invalid only where its term is 0
-            image += ((target, coef * c * (e[var] + r)) for c, var, r in pairs)
-    return _collect(image)
 
 
 # ---------------------------------------------------------------------------

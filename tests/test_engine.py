@@ -22,10 +22,9 @@ from gmexp.engine import (
     default_schedule,
     exponent_test,
     koszul_cohomology,
-    phi_row,
 )
 from gmexp.linalg import rank_with_extension
-from gmexp.operators import PartialX, apply
+from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
 from gmexp.ring import RingElement
@@ -45,6 +44,16 @@ def test_instance_validation():
     # f is normalized to the minimal g-layer
     p = instance("x1^2*ginv", gs="x1")
     assert p.f == parse_poly("x1", 1)
+
+
+def phi_row(p):
+    """The n+1 row components as operator trees: the tree-walk oracle that
+    stencil assembly is checked against, built independently of it."""
+    phi = PhiC(-p.alpha)
+    comps = [Sum(MulByElem(p.f), Scale(-1, MulByT()))]
+    for i, df in enumerate(p.derivatives, start=1):
+        comps.append(Sum(PartialX(i), Compose(MulByElem(df), phi)))
+    return comps
 
 
 def trees_commute(p, w):
@@ -323,6 +332,24 @@ def test_resource_cap(monkeypatch):
         exponent_test(instance("x1"))
 
 
+def test_resource_cap_precedes_enumeration(monkeypatch):
+    # a window past the cap is refused before any of its monomials is made
+    monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "100000")
+
+    def enumerated(*args):
+        raise AssertionError("window monomials enumerated before the cap check")
+
+    monkeypatch.setattr(DegreeWindow, "monomials", enumerated)
+    p = instance("x1^30000", alpha="1/2")
+    win = default_schedule(p)[0]
+    with pytest.raises(ResourceLimitError):
+        assemble_phi(p, win, _shift_analysis(p).output_window(win))
+    with pytest.raises(ResourceLimitError):
+        exponent_test(p)
+    with pytest.raises(ResourceLimitError):
+        koszul_cohomology(p, win)
+
+
 def test_koszul_top_matches_cokernel():
     for fs, a in [("x1", "0"), ("x1", "1/2"), ("x1^3", "1/3"), ("x1^2*(1-x1)", "1/2")]:
         p = instance(fs, alpha=a)
@@ -375,9 +402,15 @@ def test_koszul_skips_boundaries_without_cycles(monkeypatch):
 
 
 def test_koszul_rejects_non_commuting_components(monkeypatch):
-    # d/dx1 does not commute with multiplication by f - t when f' != 0
-    real = engine.phi_row
-    monkeypatch.setattr(engine, "phi_row", lambda p: real(p)[:1] + [PartialX(1)])
+    # d/dx1 does not commute with multiplication by f - t when f' != 0:
+    # component 1 keeps only its terms that do not move t, d/dx1 itself
+    real = engine._row_stencils
+
+    def bare_dx1(p):
+        comps, relation = real(p)
+        return (comps[0], tuple(t for t in comps[1] if t[0][0] == 0)), relation
+
+    monkeypatch.setattr(engine, "_row_stencils", bare_dx1)
     for fs, gs in [("x1^2", "1"), ("x1^2*ginv", "1-x1")]:
         p = instance(fs, gs=gs, alpha="1/2")
         assert not check_row_commutation(p, DegreeWindow(-2, 2, 2, 2))

@@ -1,14 +1,33 @@
-"""No module in src/gmexp or tests imports a name it never uses."""
+"""No module in src/gmexp or tests imports a name it never uses, and no
+top-level definition in src/gmexp is dead."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "gmexp").glob("*.py"))
+
+# module.name -> why it stays although nothing in src/gmexp reads it
+KEPT = {
+    "operators.check_commutation": "acceptance criterion 5 checks the paper's "
+    "displayed commutation relations through it",
+}
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names an __all__ assignment of the module lists."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        for name in ast.literal_eval(node.value)
+    }
 
 
 def unused_imports(path: Path) -> list[str]:
     imported, used = {}, set()  # bound name -> line; names read
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (
             isinstance(node, ast.ImportFrom) and node.module != "__future__"
         ):
@@ -16,14 +35,52 @@ def unused_imports(path: Path) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
-            "__all__"
-        ]:
-            used |= set(ast.literal_eval(node.value))  # re-exported names count as used
+    used |= exported(tree)  # re-exported names count as used
     return [f"{path.relative_to(ROOT)}:{line} {name}"
             for name, line in imported.items() if name not in used]
 
 
 def test_no_unused_imports():
-    paths = sorted((ROOT / "src" / "gmexp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    paths = SRC + sorted((ROOT / "tests").glob("*.py"))
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+def top_level_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def references(node: ast.AST) -> set[str]:
+    """Names node reads, as bare names, attributes or imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def dead_definitions() -> list[str]:
+    """Top-level names of src/gmexp that no other top-level statement there
+    reads and no __all__ exports; a definition reading itself does not count."""
+    defined, referenced = [], set()
+    for path in SRC:
+        tree = ast.parse(path.read_text(), str(path))
+        referenced |= exported(tree)
+        for node in tree.body:
+            names = top_level_names(node)
+            defined += [(path.stem, name, node.lineno) for name in names]
+            referenced |= references(node) - set(names)
+    return [f"src/gmexp/{mod}.py:{line} {name}" for mod, name, line in defined
+            if name not in referenced and not name.startswith("__")
+            and f"{mod}.{name}" not in KEPT]
+
+
+def test_no_dead_definitions():
+    assert dead_definitions() == []

@@ -85,6 +85,12 @@ def test_nullspace_rank_nullity(rows):
     m = from_dense(rows)
     basis = nullspace(m)
     assert len(basis) == m.ncols - rank(m)
+    # each vector is 1 at its own free column, listed first and in increasing
+    # order, and 0 at every other vector's free column
+    free = [next(iter(vec)) for vec in basis]
+    assert free == sorted(free)
+    for c, vec in zip(free, basis):
+        assert vec[c] == 1 and not set(vec) & set(free) - {c}
     for vec in basis:
         assert all(type(v) is Q for v in vec.values())
         for r in range(m.nrows):
@@ -99,9 +105,9 @@ class _CheckedEliminator(linalg._Eliminator):
 
     steps = 0
 
-    def eliminate(self, cols, jordan=False):
+    def eliminate(self, cols):
         self.checked_cols = cols
-        return super().eliminate(cols, jordan)
+        return super().eliminate(cols)
 
     def _pick_pivot(self):
         for row in self.rows:
@@ -156,7 +162,7 @@ def test_pivot_order_is_brute_force_argmin(rows, extra):
         base, more = rank_with_extension(m, extra)  # second class after the first
         augmented = [list(row) + [col.get(i, 0) for col in extra] for i, row in enumerate(rows)]
         assert (base, more) == (rk, dense_rank(augmented) - rk)
-        assert len(nullspace(m)) == m.ncols - rk  # jordan=True
+        assert len(nullspace(m)) == m.ncols - rk
 
 
 def test_rank_with_extension_orders_pivots():

@@ -4,21 +4,12 @@ from hypothesis import given, settings, strategies as st
 from gmexp.operators import (
     AbetaD,
     ArS,
-    Compose,
     Dtr,
-    Identity,
-    MulByElem,
-    MulByT,
     OperatorError,
-    PartialX,
     PhiC,
-    Scale,
-    Sum,
     UndefinedInverseError,
     apply,
-    apply_stencil,
     check_commutation,
-    compile_stencil,
     commutation_identities,
     invertible_on,
     parse_operator,
@@ -169,46 +160,3 @@ def test_parse_operator():
         with pytest.raises(ValueError):
             parse_operator(bad)
     assert parse_operator("AbetaD(1/2,1/3,2,0,0)").i == 2
-
-
-# -- stencils: the compiled per-monomial action ---------------------------------
-
-G2 = parse_poly("x1*x2 + 1", 2)
-stencil_leaves = st.one_of(
-    st.just(Identity()),
-    st.just(MulByT()),
-    st.sampled_from(["x1", "-x2^2 + 1/2", "x1*ginv^2"]).map(
-        lambda e: MulByElem(parse_poly(e, 2, allow_ginv=True))
-    ),
-    rationals.map(PhiC),
-    st.sampled_from([PartialX(1), PartialX(2)]),
-)
-stencil_trees = st.recursive(
-    stencil_leaves,
-    lambda sub: st.one_of(
-        st.lists(sub, min_size=1, max_size=3).map(lambda ops: Sum(*ops)),
-        st.lists(sub, min_size=2, max_size=3).map(lambda ops: Compose(*ops)),
-        st.builds(Scale, rationals, sub),
-    ),
-    max_leaves=4,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(stencil_trees, st.integers(-2, 2), st.tuples(st.integers(0, 2), st.integers(0, 2)),
-       st.integers(0, 2))
-def test_stencil_matches_tree_walk(op, k, u, m):
-    # a tree that multiplies two non-constant coefficients has no affine stencil
-    try:
-        stencil = compile_stencil(op, G2)
-    except OperatorError:
-        return
-    mono = Monomial(k, u, m)
-    expected = apply(op, RingElement.monomial(2, mono), G2).terms
-    assert apply_stencil(stencil, {mono: Q(1)}) == expected
-
-
-def test_stencil_rejects_unsupported():
-    for op in (Dtr(1), ArS(Q(1, 2), 0, 0), Compose(PartialX(1), PartialX(1))):
-        with pytest.raises(OperatorError):
-            compile_stencil(op, G2)
