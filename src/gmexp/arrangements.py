@@ -31,7 +31,6 @@ from .engine import (
     default_schedule,
     exponent_test,
 )
-from .operators import AbetaD, invertible_on
 from .rational import Q, class_rep, is_integer, rat
 from .ring import Monomial, RingElement
 
@@ -195,12 +194,15 @@ def per_degree_exponent_test(p: ProblemInstance) -> Optional[ExponentReport]:
     """Exact per-degree route, or None when it does not apply.
 
     Applies when g = 1, f is an arrangement polynomial, and wi*alpha is
-    never an integer.  Then every per-(x-degree, t-degree) block is
-    solvable: the scaling operators invert by the closed-form criterion
-    and (for w0 >= 2) the block determinant is nonzero, so the verdict is
-    NotExponent with cokernel 0.  The blocks checked are the (x-degree,
-    t-degree) grid of the second default window, which contains the first;
-    any failure falls back to the generic path.
+    never an integer.  That guard is the whole operator criterion: the
+    scaling operator AbetaD(alpha, 1/wi, i, j, 0) kills t^k x_i^u only if
+    1 + alpha + (j+u)/wi is an integer, so only if wi*alpha is one.  Every
+    per-(x-degree, t-degree) block is then solvable once (for w0 >= 2) the
+    block determinant is nonzero; its prefactor's pole alpha + l = 0 needs
+    alpha in Z, which the guard excludes too.  The verdict is NotExponent
+    with cokernel 0.  The blocks checked are the (x-degree, t-degree) grid
+    of the second default window, which contains the first; any failure
+    falls back to the generic path.
     """
     if not p.g.is_one():
         return None
@@ -210,17 +212,11 @@ def per_degree_exponent_test(p: ProblemInstance) -> Optional[ExponentReport]:
     if any(is_integer(w * p.alpha) for w in a.weights):
         return None
     windows = default_schedule(p, rounds=2)
-    for i in range(1, a.n + 1):
-        wi = a.weights[i]
-        for j in range(1, wi + 1):
-            op = AbetaD(p.alpha, Q(1, wi), i, j, 0)
-            if not invertible_on(op, p.n).invertible:
-                return None
     if a.weights[0] >= 2:
         win = windows[-1]
         for m in range(win.xmax + 1):
             for l in range(win.tmin, win.tmax + 1):
-                if p.alpha + l == 0 or determinant_d(a, p.alpha, l, m) == 0:
+                if determinant_d(a, p.alpha, l, m) == 0:
                     return None
     return ExponentReport(
         verdict=Verdict.NOT_EXPONENT,

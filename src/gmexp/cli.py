@@ -11,7 +11,9 @@ Subcommands:
 Reports are JSON with a schema field, an echo of the inputs, the library
 version, and a timing field (the only nondeterministic part).  Exit
 codes: 0 success, 2 parse error, 3 precondition violation, 4 resource
-limit exceeded.
+limit exceeded (GM_MAX_WINDOW_CELLS, or a MemoryError).  --f, --g, --p,
+--q, --r, --apply, --op and --L are all read by parser.Tokens, so a parse
+error's position is an offset into that argument.
 
 The degree windows come from the shift analysis of each instance
 (engine.default_schedule); --max-rounds sets only how many are tried.
@@ -220,11 +222,15 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         report = _RUNNERS[args.mode](args, started)
-    except (ParseError, SyntaxError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        # GM_MAX_WINDOW_CELLS is the real bound: an OOM kill cannot be caught
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, IndexError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -17,17 +17,17 @@ plus Sum, Compose (right-to-left) and Scale nodes.  The last four leaves act
 diagonally on monomials; _diagonal states each of those actions once, and
 apply and invertible_on both read it.  Applications are exact: terms
 falling outside any window are retained; truncation is the caller's
-business.  parse_operator reads the textual form; a syntax error there is
-a parser.ParseError, like one in a polynomial.
+business.  parse_operator reads the textual form on parser.Tokens, the
+polynomial tokenizer, so a syntax error there is a parser.ParseError at an
+offset into the text, like one in a polynomial.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .parser import MAX_NESTING, ParseError
+from .parser import ParseError, Tokens
 from .rational import is_integer, rat
 from .ring import DegreeWindow, Monomial, RingElement, _collect, partial_t, partial_x
 
@@ -357,100 +357,56 @@ def check_commutation(w: DegreeWindow, alpha, beta, r, rp, s, sp, n: int = 1):
 def parse_operator(src: str) -> Operator:
     """Parse expressions like 'Dtr(1/2)', 'Phi(-1/3)', 'ArS(1/3,1,0)',
     'AbetaD(1/2,1/3,1,0,0)', 'compose(...)', 'sum(...)', 'scale(1/2, op)',
-    'id', 't', 'tinv', 'dt', 'dx1'.  Syntax errors raise ParseError with
-    their position; well-formed leaves with bad arguments raise ValueError."""
-    op, rest = _parse_op(src, 0)
-    rest = _skip_ws(src, rest)
-    if rest < len(src):
-        raise ParseError(f"trailing input {src[rest:]!r}", rest, expected="end of input")
+    'id', 't', 'tinv', 'dt', 'dx1' (names case-insensitive) on the
+    polynomial tokenizer.  Syntax errors raise ParseError with their
+    offset in src; well-formed leaves with bad arguments raise ValueError."""
+    tokens = Tokens(src)
+    op = _operator(tokens)
+    tokens.end()
     return op
 
 
-# name -> (leaf, argument count) of the leaves written as name(rational, ...)
-_LEAVES = {"dtr": (Dtr, 1), "phi": (PhiC, 1), "ars": (ArS, 3), "abetad": (AbetaD, 5)}
+_NULLARY = {"id": Identity, "t": MulByT, "tinv": MulByTInv, "dt": PartialT}
+# name -> (node, argument count or None for any) of the name(...) forms
+_CALLS = {"dtr": (Dtr, 1), "phi": (PhiC, 1), "ars": (ArS, 3), "abetad": (AbetaD, 5),
+          "compose": (Compose, None), "sum": (Sum, None), "scale": (Scale, None)}
 
 
-def _parse_op(src: str, pos: int, depth: int = 0):
-    pos = _skip_ws(src, pos)
-    if depth > MAX_NESTING:
-        raise ParseError(f"operators nest deeper than {MAX_NESTING}", pos)
-    m = re.match(r"[A-Za-z]+\d*", src[pos:])
-    if not m:
-        raise ParseError("unexpected input", pos, expected="operator name")
-    start, name = pos, m.group(0)
-    pos += m.end()
-    lname = name.lower()
-    if lname == "id":
-        return Identity(), pos
-    if lname == "t":
-        return MulByT(), pos
-    if lname == "tinv":
-        return MulByTInv(), pos
-    if lname == "dt":
-        return PartialT(), pos
-    if lname.startswith("dx"):
-        if not lname[2:].isdigit():
-            raise ParseError(f"{name!r} has no variable index", start, expected="dx<index>")
-        return PartialX(int(lname[2:])), pos
-    if lname not in _LEAVES and lname not in ("compose", "sum", "scale"):
-        raise ParseError(f"unknown operator {name!r}", start)
-    if src[pos : pos + 1] != "(":
-        raise ParseError("unexpected input", pos, expected="'('")
-    pos += 1
-    if lname in ("compose", "sum"):
-        ops = []
-        while True:
-            op, pos = _parse_op(src, pos, depth + 1)
-            ops.append(op)
-            pos = _skip_ws(src, pos)
-            if src[pos : pos + 1] == ",":
-                pos += 1
-                continue
-            break
-        pos = _expect_char(src, pos, ")")
-        return (Compose(*ops) if lname == "compose" else Sum(*ops)), pos
-    if lname == "scale":
-        c, pos = _parse_rat(src, pos)
-        pos = _expect_char(src, pos, ",")
-        op, pos = _parse_op(src, pos, depth + 1)
-        pos = _expect_char(src, pos, ")")
-        return Scale(c, op), pos
-    args = []
-    while True:
-        c, pos = _parse_rat(src, pos)
-        args.append(c)
-        pos = _skip_ws(src, pos)
-        if src[pos : pos + 1] == ",":
-            pos += 1
-            continue
-        break
-    pos = _expect_char(src, pos, ")")
-    leaf, arity = _LEAVES[lname]
-    if len(args) != arity:
-        raise ValueError(f"{name} takes {arity} argument(s), got {len(args)}")
-    if leaf is AbetaD:
+def _operator(tokens: Tokens) -> Operator:
+    tok = tokens.expect("name")
+    name = tok[1].lower()
+    if name in _NULLARY:
+        return _NULLARY[name]()
+    if name.startswith("dx"):
+        if not name[2:].isdigit():
+            raise ParseError(f"{tok[1]!r} has no variable index", tok[2], expected="dx<index>")
+        return PartialX(int(name[2:]))
+    if name not in _CALLS:
+        raise ParseError(f"unknown operator {tok[1]!r}", tok[2])
+    node, arity = _CALLS[name]
+    tokens.open()
+    if node is Scale:
+        c = _rational(tokens)
+        tokens.expect("op", ",")
+        args = [c, _operator(tokens)]
+    else:
+        read = _operator if arity is None else _rational
+        args = [read(tokens)]
+        while tokens.accept("op", ","):
+            args.append(read(tokens))
+    tokens.close()
+    if arity is not None and len(args) != arity:
+        raise ValueError(f"{tok[1]} takes {arity} argument(s), got {len(args)}")
+    if node is AbetaD:
         if not is_integer(args[2]):
             raise ValueError(f"AbetaD needs an integer variable index, got {args[2]}")
         args[2] = int(args[2])
-    return leaf(*args), pos
+    return node(*args)
 
 
-def _skip_ws(src: str, pos: int) -> int:
-    while pos < len(src) and src[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _expect_char(src: str, pos: int, ch: str) -> int:
-    pos = _skip_ws(src, pos)
-    if src[pos : pos + 1] != ch:
-        raise ParseError("unexpected input", pos, expected=repr(ch))
-    return pos + 1
-
-
-def _parse_rat(src: str, pos: int):
-    pos = _skip_ws(src, pos)
-    m = re.match(r"-?\d+(/\d+)?", src[pos:])
-    if not m:
-        raise ParseError("unexpected input", pos, expected="rational")
-    return rat(m.group(0)), pos + m.end()
+def _rational(tokens: Tokens):
+    """[-] INT [/ INT]; a zero denominator is a ValueError, not a syntax error."""
+    negative = tokens.accept("op", "-")
+    num = int(tokens.expect("int")[1])
+    den = int(tokens.expect("int")[1]) if tokens.accept("op", "/") else 1
+    return rat(-num if negative else num, den)

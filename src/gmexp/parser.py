@@ -1,6 +1,12 @@
-"""Recursive-descent parser for exact polynomial expressions.
+"""The tokenizer of every textual input, and the polynomial grammar.
 
-Grammar (LL(1), whitespace-insensitive):
+Tokens (a cursor over integers, names and the punctuation -+*/^(),;=) is
+the one lexer: parse_poly, operators.parse_operator and
+reduction.UnivariateOperator.parse all read it, so whitespace is free
+between tokens everywhere and a ParseError position is an offset into the
+string the caller passed.
+
+Polynomial grammar (LL(1)):
 
     expr    := term { ('+' | '-') term }
     term    := unary { '*' unary }
@@ -11,8 +17,8 @@ Grammar (LL(1), whitespace-insensitive):
 
 Variables are x1..xn, plus 't' and 'ginv' where the caller allows them.
 Negative exponents are legal only on t.  Parse errors carry the position
-and the expected token.  Parentheses nest at most MAX_NESTING deep, so deep
-input is a parse error rather than a recursion overflow.
+and the expected token.  Parentheses nest at most MAX_NESTING deep in any
+grammar, so deep input is a parse error rather than a recursion overflow.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ import re
 from .rational import Q
 from .ring import Monomial, RingElement
 
-# deepest nesting either textual grammar (this one and operators.parse_operator)
-# accepts; each level costs a few Python frames, so this stays far below the
-# interpreter's recursion limit
+# deepest nesting Tokens.open accepts, in every grammar; each level costs a
+# few Python frames, so this stays far below the interpreter's recursion limit
 MAX_NESTING = 100
 
 
@@ -36,7 +41,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {position}{suffix}")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),;=]))")
 
 
 def _tokenize(src: str):
@@ -61,19 +66,14 @@ def _tokenize(src: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str, n: int, *, allow_t: bool, allow_ginv: bool,
-                 var_names: dict[str, int] | None):
+class Tokens:
+    """A cursor over (kind, text, offset) tokens of one textual argument, kind
+    one of int, name, op, eof; open/close guard nesting for every grammar."""
+
+    def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
-        self.n = n
-        self.allow_t = allow_t
-        self.allow_ginv = allow_ginv
-        # maps a variable name to its 0-based index
-        if var_names is None:
-            var_names = {f"x{j + 1}": j for j in range(n)}
-        self.var_names = var_names
 
     def peek(self):
         return self.tokens[self.i]
@@ -83,54 +83,81 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, value: str | None = None):
-        tok = self.peek()
+    def accept(self, kind: str, value: str | None = None):
+        """The next token, consumed, if it matches; else None."""
+        tok = self.tokens[self.i]
         if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected=value or kind)
-        return self.advance()
+            return None
+        self.i += 1
+        return tok
 
-    def parse(self) -> RingElement:
-        e = self.expr()
+    def expect(self, kind: str, value: str | None = None):
+        tok = self.accept(kind, value)
+        if tok is None:
+            tok = self.peek()
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2],
+                             expected=repr(value) if value else kind)
+        return tok
+
+    def open(self):
+        """Consume '(' and count one nesting level; close() undoes both."""
+        tok = self.expect("op", "(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok[2])
+
+    def close(self):
+        self.expect("op", ")")
+        self.depth -= 1
+
+    def end(self):
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], expected="end of input")
-        return e
+
+
+class _Parser:
+    def __init__(self, tokens: Tokens, n: int, *, allow_t: bool, allow_ginv: bool,
+                 var_names: dict[str, int] | None):
+        self.tokens = tokens
+        self.n = n
+        self.allow_t = allow_t
+        self.allow_ginv = allow_ginv
+        # maps a variable name to its 0-based index
+        if var_names is None:
+            var_names = {f"x{j + 1}": j for j in range(n)}
+        self.var_names = var_names
 
     def expr(self) -> RingElement:
         e = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
+        while self.tokens.peek()[:2] in (("op", "+"), ("op", "-")):
+            op = self.tokens.advance()[1]
             rhs = self.term()
             e = e + rhs if op == "+" else e - rhs
         return e
 
     def term(self) -> RingElement:
         e = self.unary()
-        while self.peek()[:2] == ("op", "*"):
-            self.advance()
+        while self.tokens.accept("op", "*"):
             e = e * self.unary()
         return e
 
     def unary(self) -> RingElement:
         negate = False
-        while self.peek()[:2] == ("op", "-"):
-            self.advance()
+        while self.tokens.accept("op", "-"):
             negate = not negate
         e = self.power()
         return -e if negate else e
 
     def power(self) -> RingElement:
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens.peek()
         base_is_t = tok[:2] == ("name", "t")
         e = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            sign = 1
-            if self.peek()[:2] == ("op", "-"):
-                self.advance()
-                sign = -1
-            k = int(self.expect("int")[1])
-            if sign < 0:
+        if tokens.accept("op", "^"):
+            negative = tokens.accept("op", "-")
+            k = int(tokens.expect("int")[1])
+            if negative:
                 if not base_is_t:
                     raise ParseError("negative exponents are only legal on t", tok[2])
                 return RingElement.t(self.n, -k)
@@ -138,11 +165,12 @@ class _Parser:
         return e
 
     def atom(self) -> RingElement:
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens.peek()
         if tok[0] == "int":
             return RingElement.constant(self.n, self.rational())
         if tok[0] == "name":
-            self.advance()
+            tokens.advance()
             name = tok[1]
             if name == "t":
                 if not self.allow_t:
@@ -158,38 +186,34 @@ class _Parser:
                 return RingElement.var(self.n, self.var_names[name] + 1)
             raise ParseError(f"unknown variable {name!r}", tok[2])
         if tok[:2] == ("op", "("):
-            self.advance()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok[2])
+            tokens.open()
             e = self.expr()
-            self.expect("op", ")")
-            self.depth -= 1
+            tokens.close()
             return e
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected="expression")
 
     def rational(self) -> Q:
-        num = int(self.expect("int")[1])
-        if self.peek()[:2] == ("op", "/"):
-            # only a literal denominator may follow: rational constant a/b
-            nxt = self.tokens[self.i + 1]
-            if nxt[0] == "int":
-                self.advance()
-                den = int(self.advance()[1])
-                if den == 0:
-                    raise ParseError("zero denominator", nxt[2])
-                return Q(num, den)
-            raise ParseError("'/' must be followed by an integer", nxt[2], expected="integer")
-        return Q(num)
+        tokens = self.tokens
+        num = int(tokens.expect("int")[1])
+        if not tokens.accept("op", "/"):
+            return Q(num)
+        # only a literal denominator may follow: rational constant a/b
+        tok = tokens.expect("int")
+        if int(tok[1]) == 0:
+            raise ParseError("zero denominator", tok[2])
+        return Q(num, int(tok[1]))
 
 
-def parse_poly(
-    src: str,
-    n: int,
-    *,
-    allow_t: bool = False,
-    allow_ginv: bool = False,
-    var_names: dict[str, int] | None = None,
-) -> RingElement:
+def parse_expr(tokens: Tokens, n: int, *, allow_t: bool = False, allow_ginv: bool = False,
+               var_names: dict[str, int] | None = None) -> RingElement:
+    """Read one expression off tokens, leaving the cursor just after it."""
+    return _Parser(tokens, n, allow_t=allow_t, allow_ginv=allow_ginv, var_names=var_names).expr()
+
+
+def parse_poly(src: str, n: int, *, allow_t: bool = False, allow_ginv: bool = False,
+               var_names: dict[str, int] | None = None) -> RingElement:
     """Parse an expression into an exact RingElement with n x-variables."""
-    return _Parser(src, n, allow_t=allow_t, allow_ginv=allow_ginv, var_names=var_names).parse()
+    tokens = Tokens(src)
+    e = parse_expr(tokens, n, allow_t=allow_t, allow_ginv=allow_ginv, var_names=var_names)
+    tokens.end()
+    return e

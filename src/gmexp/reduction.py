@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import ProblemInstance
-from .parser import parse_poly
+from .parser import ParseError, Tokens, parse_expr
 from .rational import Q, class_rep, rat
 from .ring import RingElement, clear_g
 
@@ -44,10 +44,10 @@ class FamilySpec:
                 raise ValueError("p and q must not depend on t")
 
 
-def reduce_family(fam: FamilySpec, alpha=0) -> tuple[ProblemInstance, int]:
+def reduce_family(fam: FamilySpec) -> tuple[ProblemInstance, int]:
     """(instance template, scale).  Exponents of the family are scale times
-    the exponents of the instance; alpha is the per-query class and may be
-    replaced later."""
+    the exponents of the instance; the template's alpha is 0, and each query
+    builds its own instance from its f and g."""
     n = fam.p.n
     big_n = max(fam.p.max_gpow(), fam.q.max_gpow())
     r_pow = fam.r ** big_n
@@ -60,7 +60,7 @@ def reduce_family(fam: FamilySpec, alpha=0) -> tuple[ProblemInstance, int]:
         raise ValueError("q vanishes after clearing denominators")
     g = fam.r * qbar
     f = (pbar * fam.r).shift_gpow(1)  # pbar/qbar rewritten over g = r*qbar
-    return ProblemInstance(n=n, f=f, g=g, alpha=alpha), fam.d
+    return ProblemInstance(n=n, f=f, g=g, alpha=0), fam.d
 
 
 def scale_exponents(exps, d: int):
@@ -95,22 +95,28 @@ class UnivariateOperator:
 
     @classmethod
     def parse(cls, src: str) -> "UnivariateOperator":
-        """Textual form 'A0=(D-1/2)*(D-1/3); A1=D^5'."""
+        """Textual form 'A0=(D-1/2)*(D-1/3); A1=D^5': equations Ai = <polynomial
+        in D> separated by ';', each Ai at most once, on the polynomial
+        tokenizer.  Errors are ParseErrors at offsets into src."""
+        tokens = Tokens(src)
         polys: dict[int, list] = {}
-        for part in src.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            lhs, _, rhs = part.partition("=")
-            lhs = lhs.strip()
-            if not lhs.startswith("A") or not lhs[1:].isdigit():
-                raise ValueError(f"expected 'Ai=<polynomial in D>', got {part!r}")
-            i = int(lhs[1:])
-            e = parse_poly(rhs, 1, var_names={"D": 0})
-            coefs = [Q(0)] * (e.max_xdeg() + 1)
-            for m, c in e.terms.items():
-                coefs[m.xdeg[0]] = c
-            polys[i] = coefs
+        while True:
+            tok = tokens.accept("name")
+            if tok:
+                if tok[1][:1] != "A" or not tok[1][1:].isdigit():
+                    raise ParseError(f"unknown coefficient {tok[1]!r}", tok[2], expected="A<index>")
+                i = int(tok[1][1:])
+                if i in polys:
+                    raise ParseError(f"A{i} given twice", tok[2])
+                tokens.expect("op", "=")
+                e = parse_expr(tokens, 1, var_names={"D": 0})
+                coefs = [Q(0)] * (e.max_xdeg() + 1)
+                for m, c in e.terms.items():
+                    coefs[m.xdeg[0]] = c
+                polys[i] = coefs
+            if not tokens.accept("op", ";"):
+                break
+        tokens.end()
         return cls.from_polys(polys)
 
     def a0(self) -> tuple:

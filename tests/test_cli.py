@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gmexp import engine
+from gmexp import cli, engine
 from gmexp.cli import _build_parser, main
 
 
@@ -118,6 +118,33 @@ def test_exit_codes(capsys, monkeypatch):
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "5")
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1")
     assert code == 4 and "resource" in err
+
+
+def test_op_allows_whitespace_in_rationals(capsys):
+    # --op reads the polynomial tokens, so whitespace is free as it is in --f
+    for op, applied in [("Dtr(1 / 2)", "5/2*t^2"), ("Dtr(- 1/2)", "3/2*t^2"),
+                        ("scale( 2 , Dtr( 1/2 ) )", "5*t^2")]:
+        code, out, _ = run_cli(capsys, "operator-check", "--op", op, "--apply", "t^2")
+        assert code == 0 and json.loads(out)["applied"] == applied, op
+
+
+def test_L_error_position_is_an_offset_into_the_argument(capsys):
+    code, _, err = run_cli(capsys, "univariate", "--L", "A0=(D-1/2)*(D-1/3); A1=D^")
+    assert code == 2 and "at position 25" in err
+
+
+def test_L_refuses_a_repeated_coefficient(capsys):
+    code, out, err = run_cli(capsys, "univariate", "--L", "A0=D; A0=D^2")
+    assert code == 2 and out == "" and "A0 given twice at position 6" in err
+
+
+def test_memory_error_is_a_resource_limit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "exponent_test", exhausted)
+    code, out, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2")
+    assert code == 4 and out == "" and "resource" in err
 
 
 def _options(parser):

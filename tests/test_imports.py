@@ -1,7 +1,10 @@
-"""No module in src/gmexp or tests imports a name it never uses, and no
-top-level definition in src/gmexp is dead."""
+"""No module in src/gmexp or tests imports a name it never uses, no
+top-level definition in src/gmexp is dead, and importing gmexp leaves the
+operator calculus unloaded."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +87,12 @@ def dead_definitions() -> list[str]:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def test_import_leaves_the_operator_calculus_unloaded():
+    # the verdict path (engine, arrangements' per-degree route) needs no
+    # operator tree; only the CLI's operator-check and the tests load them
+    code = "import sys, gmexp; print('gmexp.operators' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT / "src").stdout
+    assert out.strip() == "False"

@@ -14,7 +14,7 @@ from gmexp.operators import (
     invertible_on,
     parse_operator,
 )
-from gmexp.parser import parse_poly
+from gmexp.parser import ParseError, parse_poly
 from gmexp.rational import Q, is_integer
 from gmexp.ring import DegreeWindow, Monomial, RingElement
 
@@ -160,3 +160,14 @@ def test_parse_operator():
         with pytest.raises(ValueError):
             parse_operator(bad)
     assert parse_operator("AbetaD(1/2,1/3,2,0,0)").i == 2
+
+
+def test_parse_operator_shares_the_polynomial_tokens():
+    # whitespace is free between tokens, inside rationals too
+    assert parse_operator(" compose( Dtr( - 1 / 2 ) , t ) ") == parse_operator("compose(Dtr(-1/2),t)")
+    # a syntax error's position is its offset in the text
+    for src, position in [("sum(dt, foo)", 8), ("Dtr(1 /x1)", 7), ("scale(1/2 t)", 10),
+                          ("compose(id, t) tinv", 15)]:
+        with pytest.raises(ParseError) as exc:
+            parse_operator(src)
+        assert exc.value.position == position, src

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmexp.engine import Verdict, exponent_test
-from gmexp.parser import parse_poly
+from gmexp.parser import ParseError, parse_poly
 from gmexp.rational import Q, class_rep
 from gmexp.reduction import (
     FamilySpec,
@@ -108,6 +108,18 @@ def test_univariate_a0_required():
         univariate_regular_exponents(op)
     with pytest.raises(ValueError):
         UnivariateOperator.parse("B0=D")
+
+
+def test_univariate_parse_reads_the_polynomial_tokens():
+    # empty equations and whitespace anywhere between tokens are allowed
+    assert UnivariateOperator.parse(" ; A0 = D - 1 / 2 ;; A1=D ; ") == \
+        UnivariateOperator.parse("A0=D-1/2;A1=D")
+    assert UnivariateOperator.parse("") == UnivariateOperator.from_polys({})
+    # positions are offsets into the whole text
+    for src, position in [("A0=D A1=D", 5), ("A0=D; B0=D", 6), ("A0=D; A1 D", 9)]:
+        with pytest.raises(ParseError) as exc:
+            UnivariateOperator.parse(src)
+        assert exc.value.position == position, src
 
 
 @settings(max_examples=50, deadline=None)
