@@ -27,7 +27,7 @@ from .engine import (
     koszul_cohomology,
 )
 from .parser import ParseError, parse_poly
-from .rational import Q, class_rep, rat
+from .rational import Q, class_rep
 from .reduction import (
     FamilySpec,
     UnivariateOperator,
@@ -64,7 +64,6 @@ __all__ = [
     "oracle_suite",
     "parse_poly",
     "per_degree_exponent_test",
-    "rat",
     "reduce_family",
     "scale_exponents",
     "serialize",

@@ -31,21 +31,22 @@ from .engine import (
     default_schedule,
     exponent_test,
 )
-from .rational import Q, class_rep, is_integer, rat
+from .rational import Q, class_rep, is_integer
 from .ring import Monomial, RingElement
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    """weights = (w0, w1, ..., wn); d = sum, n = len - 1."""
+    """weights = (w0, ..., wn), integers or integral rationals; d = sum, n = len - 1."""
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.weights) < 2:
             raise ValueError("need at least (w0, w1)")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(is_integer(w) and w >= 0 for w in self.weights):
+            raise ValueError("weights must be nonnegative integers")
+        object.__setattr__(self, "weights", tuple(map(int, self.weights)))
         if sum(self.weights) < 1:
             raise ValueError("at least one weight must be positive")
 
@@ -137,7 +138,7 @@ def determinant_polynomial(a: Arrangement, l: int, m: int) -> list:
 
 def determinant_d(a: Arrangement, alpha, l: int, m: int):
     """(alpha/(l+alpha))^(w0-1) times the polynomial part, evaluated exactly."""
-    alpha = rat(alpha)
+    alpha = Q(alpha)
     w0 = a.weights[0]
     if w0 < 2:
         raise ValueError("the determinant needs w0 >= 2")
@@ -241,7 +242,7 @@ def oracle_suite(a: Arrangement, extra_alphas=()) -> list[dict]:
     cokernel_dim, agree (None when the engine is undetermined)."""
     f = lambda_poly(a)
     cands = candidate_exponents(a)
-    alphas = sorted(cands | {class_rep(rat(x)) for x in extra_alphas})
+    alphas = sorted(cands | {class_rep(Q(x)) for x in extra_alphas})
     rows = []
     for alpha in alphas:
         inst = ProblemInstance(n=a.n, f=f, g=RingElement.one(a.n), alpha=alpha)

@@ -11,9 +11,10 @@ Subcommands:
 Reports are JSON with a schema field, an echo of the inputs, the library
 version, and a timing field (the only nondeterministic part).  Exit
 codes: 0 success, 2 parse error, 3 precondition violation, 4 resource
-limit exceeded (GM_MAX_WINDOW_CELLS, or a MemoryError).  --f, --g, --p,
---q, --r, --apply, --op and --L are all read by parser.Tokens, so a parse
-error's position is an offset into that argument.
+limit exceeded (GM_MAX_WINDOW_CELLS, a MemoryError, or univariate's
+root-search cap).  Every option's text is read by parser.Tokens, --alphas
+and --weights as comma lists of rationals, so a malformed number (1/0
+too) is a parse error at an offset into its argument, in any option.
 
 The degree windows come from the shift analysis of each instance
 (engine.default_schedule); --max-rounds sets only how many are tried.
@@ -44,8 +45,7 @@ from .engine import (
 )
 from .operators import apply as op_apply
 from .operators import NotDiagonalError, invertible_on, parse_operator
-from .parser import ParseError, parse_poly
-from .rational import rat
+from .parser import ParseError, parse_poly, parse_rationals
 from .reduction import (
     FamilySpec,
     UnivariateOperator,
@@ -105,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _alphas(text: str):
-    return [rat(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _report(mode: str, inputs: dict, body: dict, started: float) -> dict:
     return {
         "schema": 1,
@@ -124,7 +120,7 @@ def _run_exponent_test(args, started):
     f = parse_poly(args.f, args.n, allow_ginv=True)
     g = parse_poly(args.g, args.n)
     results = []
-    for alpha in _alphas(args.alphas):
+    for alpha in parse_rationals(args.alphas):
         p = ProblemInstance(n=args.n, f=f, g=g, alpha=alpha)
         if args.dump_matrix and not results:
             win = default_schedule(p)[0]
@@ -138,14 +134,14 @@ def _run_exponent_test(args, started):
 
 
 def _run_arrangement(args, started):
-    weights = tuple(int(w) for w in args.weights.split(","))
-    arr = Arrangement(weights)
+    arr = Arrangement(tuple(parse_rationals(args.weights)))
+    weights = arr.weights
     body = {
         "weights": list(weights),
         "lambda": serialize(lambda_poly(arr)),
         "candidate_exponents": sorted(str(a) for a in candidate_exponents(arr)),
         "gcd_criterion": gcd_criterion([w for w in weights if w > 0]),
-        "oracle": oracle_suite(arr, _alphas(args.alphas)),
+        "oracle": oracle_suite(arr, parse_rationals(args.alphas)),
     }
     inputs = {"weights": args.weights, "alphas": args.alphas}
     return _report("arrangement", inputs, body, started)
@@ -158,7 +154,7 @@ def _run_family(args, started):
     fam = FamilySpec(p, q, r, args.d)
     inst, scale = reduce_family(fam)
     results = []
-    for alpha in _alphas(args.alphas):
+    for alpha in parse_rationals(args.alphas):
         pi = ProblemInstance(n=args.n, f=inst.f, g=inst.g, alpha=alpha)
         rep = exponent_test(pi, rounds=args.max_rounds, method=args.method)
         scaled = scale_exponents([alpha], scale)[0] if rep.verdict.value == "exponent" else None

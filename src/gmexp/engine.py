@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Optional
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
-from .rational import Q, rat
+from .rational import Q
 from .ring import DegreeWindow, Monomial, RingElement, _collect, clear_g, partial_x, serialize
 
 
@@ -47,7 +47,7 @@ class WindowError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Window exceeds the configured matrix-size cap."""
+    """A window exceeds the matrix-size cap, or a univariate A0 the root-search cap."""
 
 
 MAX_WINDOW_CELLS_ENV = "GM_MAX_WINDOW_CELLS"
@@ -55,7 +55,8 @@ MAX_WINDOW_CELLS_ENV = "GM_MAX_WINDOW_CELLS"
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """f in k[x, 1/g] (t-free), g a nonzero pure polynomial, alpha rational."""
+    """f in k[x, 1/g] (t-free), g a nonzero pure polynomial, alpha rational
+    (or its canonical text, such as '1/5', which Q reads)."""
 
     n: int
     f: RingElement
@@ -63,7 +64,7 @@ class ProblemInstance:
     alpha: object
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", rat(self.alpha))
+        object.__setattr__(self, "alpha", Q(self.alpha))
         if self.g.is_zero():
             raise ValueError("g must be nonzero")
         if not self.g.is_polynomial():
@@ -99,7 +100,6 @@ class ExponentReport:
     windows_used: list[DegreeWindow]
     stabilized: bool
     estimates: list[int] = field(default_factory=list)
-    koszul_dims: Optional[dict[int, int]] = None
     method: str = "generic"
 
     def to_dict(self) -> dict:
@@ -112,9 +112,6 @@ class ExponentReport:
                 {"tmin": w.tmin, "tmax": w.tmax, "xmax": w.xmax, "gmax": w.gmax}
                 for w in self.windows_used
             ],
-            "koszul_dims": (
-                {str(k): v for k, v in self.koszul_dims.items()} if self.koszul_dims else None
-            ),
             "method": self.method,
         }
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .parser import ParseError, Tokens
-from .rational import is_integer, rat
+from .rational import Q, is_integer
 from .ring import DegreeWindow, Monomial, RingElement, _collect, partial_t, partial_x
 
 
@@ -83,7 +83,7 @@ class PhiC(Operator):
     c: object
 
     def __post_init__(self):
-        object.__setattr__(self, "c", rat(self.c))
+        object.__setattr__(self, "c", Q(self.c))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class Dtr(Operator):
     r: object
 
     def __post_init__(self):
-        object.__setattr__(self, "r", rat(self.r))
+        object.__setattr__(self, "r", Q(self.r))
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ class ArS(Operator):
     s: object
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "r", rat(self.r))
-        object.__setattr__(self, "s", rat(self.s))
+        object.__setattr__(self, "alpha", Q(self.alpha))
+        object.__setattr__(self, "r", Q(self.r))
+        object.__setattr__(self, "s", Q(self.s))
         if is_integer(self.alpha + self.s):
             raise UndefinedInverseError(
                 f"ArS requires alpha + s not an integer, got {self.alpha + self.s}"
@@ -119,10 +119,10 @@ class AbetaD(Operator):
     s: object
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "beta", rat(self.beta))
-        object.__setattr__(self, "r", rat(self.r))
-        object.__setattr__(self, "s", rat(self.s))
+        object.__setattr__(self, "alpha", Q(self.alpha))
+        object.__setattr__(self, "beta", Q(self.beta))
+        object.__setattr__(self, "r", Q(self.r))
+        object.__setattr__(self, "s", Q(self.s))
         if self.i < 1:
             raise OperatorError(f"AbetaD needs a variable index i >= 1, got {self.i}")
         if is_integer(self.alpha + self.s):
@@ -155,7 +155,7 @@ class Scale(Operator):
     op: Operator
 
     def __post_init__(self):
-        object.__setattr__(self, "c", rat(self.c))
+        object.__setattr__(self, "c", Q(self.c))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def commutation_identities(alpha, beta, r, rp, s, sp, i: int = 1, n: int = 1):
 
     Requires alpha+s and alpha+s' not integers.
     """
-    alpha, beta, r, rp, s, sp = map(rat, (alpha, beta, r, rp, s, sp))
+    alpha, beta, r, rp, s, sp = map(Q, (alpha, beta, r, rp, s, sp))
     for v in (alpha + s, alpha + sp):
         if is_integer(v):
             raise OperatorError(f"alpha + s must not be an integer, got {v}")
@@ -359,7 +359,8 @@ def parse_operator(src: str) -> Operator:
     'AbetaD(1/2,1/3,1,0,0)', 'compose(...)', 'sum(...)', 'scale(1/2, op)',
     'id', 't', 'tinv', 'dt', 'dx1' (names case-insensitive) on the
     polynomial tokenizer.  Syntax errors raise ParseError with their
-    offset in src; well-formed leaves with bad arguments raise ValueError."""
+    offset in src, a zero denominator among them; well-formed leaves with
+    bad arguments raise ValueError."""
     tokens = Tokens(src)
     op = _operator(tokens)
     tokens.end()
@@ -386,11 +387,11 @@ def _operator(tokens: Tokens) -> Operator:
     node, arity = _CALLS[name]
     tokens.open()
     if node is Scale:
-        c = _rational(tokens)
+        c = tokens.rational()
         tokens.expect("op", ",")
         args = [c, _operator(tokens)]
     else:
-        read = _operator if arity is None else _rational
+        read = _operator if arity is None else Tokens.rational
         args = [read(tokens)]
         while tokens.accept("op", ","):
             args.append(read(tokens))
@@ -402,11 +403,3 @@ def _operator(tokens: Tokens) -> Operator:
             raise ValueError(f"AbetaD needs an integer variable index, got {args[2]}")
         args[2] = int(args[2])
     return node(*args)
-
-
-def _rational(tokens: Tokens):
-    """[-] INT [/ INT]; a zero denominator is a ValueError, not a syntax error."""
-    negative = tokens.accept("op", "-")
-    num = int(tokens.expect("int")[1])
-    den = int(tokens.expect("int")[1]) if tokens.accept("op", "/") else 1
-    return rat(-num if negative else num, den)

@@ -1,31 +1,33 @@
 """The tokenizer of every textual input, and the polynomial grammar.
 
 Tokens (a cursor over integers, names and the punctuation -+*/^(),;=) is
-the one lexer: parse_poly, operators.parse_operator and
+the one lexer: parse_poly, parse_rationals, operators.parse_operator and
 reduction.UnivariateOperator.parse all read it, so whitespace is free
 between tokens everywhere and a ParseError position is an offset into the
-string the caller passed.
+string the caller passed.  Tokens.rational is the one reader of a number:
 
-Polynomial grammar (LL(1)):
+    rational  := ['-'] INT ['/' INT]          (a zero denominator is a ParseError)
+    rationals := [ rational { ',' rational } ]    (parse_rationals: all of src)
+
+Polynomial grammar (LL(1)), where unary has consumed any '-' before an atom:
 
     expr    := term { ('+' | '-') term }
     term    := unary { '*' unary }
     unary   := '-' unary | power
-    power   := atom [ '^' [-] INT ]
+    power   := atom [ '^' rational ]          (an integer, negative only on t)
     atom    := rational | variable | '(' expr ')'
-    rational:= INT [ '/' INT ]
 
 Variables are x1..xn, plus 't' and 'ginv' where the caller allows them.
-Negative exponents are legal only on t.  Parse errors carry the position
-and the expected token.  Parentheses nest at most MAX_NESTING deep in any
-grammar, so deep input is a parse error rather than a recursion overflow.
+Parse errors carry the position and the expected token.  Parentheses nest
+at most MAX_NESTING deep in any grammar, so deep input is a parse error
+rather than a recursion overflow.
 """
 
 from __future__ import annotations
 
 import re
 
-from .rational import Q
+from .rational import Q, is_integer
 from .ring import Monomial, RingElement
 
 # deepest nesting Tokens.open accepts, in every grammar; each level costs a
@@ -99,6 +101,17 @@ class Tokens:
                              expected=repr(value) if value else kind)
         return tok
 
+    def rational(self) -> Q:
+        """['-'] INT ['/' INT], with a zero denominator refused at its offset."""
+        sign = -1 if self.accept("op", "-") else 1
+        num = sign * int(self.expect("int")[1])
+        if not self.accept("op", "/"):
+            return Q(num)
+        tok = self.expect("int")
+        if int(tok[1]) == 0:
+            raise ParseError("zero denominator", tok[2])
+        return Q(num, int(tok[1]))
+
     def open(self):
         """Consume '(' and count one nesting level; close() undoes both."""
         tok = self.expect("op", "(")
@@ -151,24 +164,21 @@ class _Parser:
 
     def power(self) -> RingElement:
         tokens = self.tokens
-        tok = tokens.peek()
-        base_is_t = tok[:2] == ("name", "t")
+        base_is_t = tokens.peek()[:2] == ("name", "t")
         e = self.atom()
         if tokens.accept("op", "^"):
-            negative = tokens.accept("op", "-")
-            k = int(tokens.expect("int")[1])
-            if negative:
-                if not base_is_t:
-                    raise ParseError("negative exponents are only legal on t", tok[2])
-                return RingElement.t(self.n, -k)
-            e = e ** k
+            at = tokens.peek()[2]
+            k = tokens.rational()
+            if not is_integer(k) or (k < 0 and not base_is_t):
+                raise ParseError(f"exponent {k}", at, expected="an integer, negative only on t")
+            e = RingElement.t(self.n, int(k)) if k < 0 else e ** int(k)
         return e
 
     def atom(self) -> RingElement:
         tokens = self.tokens
         tok = tokens.peek()
         if tok[0] == "int":
-            return RingElement.constant(self.n, self.rational())
+            return RingElement.constant(self.n, tokens.rational())
         if tok[0] == "name":
             tokens.advance()
             name = tok[1]
@@ -192,17 +202,6 @@ class _Parser:
             return e
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected="expression")
 
-    def rational(self) -> Q:
-        tokens = self.tokens
-        num = int(tokens.expect("int")[1])
-        if not tokens.accept("op", "/"):
-            return Q(num)
-        # only a literal denominator may follow: rational constant a/b
-        tok = tokens.expect("int")
-        if int(tok[1]) == 0:
-            raise ParseError("zero denominator", tok[2])
-        return Q(num, int(tok[1]))
-
 
 def parse_expr(tokens: Tokens, n: int, *, allow_t: bool = False, allow_ginv: bool = False,
                var_names: dict[str, int] | None = None) -> RingElement:
@@ -217,3 +216,14 @@ def parse_poly(src: str, n: int, *, allow_t: bool = False, allow_ginv: bool = Fa
     e = parse_expr(tokens, n, allow_t=allow_t, allow_ginv=allow_ginv, var_names=var_names)
     tokens.end()
     return e
+
+
+def parse_rationals(src: str) -> list:
+    """The comma list of rationals that is all of src; '' is [], and an empty
+    item ('1/2,,1/3') is a ParseError."""
+    tokens = Tokens(src)
+    out = [] if tokens.peek()[0] == "eof" else [tokens.rational()]
+    while out and tokens.accept("op", ","):
+        out.append(tokens.rational())
+    tokens.end()
+    return out

@@ -21,21 +21,6 @@ except ImportError:  # gmpy2 is optional (the "fast" extra)
 QZERO = Q(0)
 
 
-def rat(x, y=None):
-    """Build a rational from ints, strings like '3/2', or another rational.
-
-    A zero denominator raises ValueError, like any other malformed input.
-    """
-    if isinstance(x, str):
-        num, slash, den = x.strip().partition("/")
-        x, y = int(num), (int(den) if slash else None)
-    if y is None:
-        return Q(x)
-    if y == 0:
-        raise ValueError(f"zero denominator in {x}/{y}")
-    return Q(x, y)
-
-
 def is_integer(q) -> bool:
     return q.denominator == 1
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import ProblemInstance
+from .engine import ProblemInstance, ResourceLimitError
 from .parser import ParseError, Tokens, parse_expr
-from .rational import Q, class_rep, rat
+from .rational import Q, class_rep
 from .ring import RingElement, clear_g
 
 
@@ -68,7 +68,7 @@ def scale_exponents(exps, d: int):
     multiplicities preserved.  Input and output are sorted lists."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return sorted(class_rep(rat(a) * d) for a in exps)
+    return sorted(class_rep(Q(a) * d) for a in exps)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ class UnivariateOperator:
         for i, coefs in sorted(polys.items()):
             if i < 0:
                 raise ValueError("t-powers must be nonnegative")
-            coefs = _strip([rat(c) for c in coefs])
+            coefs = _strip([Q(c) for c in coefs])
             if coefs:
                 items.append((i, tuple(coefs)))
         return cls(tuple(items))
@@ -162,6 +162,11 @@ def univariate_regular_exponents(op: UnivariateOperator):
     return rank, roots, tuple(cur)
 
 
+# largest |constant| and |leading| coefficient, denominators cleared, whose
+# divisors _find_rational_root tries: at most 10^6 trial divisions each
+MAX_ROOT_SEARCH = 10**12
+
+
 def _find_rational_root(coefs):
     """Smallest rational root of a dense Q-polynomial, or None."""
     # clear denominators to integers
@@ -170,6 +175,8 @@ def _find_rational_root(coefs):
     if ints[0] == 0:
         return Q(0)
     a0, an = abs(ints[0]), abs(ints[-1])
+    if max(a0, an) > MAX_ROOT_SEARCH:
+        raise ResourceLimitError(f"A0's end coefficients exceed {MAX_ROOT_SEARCH} as integers")
     candidates = set()
     for p in _divisors(a0):
         for q in _divisors(an):

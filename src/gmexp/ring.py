@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .rational import Q, QZERO, rat
+from .rational import Q, QZERO
 
 
 class Monomial(NamedTuple):
@@ -68,7 +68,7 @@ class RingElement:
 
     @classmethod
     def constant(cls, n: int, c) -> "RingElement":
-        return cls(n, {unit_monomial(n): rat(c)})
+        return cls(n, {unit_monomial(n): Q(c)})
 
     @classmethod
     def one(cls, n: int) -> "RingElement":
@@ -76,7 +76,7 @@ class RingElement:
 
     @classmethod
     def monomial(cls, n: int, m: Monomial, c=1) -> "RingElement":
-        return cls(n, {m: rat(c)})
+        return cls(n, {m: Q(c)})
 
     @classmethod
     def var(cls, n: int, i: int) -> "RingElement":
@@ -145,7 +145,7 @@ class RingElement:
         return RingElement._trusted(self.n, _collect(products))
 
     def scale(self, c) -> "RingElement":
-        c = rat(c)
+        c = Q(c)
         if c == 0:
             return RingElement.zero(self.n)
         return RingElement._trusted(self.n, {m: c * v for m, v in self.terms.items()})

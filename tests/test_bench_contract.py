@@ -1,13 +1,15 @@
-"""The names and counts the benchmark's tracer reads from gmexp.
+"""The names, counts and calls the benchmark reads from gmexp.
 
 perfbench/tracing.py wraps gmexp functions by module attribute and takes
 counts from their arguments and results.  This runs one exponent_test and
 one koszul_cohomology under that tracer (imported read-only from the
 benchmark) and checks that every wrapped name exists and that the counted
-spans carry their counts.
+spans carry their counts.  It also makes the calls perfbench/run.py makes
+outside the tracer, in the form it makes them.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 from gmexp import arrangements, engine, parser, rational, ring
@@ -52,3 +54,15 @@ def test_tracer_finds_and_counts_the_engine_layers():
     # one assembly per window of the verdict, one for the Koszul window
     assert len(counts["engine.assemble_phi"]) == 3
     assert all(c["cells"] > 0 and c["nnz"] > 0 for c in counts["engine.assemble_phi"])
+
+
+def test_run_calls_keep_working():
+    # run.py passes each class as the str() of a Fraction and reads HAVE_GMPY2
+    f = arrangements.lambda_poly(arrangements.Arrangement((1, 2)))
+    p = engine.ProblemInstance(n=1, f=f, g=parser.parse_poly("1", 1), alpha=str(Fraction(1, 5)))
+    assert p.alpha == rational.Q(1, 5)
+    rep = engine.exponent_test(p, method="per-degree")
+    assert rep.method == "per-degree" and rep.verdict == engine.Verdict.NOT_EXPONENT
+    dims = engine.koszul_cohomology(p, engine.default_schedule(p)[0])
+    assert dims and all(v == 0 for v in dims.values())
+    assert isinstance(rational.HAVE_GMPY2, bool)

@@ -98,15 +98,22 @@ def test_exit_codes(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "operator-check", "--op", op)
         assert code == want and ("parse error" in err) == (want == 2), depth
 
+    # a zero denominator is a parse error at the denominator, in every option
+    for argv, position in (
+        (("exponent-test", "--n", "1", "--f", "x1^2", "--alphas", "1/0"), 2),
+        (("operator-check", "--op", "Dtr(1/0)"), 6),
+        (("exponent-test", "--n", "1", "--f", "1/0", "--alphas", "1"), 2),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and f"zero denominator at position {position}" in err
+
     code, _, err = run_cli(capsys, "arrangement", "--weights", "1", "--alphas", "")
     assert code == 3 and "precondition" in err
 
-    # a zero denominator, an AbetaD index outside x_1..x_n or not an integer,
-    # too few windows, and a leaf with the wrong number of arguments
+    # an AbetaD index outside x_1..x_n or not an integer, too few windows,
+    # and a leaf with the wrong number of arguments
     for argv in (
-        ("exponent-test", "--n", "1", "--f", "x1^2", "--alphas", "1/0"),
         ("exponent-test", "--n", "1", "--f", "x1^2", "--alphas", "1/2", "--max-rounds", "1"),
-        ("operator-check", "--op", "Dtr(1/0)"),
         ("operator-check", "--op", "AbetaD(1/2,1/3,0,0,0)", "--apply", "t*x1"),
         ("operator-check", "--op", "AbetaD(1/2,1/2,3,0,0)"),
         ("operator-check", "--op", "AbetaD(1/2,1/3,3/2,0,0)", "--apply", "t*x1"),
@@ -115,9 +122,37 @@ def test_exit_codes(capsys, monkeypatch):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and "precondition" in err
 
+    code, out, err = run_cli(capsys, "univariate", "--L", "A0=D-10^30")
+    assert code == 4 and out == "" and "resource" in err
+
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "5")
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1")
     assert code == 4 and "resource" in err
+
+
+def test_alphas_and_weights_are_read_as_rational_lists(capsys):
+    # a malformed item is a parse error at its offset, an empty one included
+    for argv, position in [
+        (("exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/x"), 2),
+        (("exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2,,1/3"), 4),
+        (("exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2,"), 4),
+        (("arrangement", "--weights", "1,,2"), 2),
+        (("arrangement", "--weights", "1, ,2"), 3),
+        (("arrangement", "--weights", "1.5,1"), 1),
+        (("arrangement", "--weights", "1,1", "--alphas", "1/3;1/2"), 3),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and f"at position {position}" in err, argv
+
+    # a well-formed rational that is not a nonnegative integer weight is a precondition
+    for weights in ("1/2,1", "-1,2"):
+        code, out, err = run_cli(capsys, "arrangement", f"--weights={weights}")
+        assert code == 3 and out == "" and "precondition" in err, weights
+
+    # whitespace is free between tokens, and an integral rational is its integer
+    code, out, _ = run_cli(capsys, "arrangement", "--weights", " 2/2 , 2 ", "--alphas", " 1 / 3 ")
+    rep = json.loads(out)
+    assert code == 0 and rep["weights"] == [1, 2] and "1/3" in {r["alpha"] for r in rep["oracle"]}
 
 
 def test_op_allows_whitespace_in_rationals(capsys):

@@ -1,11 +1,11 @@
 """Fuzz the CLI through all five modes: whatever the text, main returns an
 exit code (0, 2, 3 or 4) and never lets an exception escape.
 
-Each textual option is either grown from its grammar's productions, so it
-reaches the preconditions and the engine, or a soup of that grammar's words
-and punctuation, which mostly exercises the parse errors.  Exponents stay
-small and GM_MAX_WINDOW_CELLS is low, so every query ends quickly: in a
-verdict or in exit 4.
+Each textual option, --alphas and --weights included, is either grown from
+its grammar's productions, so it reaches the preconditions and the engine,
+or a soup of that grammar's words and punctuation, which mostly exercises
+the parse errors.  Exponents stay small and GM_MAX_WINDOW_CELLS is low, so
+every query ends quickly: in a verdict or in exit 4.
 """
 
 import contextlib
@@ -71,7 +71,13 @@ EQUATIONS = st.lists(st.sampled_from(["A0", "A1", "A2"]), min_size=1, max_size=3
                            max_size=len(names)).map(
         lambda ps: "; ".join(f"{a}={p}" for a, p in zip(names, ps))))
 L_TEXT = st.one_of(EQUATIONS, words("A0", "A1", "A2", "B0", "D", "x1"))
-ALPHAS = st.lists(st.sampled_from(RATIONALS + ["x", ""]), max_size=3).map(",".join)
+ALPHAS = st.one_of(st.lists(st.sampled_from(RATIONALS + ["x", ""]), max_size=3).map(",".join),
+                   words("x"))
+WEIGHTS = st.one_of(
+    st.lists(st.sampled_from(["1", "2", "3"]), min_size=2, max_size=3).map(",".join),
+    st.lists(st.sampled_from(["0", "1", "-1", "", "a", "2/2"]), max_size=4).map(",".join),
+    words("a", "1.5"),
+)
 N = st.integers(0, 2).map(str)
 
 
@@ -91,11 +97,7 @@ def argvs(draw):
                 option("alphas", draw(ALPHAS)),
                 option("method", draw(st.sampled_from(["generic", "per-degree"])))]
     if mode == "arrangement":
-        weights = st.one_of(
-            st.lists(st.sampled_from(["1", "2", "3"]), min_size=2, max_size=3),
-            st.lists(st.sampled_from(["0", "1", "-1", "", "a"]), max_size=4),
-        )
-        return [mode, option("weights", ",".join(draw(weights))), option("alphas", draw(ALPHAS))]
+        return [mode, option("weights", draw(WEIGHTS)), option("alphas", draw(ALPHAS))]
     if mode == "family":
         return [mode, option("n", draw(N)), option("p", draw(polys("x1", "ginv"))),
                 option("q", draw(polys("x1", "ginv"))), option("r", draw(polys("x1"))),

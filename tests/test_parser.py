@@ -1,6 +1,6 @@
 import pytest
 
-from gmexp.parser import ParseError, parse_poly
+from gmexp.parser import ParseError, parse_poly, parse_rationals
 from gmexp.rational import Q
 from gmexp.ring import Monomial, RingElement, serialize
 
@@ -61,6 +61,25 @@ def test_error_positions():
 
     with pytest.raises(ParseError):
         parse_poly("1/0", 1)
+
+
+def test_rational_lists():
+    # the reader of --alphas and --weights: the same rationals as in a polynomial
+    assert parse_rationals("") == [] and parse_rationals("  ") == []
+    assert parse_rationals("1/2, -3 ,4 / 6") == [Q(1, 2), Q(-3), Q(2, 3)]
+    for src, position in [("1/2,,1/3", 4), ("1/2,", 4), (",", 0), ("1/0", 2), ("1 2", 2),
+                          ("--1", 1), ("1/-2", 2), ("1/x", 2), ("1.5", 1)]:
+        with pytest.raises(ParseError) as exc:
+            parse_rationals(src)
+        assert exc.value.position == position, src
+
+
+def test_exponents_are_integers():
+    for src, position in [("x1^1/2", 3), ("x1^-1", 3), ("t^1/0", 4)]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(src, 1, allow_t=True)
+        assert exc.value.position == position, src
+    assert parse_poly("t^-2*x1^-0", 1, allow_t=True) == parse_poly("t^-2", 1, allow_t=True)
 
 
 def test_precedence_and_unary_minus():

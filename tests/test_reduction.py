@@ -1,7 +1,9 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmexp.engine import Verdict, exponent_test
+from gmexp.engine import ResourceLimitError, Verdict, exponent_test
 from gmexp.parser import ParseError, parse_poly
 from gmexp.rational import Q, class_rep
 from gmexp.reduction import (
@@ -108,6 +110,18 @@ def test_univariate_a0_required():
         univariate_regular_exponents(op)
     with pytest.raises(ValueError):
         UnivariateOperator.parse("B0=D")
+
+
+def test_univariate_root_search_is_bounded():
+    # roots near 10^6, with the constant just under the 10^12 cap, are found
+    op = UnivariateOperator.parse("A0=(D-999983)*(D-1000003)")
+    assert univariate_regular_exponents(op)[1] == [(Q(999983), 1), (Q(1000003), 1)]
+    # past the cap on the constant or the leading coefficient, at once
+    for src in ("A0=D-10^30", "A0=10^13*D-1", "A0=D-1/10^13"):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            univariate_regular_exponents(UnivariateOperator.parse(src))
+        assert time.perf_counter() - started < 1, src
 
 
 def test_univariate_parse_reads_the_polynomial_tokens():
