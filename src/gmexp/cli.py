@@ -10,11 +10,13 @@ Subcommands:
 
 Reports are JSON with a schema field, an echo of the inputs, the library
 version, and a timing field (the only nondeterministic part).  Exit
-codes: 0 success, 2 parse error, 3 precondition violation, 4 resource
-limit exceeded (GM_MAX_WINDOW_CELLS, a MemoryError, or univariate's
-root-search cap).  Every option's text is read by parser.Tokens, --alphas
-and --weights as comma lists of rationals, so a malformed number (1/0
-too) is a parse error at an offset into its argument, in any option.
+codes: 0 success, 2 parse error (a GM_MAX_WINDOW_CELLS that is not a
+nonnegative integer too, before any option is read), 3 precondition
+violation, 4 resource limit exceeded (GM_MAX_WINDOW_CELLS, a MemoryError,
+or univariate's root-search cap).  Every option's text is read by
+parser.Tokens, --alphas and --weights as comma lists of rationals, so a
+malformed number (1/0 too) is a parse error at an offset into its
+argument, in any option.
 
 The degree windows come from the shift analysis of each instance
 (engine.default_schedule); --max-rounds sets only how many are tried.
@@ -42,6 +44,7 @@ from .engine import (
     assemble_phi,
     default_schedule,
     exponent_test,
+    window_cell_cap,
 )
 from .operators import apply as op_apply
 from .operators import NotDiagonalError, invertible_on, parse_operator
@@ -76,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", default="1")
     sp.add_argument("--alphas", required=True, help="comma-separated rationals")
-    sp.add_argument("--dump-matrix", help="write the first-window matrix triplets here")
+    sp.add_argument("--dump-matrix",
+                    help="write the first window's matrix, as exponent_test assembles it, "
+                    "as triplets here")
     add_common(sp)
 
     sp = sub.add_parser("arrangement")
@@ -124,7 +129,7 @@ def _run_exponent_test(args, started):
         p = ProblemInstance(n=args.n, f=f, g=g, alpha=alpha)
         if args.dump_matrix and not results:
             win = default_schedule(p)[0]
-            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win))
+            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win), p.grading)
             with open(args.dump_matrix, "w") as fh:
                 fh.write(mat.dump_triplets() + "\n")
         rep = exponent_test(p, rounds=args.max_rounds, method=args.method)
@@ -214,6 +219,11 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    try:  # the cell cap is read before any input, so a malformed one fails every run
+        window_cell_cap()
+    except ValueError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     args = _build_parser().parse_args(argv)
     started = time.time()
     try:

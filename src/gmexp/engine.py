@@ -26,20 +26,74 @@ rows found by index arithmetic over the output window's canonical order
 A window matrix is its row count and a list of {row: value} columns from
 the stencil to the pivot: window cells are named by their positions,
 never by Monomial labels.
+
+Quasi-homogeneous instances are graded by the Euler field (K. Saito 1971).
+Let rational weights w_1..w_n and delta give every term of f the weight 1
+and every term of g the weight delta, where t^k x^u g^-m weighs
+lambda = k + sum(w_i u_i) - m delta.  If every stencil term of f - t raises
+the weight by 1, every term of component i lowers it by w_i and every term
+of the relation keeps it, then each column of a window lies in the rows of
+one weight: the components, relations, slack and targets split into
+blocks by weight, and a window's estimate is the sum of its blocks'.
+
+Theorem.  If moreover sum(w_i x_i f'_i) == f as formal elements, then on
+every window of default_schedule the block of each weight lambda other
+than lambda* = alpha - sum(w_i) contributes exactly 0.
+
+Proof.  Let a = t^k x^u g^-m be an interior cell of weight lambda, and
+col_0, col_i and rel the columns of f - t, of component i and of the
+relation.  Formally d_i(x_i a) = (1 + u_i) a - m (x_i d_i g) t^k x^u g^-(m+1),
+sum(w_i x_i d_i g) = delta g because g is homogeneous of weight delta, and
+g t^k x^u g^-(m+1) = a + rel(a).  With the Euler identity for f, which turns
+sum(w_i x_i f'_i (d/dt - alpha/t)) a into (k - alpha) f t^(k-1) x^u g^-m,
+and col_0(a / t) = f t^(k-1) x^u g^-m - a, this gives
+
+    sum_i w_i col_i(x_i a) - (k - alpha) col_0(a / t) + m delta rel(a)
+        = (lambda + sum(w_i) - alpha) a.
+
+Every column on the left is in the window: x_i a and a / t are cells of
+it because x_margin >= 1 and t_margin = 2 (every scheduled window has
+xmax > x_margin), and rel(a) lies inside the output window because
+dx >= deg g and dg >= 1, so it is one of the relation columns.  All of
+them lie in the block of weight lambda.  When lambda != lambda* the
+coefficient on the right is not 0, so every target of that block is in
+the span of the block's columns, and the block's cokernel is 0.  (For
+g = 1, m = 0 and the relation term drops out.)
+
+So exponent_test, once _certify_grading has checked exactly that the
+weights are unique, that every stencil term moves the weight as above and
+that the Euler identity holds, builds each window from the block of
+weight lambda* alone: component 0 at the cells of weight lambda* - 1,
+component i at those of weight lambda* + w_i, the relations and targets
+at those of weight lambda*, and slack on the rows of weight lambda*.  Its
+estimates, and so its verdicts, are those of the whole window.  When
+lambda* is not a weight any cell can have, or any check fails, the whole
+window is built as before.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Optional
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
 from .rational import Q
-from .ring import DegreeWindow, Monomial, RingElement, _collect, clear_g, partial_x, serialize
+from .ring import (
+    DegreeWindow,
+    Monomial,
+    RingElement,
+    _collect,
+    clear_g,
+    partial_x,
+    quasi_weights,
+    serialize,
+)
 
 
 class WindowError(ValueError):
@@ -85,6 +139,12 @@ class ProblemInstance:
         """(component stencils, relation stencil), written on first use by
         _row_stencils; instances that never assemble never build them."""
         return _row_stencils(self)
+
+    @cached_property
+    def grading(self) -> Optional["_Grading"]:
+        """The certified Euler grading of (f, g, alpha), or None when (f, g)
+        is not certified quasi-homogeneous; computed on first use."""
+        return _certify_grading(self)
 
 
 class Verdict(str, Enum):
@@ -157,9 +217,10 @@ def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
     mid = sh.output_window(w)
     out = sh.output_window(mid)
     mid_monos = list(mid.monomials(p.n))
-    first = _images(p, list(w.monomials(p.n)), mid)
+    first = _images(p, [list(w.monomials(p.n))] * (p.n + 1), mid)
     reached = sorted({r for cols in first for col in cols for r in col})
-    second = [dict(zip(reached, cols)) for cols in _images(p, [mid_monos[r] for r in reached], out)]
+    second = [dict(zip(reached, cols))
+              for cols in _images(p, [[mid_monos[r] for r in reached]] * (p.n + 1), out)]
     out_monos: list[Monomial] = []
     for a, b in itertools.combinations(range(p.n + 1), 2):
         for col_a, col_b in zip(first[a], first[b]):
@@ -172,6 +233,76 @@ def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
                                p.g).is_zero():
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Euler grading
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Grading:
+    """A certified Euler grading in integers: t^k x^u g^-m has the weight
+    (scale * k + sum(wx_i u_i) - wg * m) / scale, component ci moves every
+    weight by shifts[ci] / scale, and top / scale = alpha - sum(w_i)."""
+
+    scale: int
+    wx: tuple[int, ...]
+    wg: int
+    shifts: tuple[int, ...]
+    top: int
+
+
+def _certify_grading(p: ProblemInstance) -> Optional[_Grading]:
+    """The grading of the module docstring's theorem, when all three of its
+    hypotheses hold exactly (the weights are unique, the Euler identity
+    sum(w_i x_i f'_i) == f holds as formal elements, and every stencil term
+    moves the weight by its component's shift, the relation's by 0) and
+    alpha - sum(w_i) is a weight that cells can have.  None otherwise."""
+    found = quasi_weights(p.f, p.g)
+    if found is None:
+        return None
+    w, delta = found
+    euler = RingElement.zero(p.n)
+    for i, (wi, df) in enumerate(zip(w, p.derivatives), start=1):
+        euler = euler + (RingElement.var(p.n, i) * df).scale(wi)
+    if euler != p.f:
+        return None
+    scale = math.lcm(*(int(q.denominator) for q in (*w, delta)))
+    top = (p.alpha - sum(w)) * scale
+    if top.denominator != 1:
+        return None
+    wx = tuple(int(wi * scale) for wi in w)
+    wg = int(delta * scale)
+    shifts = (scale, *(-a for a in wx))
+    comps, relation = p.stencils
+    for stencil, shift in zip((*comps, relation), (*shifts, 0)):
+        for (dt, dg, *dx), *_ in stencil:
+            if scale * dt - wg * dg + sum(a * b for a, b in zip(wx, dx)) != shift:
+                return None
+    return _Grading(scale, wx, wg, shifts, int(top))
+
+
+def _cells(
+    win: DegreeWindow, n: int, grading: Optional[_Grading], shift: int = 0
+) -> list[Monomial]:
+    """The monomials of win in canonical order; with a grading, only those
+    that a column moving weight by shift sends into the top block, of weight
+    (top - shift) / scale: one division per (u, m) gives the only t-degree
+    that can have it."""
+    if grading is None:
+        return list(win.monomials(n))
+    weight = grading.top - shift
+    xrow, _tsize = win.layout(n)
+    out = []
+    for u in xrow:
+        rest = weight - sum(a * b for a, b in zip(grading.wx, u))
+        for m in range(win.gmax + 1):
+            k, r = divmod(rest + grading.wg * m, grading.scale)
+            if not r and win.tmin <= k <= win.tmax:
+                out.append(Monomial(k, u, m))
+    out.sort(key=lambda c: c.tdeg)  # stable: t-major, then x and g as listed
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +360,20 @@ def _round_window(p: ProblemInstance, sh: _Shifts, r: int) -> DegreeWindow:
 # ---------------------------------------------------------------------------
 
 
+def window_cell_cap() -> Optional[int]:
+    """The cell cap GM_MAX_WINDOW_CELLS sets, None when it is unset; a value
+    that is not a nonnegative integer is a ValueError naming the variable."""
+    text = os.environ.get(MAX_WINDOW_CELLS_ENV)
+    if text is None:
+        return None
+    if not re.fullmatch(r"[0-9]+", text):
+        raise ValueError(f"{MAX_WINDOW_CELLS_ENV} must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
 def _check_cells(cells: int) -> None:
-    cap = os.environ.get(MAX_WINDOW_CELLS_ENV)
-    if cap is not None and cells > int(cap):
+    cap = window_cell_cap()
+    if cap is not None and cells > cap:
         raise ResourceLimitError(f"window needs {cells} cells, cap is {cap}")
 
 
@@ -267,11 +409,13 @@ def _stencil_columns(
     return cols
 
 
-def _images(p: ProblemInstance, monos: list[Monomial], win: DegreeWindow) -> list[list[dict]]:
-    """The columns over win of each row component at each of monos; raises
-    WindowError when an image leaves win."""
+def _images(
+    p: ProblemInstance, cells: list[list[Monomial]], win: DegreeWindow
+) -> list[list[dict]]:
+    """The columns over win of each row component ci at each of cells[ci];
+    raises WindowError when an image leaves win."""
     images = []
-    for ci, stencil in enumerate(p.stencils[0]):
+    for ci, (stencil, monos) in enumerate(zip(p.stencils[0], cells)):
         cols = _stencil_columns(stencil, monos, win, p.n)
         if None in cols:
             bad = RingElement.monomial(p.n, monos[cols.index(None)])
@@ -281,27 +425,38 @@ def _images(p: ProblemInstance, monos: list[Monomial], win: DegreeWindow) -> lis
 
 
 def assemble_phi(
-    p: ProblemInstance, win_in: DegreeWindow, win_out: DegreeWindow
+    p: ProblemInstance, win_in: DegreeWindow, win_out: DegreeWindow,
+    grading: Optional[_Grading] = None,
 ) -> SparseMatrixQ:
     """Matrix of the row map from the (n+1)-fold basis of win_in to win_out.
 
     Its columns, in win_in's canonical order, are each component's stencil
     at each monomial, with rows in win_out's canonical order: column
-    ci * win_in.size(n) + i is component ci at cell i.  The cell cap is
-    checked before any monomial is enumerated.  Raises WindowError when
-    win_out cannot hold the image.
+    ci * win_in.size(n) + i is component ci at cell i.  With a grading,
+    component ci is taken only at the cells it sends into the top block,
+    so the columns are those cells of component 0, then of component 1, and
+    so on; the rows keep win_out's positions.  The cell cap counts the full
+    window and is checked before any monomial is enumerated.  Raises
+    WindowError when win_out cannot hold the image.
     """
     _check_cells((p.n + 1) * win_in.size(p.n))
-    images = _images(p, list(win_in.monomials(p.n)), win_out)
+    if grading is None:
+        cells = [list(win_in.monomials(p.n))] * (p.n + 1)
+    else:
+        cells = [_cells(win_in, p.n, grading, s) for s in grading.shifts]
+    images = _images(p, cells, win_out)
     return SparseMatrixQ(win_out.size(p.n), [col for cols in images for col in cols])
 
 
-def _relation_columns(p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow) -> list[dict]:
+def _relation_columns(
+    p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow, grading: Optional[_Grading] = None
+) -> list[dict]:
     """Columns mono * (g * g^-(m+1) - g^-m) over win's basis, for the
-    monomials of gens whose relation lies inside win."""
+    monomials of gens (of the top weight, with a grading) whose relation
+    lies inside win."""
     if p.g.is_one():
         return []
-    cols = _stencil_columns(p.stencils[1], list(gens.monomials(p.n)), win, p.n)
+    cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), win, p.n)
     return [c for c in cols if c is not None]
 
 
@@ -319,9 +474,11 @@ class _WindowComplex:
     the output window} of each interior cell.
 
     The slack columns are the unit columns on the output rows at t-degree >=
-    win.tmax, the t-major tail of the rows.  Solutions in k((t))[x, 1/g] carry
-    infinite ascending t-tails; a window truncation of a true preimage leaves
-    its residual in the top t-layers, so those rows need not be matched exactly.
+    win.tmax, the t-major tail of the rows (those of the top weight, for a
+    graded complex, whose targets are the interior cells of that weight too).
+    Solutions in k((t))[x, 1/g] carry infinite ascending t-tails; a window
+    truncation of a true preimage leaves its residual in the top t-layers, so
+    those rows need not be matched exactly.
     """
 
     mat: SparseMatrixQ
@@ -330,15 +487,19 @@ class _WindowComplex:
     targets: dict[int, int]
 
 
-def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
+def _window_complex(
+    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading] = None
+) -> _WindowComplex:
+    """The complex of (p, win); with a grading, only its top block (see the
+    module docstring), whose degree n+1 is the whole window's."""
     win_out = sh.output_window(win)
-    mat = assemble_phi(p, win, win_out)
-    interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
-    _xrow, tsize = win_out.layout(p.n)
+    mat = assemble_phi(p, win, win_out, grading)
+    interior = _cells(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin), p.n, grading)
+    top_layers = replace(win_out, tmin=win.tmax)
     return _WindowComplex(
         mat,
-        _relation_columns(p, win, win_out),
-        [{r: Q(1)} for r in range((win.tmax - win_out.tmin) * tsize, mat.nrows)],
+        _relation_columns(p, win, win_out, grading),
+        [{r: Q(1)} for r in _positions(win_out, p.n, _cells(top_layers, p.n, grading))],
         dict(zip(_positions(win, p.n, interior), _positions(win_out, p.n, interior))),
     )
 
@@ -375,6 +536,10 @@ def exponent_test(
     g = 1, and every scaling-operator inversion legal) and falls back to
     the generic path otherwise.
 
+    When (f, g) is certified quasi-homogeneous (p.grading), each window is
+    built from its block of weight alpha - sum(w_i) alone; by the theorem of
+    the module docstring the estimates are those of the whole window.
+
     For localized instances (g != 1) a zero estimate is accepted only
     after three consecutive agreeing windows: localization denominators
     delay the appearance of genuine cokernel classes by a window or two
@@ -395,7 +560,7 @@ def exponent_test(
     used: list[DegreeWindow] = []
     for r in range(rounds):
         win = _round_window(p, sh, r)
-        estimates.append(_top_cokernel(_window_complex(p, win, sh)))
+        estimates.append(_top_cokernel(_window_complex(p, win, sh, p.grading)))
         used.append(win)
         if len(estimates) >= 2 and estimates[-1] == estimates[-2]:
             v = estimates[-1]

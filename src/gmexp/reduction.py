@@ -162,46 +162,76 @@ def univariate_regular_exponents(op: UnivariateOperator):
     return rank, roots, tuple(cur)
 
 
-# largest |constant| and |leading| coefficient, denominators cleared, whose
-# divisors _find_rational_root tries: at most 10^6 trial divisions each
+# largest |constant| and |leading| coefficient, denominators and content
+# cleared, whose divisors _find_rational_root tries: at most 10^6 trial
+# divisions each
 MAX_ROOT_SEARCH = 10**12
 
 
 def _find_rational_root(coefs):
-    """Smallest rational root of a dense Q-polynomial, or None."""
-    # clear denominators to integers
+    """Smallest rational root of a dense Q-polynomial, or None.
+
+    The coefficients are made coprime integers a_0..a_d.  A root p/q in
+    lowest terms then has p | a_0 and q | a_d (the rational root theorem),
+    and p = q r mod l for a root r of the polynomial mod a prime l that does
+    not divide a_d.  Only the coprime candidates that pass this sieve are
+    tested, in integers, by Horner's rule on sum a_i p^i q^(d-i) == 0, so
+    the work grows with the divisor counts, not with their product.
+    """
     den = math.lcm(*(int(c.denominator) for c in coefs))
     ints = [int(c * den) for c in coefs]
     if ints[0] == 0:
         return Q(0)
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
     a0, an = abs(ints[0]), abs(ints[-1])
     if max(a0, an) > MAX_ROOT_SEARCH:
         raise ResourceLimitError(f"A0's end coefficients exceed {MAX_ROOT_SEARCH} as integers")
-    candidates = set()
+    ell = _sieve_prime(an)
+    roots_mod = [x for x in range(ell) if _vanishes(ints, x, 1, ell)]
+    by_residue: dict[int, list[int]] = {}
     for p in _divisors(a0):
-        for q in _divisors(an):
-            candidates.add(Q(p, q))
-            candidates.add(Q(-p, q))
-    hits = [r for r in sorted(candidates) if _eval_poly(coefs, r) == 0]
-    return hits[0] if hits else None
+        for s in (p, -p):
+            by_residue.setdefault(s % ell, []).append(s)
+    hits = [
+        Q(s, q)
+        for q in _divisors(an)
+        for r in roots_mod
+        for s in by_residue.get(q * r % ell, ())
+        if math.gcd(s, q) == 1 and _vanishes(ints, s, q)
+    ]
+    return min(hits, default=None)
 
 
-def _divisors(m: int):
+def _sieve_prime(an: int) -> int:
+    """The least prime above 10^4 that does not divide an (an != 0)."""
+    ell = 10007
+    while an % ell == 0 or any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
+        ell += 2
+    return ell
+
+
+def _divisors(m: int) -> list[int]:
     out = []
     d = 1
     while d * d <= m:
         if m % d == 0:
-            out.append(d)
-            out.append(m // d)
+            out += [d, m // d] if d * d != m else [d]
         d += 1
     return out
 
 
-def _eval_poly(coefs, x):
-    acc = Q(0)
-    for c in reversed(coefs):
-        acc = acc * x + c
-    return acc
+def _vanishes(ints: list[int], p: int, q: int, mod: int = 0) -> bool:
+    """Whether p/q (q > 0) is a root of sum ints[i] X^i, by Horner's rule on
+    the homogenized sum ints[i] p^i q^(d-i) in integers; with mod, whether
+    that sum is 0 modulo mod."""
+    acc, qpow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+        if mod:
+            acc %= mod
+    return acc % mod == 0 if mod else acc == 0
 
 
 def _deflate(coefs, root):

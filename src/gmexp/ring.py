@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+from .linalg import SparseMatrixQ, nullspace
 from .rational import Q, QZERO
 
 
@@ -253,6 +254,32 @@ def _poly_partial(i: int, g: RingElement) -> RingElement:
 
 def _dec(xdeg: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(u - 1 if k == j else u for k, u in enumerate(xdeg))
+
+
+def quasi_weights(f: RingElement, g: RingElement) -> tuple[tuple, object] | None:
+    """The unique rational weights (w, delta) under which every term x^u g^-m
+    of the t-free f has weight sum(w_i u_i) - m * delta = 1 and every term
+    x^u of the polynomial g has weight sum(w_i u_i) = delta; None when there
+    is no such solution or more than one.
+
+    The system is solved as the kernel of its augmented matrix over
+    (w_1, ..., w_n, delta, c), one row per term, with c in the place of the
+    right-hand side: the solution is unique exactly when that kernel is one
+    line on which c is not 0.
+    """
+    n = f.n
+    rows = [(*m.xdeg, -m.gpow, -1) for m in f.terms] + [(*m.xdeg, -1, 0) for m in g.terms]
+    cols: list[dict[int, object]] = [{} for _ in range(n + 2)]
+    for r, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                cols[j][r] = Q(v)
+    kernel = nullspace(SparseMatrixQ(len(rows), cols))
+    if len(kernel) != 1 or not kernel[0].get(n + 1):
+        return None
+    (vec,) = kernel
+    c = vec[n + 1]
+    return tuple(vec.get(j, QZERO) / c for j in range(n)), vec.get(n, QZERO) / c
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,29 @@ def test_tracer_finds_and_counts_the_engine_layers():
     assert all(c["cells"] > 0 and c["nnz"] > 0 for c in counts["engine.assemble_phi"])
 
 
+def test_graded_queries_keep_one_assembly_per_window():
+    # a quasi-homogeneous query assembles each window once, as before (so
+    # engine.windows counts the same), but only the top weight block's cells
+    tracing = load_tracing()
+    modules = {"engine": engine, "parser": parser, "arrangements": arrangements,
+               "rational": rational, "ring": ring}
+    tracer = tracing.Tracer(modules)
+    for fs, n, gs, alpha in [("x1^2", 1, "x1", "1"), ("x1^2+x2^3", 2, "1", "5/6")]:
+        tracer.spans.clear()
+        with tracer.installed():
+            p = engine.ProblemInstance(n=n, f=parser.parse_poly(fs, n),
+                                       g=parser.parse_poly(gs, n), alpha=alpha)
+            rep = engine.exponent_test(p)
+        names = [span[0] for span in tracer.spans]
+        (test,) = [i for i, name in enumerate(names) if name == "engine.exponent_test"]
+        cells = [c["cells"] for name, _t0, _t1, parent, _q, c in tracer.spans
+                 if name == "engine.assemble_phi" and parent == test]
+        assert len(cells) == len(rep.windows_used), fs
+        full = [(n + 1) * win.size(n) for win in rep.windows_used]
+        assert all(0 < c < f for c, f in zip(cells, full)), (fs, cells, full)
+        assert p.grading is not None
+
+
 def test_run_calls_keep_working():
     # run.py passes each class as the str() of a Fraction and reads HAVE_GMPY2
     f = arrangements.lambda_poly(arrangements.Arrangement((1, 2)))

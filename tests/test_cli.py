@@ -130,6 +130,19 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 4 and "resource" in err
 
 
+def test_malformed_cell_cap_is_a_parse_error(capsys, monkeypatch):
+    # read once at start, before any option: even a malformed --f is not reached
+    for cap in ("abc", "-1", "1.5", "", " 5"):
+        monkeypatch.setenv("GM_MAX_WINDOW_CELLS", cap)
+        for f in ("x1", "x1+"):
+            code, out, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", f,
+                                     "--alphas", "1/2")
+            assert code == 2 and out == "" and "GM_MAX_WINDOW_CELLS" in err, (cap, f, err)
+    monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "0")
+    code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2")
+    assert code == 4 and "resource" in err
+
+
 def test_alphas_and_weights_are_read_as_rational_lists(capsys):
     # a malformed item is a parse error at its offset, an empty one included
     for argv, position in [

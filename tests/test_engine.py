@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from gmexp.engine import (
     exponent_test,
     koszul_cohomology,
 )
-from gmexp.linalg import rank_with_extension
+from gmexp.linalg import _Eliminator, rank_with_extension
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
@@ -423,3 +424,103 @@ def test_determinism():
     r1 = exponent_test(p)
     r2 = exponent_test(p)
     assert r1.to_dict() == r2.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The graded path: quasi-homogeneous (f, g) build only the top weight block
+# ---------------------------------------------------------------------------
+
+
+def full_window_blocks(p, win, grading):
+    """(cokernel of the full window's block of weight alpha - sum(w_i), sum of
+    the cokernels of all its other blocks), with weights read from grading.
+
+    One elimination of the whole window: its image columns, then the top
+    block's targets, then every other target.  The two counts add up to
+    _top_cokernel(_window_complex(p, win, sh)), whose columns these are.
+    Every image column must lie in the rows of a single weight."""
+    sh = _shift_analysis(p)
+    cx = _window_complex(p, win, sh)
+    weight = [grading.scale * m.tdeg - grading.wg * m.gpow
+              + sum(a * u for a, u in zip(grading.wx, m.xdeg))
+              for m in sh.output_window(win).monomials(p.n)]
+    image = cx.mat.cols + cx.relations + cx.slack
+    assert all(len({weight[r] for r in col}) <= 1 for col in image)
+    top = p.alpha * grading.scale - sum(grading.wx)
+    targets = sorted(cx.targets.values())
+    star = [{r: Q(1)} for r in targets if weight[r] == top]
+    rest = [{r: Q(1)} for r in targets if weight[r] != top]
+    elim = _Eliminator(cx.mat.nrows, image + star + rest)
+    elim.eliminate(range(len(image)))
+    top_coker = elim.eliminate(range(len(image), len(image) + len(star)))
+    return top_coker, elim.eliminate(range(len(image) + len(star), len(elim.col_rows)))
+
+
+GRADED = (
+    [(f"x1^{w}", 1, "x1", f"{j}/{w}") for w in (2, 3, 4) for j in range(1, w + 1)]
+    + [(f"x1^{a}+x2^{b}", 2, "1", str(alpha))
+       for a in range(2, 6) for b in range(a, 6)
+       for alpha in sorted({Q(1, a) + Q(1, b), Q(1, math.lcm(a, b))})]
+    + [("x1^5+x2^5", 2, "1", "3/5"),
+       ("x1^2*x2+x2^3", 2, "1", "2/3"), ("x1^2*x2+x2^3", 2, "1", "1"),  # D4
+       ("x1^3+x2^4", 2, "1", "7/12"), ("x1^3+x2^4", 2, "1", "1/2"),  # E6
+       ("x1^2+x2^2+x3^3", 3, "1", "4/3"),
+       ("x1^2+x2^2", 2, "x1+x2", "1"),
+       ("x1^3*ginv^2", 1, "x1", "1"),
+       ("x1^2+x1^3*x2", 2, "1", "1"),  # weights 1/2 and -1/2
+       # the benchmark's variants: signs on f, g and the x_i, and x_i -> 2 x_i
+       ("-((-2*x1)^2+(2*x2)^3)", 2, "1", "5/6"),
+       ("-((-2*x1)^3+(2*x2)^4)", 2, "1", "5/12"),
+       ("-((-2*x1)^4)", 1, "-((-2*x1))", "1/4"),
+       ("(2*x1)^3", 1, "-((2*x1))", "2/3")]
+)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", GRADED)
+def test_graded_windows_equal_the_full_windows(fs, n, gs, alpha):
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    grading = p.grading
+    assert grading is not None
+    sh = _shift_analysis(p)
+    for win in default_schedule(p, rounds=4):
+        graded = _top_cokernel(_window_complex(p, win, sh, grading))
+        assert full_window_blocks(p, win, grading) == (graded, 0), win
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_classes_off_the_weight_lattice_vanish(w):
+    # alpha - sum(w_i) = 1/(w+1) - 1/w is no cell's weight: every block is
+    # one the theorem sends to 0, and the query keeps the full windows
+    p = instance(f"x1^{w}", gs="x1", alpha=f"1/{w + 1}")
+    assert p.grading is None
+    grading = instance(f"x1^{w}", gs="x1", alpha="1").grading  # the same weights
+    for win in default_schedule(p, rounds=4):
+        assert full_window_blocks(p, win, grading) == (0, 0), win
+
+
+@pytest.mark.parametrize("fs, n, gs", [
+    ("x1^2*(1-x1)", 1, "1"),  # not quasi-homogeneous
+    ("x1^2*ginv", 1, "1-x1"),  # g not homogeneous
+    ("x1^2*x2", 2, "1"),  # weights underdetermined: 2 w1 + w2 = 1
+])
+def test_uncertified_instances_take_the_full_window(monkeypatch, fs, n, gs):
+    p = instance(fs, n=n, gs=gs, alpha="1/2")
+    assert p.grading is None
+    cells = []
+    real = engine.assemble_phi
+
+    def counting(*args):
+        cells.append(real(*args).ncols)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "assemble_phi", counting)
+    rep = exponent_test(p, rounds=2)
+    assert cells == [(n + 1) * w.size(n) for w in rep.windows_used]
+
+
+def test_graded_path_keeps_the_late_class():
+    # x^2 over k[x, 1/x] at class 1: the estimates 0, 0, 1, 1 survive grading
+    p = instance("x1^2", gs="x1", alpha="1")
+    assert p.grading is not None
+    rep = exponent_test(p)
+    assert rep.estimates == [0, 0, 1, 1] and rep.verdict is Verdict.EXPONENT

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from gmexp.rational import Q, class_rep
 from gmexp.reduction import (
     FamilySpec,
     UnivariateOperator,
+    _find_rational_root,
     reduce_family,
     scale_exponents,
     univariate_regular_exponents,
@@ -122,6 +124,56 @@ def test_univariate_root_search_is_bounded():
         with pytest.raises(ResourceLimitError):
             univariate_regular_exponents(UnivariateOperator.parse(src))
         assert time.perf_counter() - started < 1, src
+
+
+def smallest_root_by_sorting(coefs):
+    """Every +-p/q with p | a_0 and q | a_d, sorted, evaluated over Q: the
+    search _find_rational_root replaced, kept here as its oracle."""
+    if coefs[0] == 0:
+        return Q(0)
+    den = 1
+    for c in coefs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    a0, an = abs(int(coefs[0] * den)), abs(int(coefs[-1] * den))
+    divisors = lambda m: [d for d in range(1, m + 1) if m % d == 0]
+    candidates = sorted({Q(s * p, q) for p in divisors(a0) for q in divisors(an) for s in (1, -1)})
+    hits = [r for r in candidates if sum(c * r**i for i, c in enumerate(coefs)) == 0]
+    return hits[0] if hits else None
+
+
+def test_rational_root_search_keeps_the_smallest_root():
+    # the polynomials the univariate tests deflate, and others whose ends share factors
+    for src in ("(D-1/2)*(D-1/3)", "D-2/5", "(D-1/2)^2", "(D^2-2)*(D-1)", "D",
+                "(2*D-1)*(3*D+2)*(D+2/3)", "6*D^2-6", "4*D^2+4*D+1", "D^2+1", "12*D^3-12*D"):
+        coefs = UnivariateOperator.parse(f"A0={src}").a0()
+        assert _find_rational_root(coefs) == smallest_root_by_sorting(coefs), src
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=2, max_size=4).filter(lambda c: c[-1] != 0))
+def test_rational_root_search_matches_sorting(ints):
+    coefs = [Q(c) for c in ints]
+    assert _find_rational_root(coefs) == smallest_root_by_sorting(coefs)
+
+
+def test_rational_root_search_divides_out_the_content():
+    # 400 * (157625987 D - 34918884): 2688 x 60 candidate rationals without
+    # the content, and a second at most once it is divided out
+    started = time.perf_counter()
+    op = UnivariateOperator.parse("A0=63050394800*D-13967553600")
+    assert univariate_regular_exponents(op)[1] == [(Q(34918884, 157625987), 1)]
+    assert time.perf_counter() - started < 2
+
+
+def test_rational_root_search_sieves_divisor_pairs():
+    # both ends with 6720 divisors: about 45 million coprime pairs, which the
+    # sieve mod a prime cuts to a few thousand Horner tests
+    started = time.perf_counter()
+    op = UnivariateOperator.parse("A0=963761198400*D^2+D+963761198400")
+    assert univariate_regular_exponents(op)[1] == []
+    op = UnivariateOperator.parse("A0=(720720*D-1)*(D+720720)")
+    assert univariate_regular_exponents(op)[1] == [(Q(-720720), 1), (Q(1, 720720), 1)]
+    assert time.perf_counter() - started < 2
 
 
 def test_univariate_parse_reads_the_polynomial_tokens():

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from gmexp.arrangements import Arrangement, lambda_poly
 from gmexp.operators import ArS, Dtr, PhiC, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
@@ -12,6 +15,7 @@ from gmexp.ring import (
     exact_divide,
     partial_t,
     partial_x,
+    quasi_weights,
     serialize,
 )
 
@@ -147,3 +151,38 @@ def test_serialize_parse_roundtrip(e):
 def test_serialize_canonical():
     e = parse_poly("3/2*t^-1*x1^2*x2 - x1 + 2", 2, allow_t=True)
     assert serialize(e) == "3/2*t^-1*x1^2*x2 + 2 - x1"
+
+
+def weights_of(fs, n, gs="1"):
+    return quasi_weights(parse_poly(fs, n), parse_poly(gs, n))
+
+
+def test_quasi_weights_of_the_simple_singularities():
+    # every term of f has weight 1 and g = 1 has weight 0
+    for a in range(2, 8):
+        for b in range(a, 8):
+            assert weights_of(f"x1^{a}+x2^{b}", 2) == ((Q(1, a), Q(1, b)), 0), (a, b)
+    assert weights_of("x1^2*x2+x2^3", 2) == ((Q(1, 3), Q(1, 3)), 0)  # D4
+    assert weights_of("x1^3+x2^4", 2) == ((Q(1, 3), Q(1, 4)), 0)  # E6
+    assert weights_of("x1^3+x2^5", 2) == ((Q(1, 3), Q(1, 5)), 0)  # E8
+    assert weights_of("x1^2+x2^2+x3^3", 3) == ((Q(1, 2), Q(1, 2), Q(1, 3)), 0)
+
+
+def test_quasi_weights_with_g():
+    # x^w over k[x, 1/x]: g = x has the weight delta = w1 = 1/w
+    for w in range(1, 6):
+        assert weights_of(f"x1^{w}", 1, "x1") == ((Q(1, w),), Q(1, w)), w
+    # a g-layer counts -delta: x1^2 * g^-1 with g = x1 + x2
+    f = parse_poly("x1^3*ginv", 2, allow_ginv=True)
+    assert quasi_weights(f, parse_poly("x1+x2", 2)) == ((Q(1, 2), Q(1, 2)), Q(1, 2))
+
+
+def test_quasi_weights_none():
+    # no solution, or a line of them
+    for fs, n, gs in [("x1^2*(1-x1)", 1, "1"), ("x1^2", 1, "1-x1"), ("1+x1", 1, "1"),
+                      ("x1^2*x2", 2, "1"), ("x1^2", 2, "1"), ("0", 1, "1")]:
+        assert weights_of(fs, n, gs) is None, (fs, n, gs)
+    # every arrangement x^w (1 - sum x)^w0 with positive weights
+    for n in (1, 2, 3):
+        for ws in itertools.product(range(1, 5), repeat=n + 1):
+            assert quasi_weights(lambda_poly(Arrangement(ws)), RingElement.one(n)) is None, ws
