@@ -66,9 +66,9 @@ that the Euler identity holds, builds each window from the block of
 weight lambda* alone: component 0 at the cells of weight lambda* - 1,
 component i at those of weight lambda* + w_i, the relations and targets
 at those of weight lambda*, and slack on the rows of weight lambda*.  Its
-estimates, and so its verdicts, are those of the whole window.  When
-lambda* is not a weight any cell can have, or any check fails, the whole
-window is built as before.
+estimates, and so its verdicts, are those of the whole window (all 0 when
+alpha is off the weight lattice: that block is then empty, and nothing is
+eliminated).  When any check fails, the whole window is built.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from functools import cached_property
 from typing import Optional
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
-from .rational import Q
+from .rational import Q, class_rep
 from .ring import (
     DegreeWindow,
     Monomial,
@@ -110,7 +110,8 @@ MAX_WINDOW_CELLS_ENV = "GM_MAX_WINDOW_CELLS"
 @dataclass(frozen=True)
 class ProblemInstance:
     """f in k[x, 1/g] (t-free), g a nonzero pure polynomial, alpha rational
-    (or its canonical text, such as '1/5', which Q reads)."""
+    (or its canonical text, such as '1/5', which Q reads), stored as the
+    representative in (0, 1] of its class mod Z, the one windows centre on."""
 
     n: int
     f: RingElement
@@ -118,7 +119,7 @@ class ProblemInstance:
     alpha: object
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Q(self.alpha))
+        object.__setattr__(self, "alpha", class_rep(Q(self.alpha)))
         if self.g.is_zero():
             raise ValueError("g must be nonzero")
         if not self.g.is_polynomial():
@@ -244,7 +245,8 @@ def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
 class _Grading:
     """A certified Euler grading in integers: t^k x^u g^-m has the weight
     (scale * k + sum(wx_i u_i) - wg * m) / scale, component ci moves every
-    weight by shifts[ci] / scale, and top / scale = alpha - sum(w_i)."""
+    weight by shifts[ci] / scale, and top / scale = alpha - sum(w_i), which
+    no cell has when alpha is off the weight lattice."""
 
     scale: int
     wx: tuple[int, ...]
@@ -257,8 +259,8 @@ def _certify_grading(p: ProblemInstance) -> Optional[_Grading]:
     """The grading of the module docstring's theorem, when all three of its
     hypotheses hold exactly (the weights are unique, the Euler identity
     sum(w_i x_i f'_i) == f holds as formal elements, and every stencil term
-    moves the weight by its component's shift, the relation's by 0) and
-    alpha - sum(w_i) is a weight that cells can have.  None otherwise."""
+    moves the weight by its component's shift, the relation's by 0), scaled
+    by the lcm of the denominators of w, delta and alpha.  None otherwise."""
     found = quasi_weights(p.f, p.g)
     if found is None:
         return None
@@ -268,10 +270,8 @@ def _certify_grading(p: ProblemInstance) -> Optional[_Grading]:
         euler = euler + (RingElement.var(p.n, i) * df).scale(wi)
     if euler != p.f:
         return None
-    scale = math.lcm(*(int(q.denominator) for q in (*w, delta)))
+    scale = math.lcm(*(int(q.denominator) for q in (*w, delta, p.alpha)))
     top = (p.alpha - sum(w)) * scale
-    if top.denominator != 1:
-        return None
     wx = tuple(int(wi * scale) for wi in w)
     wg = int(delta * scale)
     shifts = (scale, *(-a for a in wx))
@@ -562,11 +562,9 @@ def exponent_test(
         win = _round_window(p, sh, r)
         estimates.append(_top_cokernel(_window_complex(p, win, sh, p.grading)))
         used.append(win)
-        if len(estimates) >= 2 and estimates[-1] == estimates[-2]:
-            v = estimates[-1]
-            if v == 0 and not p.g.is_one():
-                if len(estimates) < 3 or estimates[-3] != 0:
-                    continue
+        v = estimates[-1]
+        agree = 3 if v == 0 and not p.g.is_one() else 2
+        if estimates[-agree:] == [v] * agree:
             verdict = Verdict.NOT_EXPONENT if v == 0 else Verdict.EXPONENT
             return ExponentReport(
                 verdict=verdict,

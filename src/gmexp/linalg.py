@@ -8,8 +8,9 @@ column, take the active row minimizing (row nnz, numerator bit length, row
 index).  The column minimum comes from a lazy heap that is updated as counts
 change, so a pivot costs no scan over the columns.  All arithmetic is exact.
 
-Matrices hold Q values.  The eliminator converts them once, on entry, to
-reduced (numerator, denominator) pairs of Python ints with a positive
+Matrices hold Q values.  The eliminator takes the columns alone, with no row
+count, and builds only the rows they touch; it converts each value once to a
+reduced (numerator, denominator) pair of Python ints with a positive
 denominator, and does every row update on those pairs; Q values come back
 only in nullspace's basis vectors.  The pairs are the same reduced rationals
 the Q values were, so the pivots do not depend on the representation; the
@@ -19,6 +20,7 @@ pairs only skip the per-operation dispatch of Fraction.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from math import gcd
 from typing import Optional
 
@@ -71,16 +73,17 @@ class _Eliminator:
     dropped when they reach the top.  The top valid entry is therefore the
     exact argmin, found without scanning the class.
 
-    Every entry of self.rows is a reduced pair (num, den) of ints with
-    den > 0 and num != 0; a row update that cancels an entry deletes it.
+    self.rows holds the rows the columns touch and no others, each active
+    until it is a pivot row; every entry is a reduced pair (num, den) of ints
+    with den > 0 and num != 0, and a row update that cancels it deletes it.
     """
 
-    def __init__(self, nrows: int, cols: list[dict[int, object]]):
+    def __init__(self, cols: list[dict[int, object]]):
         # the one transposition: the eliminator owns, and mutates, these rows.
         # Each distinct value object is converted once and its pair shared:
         # stencil columns repeat a few thousand values over many entries.
         # Keying by id() is sound because cols keeps every value alive.
-        self.rows: list[dict[int, tuple[int, int]]] = [dict() for _ in range(nrows)]
+        self.rows: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
         pairs: dict[int, tuple[int, int]] = {}
         for c, col in enumerate(cols):
             for r, v in col.items():
@@ -91,7 +94,6 @@ class _Eliminator:
         # set(col.keys()) sizes each table as add() would; set(col) presizes
         # from the dict, and that layout raised peak RSS on `sweep` by 0.6 MiB
         self.col_rows: list[set[int]] = [set(col.keys()) for col in cols]
-        self.active: set[int] = set(range(nrows))
         self.pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
         self._cls: range = range(0)  # column class of the running eliminate()
         self._heap: list[tuple[int, int]] = []
@@ -140,7 +142,6 @@ class _Eliminator:
                 self._axpy(r, prow, *_ratio(self.rows[r][pc], (pn, pd)))
 
     def _retire(self, r: int) -> None:
-        self.active.discard(r)
         for c in self.rows[r]:
             self.col_rows[c].discard(r)
             self._count_changed(c)
@@ -182,7 +183,7 @@ def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
     After elimination, pivot row k holds its own pivot column, columns of
     later pivots and free columns only, so one back-substitution in reverse
     pivot order gives each pivot coordinate as {free column: value}."""
-    elim = _Eliminator(a.nrows, a.cols)
+    elim = _Eliminator(a.cols)
     elim.eliminate(range(a.ncols))
     solved: dict[int, dict[int, tuple[int, int]]] = {}  # pivot column -> coordinate
     for r, pc in reversed(elim.pivots):
@@ -212,7 +213,7 @@ def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
 def rank_with_extension(a: SparseMatrixQ, extra_cols: list[dict[int, object]]):
     """(rank(A), rank([A | extra]) - rank(A)) with A-columns pivoted first;
     extra_cols are {row: value} columns like A's."""
-    elim = _Eliminator(a.nrows, a.cols + extra_cols)
+    elim = _Eliminator(a.cols + extra_cols)
     base = elim.eliminate(range(a.ncols))
     extra = elim.eliminate(range(a.ncols, a.ncols + len(extra_cols)))
     return base, extra

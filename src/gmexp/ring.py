@@ -8,6 +8,7 @@ normalization pass (clear_g) produces the canonical minimal-layer form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -313,8 +314,6 @@ class DegreeWindow:
         return xrow, len(xrow) * gsize
 
     def size(self, n: int) -> int:
-        import math
-
         nx = math.comb(self.xmax + n, n)
         return (self.tmax - self.tmin + 1) * nx * (self.gmax + 1)
 

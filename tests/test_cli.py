@@ -248,7 +248,11 @@ def test_matrix_dump(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(
         engine, "assemble_phi", lambda *args: assembled.append(real(*args)) or assembled[-1]
     )
-    for fs, gs in [("x1", "1"), ("x1^3", "1"), ("x1^2", "x1")]:
+    # x1 and x1^3 at 1/2 are off their weight lattices: an empty graded block;
+    # x1^2 over x1 is graded, x1^2*(1-x1) takes the full window
+    cases = [("x1", "1", True), ("x1^3", "1", True), ("x1^2", "x1", False),
+             ("x1^2*(1-x1)", "1", False)]
+    for fs, gs, empty in cases:
         dump = tmp_path / "mat.txt"
         assembled.clear()
         code, _, _ = run_cli(
@@ -260,10 +264,31 @@ def test_matrix_dump(capsys, tmp_path, monkeypatch):
         assert text == assembled[0].dump_triplets() + "\n"
         lines = text.splitlines()
         nrows, ncols = map(int, lines[0].split())
-        assert nrows > 0 and ncols > 0 and len(lines) > 1
+        assert nrows > 0
+        if empty:
+            assert lines == [f"{nrows} 0"], fs
+            continue
+        assert ncols > 0 and len(lines) > 1
         for line in lines[1:]:
             r, c, v = line.split()
             assert 0 <= int(r) < nrows and 0 <= int(c) < ncols
+
+
+def test_alpha_is_read_as_its_class(capsys):
+    # the windows are centred for a class in (0, 1]; another representative
+    # of the same class must give the same report
+    code, out, _ = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^2",
+                           "--alphas", "1/2,11/2")
+    assert code == 0
+    half, shifted = json.loads(out)["results"]
+    assert shifted["alpha"] == "11/2"
+    assert shifted["verdict"] == "exponent" and shifted["estimates"] == [1, 1]
+    assert {**shifted, "alpha": "1/2"} == half
+    code, out, _ = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^2", "--g", "x1",
+                           "--alphas", "3/2")
+    assert code == 0
+    (rep,) = json.loads(out)["results"]
+    assert (rep["verdict"], rep["cokernel_dim"]) == ("exponent", 1)
 
 
 def test_output_file(capsys, tmp_path):

@@ -279,6 +279,52 @@ def test_brieskorn_pham_default_schedule():
     assert exponent_test(p).cokernel_dim == brieskorn_pham_count((5, 5), Q(3, 5))
 
 
+def fibre_count(weights, alpha):
+    """Cokernel of x^w1 (1 - x)^w0 over k[x], or of x^w1 over k[x, 1/x] with
+    w0 = 0: the fibre over a small t is w_i points near each root, permuted
+    cyclically by the monodromy, so each class j/w_i (1 <= j <= w_i) counts
+    once per weight."""
+    return sum(1 for w in weights if w and (w * alpha).denominator == 1)
+
+
+# (f, n, g, classes, closed form: alpha -> cokernel)
+SHIFTED = [
+    ("x1^2", 1, "1", ["1/2", "1", "1/3"], lambda a: fibre_count((0, 2), a)),
+    ("x1^2+x2^3", 2, "1", ["1/6", "5/6", "1/2", "1"],
+     lambda a: brieskorn_pham_count((2, 3), a)),
+    ("x1^2*(1-x1)", 1, "1", ["1/2", "1", "1/3"], lambda a: fibre_count((1, 2), a)),
+    ("x1^2", 1, "x1", ["1/2", "1", "1/3"], lambda a: fibre_count((0, 2), a)),
+    ("x1^3", 1, "x1", ["1/3", "2/3", "1", "1/2"], lambda a: fibre_count((0, 3), a)),
+]
+
+
+@pytest.mark.parametrize("fs, n, gs, classes, closed", SHIFTED,
+                         ids=[f"{fs}/{gs}" for fs, _, gs, *_ in SHIFTED])
+def test_verdicts_depend_only_on_the_class(fs, n, gs, classes, closed):
+    for a in classes:
+        want = closed(Q(a))
+        # the arrangement's candidate set: the classes j/w_i
+        if fs == "x1^2*(1-x1)":
+            assert (want > 0) == (Q(a) in {Q(1, 2), Q(1)})
+        base = exponent_test(instance(fs, n=n, gs=gs, alpha=a))
+        assert base.cokernel_dim == want and base.stabilized, a
+        for k in (-6, -1, 1, 5):
+            p = instance(fs, n=n, gs=gs, alpha=Q(a) + k)
+            assert p.alpha == Q(a)
+            rep = exponent_test(p)
+            verdict = Verdict.EXPONENT if want else Verdict.NOT_EXPONENT
+            assert (rep.verdict, rep.cokernel_dim) == (verdict, want), (a, k)
+            assert rep.to_dict() == base.to_dict(), (a, k)
+
+
+def test_koszul_cohomology_depends_only_on_the_class():
+    p = instance("x1^2*(1-x1)", alpha="1")
+    win = default_schedule(p)[0]
+    dims = koszul_cohomology(p, win)
+    assert dims[2] == fibre_count((1, 2), Q(1))
+    assert koszul_cohomology(instance("x1^2*(1-x1)", alpha="-5"), win) == dims
+
+
 def test_exponent_test_nontrivial_g():
     # f = x^2/(1-x) behaves like x^2 near the origin
     for a, verdict in [("1/2", Verdict.EXPONENT), ("1/3", Verdict.NOT_EXPONENT)]:
@@ -450,7 +496,7 @@ def full_window_blocks(p, win, grading):
     targets = sorted(cx.targets.values())
     star = [{r: Q(1)} for r in targets if weight[r] == top]
     rest = [{r: Q(1)} for r in targets if weight[r] != top]
-    elim = _Eliminator(cx.mat.nrows, image + star + rest)
+    elim = _Eliminator(image + star + rest)
     elim.eliminate(range(len(image)))
     top_coker = elim.eliminate(range(len(image), len(image) + len(star)))
     return top_coker, elim.eliminate(range(len(image) + len(star), len(elim.col_rows)))
@@ -487,13 +533,42 @@ def test_graded_windows_equal_the_full_windows(fs, n, gs, alpha):
         assert full_window_blocks(p, win, grading) == (graded, 0), win
 
 
-@pytest.mark.parametrize("w", [2, 3, 4])
-def test_classes_off_the_weight_lattice_vanish(w):
-    # alpha - sum(w_i) = 1/(w+1) - 1/w is no cell's weight: every block is
-    # one the theorem sends to 0, and the query keeps the full windows
-    p = instance(f"x1^{w}", gs="x1", alpha=f"1/{w + 1}")
-    assert p.grading is None
-    grading = instance(f"x1^{w}", gs="x1", alpha="1").grading  # the same weights
+# (f, n, g, alpha, closed-form cokernel: the x^w/x rule or Brieskorn-Pham)
+OFF_LATTICE = (
+    [pytest.param(f"x1^{w}", 1, "x1", f"1/{w + 1}", fibre_count((0, w), Q(1, w + 1)),
+                  id=str(w)) for w in (2, 3, 4)]
+    + [pytest.param(f"x1^{a}+x2^{b}", 2, "1", alpha, brieskorn_pham_count((a, b), Q(alpha)),
+                    id=f"x1^{a}+x2^{b}@{alpha}")
+       for a, b, alpha in ((2, 3, "1/5"), (3, 4, "1/5"), (5, 5, "1/3"))]
+)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha, closed", OFF_LATTICE)
+def test_classes_off_the_weight_lattice_vanish(monkeypatch, fs, n, gs, alpha, closed):
+    # alpha - sum(w_i) is no cell's weight: the graded query builds an empty
+    # top block and eliminates nothing, every other block being one the
+    # theorem sends to 0
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    grading = p.grading
+    assert grading is not None
+    assembled, ranks = [], []
+    real_assemble, real_rank = engine.assemble_phi, engine.rank_with_extension
+
+    def recording(*args):
+        assembled.append(real_assemble(*args))
+        return assembled[-1]
+
+    def empty_only(a, extra):
+        assert a.nnz() == 0 and not any(extra)
+        ranks.append(a.ncols)
+        return real_rank(a, extra)
+
+    monkeypatch.setattr(engine, "assemble_phi", recording)
+    monkeypatch.setattr(engine, "rank_with_extension", empty_only)
+    rep = exponent_test(p)
+    assert [m.ncols for m in assembled] == ranks == [0] * len(rep.windows_used)
+    assert closed == 0 and set(rep.estimates) == {0} and rep.verdict is Verdict.NOT_EXPONENT
+    # the reference: one elimination of each full window, split by weight
     for win in default_schedule(p, rounds=4):
         assert full_window_blocks(p, win, grading) == (0, 0), win
 

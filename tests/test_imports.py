@@ -1,4 +1,5 @@
 """No module in src/gmexp or tests imports a name it never uses, no
+function in src/gmexp imports anything (outside one allowlisted cycle), no
 top-level definition in src/gmexp is dead, and importing gmexp leaves the
 operator calculus unloaded."""
 
@@ -46,6 +47,28 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     paths = SRC + sorted((ROOT / "tests").glob("*.py"))
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+# module.function -> why it imports inside its body
+LOCAL_IMPORTS = {
+    "engine.exponent_test": "the per-degree route lives in gmexp.arrangements, "
+    "which imports gmexp.engine: importing it at call time breaks the cycle",
+}
+
+
+def local_imports() -> list[str]:
+    """Imports inside a function body of src/gmexp, as module.function:line."""
+    out = []
+    for path in SRC:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out += [f"{path.stem}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return out
+
+
+def test_no_function_local_imports():
+    assert [f for f in local_imports() if f.partition(":")[0] not in LOCAL_IMPORTS] == []
 
 
 def top_level_names(node: ast.stmt) -> list[str]:

@@ -99,9 +99,10 @@ def test_nullspace_rank_nullity(rows):
 
 class _CheckedEliminator(linalg._Eliminator):
     """Asserts at every step that the pivot equals a brute-force argmin
-    computed from the live rows: column (active count, index), then row
-    (row nnz, numerator bit length, index), and that every stored entry is
-    a reduced (num, den) pair with num != 0 and den > 0."""
+    computed from the live rows (the keys of rows less the retired pivot
+    rows): column (active count, index), then row (row nnz, numerator bit
+    length, index), and that every stored entry is a reduced (num, den)
+    pair with num != 0 and den > 0."""
 
     steps = 0
 
@@ -110,11 +111,12 @@ class _CheckedEliminator(linalg._Eliminator):
         return super().eliminate(cols)
 
     def _pick_pivot(self):
-        for row in self.rows:
+        for row in self.rows.values():
             for n, d in row.values():
                 assert n != 0 and d > 0 and gcd(n, d) == 1, (n, d)
+        live = set(self.rows) - {r for r, _ in self.pivots}
         for c in range(len(self.col_rows)):
-            assert self.col_rows[c] == {r for r in self.active if c in self.rows[r]}
+            assert self.col_rows[c] == {r for r in live if c in self.rows[r]}
         counts = [(len(self.col_rows[c]), c) for c in self.checked_cols if self.col_rows[c]]
         want = None
         if counts:
@@ -163,6 +165,13 @@ def test_pivot_order_is_brute_force_argmin(rows, extra):
         augmented = [list(row) + [col.get(i, 0) for col in extra] for i, row in enumerate(rows)]
         assert (base, more) == (rk, dense_rank(augmented) - rk)
         assert len(nullspace(m)) == m.ncols - rk
+
+
+def test_eliminator_holds_only_the_rows_its_columns_touch():
+    # a block of a large window: two entries among 10^5 rows
+    elim = linalg._Eliminator(SparseMatrixQ(10**5, [{3: Q(1)}, {99_999: Q(2)}]).cols)
+    assert elim.eliminate(range(2)) == 2
+    assert len(elim.rows) == 2
 
 
 def test_rank_with_extension_orders_pivots():
