@@ -88,7 +88,6 @@ from .ring import (
     DegreeWindow,
     Monomial,
     RingElement,
-    _collect,
     clear_g,
     partial_x,
     quasi_weights,
@@ -212,28 +211,47 @@ def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
     """Exact pairwise commutation of the row components on the monomials of
     w, by assembly's own evaluator: the component columns from w into its
     output window, composed with those from there into the next output
-    window.  The g-layers are formal (g * g^-1 stays), so sides that differ
-    are compared in k[x, 1/g] by clear_g."""
+    window.  Each component's columns, both steps, are scaled to ints by
+    the lcm L_a of their denominators, so both sides of pair (a, b) carry
+    the factor L_a * L_b: the int sides agree exactly when the rational
+    sides do.  The g-layers are formal (g * g^-1 stays), so a non-zero
+    difference goes back to Q, divided by L_a * L_b, and is compared in
+    k[x, 1/g] by clear_g."""
     sh = _shift_analysis(p)
     mid = sh.output_window(w)
     out = sh.output_window(mid)
     mid_monos = list(mid.monomials(p.n))
     first = _images(p, [list(w.monomials(p.n))] * (p.n + 1), mid)
     reached = sorted({r for cols in first for col in cols for r in col})
-    second = [dict(zip(reached, cols))
-              for cols in _images(p, [[mid_monos[r] for r in reached]] * (p.n + 1), out)]
+    second = _images(p, [[mid_monos[r] for r in reached]] * (p.n + 1), out)
+    scales = [math.lcm(*(int(v.denominator) for col in c1 + c2 for v in col.values()))
+              for c1, c2 in zip(first, second)]
+    first = [_scaled(cols, s) for cols, s in zip(first, scales)]
+    second = [dict(zip(reached, _scaled(cols, s))) for cols, s in zip(second, scales)]
     out_monos: list[Monomial] = []
     for a, b in itertools.combinations(range(p.n + 1), 2):
         for col_a, col_b in zip(first[a], first[b]):
-            lhs = _collect((r, v * c) for q, v in col_b.items() for r, c in second[a][q].items())
-            rhs = _collect((r, v * c) for q, v in col_a.items() for r, c in second[b][q].items())
-            if lhs != rhs:
+            diff: dict[int, int] = {}
+            for q, v in col_b.items():  # a(b(m)) - b(a(m)), times L_a * L_b
+                for r, c in second[a][q].items():
+                    diff[r] = diff.get(r, 0) + v * c
+            for q, v in col_a.items():
+                for r, c in second[b][q].items():
+                    diff[r] = diff.get(r, 0) - v * c
+            diff = {r: d for r, d in diff.items() if d}
+            if diff:
                 out_monos = out_monos or list(out.monomials(p.n))
-                diff = _collect([*lhs.items(), *((r, -v) for r, v in rhs.items())])
-                if not clear_g(RingElement(p.n, {out_monos[r]: v for r, v in diff.items()}),
-                               p.g).is_zero():
+                scale = scales[a] * scales[b]
+                back = {out_monos[r]: Q(d, scale) for r, d in diff.items()}
+                if not clear_g(RingElement(p.n, back), p.g).is_zero():
                     return False
     return True
+
+
+def _scaled(cols: list[dict], s: int) -> list[dict[int, int]]:
+    """The columns times s, a multiple of every denominator, as ints."""
+    return [{r: int(v.numerator) * (s // int(v.denominator)) for r, v in col.items()}
+            for col in cols]
 
 
 # ---------------------------------------------------------------------------

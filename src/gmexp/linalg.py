@@ -5,8 +5,9 @@ Gaussian elimination with Markowitz-style pivot selection.  The pivot
 rule is exact and deterministic: within the column class being eliminated,
 take the column minimizing (active nonzero count, column index); within that
 column, take the active row minimizing (row nnz, numerator bit length, row
-index).  The column minimum comes from a lazy heap that is updated as counts
-change, so a pivot costs no scan over the columns.  All arithmetic is exact.
+index).  The column minimum comes from a lazy heap that gets one fresh entry
+per changed column after each pivot's row updates, so a pivot costs no scan
+over the columns.  All arithmetic is exact.
 
 Matrices hold Q values.  The eliminator takes the columns alone, with no row
 count, and builds only the rows they touch; it converts each value once to a
@@ -68,10 +69,13 @@ class _Eliminator:
     length, row index).  Fully deterministic.
 
     The column choice uses a lazy min-heap of (active count, column) entries
-    for the current class: every change of an in-class column's count pushes
-    a fresh entry, and entries whose count is no longer current (or is 0) are
-    dropped when they reach the top.  The top valid entry is therefore the
-    exact argmin, found without scanning the class.
+    for the current class.  A pivot retires its row and adds multiples of it
+    to the other rows, so it changes the counts of the pivot row's columns
+    only; once its updates are done, each in-class column of the pivot row
+    with a non-zero count gets one fresh entry.  Entries whose count is no
+    longer current (or is 0) are dropped when they reach the top.  Every
+    in-class column with active rows thus has a current entry, and the top
+    current entry is the exact argmin, found without scanning the class.
 
     self.rows holds the rows the columns touch and no others, each active
     until it is a pivot row; every entry is a reduced pair (num, den) of ints
@@ -95,13 +99,7 @@ class _Eliminator:
         # from the dict, and that layout raised peak RSS on `sweep` by 0.6 MiB
         self.col_rows: list[set[int]] = [set(col.keys()) for col in cols]
         self.pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
-        self._cls: range = range(0)  # column class of the running eliminate()
         self._heap: list[tuple[int, int]] = []
-
-    def _count_changed(self, c: int) -> None:
-        cnt = len(self.col_rows[c])
-        if cnt and c in self._cls:
-            heapq.heappush(self._heap, (cnt, c))
 
     def _pick_pivot(self) -> Optional[tuple[int, int]]:
         heap = self._heap
@@ -124,46 +122,42 @@ class _Eliminator:
     def eliminate(self, cols: range) -> int:
         """Eliminate using pivots only from the given columns; returns the
         number of pivots found."""
-        self._cls = cols
-        self._heap = [(len(self.col_rows[c]), c) for c in cols if self.col_rows[c]]
-        heapq.heapify(self._heap)
+        rows, col_rows = self.rows, self.col_rows
+        heap = self._heap = [(len(col_rows[c]), c) for c in cols if col_rows[c]]
+        heapq.heapify(heap)
         found = 0
-        while True:
-            pick = self._pick_pivot()
-            if pick is None:
-                return found
+        while (pick := self._pick_pivot()) is not None:
             pr, pc = pick
-            self._retire(pr)
-            self.pivots.append((pr, pc))
+            self.pivots.append(pick)
             found += 1
-            prow = self.rows[pr]
-            pn, pd = prow[pc]
-            for r in list(self.col_rows[pc]):
-                self._axpy(r, prow, *_ratio(self.rows[r][pc], (pn, pd)))
-
-    def _retire(self, r: int) -> None:
-        for c in self.rows[r]:
-            self.col_rows[c].discard(r)
-            self._count_changed(c)
-
-    def _axpy(self, r: int, src: dict[int, tuple[int, int]], fn: int, fd: int) -> None:
-        """Active row r += (fn/fd) * src, on reduced pairs; fn != 0 < fd."""
-        row = self.rows[r]
-        for c, (vn, vd) in src.items():
-            tn, td = fn * vn, fd * vd  # the term, td > 0
-            cn, cd = row.get(c, (0, 1))
-            n = cn * td + tn * cd
-            if n == 0:  # tn != 0, so only a stored entry can cancel
-                del row[c]
-                self.col_rows[c].discard(r)
-                self._count_changed(c)
-            else:
-                if c not in row:
-                    self.col_rows[c].add(r)
-                    self._count_changed(c)
-                d = cd * td
-                g = gcd(n, d)
-                row[c] = (n // g, d // g)
+            prow = rows[pr]
+            for c in prow:  # retire the pivot row
+                col_rows[c].discard(pr)
+            piv = prow[pc]
+            for r in list(col_rows[pc]):  # row r += (fn/fd) * prow, on reduced pairs
+                row = rows[r]
+                fn, fd = _ratio(row[pc], piv)
+                for c, (vn, vd) in prow.items():
+                    tn, td = fn * vn, fd * vd  # the term, tn != 0 < td
+                    cur = row.get(c)
+                    if cur is None:
+                        col_rows[c].add(r)
+                        n, d = tn, td
+                    else:
+                        cn, cd = cur
+                        n = cn * td + tn * cd
+                        if n == 0:
+                            del row[c]
+                            col_rows[c].discard(r)
+                            continue
+                        d = cd * td
+                    g = gcd(n, d)
+                    row[c] = (n // g, d // g)
+            # only the pivot row's columns changed count: one fresh entry each
+            for c in prow:
+                if c in cols and col_rows[c]:
+                    heapq.heappush(heap, (len(col_rows[c]), c))
+        return found
 
 
 def _ratio(a: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:

@@ -465,6 +465,38 @@ def test_koszul_rejects_non_commuting_components(monkeypatch):
             koszul_cohomology(p, default_schedule(p)[0])
 
 
+def test_commutation_with_rational_coefficients(monkeypatch):
+    # denominators 3, 5 and 7 in the stencils: the int-scaled sides must
+    # still cancel exactly, and still differ once component 1 is broken
+    fs, probe = "(1/3)*x1^2*x2+(1/5)*x2^3", DegreeWindow(-2, 2, 2, 0)
+    assert check_row_commutation(instance(fs, n=2, alpha="3/7"), probe)
+    real = engine._row_stencils
+
+    def bare_dx1(p):  # as in test_koszul_rejects_non_commuting_components
+        comps, relation = real(p)
+        return (comps[0], tuple(t for t in comps[1] if t[0][0] == 0)), relation
+
+    monkeypatch.setattr(engine, "_row_stencils", bare_dx1)
+    assert not check_row_commutation(instance(fs, n=2, alpha="3/7"), probe)
+
+
+def test_commutation_falls_back_to_k_x_ginv(monkeypatch):
+    # the formal g-layer keeps g * g^-1, so some composed sides differ as
+    # written and agree only after clear_g
+    calls = []
+    real = engine.clear_g
+
+    def counting(e, g):
+        calls.append(e)
+        return real(e, g)
+
+    monkeypatch.setattr(engine, "clear_g", counting)
+    p = instance("x1^2*ginv", gs="1-x1", alpha="1/3")
+    calls.clear()  # ProblemInstance normalises f by clear_g too
+    assert check_row_commutation(p, DegreeWindow(-2, 2, 2, 2))
+    assert calls
+
+
 def test_determinism():
     p = instance("x1^2*(1-x1)", alpha="1/2")
     r1 = exponent_test(p)

@@ -5,7 +5,9 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from gmexp import linalg
+from gmexp.engine import ProblemInstance, default_schedule, exponent_test, koszul_cohomology
 from gmexp.linalg import SparseMatrixQ, nullspace, rank_with_extension
+from gmexp.parser import parse_poly
 from gmexp.rational import Q
 
 
@@ -165,6 +167,18 @@ def test_pivot_order_is_brute_force_argmin(rows, extra):
         augmented = [list(row) + [col.get(i, 0) for col in extra] for i, row in enumerate(rows)]
         assert (base, more) == (rk, dense_rank(augmented) - rk)
         assert len(nullspace(m)) == m.ncols - rk
+
+
+def test_pivot_order_is_brute_force_argmin_on_real_windows():
+    # window matrices fill in far more than the small random matrices above,
+    # so the heap sees many stale entries per column between pivots
+    p = ProblemInstance(n=1, f=parse_poly("x1^2*(1-x1)", 1), g=parse_poly("1", 1), alpha="1/2")
+    with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
+        _CheckedEliminator.steps = 0
+        rep = exponent_test(p)  # every window of the default schedule it reaches
+        assert (rep.cokernel_dim, list(rep.estimates)) == (1, [1, 1])
+        assert koszul_cohomology(p, default_schedule(p)[0]) == {0: 0, 1: 0, 2: 1}
+        assert _CheckedEliminator.steps > 300
 
 
 def test_eliminator_holds_only_the_rows_its_columns_touch():
