@@ -654,6 +654,11 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     t-layers where a truncated ascending tail leaves its residual.  Every
     degree uses the one relation set, generated in win.
 
+    A degree's cycles are first checked against the boundary columns that
+    share a row with one of them.  Those columns are a subset of all the
+    boundary columns, so when they already span every cycle the degree is
+    exactly 0; otherwise the whole boundary matrix is eliminated.
+
     Raises WindowError on assembly problems and ValueError when the
     components fail their pairwise commutation check (an assembly bug).
     """
@@ -670,7 +675,14 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
 
 
 def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> int:
-    """Dimension of degree j <= n, compared inside K^j(win_out)."""
+    """Dimension of degree j <= n, compared inside K^j(win_out): the rank of
+    the interior cycles modulo the boundaries.
+
+    The neighbourhood certificate eliminates first only the boundary columns
+    that meet a cycle.  A vector in the span of a subset of the columns is
+    in the span of all of them, so an extension rank of 0 there is exact;
+    any other count is only an upper bound, and the whole boundary matrix
+    is eliminated instead."""
     nm = cx.mat.nrows
     sets_j = by_deg[j]
     # kernel vectors of d^j supported on the interior; only finitely
@@ -698,5 +710,11 @@ def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> 
     bcols = [col for col in mats[j - 1].cols if col] if j >= 1 else []
     bcols += _stack(cx.relations, len(sets_j), nm)
     bcols += _stack(cx.slack, len(sets_j), nm)
+    zrows = set().union(*zvecs)
+    near = [col for col in bcols if not zrows.isdisjoint(col)]
+    _, extra = rank_with_extension(SparseMatrixQ(len(sets_j) * nm, near), zvecs)
+    if extra == 0:
+        return 0
+    # a non-zero count there is only an upper bound: eliminate everything
     _, extra = rank_with_extension(SparseMatrixQ(len(sets_j) * nm, bcols), zvecs)
     return extra

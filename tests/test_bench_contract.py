@@ -79,6 +79,25 @@ def test_graded_queries_keep_one_assembly_per_window():
         assert p.grading is not None
 
 
+def test_koszul_boundary_checks_are_traced():
+    # x1^2 over x1 at class 1: degree 0 is certified on the neighbourhood of
+    # its cycles, degree 1 falls back to its whole boundary matrix, and the
+    # top cokernel follows; every elimination is a counted span
+    tracing = load_tracing()
+    modules = {"engine": engine, "parser": parser, "arrangements": arrangements,
+               "rational": rational, "ring": ring}
+    tracer = tracing.Tracer(modules)
+    with tracer.installed():
+        p = engine.ProblemInstance(n=1, f=parser.parse_poly("x1^2", 1),
+                                   g=parser.parse_poly("x1", 1), alpha="1")
+        assert engine.koszul_cohomology(p, engine.default_schedule(p)[0]) == {0: 0, 1: 1, 2: 0}
+    counts = [c for name, _t0, _t1, _parent, _q, c in tracer.spans
+              if name == "linalg.rank_with_extension"]
+    assert len(counts) == 4  # h0 neighbourhood, h1 neighbourhood, h1 whole, top
+    for c in counts:
+        assert set(c) == {"input_nnz", "pivots"} and all(isinstance(v, int) for v in c.values())
+
+
 def test_run_calls_keep_working():
     # run.py passes each class as the str() of a Fraction and reads HAVE_GMPY2
     f = arrangements.lambda_poly(arrangements.Arrangement((1, 2)))

@@ -448,6 +448,85 @@ def test_koszul_skips_boundaries_without_cycles(monkeypatch):
     assert extra and all(list(col.values()) == [1] for col in extra)
 
 
+def test_koszul_certifies_boundaries_on_the_cycles_neighbourhood(monkeypatch):
+    # degree 2 has interior cycles, and the boundary columns that meet them
+    # already span them: the whole boundary matrix is never eliminated
+    calls = []
+    real = engine.rank_with_extension
+
+    def recording(a, extra):
+        calls.append((a, extra))
+        return real(a, extra)
+
+    monkeypatch.setattr(engine, "rank_with_extension", recording)
+    p = instance("x1*x2*(1-x1-x2)^3", n=2, alpha="1/4")
+    win = default_schedule(p)[0]
+    assert koszul_cohomology(p, win) == {0: 0, 1: 0, 2: 0, 3: 0}
+
+    cx = _window_complex(p, win, _shift_analysis(p))
+    nm, sets = cx.mat.nrows, len(_koszul_bases(2)[2])
+    bcols = [col for col in _koszul_matrices(2, cx.mat)[1].cols if col]
+    bcols += _stack(cx.relations, sets, nm) + _stack(cx.slack, sets, nm)
+    assert len(bcols) == 1302
+    boundary = {tuple(sorted(col.items())) for col in bcols}
+    (near,) = [a for a, _extra in calls if a.nrows == sets * nm]
+    assert 0 < near.ncols <= 50
+    assert all(tuple(sorted(col.items())) in boundary for col in near.cols)
+    assert all(a.ncols < len(bcols) for a, _extra in calls)
+
+
+@pytest.mark.parametrize("fs, gs, alpha, dims, near", [
+    ("x1^2", "x1", "1", {0: 0, 1: 1, 2: 0}, 1),
+    ("x1^4", "x1", "1/5", {0: 0, 1: 0, 2: 0}, 3),  # the bound is not the answer
+    ("x1^3", "x1", "1/3", {0: 0, 1: 1, 2: 1}, 1),
+])
+def test_koszul_falls_back_when_the_neighbourhood_does_not_certify(
+    monkeypatch, fs, gs, alpha, dims, near
+):
+    # degree 1 keeps cycles outside the span of the columns that meet them:
+    # the neighbourhood count is an upper bound, and the whole boundary
+    # matrix decides
+    counts = []
+    real = engine.rank_with_extension
+
+    def recording(a, extra):
+        result = real(a, extra)
+        counts.append((a.ncols, result[1]))
+        return result
+
+    monkeypatch.setattr(engine, "rank_with_extension", recording)
+    p = instance(fs, gs=gs, alpha=alpha)
+    assert koszul_cohomology(p, default_schedule(p)[0]) == dims
+    # h0 certified, h1 on the neighbourhood then on every boundary column, top
+    (_, h0), (small, h1_near), (full, h1), _top = counts
+    assert (h0, h1_near, h1) == (0, near, dims[1]) and small < full
+
+
+# (f template, g template, n, alpha); the substitutions below are exact
+# changes of basis on the window, so every degree's dimension stays
+KOSZUL_METAMORPHIC = [
+    ("{x1}*{x2}^2*(1-{x1}-{x2})^2", "1", 2, "1/5"),
+    ("{x1}^2", "{x1}", 1, "1"),
+]
+
+
+@pytest.mark.parametrize("ft, gt, n, alpha", KOSZUL_METAMORPHIC)
+def test_koszul_cohomology_metamorphic(ft, gt, n, alpha):
+    def dims(subst, sign=""):
+        names = {f"x{i}": subst.get(f"x{i}", f"x{i}") for i in range(1, n + 1)}
+        p = instance(f"{sign}({ft.format(**names)})", n=n, gs=gt.format(**names), alpha=alpha)
+        win = default_schedule(p)[0]
+        return win, koszul_cohomology(p, win)
+
+    base = dims({})
+    assert n == 2 or base[1][1] == 1  # a nonzero H^1 must survive too
+    variants = [dims({"x1": "(3*x1)"}), dims({"x1": "(-2*x1)"}), dims({}, sign="-")]
+    if n == 2:
+        variants += [dims({"x1": "x2", "x2": "x1"}), dims({"x2": "(2*x2)"})]
+    for got in variants:
+        assert got == base
+
+
 def test_koszul_rejects_non_commuting_components(monkeypatch):
     # d/dx1 does not commute with multiplication by f - t when f' != 0:
     # component 1 keeps only its terms that do not move t, d/dx1 itself
