@@ -129,7 +129,7 @@ def _run_exponent_test(args, started):
         p = ProblemInstance(n=args.n, f=f, g=g, alpha=alpha)
         if args.dump_matrix and not results:
             win = default_schedule(p)[0]
-            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win), p.grading)
+            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win), p.grading, top=True)
             with open(args.dump_matrix, "w") as fh:
                 fh.write(mat.dump_triplets() + "\n")
         rep = exponent_test(p, rounds=args.max_rounds, method=args.method)

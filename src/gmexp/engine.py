@@ -64,11 +64,60 @@ So exponent_test, once _certify_grading has checked exactly that the
 weights are unique, that every stencil term moves the weight as above and
 that the Euler identity holds, builds each window from the block of
 weight lambda* alone: component 0 at the cells of weight lambda* - 1,
-component i at those of weight lambda* + w_i, the relations and targets
-at those of weight lambda*, and slack on the rows of weight lambda*.  Its
-estimates, and so its verdicts, are those of the whole window (all 0 when
-alpha is off the weight lattice: that block is then empty, and nothing is
-eliminated).  When any check fails, the whole window is built.
+component i at those of weight lambda* + w_i, and the relations and
+targets at those of weight lambda*.  Its estimates, and so its verdicts,
+are those of the whole window (all 0 when alpha is off the weight
+lattice: that block is then empty, and nothing is eliminated).  When any
+check fails, the whole window is built.
+
+Degree n+1 of a window is its target rows modulo the span of the
+component columns, the relation columns and the slack, the unit columns
+on the output rows at t-degree >= win.tmax.  exponent_test and
+koszul_cohomology eliminate a smaller matrix with the same answer, the
+top image (_top_image), in three steps.
+
+Theorem (pruning).  Suppose that the one stencil term of component 0
+that raises t is -t, shift (1, 0, ..., 0) with a non-zero constant
+coefficient c_tau, and that component 0 commutes with component i >= 1 on
+every monomial; _certify_commutation checks both exactly.  Let c = t a be
+a cell of the input window such that a + s is a cell of it for every
+shift s of a term of component 0 other than -t, and of component i, whose
+coefficient is not 0 at a.  Then col_i(c) lies in the span of the
+columns of component 0 and of the columns of component i at t-degrees
+below that of c.
+
+Proof.  Write comp_0(a) = sum_s c_s(a) (a + s) + c_tau t a, the sum over
+the terms other than -t.  Applying comp_i and commuting gives
+
+    c_tau col_i(t a) = sum_q comp_i(a)_q col_0(q) - sum_s c_s(a) col_i(a + s),
+
+where q runs over the cells a + s of the terms of component i that do not
+vanish at a.  Every cell on the right is a cell of the window by
+hypothesis, and every assembled column is the exact image of its cell
+(assembly raises WindowError otherwise), so the right-hand side is a
+combination of window columns.  The columns of component i on it sit at
+the t-degree of a or lower.  By induction on the t-degree, every column
+of component i that meets the hypothesis lies in the span of component 0,
+which is never left out, and of the columns of component i that are
+kept; so leaving all of them out keeps the span, and every estimate.  With
+a grading, the cells a + s of component i and q of component 0 have the
+weights those components are taken at, so the identity stays inside the
+top block.  _kept applies the hypothesis, and finds that the component
+columns of the benchmark's sweep lose about a fifth of their number.
+
+Slack quotient.  The slack columns are unit columns on distinct rows, the
+t-major tail of the output rows from _slack_start on, and no target lies
+there (the interior ends t_margin layers below win.tmax).  For any
+columns A and targets E, the span of [A | S | E] is span(S) plus the
+projection of [A | E] away from those rows, so rank([A | S | E]) -
+rank([A | S]) = rank([A' | E']) - rank(A'), where ' deletes the slack
+rows.  So the top image keeps only the rows below the tail and carries
+no slack column.
+
+Order.  The image columns reach the eliminator in order of descending
+highest row, the top t-layer first.  The pivot rule is unchanged, so the
+order only breaks its ties between columns of equal count; no rank
+depends on it, only the fill-in on the way.
 """
 
 from __future__ import annotations
@@ -80,7 +129,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
 from .rational import Q, class_rep
@@ -145,6 +194,13 @@ class ProblemInstance:
         """The certified Euler grading of (f, g, alpha), or None when (f, g)
         is not certified quasi-homogeneous; computed on first use."""
         return _certify_grading(self)
+
+    @cached_property
+    def commuting(self) -> bool:
+        """Whether f - t certifiably commutes with every other row component
+        as stencils (_certify_commutation), which lets the top image drop
+        redundant columns; computed on first use."""
+        return _certify_commutation(self)
 
 
 class Verdict(str, Enum):
@@ -254,13 +310,55 @@ def _scaled(cols: list[dict], s: int) -> list[dict[int, int]]:
             for col in cols]
 
 
+def _certify_commutation(p: ProblemInstance) -> bool:
+    """The hypotheses of the pruning theorem (module docstring), checked
+    exactly on the stencils: the one term of component 0 that raises t is
+    -t itself, shift (1, 0, ..., 0) with a non-zero constant coefficient,
+    and component 0 commutes with each component i >= 1 on every monomial.
+
+    Composing two stencils gives coefficients of degree <= 2 in e = (k, m, u),
+    and in a commutator the quadratic parts cancel: comp_i(comp_0(e)) -
+    comp_0(comp_i(e)) is the stencil whose term at shift s0 + si collects
+    c0 * ci * (s0[vi] * (e[v0] + r0) - si[v0] * (e[vi] + ri)) over the
+    pairs of terms (s0, c0, v0, r0) and (si, ci, vi, ri), a shift read as 0
+    in the constant slot -1.  When each collected affine form is 0 as a
+    polynomial, the commutator vanishes on every monomial.  No window is involved,
+    and the g-layers stay formal, so an f whose derivatives clear_g
+    rewrote may fail here and keep the full image."""
+    comps = p.stencils[0]
+    raising = [term for term in comps[0] if term[0][0] > 0]
+    tau = (1,) + (0,) * (p.n + 1)
+    if [(s, var) for s, _c, var, _r in raising] != [(tau, -1)]:
+        return False
+    if not raising[0][1] * (1 + raising[0][3]):  # c * (e[-1] + r), e[-1] = 1
+        return False
+    for comp in comps[1:]:
+        diff: dict[tuple, dict[int, object]] = {}
+        for s0, c0, v0, r0 in comps[0]:
+            for si, ci, vi, ri in comp:
+                a = s0[vi] if vi >= 0 else 0
+                b = si[v0] if v0 >= 0 else 0
+                if not (a or b):
+                    continue
+                form = diff.setdefault(tuple(map(sum, zip(s0, si))), {})
+                cc = c0 * ci
+                if a:  # + cc * a * (e[v0] + r0)
+                    form[v0] = form.get(v0, 0) + cc * a
+                    form[-1] = form.get(-1, 0) + cc * a * r0
+                if b:  # - cc * b * (e[vi] + ri)
+                    form[vi] = form.get(vi, 0) - cc * b
+                    form[-1] = form.get(-1, 0) - cc * b * ri
+        if any(v for form in diff.values() for v in form.values()):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Euler grading
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Grading:
+class _Grading(NamedTuple):
     """A certified Euler grading in integers: t^k x^u g^-m has the weight
     (scale * k + sum(wx_i u_i) - wg * m) / scale, component ci moves every
     weight by shifts[ci] / scale, and top / scale = alpha - sum(w_i), which
@@ -328,8 +426,7 @@ def _cells(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Shifts:
+class _Shifts(NamedTuple):
     dx: int  # max raise of total x-degree by any component (or relation)
     dg: int  # max raise of gpow
     x_margin: int  # interior margin in x
@@ -396,12 +493,15 @@ def _check_cells(cells: int) -> None:
 
 
 def _stencil_columns(
-    stencil: tuple, monos: list[Monomial], win: DegreeWindow, n: int
+    stencil: tuple, monos: list[Monomial], win: DegreeWindow, n: int, stop: Optional[int] = None
 ) -> list[Optional[dict[int, object]]]:
     """Each monomial's image under a stencil (see _row_stencils) as a column
     {row: value} over win's canonical order (rows placed by win.layout), or
-    None if a non-zero term falls outside win."""
+    None if a non-zero term falls outside win; with stop, the entries on
+    rows >= stop are left out (but must still lie in win)."""
     xrow, tsize = win.layout(n)
+    if stop is None:
+        stop = (win.tmax - win.tmin + 1) * tsize
     tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
     terms = [(s[0], s[1], s[0] * tsize + s[1], c, var, r, {}) for s, c, var, r in stencil]
     by_u: dict[tuple, list] = {}  # u -> row offset of u + dx for each term, None outside
@@ -422,19 +522,20 @@ def _stencil_columns(
             if x is None or not tmin <= k + dt <= tmax or m + dg > gmax:
                 col = None
                 break
-            col[base + x + off] = v
+            if base + x + off < stop:
+                col[base + x + off] = v
         cols.append(col)
     return cols
 
 
 def _images(
-    p: ProblemInstance, cells: list[list[Monomial]], win: DegreeWindow
+    p: ProblemInstance, cells: list[list[Monomial]], win: DegreeWindow, stop: Optional[int] = None
 ) -> list[list[dict]]:
-    """The columns over win of each row component ci at each of cells[ci];
-    raises WindowError when an image leaves win."""
+    """The columns over win of each row component ci at each of cells[ci],
+    without their rows >= stop; raises WindowError when an image leaves win."""
     images = []
     for ci, (stencil, monos) in enumerate(zip(p.stencils[0], cells)):
-        cols = _stencil_columns(stencil, monos, win, p.n)
+        cols = _stencil_columns(stencil, monos, win, p.n, stop)
         if None in cols:
             bad = RingElement.monomial(p.n, monos[cols.index(None)])
             raise WindowError(f"image of {serialize(bad)} under component {ci} leaves the window")
@@ -444,7 +545,7 @@ def _images(
 
 def assemble_phi(
     p: ProblemInstance, win_in: DegreeWindow, win_out: DegreeWindow,
-    grading: Optional[_Grading] = None,
+    grading: Optional[_Grading] = None, top: bool = False,
 ) -> SparseMatrixQ:
     """Matrix of the row map from the (n+1)-fold basis of win_in to win_out.
 
@@ -453,28 +554,102 @@ def assemble_phi(
     ci * win_in.size(n) + i is component ci at cell i.  With a grading,
     component ci is taken only at the cells it sends into the top block,
     so the columns are those cells of component 0, then of component 1, and
-    so on; the rows keep win_out's positions.  The cell cap counts the full
-    window and is checked before any monomial is enumerated.  Raises
-    WindowError when win_out cannot hold the image.
+    so on; the rows keep win_out's positions.  With top, the matrix is the
+    one exponent_test eliminates (see the module docstring): the columns
+    that _kept leaves, over only the rows below the slack tail
+    (_slack_start).  The cell cap counts the full window and is checked
+    before any monomial is enumerated.  Raises WindowError when win_out
+    cannot hold the image.
     """
     _check_cells((p.n + 1) * win_in.size(p.n))
     if grading is None:
         cells = [list(win_in.monomials(p.n))] * (p.n + 1)
     else:
         cells = [_cells(win_in, p.n, grading, s) for s in grading.shifts]
-    images = _images(p, cells, win_out)
-    return SparseMatrixQ(win_out.size(p.n), [col for cols in images for col in cols])
+    nrows = win_out.size(p.n)
+    if top:
+        nrows = _slack_start(win_in, win_out, p.n)
+        cells = _kept(p, win_in, cells)
+    images = _images(p, cells, win_out, nrows)
+    return SparseMatrixQ(nrows, [col for cols in images for col in cols])
+
+
+def _slack_start(win: DegreeWindow, win_out: DegreeWindow, n: int) -> int:
+    """The first row of win's slack tail: the rows of win_out at t-degree
+    >= win.tmax are the t-major tail from here."""
+    return (win.tmax - win_out.tmin) * win_out.layout(n)[1]
+
+
+def _kept(
+    p: ProblemInstance, win: DegreeWindow, cells: list[list[Monomial]],
+    items: Optional[list[list]] = None,
+) -> list[list]:
+    """items[i] (by default cells[i]), one entry per cell of component i,
+    less the entries at the cells where the pruning theorem (module
+    docstring) makes the column of component i >= 1 redundant.  Unless
+    p.commuting certifies the theorem's hypotheses, nothing is left out.
+
+    Component i at the cell t a is redundant when a + s lies in win for the
+    shift s of every term of component 0 other than -t, and of component
+    i, whose coefficient is not 0 at a.  A coefficient c * (e[var] + r)
+    vanishes only where e[var] = -r, so the terms are grouped by (var, r),
+    each group's shifts fit exactly when a lies in a box (_fit_box), and
+    only the groups with an integer r need their own box."""
+    items = cells if items is None else items
+    if not p.commuting:
+        return items
+    comps = p.stencils[0]
+    out = [items[0]]
+    for i in range(1, p.n + 1):
+        groups: dict[tuple, list[tuple]] = {}
+        for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
+            groups.setdefault((var, r), []).append(s)
+        live = [s for (var, r), ss in groups.items() if var < 0 or r.denominator != 1 for s in ss]
+        dying = [(var, int(-r), _fit_box(win, ss)) for (var, r), ss in groups.items()
+                 if var >= 0 and r.denominator == 1]
+        box = _fit_box(win, live)
+        kept = []
+        for item, (k, u, m) in zip(items[i], cells[i]):
+            e = (k - 1, m, *u)
+            if _in_box(box, e) and all(e[var] == z or _in_box(b, e) for var, z, b in dying):
+                continue
+            kept.append(item)
+        out.append(kept)
+    return out
+
+
+def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> Optional[tuple]:
+    """The box (klo, khi, mlo, mhi, xhi, ulo) of the exponents e = (k, m, u)
+    with e + s in win for every shift s: klo <= k <= khi, mlo <= m <= mhi,
+    sum(u) <= xhi and u >= ulo componentwise (ulo is None when that holds
+    for every u >= 0).  None when there is no shift, and nothing to fit."""
+    if not shifts:
+        return None
+    dts, dgs, dxs = [s[0] for s in shifts], [s[1] for s in shifts], [s[2:] for s in shifts]
+    ulo = tuple(max(0, -min(col)) for col in zip(*dxs))
+    return (win.tmin - min(dts), win.tmax - max(dts), -min(dgs), win.gmax - max(dgs),
+            win.xmax - max(map(sum, dxs)), ulo if any(ulo) else None)
+
+
+def _in_box(box: Optional[tuple], e: tuple) -> bool:
+    """Whether e = (k, m, u_1, ..., u_n) lies in a box of _fit_box."""
+    if box is None:
+        return True
+    klo, khi, mlo, mhi, xhi, ulo = box
+    return (klo <= e[0] <= khi and mlo <= e[1] <= mhi and sum(e[2:]) <= xhi
+            and (ulo is None or all(a >= b for a, b in zip(e[2:], ulo))))
 
 
 def _relation_columns(
-    p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow, grading: Optional[_Grading] = None
+    p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow,
+    grading: Optional[_Grading] = None, stop: Optional[int] = None,
 ) -> list[dict]:
     """Columns mono * (g * g^-(m+1) - g^-m) over win's basis, for the
     monomials of gens (of the top weight, with a grading) whose relation
-    lies inside win."""
+    lies inside win, without their rows >= stop."""
     if p.g.is_one():
         return []
-    cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), win, p.n)
+    cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), win, p.n, stop)
     return [c for c in cols if c is not None]
 
 
@@ -484,42 +659,64 @@ def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
             for b in range(blocks) for c in cols]
 
 
-@dataclass(frozen=True)
-class _WindowComplex:
+class _WindowComplex(NamedTuple):
     """One window's complex, built once from (p, win): the component images
     (assemble_phi from win to its output window), the relation columns
-    generated in win, the slack columns, and targets, {position in win: row in
-    the output window} of each interior cell.
+    generated in win, the slack columns, targets, {position in win: row in
+    the output window} of each interior cell, and top, the matrix whose
+    columns _top_cokernel eliminates for degree n+1 (see _top_image).
 
     The slack columns are the unit columns on the output rows at t-degree >=
-    win.tmax, the t-major tail of the rows (those of the top weight, for a
-    graded complex, whose targets are the interior cells of that weight too).
-    Solutions in k((t))[x, 1/g] carry infinite ascending t-tails; a window
-    truncation of a true preimage leaves its residual in the top t-layers, so
-    those rows need not be matched exactly.
+    win.tmax, the t-major tail of the rows.  Solutions in k((t))[x, 1/g]
+    carry infinite ascending t-tails; a window truncation of a true preimage
+    leaves its residual in the top t-layers, so those rows need not be
+    matched exactly.
     """
 
     mat: SparseMatrixQ
     relations: list[dict]
     slack: list[dict]
     targets: dict[int, int]
+    top: SparseMatrixQ
 
 
-def _window_complex(
-    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading] = None
-) -> _WindowComplex:
-    """The complex of (p, win); with a grading, only its top block (see the
-    module docstring), whose degree n+1 is the whole window's."""
+def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
+    """The complex of (p, win).  The Koszul differentials need the full mat,
+    so its top is cut from mat and the relations (the columns _kept leaves,
+    without their rows in the slack tail) instead of assembled a second
+    time as _top_image does."""
     win_out = sh.output_window(win)
-    mat = assemble_phi(p, win, win_out, grading)
-    interior = _cells(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin), p.n, grading)
+    mat = assemble_phi(p, win, win_out)
+    relations = _relation_columns(p, win, win_out)
+    interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
     top_layers = replace(win_out, tmin=win.tmax)
+    dom, stop = win.size(p.n), _slack_start(win, win_out, p.n)
+    blocks = [mat.cols[ci * dom: (ci + 1) * dom] for ci in range(p.n + 1)]
+    kept = _kept(p, win, [list(win.monomials(p.n))] * (p.n + 1), blocks)
+    top = [{r: v for r, v in col.items() if r < stop}
+           for col in itertools.chain(*kept, relations)]
     return _WindowComplex(
         mat,
-        _relation_columns(p, win, win_out, grading),
-        [{r: Q(1)} for r in _positions(win_out, p.n, _cells(top_layers, p.n, grading))],
+        relations,
+        [{r: Q(1)} for r in _positions(win_out, p.n, list(top_layers.monomials(p.n)))],
         dict(zip(_positions(win, p.n, interior), _positions(win_out, p.n, interior))),
+        SparseMatrixQ(stop, top),
     )
+
+
+def _top_image(
+    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading] = None
+) -> tuple[SparseMatrixQ, list[int]]:
+    """(image, target rows) of degree n+1 on (p, win), assembled directly:
+    the component columns that _kept leaves and the relation columns, over
+    the output rows below the slack tail, and the output rows of the
+    interior cells.  With a grading, only the top block (module docstring),
+    whose degree n+1 is the whole window's."""
+    win_out = sh.output_window(win)
+    mat = assemble_phi(p, win, win_out, grading, top=True)
+    interior = _cells(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin), p.n, grading)
+    relations = _relation_columns(p, win, win_out, grading, mat.nrows)
+    return SparseMatrixQ(mat.nrows, mat.cols + relations), _positions(win_out, p.n, interior)
 
 
 def _positions(win: DegreeWindow, n: int, monos: list[Monomial]) -> list[int]:
@@ -528,12 +725,15 @@ def _positions(win: DegreeWindow, n: int, monos: list[Monomial]) -> list[int]:
     return [(m.tdeg - win.tmin) * tsize + xrow[m.xdeg] + m.gpow for m in monos]
 
 
-def _top_cokernel(cx: _WindowComplex) -> int:
-    """Degree n+1 of the complex: the interior rows modulo the image of the
-    components, the relations and the slack (image columns are pivoted
-    first, then the surviving target directions are counted)."""
-    image = SparseMatrixQ(cx.mat.nrows, cx.mat.cols + cx.relations + cx.slack)
-    _, coker = rank_with_extension(image, [{r: Q(1)} for r in sorted(cx.targets.values())])
+def _top_cokernel(image: SparseMatrixQ, targets) -> int:
+    """Degree n+1 from a top image (_top_image, or a complex's top): the
+    target rows modulo the span of the image columns.  The non-empty image
+    columns are pivoted first, in order of descending highest row (the top
+    t-layer first), then the surviving target directions are counted."""
+    cols = sorted(filter(None, image.cols), key=max, reverse=True)
+    _, coker = rank_with_extension(
+        SparseMatrixQ(image.nrows, cols), [{r: Q(1)} for r in sorted(targets)]
+    )
     return coker
 
 
@@ -554,6 +754,7 @@ def exponent_test(
     g = 1, and every scaling-operator inversion legal) and falls back to
     the generic path otherwise.
 
+    Each estimate is _top_cokernel of the window's top image (_top_image).
     When (f, g) is certified quasi-homogeneous (p.grading), each window is
     built from its block of weight alpha - sum(w_i) alone; by the theorem of
     the module docstring the estimates are those of the whole window.
@@ -578,7 +779,7 @@ def exponent_test(
     used: list[DegreeWindow] = []
     for r in range(rounds):
         win = _round_window(p, sh, r)
-        estimates.append(_top_cokernel(_window_complex(p, win, sh, p.grading)))
+        estimates.append(_top_cokernel(*_top_image(p, win, sh, p.grading)))
         used.append(win)
         v = estimates[-1]
         agree = 3 if v == 0 and not p.g.is_one() else 2
@@ -622,6 +823,13 @@ def _koszul_matrices(n: int, mat: SparseMatrixQ) -> list[SparseMatrixQ]:
     size = mat.nrows
     dom = mat.ncols // (n + 1)
     images = [mat.cols[i * dom : (i + 1) * dom] for i in range(n + 1)]
+    # -v once per distinct value object (keyed by id: mat keeps the values
+    # alive), so the eliminator still converts each distinct value only once
+    negated: dict[int, object] = {}
+    for col in mat.cols:
+        for v in col.values():
+            if id(v) not in negated:
+                negated[id(v)] = -v
     mats = []
     for j in range(n + 1):
         cod_pos = {s: k for k, s in enumerate(by_deg[j + 1])}
@@ -634,7 +842,8 @@ def _koszul_matrices(n: int, mat: SparseMatrixQ) -> list[SparseMatrixQ]:
                 if i not in s
             ]
             cols += (
-                {b + r: -v if odd else v for img, b, odd in parts for r, v in img[mi].items()}
+                {b + r: negated[id(v)] if odd else v
+                 for img, b, odd in parts for r, v in img[mi].items()}
                 for mi in range(dom)
             )
         mats.append(SparseMatrixQ(len(cod_pos) * size, cols))
@@ -645,10 +854,11 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     """Interior cohomology dimensions of the Koszul complex of the row
     components, degrees 0..n+1.
 
-    The complex is the one exponent_test builds on win: every differential
-    has domain win and codomain its output window, so chaining two
-    differentials on the overlap composes to zero, and degree n+1 is
-    exponent_test's window cokernel, computed by the same call.  Cycles are
+    The complex is the one exponent_test's estimate comes from on win:
+    every differential has domain win and codomain its output window, so
+    chaining two differentials on the overlap composes to zero, and degree
+    n+1 is exponent_test's window cokernel, computed by the same
+    _top_cokernel from the complex's top.  Cycles are
     taken with interior support (closing up to the localization relations);
     boundaries come from the full domain window, with slack for the top
     t-layers where a truncated ascending tail leaves its residual.  Every
@@ -670,7 +880,7 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     cx = _window_complex(p, win, _shift_analysis(p))
     mats = _koszul_matrices(p.n, cx.mat)
     dims = {j: _koszul_h(j, mats, cx, by_deg) for j in range(p.n + 1)}
-    dims[p.n + 1] = _top_cokernel(cx)
+    dims[p.n + 1] = _top_cokernel(cx.top, cx.targets.values())
     return dims
 
 

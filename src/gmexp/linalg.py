@@ -102,21 +102,28 @@ class _Eliminator:
         self._heap: list[tuple[int, int]] = []
 
     def _pick_pivot(self) -> Optional[tuple[int, int]]:
-        heap = self._heap
+        heap, col_rows = self._heap, self.col_rows
         while heap:
             cnt, c = heap[0]
-            if cnt != len(self.col_rows[c]):
+            if cnt != len(col_rows[c]):
                 heapq.heappop(heap)  # stale: a fresher entry exists, or c is empty
                 continue
-            r = min(
-                self.col_rows[c],
-                key=lambda rr: (
-                    len(self.rows[rr]),
-                    self.rows[rr][c][0].bit_length(),
-                    rr,
-                ),
-            )
-            return r, c
+            if cnt == 1:  # a column singleton: its one active row
+                for r in col_rows[c]:
+                    return r, c
+            # the argmin of (row nnz, numerator bit length, row), compared in place
+            rows = self.rows
+            best = -1
+            for r in col_rows[c]:
+                row = rows[r]
+                size = len(row)
+                if best < 0 or size < best_size:
+                    best, best_size, best_bits = r, size, row[c][0].bit_length()
+                elif size == best_size:
+                    bits = row[c][0].bit_length()
+                    if bits < best_bits or (bits == best_bits and r < best):
+                        best, best_bits = r, bits
+            return best, c
         return None
 
     def eliminate(self, cols: range) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .linalg import SparseMatrixQ, nullspace
@@ -308,10 +309,10 @@ class DegreeWindow:
 
     def layout(self, n: int) -> tuple[dict[tuple[int, ...], int], int]:
         """(xrow, tsize): t^k x^u g^-m is cell (k - tmin) * tsize + xrow[u] + m
-        of the canonical order, the place it has in monomials(n)."""
-        gsize = self.gmax + 1
-        xrow = {u: i * gsize for i, u in enumerate(_xdegs_upto(n, self.xmax))}
-        return xrow, len(xrow) * gsize
+        of the canonical order, the place it has in monomials(n).  The pair
+        is shared by every window of the same (n, xmax, gmax): read xrow,
+        never change it."""
+        return _layout(n, self.xmax, self.gmax)
 
     def size(self, n: int) -> int:
         nx = math.comb(self.xmax + n, n)
@@ -329,6 +330,13 @@ class DegreeWindow:
             max(0, self.xmax - dx),
             max(0, self.gmax - dg),
         )
+
+
+@lru_cache(maxsize=64)
+def _layout(n: int, xmax: int, gmax: int) -> tuple[dict[tuple[int, ...], int], int]:
+    gsize = gmax + 1
+    xrow = {u: i * gsize for i, u in enumerate(_xdegs_upto(n, xmax))}
+    return xrow, len(xrow) * gsize
 
 
 def _xdegs_upto(n: int, xmax: int) -> Iterator[tuple[int, ...]]:

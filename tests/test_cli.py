@@ -246,7 +246,8 @@ def test_matrix_dump(capsys, tmp_path, monkeypatch):
     assembled = []
     real = engine.assemble_phi
     monkeypatch.setattr(
-        engine, "assemble_phi", lambda *args: assembled.append(real(*args)) or assembled[-1]
+        engine, "assemble_phi",
+        lambda *args, **kwargs: assembled.append(real(*args, **kwargs)) or assembled[-1],
     )
     # x1 and x1^3 at 1/2 are off their weight lattices: an empty graded block;
     # x1^2 over x1 is graded, x1^2*(1-x1) takes the full window

@@ -17,6 +17,7 @@ from gmexp.engine import (
     _shift_analysis,
     _stack,
     _top_cokernel,
+    _top_image,
     _window_complex,
     assemble_phi,
     check_row_commutation,
@@ -24,7 +25,7 @@ from gmexp.engine import (
     exponent_test,
     koszul_cohomology,
 )
-from gmexp.linalg import _Eliminator, rank_with_extension
+from gmexp.linalg import SparseMatrixQ, _Eliminator, rank_with_extension
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
@@ -266,7 +267,7 @@ def test_brieskorn_pham_late_windows():
     assert expected == 3
     sh = _shift_analysis(p)
     late = default_schedule(p, rounds=4)[2:]
-    assert [_top_cokernel(_window_complex(p, w, sh)) for w in late] == [expected] * 2
+    assert [_top_cokernel(*_top_image(p, w, sh)) for w in late] == [expected] * 2
 
 
 @pytest.mark.xfail(
@@ -395,6 +396,101 @@ def test_resource_cap_precedes_enumeration(monkeypatch):
         exponent_test(p)
     with pytest.raises(ResourceLimitError):
         koszul_cohomology(p, win)
+
+
+# ---------------------------------------------------------------------------
+# The top image: redundant columns left out, slack rows quotiented out
+# ---------------------------------------------------------------------------
+
+
+def full_image_cokernel(cx):
+    """Degree n+1 from the full image of a window complex: every component
+    column, the relations and the unit slack columns, then unit targets."""
+    image = SparseMatrixQ(cx.mat.nrows, cx.mat.cols + cx.relations + cx.slack)
+    return rank_with_extension(image, [{r: Q(1)} for r in sorted(cx.targets.values())])[1]
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha, rounds, commuting", [
+    ("x1^2*(1-x1)^3", 1, "1", "1/5", 3, True),
+    ("x1^2*(1-x1)^3", 1, "1", "1/2", 3, True),
+    ("x1*x2^2*(1-x1-x2)^2", 2, "1", "1/3", 3, True),
+    ("x1^2*x2*(1-x1-x2)", 2, "1", "1/2", 3, True),
+    ("x1*x2*x3*(1-x1-x2-x3)", 3, "1", "1/4", 2, True),
+    ("x1^3+x2^4", 2, "1", "5/12", 3, True),  # graded
+    ("x1^2", 1, "x1", "1", 3, True),  # graded, with relations
+    ("x1^2*ginv", 1, "1-x1", "1/2", 3, False),  # a g-layer: the full image
+])
+def test_top_image_equals_the_full_image(fs, n, gs, alpha, rounds, commuting):
+    # on every default window, the directly assembled top image (graded
+    # where p.grading certifies it) and the complex's top give the cokernel
+    # of the full image, and the top image has no row in the slack tail
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    assert p.commuting is commuting
+    sh = _shift_analysis(p)
+    for win in default_schedule(p, rounds=rounds):
+        cx = _window_complex(p, win, sh)
+        image, targets = _top_image(p, win, sh, p.grading)
+        assert image.nrows == min(cx.slack[0]) == cx.top.nrows
+        assert all(r < image.nrows for col in image.cols + cx.top.cols for r in col)
+        if p.grading is None:
+            assert sorted(targets) == sorted(cx.targets.values())
+        want = full_image_cokernel(cx)
+        assert _top_cokernel(image, targets) == want, win
+        assert _top_cokernel(cx.top, cx.targets.values()) == want, win
+
+
+def test_pruning_needs_the_commutation_certificate(monkeypatch):
+    # d/dx1 alone does not commute with f - t: the certificate refuses, and
+    # the top image keeps every component column
+    real = engine._row_stencils
+
+    def bare_dx1(p):
+        comps, relation = real(p)
+        return (comps[0], tuple(t for t in comps[1] if t[0][0] == 0)), relation
+
+    p = instance("x1^2*(1-x1)", alpha="1/2")
+    assert p.commuting
+    monkeypatch.setattr(engine, "_row_stencils", bare_dx1)
+    p = instance("x1^2*(1-x1)", alpha="1/2")
+    assert not p.commuting
+    sh = _shift_analysis(p)
+    for win in default_schedule(p, rounds=3):
+        image, targets = _top_image(p, win, sh)
+        assert image.ncols == 2 * win.size(1)
+        cx = _window_complex(p, win, sh)
+        assert _top_cokernel(image, targets) == full_image_cokernel(cx)
+
+
+def test_pruning_drops_a_pinned_number_of_columns():
+    # the benchmark's arr(1,2,2) at 1/3 on its second window: 378 of the
+    # 1452 columns of components 1 and 2 are redundant, and the rows stop
+    # at the slack tail (t-degree >= 5 of the output window from t^-6)
+    p = instance("x1*x2^2*(1-x1-x2)^2", n=2, alpha="1/3")
+    win = default_schedule(p)[1]
+    out = _shift_analysis(p).output_window(win)
+    assert (win, out.tmin) == (DegreeWindow(-5, 5, 10, 0), -6)
+    full = assemble_phi(p, win, out)
+    top = assemble_phi(p, win, out, top=True)
+    assert (full.ncols, top.ncols) == (3 * 726, 3 * 726 - 378)
+    assert top.nrows == 11 * (full.nrows // 13)
+
+
+def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
+    # the image columns reach the eliminator in order of descending highest
+    # row, without empty columns, ahead of the unit targets
+    seen = []
+    real = engine.rank_with_extension
+
+    def recording(a, extra):
+        seen.append(a)
+        return real(a, extra)
+
+    monkeypatch.setattr(engine, "rank_with_extension", recording)
+    p = instance("x1^2*(1-x1)^3", alpha="1/2")
+    assert exponent_test(p).cokernel_dim == 1
+    for a in seen:
+        highest = [max(col) for col in a.cols]
+        assert highest == sorted(highest, reverse=True) and all(a.cols)
 
 
 def test_koszul_top_matches_cokernel():
@@ -592,10 +688,10 @@ def full_window_blocks(p, win, grading):
     """(cokernel of the full window's block of weight alpha - sum(w_i), sum of
     the cokernels of all its other blocks), with weights read from grading.
 
-    One elimination of the whole window: its image columns, then the top
-    block's targets, then every other target.  The two counts add up to
-    _top_cokernel(_window_complex(p, win, sh)), whose columns these are.
-    Every image column must lie in the rows of a single weight."""
+    One elimination of the whole window: its full image (every component
+    column, the relations and the slack), then the top block's targets,
+    then every other target.  Every image column must lie in the rows of a
+    single weight."""
     sh = _shift_analysis(p)
     cx = _window_complex(p, win, sh)
     weight = [grading.scale * m.tdeg - grading.wg * m.gpow
@@ -640,7 +736,7 @@ def test_graded_windows_equal_the_full_windows(fs, n, gs, alpha):
     assert grading is not None
     sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=4):
-        graded = _top_cokernel(_window_complex(p, win, sh, grading))
+        graded = _top_cokernel(*_top_image(p, win, sh, grading))
         assert full_window_blocks(p, win, grading) == (graded, 0), win
 
 
@@ -665,8 +761,8 @@ def test_classes_off_the_weight_lattice_vanish(monkeypatch, fs, n, gs, alpha, cl
     assembled, ranks = [], []
     real_assemble, real_rank = engine.assemble_phi, engine.rank_with_extension
 
-    def recording(*args):
-        assembled.append(real_assemble(*args))
+    def recording(*args, **kwargs):
+        assembled.append(real_assemble(*args, **kwargs))
         return assembled[-1]
 
     def empty_only(a, extra):
@@ -690,18 +786,22 @@ def test_classes_off_the_weight_lattice_vanish(monkeypatch, fs, n, gs, alpha, cl
     ("x1^2*x2", 2, "1"),  # weights underdetermined: 2 w1 + w2 = 1
 ])
 def test_uncertified_instances_take_the_full_window(monkeypatch, fs, n, gs):
+    # no grading reaches assembly, and component 0 (never pruned) has a
+    # column at every cell of the window
     p = instance(fs, n=n, gs=gs, alpha="1/2")
     assert p.grading is None
-    cells = []
+    calls = []
     real = engine.assemble_phi
 
-    def counting(*args):
-        cells.append(real(*args).ncols)
-        return real(*args)
+    def recording(*args, **kwargs):
+        mat = real(*args, **kwargs)
+        calls.append((args[3], mat.ncols))
+        return mat
 
-    monkeypatch.setattr(engine, "assemble_phi", counting)
+    monkeypatch.setattr(engine, "assemble_phi", recording)
     rep = exponent_test(p, rounds=2)
-    assert cells == [(n + 1) * w.size(n) for w in rep.windows_used]
+    assert [grading for grading, _ in calls] == [None] * len(rep.windows_used)
+    assert all(ncols >= w.size(n) for (_, ncols), w in zip(calls, rep.windows_used))
 
 
 def test_graded_path_keeps_the_late_class():
