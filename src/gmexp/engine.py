@@ -22,7 +22,7 @@ shifted terms with coefficients affine in the exponents (k, m, u) of
 t^k x^u g^-m, written once per instance straight from f, its derivatives,
 g and alpha (_row_stencils).  A column is a stencil at one monomial, its
 rows found by index arithmetic over the output window's canonical order
-(DegreeWindow.layout); the commutation check composes the same columns.
+(DegreeWindow.layout); the probe commutation check composes them.
 A window matrix is its row count and a list of {row: value} columns from
 the stencil to the pivot: window cells are named by their positions,
 never by Monomial labels.
@@ -202,6 +202,12 @@ class ProblemInstance:
         redundant columns; computed on first use."""
         return _certify_commutation(self)
 
+    @cached_property
+    def pairwise_commuting(self) -> bool:
+        """Whether every pair of row components certifiably commutes as
+        stencils (_commute); computed on first use."""
+        return all(_commute(a, b) for a, b in itertools.combinations(self.stencils[0], 2))
+
 
 class Verdict(str, Enum):
     EXPONENT = "exponent"
@@ -314,43 +320,42 @@ def _certify_commutation(p: ProblemInstance) -> bool:
     """The hypotheses of the pruning theorem (module docstring), checked
     exactly on the stencils: the one term of component 0 that raises t is
     -t itself, shift (1, 0, ..., 0) with a non-zero constant coefficient,
-    and component 0 commutes with each component i >= 1 on every monomial.
-
-    Composing two stencils gives coefficients of degree <= 2 in e = (k, m, u),
-    and in a commutator the quadratic parts cancel: comp_i(comp_0(e)) -
-    comp_0(comp_i(e)) is the stencil whose term at shift s0 + si collects
-    c0 * ci * (s0[vi] * (e[v0] + r0) - si[v0] * (e[vi] + ri)) over the
-    pairs of terms (s0, c0, v0, r0) and (si, ci, vi, ri), a shift read as 0
-    in the constant slot -1.  When each collected affine form is 0 as a
-    polynomial, the commutator vanishes on every monomial.  No window is involved,
-    and the g-layers stay formal, so an f whose derivatives clear_g
-    rewrote may fail here and keep the full image."""
+    and component 0 commutes with each component i >= 1 (_commute)."""
     comps = p.stencils[0]
-    raising = [term for term in comps[0] if term[0][0] > 0]
+    # (shift, var, c * (e[-1] + r) != 0), e[-1] = 1
+    raising = [(s, var, bool(c * (1 + r))) for s, c, var, r in comps[0] if s[0] > 0]
     tau = (1,) + (0,) * (p.n + 1)
-    if [(s, var) for s, _c, var, _r in raising] != [(tau, -1)]:
-        return False
-    if not raising[0][1] * (1 + raising[0][3]):  # c * (e[-1] + r), e[-1] = 1
-        return False
-    for comp in comps[1:]:
-        diff: dict[tuple, dict[int, object]] = {}
-        for s0, c0, v0, r0 in comps[0]:
-            for si, ci, vi, ri in comp:
-                a = s0[vi] if vi >= 0 else 0
-                b = si[v0] if v0 >= 0 else 0
-                if not (a or b):
-                    continue
-                form = diff.setdefault(tuple(map(sum, zip(s0, si))), {})
-                cc = c0 * ci
-                if a:  # + cc * a * (e[v0] + r0)
-                    form[v0] = form.get(v0, 0) + cc * a
-                    form[-1] = form.get(-1, 0) + cc * a * r0
-                if b:  # - cc * b * (e[vi] + ri)
-                    form[vi] = form.get(vi, 0) - cc * b
-                    form[-1] = form.get(-1, 0) - cc * b * ri
-        if any(v for form in diff.values() for v in form.values()):
-            return False
-    return True
+    return raising == [(tau, -1, True)] and all(_commute(comps[0], c) for c in comps[1:])
+
+
+def _commute(left: tuple, right: tuple) -> bool:
+    """Whether two stencils commute on every monomial, checked exactly.
+
+    Composing stencils gives coefficients of degree <= 2 in e = (k, m, u),
+    and for any pair the quadratic parts cancel in the commutator:
+    right(left(e)) - left(right(e)) is the stencil whose term at shift s0 +
+    s1 collects c0 * c1 * (s0[v1] * (e[v0] + r0) - s1[v0] * (e[v1] + r1))
+    over the terms (s0, c0, v0, r0) of left and (s1, c1, v1, r1) of right,
+    a shift read as 0 in the constant slot -1.  When each collected affine
+    form is 0 as a polynomial, the commutator vanishes on every monomial,
+    so in k[x, 1/g] too.  No window is involved, and the g-layers stay
+    formal: an f whose derivatives clear_g rewrote may fail here."""
+    diff: dict[tuple, dict[int, object]] = {}
+    for s0, c0, v0, r0 in left:
+        for s1, c1, v1, r1 in right:
+            a = s0[v1] if v1 >= 0 else 0
+            b = s1[v0] if v0 >= 0 else 0
+            if not (a or b):
+                continue
+            form = diff.setdefault(tuple(map(sum, zip(s0, s1))), {})
+            cc = c0 * c1
+            if a:  # + cc * a * (e[v0] + r0)
+                form[v0] = form.get(v0, 0) + cc * a
+                form[-1] = form.get(-1, 0) + cc * a * r0
+            if b:  # - cc * b * (e[v1] + r1)
+                form[v1] = form.get(v1, 0) - cc * b
+                form[-1] = form.get(-1, 0) - cc * b * r1
+    return not any(v for form in diff.values() for v in form.values())
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +782,7 @@ def exponent_test(
     sh = _shift_analysis(p)
     estimates: list[int] = []
     used: list[DegreeWindow] = []
+    verdict, dim = Verdict.UNDETERMINED, None
     for r in range(rounds):
         win = _round_window(p, sh, r)
         estimates.append(_top_cokernel(*_top_image(p, win, sh, p.grading)))
@@ -784,21 +790,10 @@ def exponent_test(
         v = estimates[-1]
         agree = 3 if v == 0 and not p.g.is_one() else 2
         if estimates[-agree:] == [v] * agree:
-            verdict = Verdict.NOT_EXPONENT if v == 0 else Verdict.EXPONENT
-            return ExponentReport(
-                verdict=verdict,
-                cokernel_dim=v,
-                windows_used=used,
-                stabilized=True,
-                estimates=estimates,
-            )
-    return ExponentReport(
-        verdict=Verdict.UNDETERMINED,
-        cokernel_dim=None,
-        windows_used=used,
-        stabilized=False,
-        estimates=estimates,
-    )
+            verdict, dim = Verdict.NOT_EXPONENT if v == 0 else Verdict.EXPONENT, v
+            break
+    return ExponentReport(verdict=verdict, cokernel_dim=dim, windows_used=used,
+                          stabilized=dim is not None, estimates=estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -811,43 +806,34 @@ def _koszul_bases(n: int):
     return [list(itertools.combinations(range(n + 1), j)) for j in range(n + 2)]
 
 
-def _koszul_matrices(n: int, mat: SparseMatrixQ) -> list[SparseMatrixQ]:
-    """Matrices of d^0..d^n from K^j(win) to K^(j+1)(win_out), exact, for
-    mat = assemble_phi(p, win, win_out).
-
-    K^j has one copy of the window basis per j-subset s of {0..n}, column
-    k * dom + i of d^j the cell i of the copy of by_deg[j][k]; every d^j is
-    signed slices of mat's component columns.
-    """
-    by_deg = _koszul_bases(n)
-    size = mat.nrows
+def _koszul_differential(
+    j: int, mat: SparseMatrixQ, by_deg: list, negated: dict, cells=None
+) -> SparseMatrixQ:
+    """d^j from K^j(win) to K^(j+1)(win_out), exact, at the positions cells
+    of win (default: all), for mat = assemble_phi(p, win, win_out) and
+    by_deg = _koszul_bases(n).  K^j has one copy of cells per j-subset of
+    {0..n}, column k * len(cells) + i of d^j the cells[i] of the copy of
+    by_deg[j][k]: signed slices of mat's component columns, -v read as
+    negated[id(v)], one object per distinct value of mat (which keeps them
+    alive), so the eliminator still converts each only once."""
+    n = len(by_deg) - 2
     dom = mat.ncols // (n + 1)
     images = [mat.cols[i * dom : (i + 1) * dom] for i in range(n + 1)]
-    # -v once per distinct value object (keyed by id: mat keeps the values
-    # alive), so the eliminator still converts each distinct value only once
-    negated: dict[int, object] = {}
-    for col in mat.cols:
-        for v in col.values():
-            if id(v) not in negated:
-                negated[id(v)] = -v
-    mats = []
-    for j in range(n + 1):
-        cod_pos = {s: k for k, s in enumerate(by_deg[j + 1])}
-        cols = []
-        for s in by_deg[j]:
-            # component i maps the copy of s to that of s + {i}, sign (-1)^#{x in s: x < i}
-            parts = [
-                (images[i], cod_pos[tuple(sorted(s + (i,)))] * size, sum(x < i for x in s) % 2)
-                for i in range(n + 1)
-                if i not in s
-            ]
-            cols += (
-                {b + r: negated[id(v)] if odd else v
-                 for img, b, odd in parts for r, v in img[mi].items()}
-                for mi in range(dom)
-            )
-        mats.append(SparseMatrixQ(len(cod_pos) * size, cols))
-    return mats
+    cod_pos = {s: k for k, s in enumerate(by_deg[j + 1])}
+    cols = []
+    for s in by_deg[j]:
+        # component i maps the copy of s to that of s + {i}, sign (-1)^#{x in s: x < i}
+        parts = [
+            (images[i], cod_pos[tuple(sorted(s + (i,)))] * mat.nrows, sum(x < i for x in s) % 2)
+            for i in range(n + 1)
+            if i not in s
+        ]
+        cols += (
+            {b + r: negated[id(v)] if odd else v
+             for img, b, odd in parts for r, v in img[mi].items()}
+            for mi in (range(dom) if cells is None else cells)
+        )
+    return SparseMatrixQ(len(cod_pos) * mat.nrows, cols)
 
 
 def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
@@ -858,33 +844,35 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     every differential has domain win and codomain its output window, so
     chaining two differentials on the overlap composes to zero, and degree
     n+1 is exponent_test's window cokernel, computed by the same
-    _top_cokernel from the complex's top.  Cycles are
-    taken with interior support (closing up to the localization relations);
-    boundaries come from the full domain window, with slack for the top
-    t-layers where a truncated ascending tail leaves its residual.  Every
-    degree uses the one relation set, generated in win.
+    _top_cokernel from the complex's top.  Cycles are taken with interior
+    support (closing up to the localization relations); boundaries come
+    from the full domain window, with slack for the top t-layers where a
+    truncated ascending tail leaves its residual.  Every degree uses the
+    one relation set, generated in win.
 
     A degree's cycles are first checked against the boundary columns that
     share a row with one of them.  Those columns are a subset of all the
     boundary columns, so when they already span every cycle the degree is
     exactly 0; otherwise the whole boundary matrix is eliminated.
 
-    Raises WindowError on assembly problems and ValueError when the
-    components fail their pairwise commutation check (an assembly bug).
+    The components must commute pairwise: p.pairwise_commuting certifies
+    it on the stencils, and only where that fails does the probe decide,
+    check_row_commutation in k[x, 1/g].  Raises WindowError on assembly
+    problems and ValueError when the probe fails too (an assembly bug).
     """
     by_deg = _koszul_bases(p.n)
     _check_cells(max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
-    probe = DegreeWindow(-2, 2, 2, min(2, 2 if not p.g.is_one() else 0))
-    if not check_row_commutation(p, probe):
+    probe = DegreeWindow(-2, 2, 2, 0 if p.g.is_one() else 2)
+    if not (p.pairwise_commuting or check_row_commutation(p, probe)):
         raise ValueError("row components do not commute; assembly is inconsistent")
     cx = _window_complex(p, win, _shift_analysis(p))
-    mats = _koszul_matrices(p.n, cx.mat)
-    dims = {j: _koszul_h(j, mats, cx, by_deg) for j in range(p.n + 1)}
+    negated = {i: -v for i, v in {id(v): v for c in cx.mat.cols for v in c.values()}.items()}
+    dims = {j: _koszul_h(j, cx, by_deg, negated) for j in range(p.n + 1)}
     dims[p.n + 1] = _top_cokernel(cx.top, cx.targets.values())
     return dims
 
 
-def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> int:
+def _koszul_h(j: int, cx: _WindowComplex, by_deg, negated: dict) -> int:
     """Dimension of degree j <= n, compared inside K^j(win_out): the rank of
     the interior cycles modulo the boundaries.
 
@@ -895,21 +883,16 @@ def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> 
     is eliminated instead."""
     nm = cx.mat.nrows
     sets_j = by_deg[j]
-    # kernel vectors of d^j supported on the interior; only finitely
+    # kernel vectors of d^j, built at the interior cells alone; only finitely
     # supported cycles are detected (closing up to the localization
     # relations), so lower-degree dimensions are lower bounds
-    mat_j = mats[j]
-    dom = mat_j.ncols // len(sets_j)
     interior = sorted(cx.targets)
-    interior_cols = [k * dom + q for k in range(len(sets_j)) for q in interior]
-    aug_cols = [mat_j.cols[c] for c in interior_cols] + _stack(cx.relations, len(by_deg[j + 1]), nm)
+    mat_j = _koszul_differential(j, cx.mat, by_deg, negated, interior)
+    rows = [k * nm + cx.targets[q] for k in range(len(sets_j)) for q in interior]
     zvecs = []
-    for vec in nullspace(SparseMatrixQ(mat_j.nrows, aug_cols)):
-        z: dict[int, object] = {}
-        for c, v in vec.items():
-            if c < len(interior_cols):
-                k, q = divmod(interior_cols[c], dom)
-                z[k * nm + cx.targets[q]] = v
+    for vec in nullspace(SparseMatrixQ(
+            mat_j.nrows, mat_j.cols + _stack(cx.relations, len(by_deg[j + 1]), nm))):
+        z = {rows[c]: v for c, v in vec.items() if c < len(rows)}
         if z:
             zvecs.append(z)
     if not zvecs:
@@ -917,7 +900,8 @@ def _koszul_h(j: int, mats: list[SparseMatrixQ], cx: _WindowComplex, by_deg) -> 
 
     # boundaries: image of d^(j-1) plus relations, plus slack for the top
     # t-layers where a truncated ascending tail leaves its residual
-    bcols = [col for col in mats[j - 1].cols if col] if j >= 1 else []
+    bcols = [col for col in _koszul_differential(j - 1, cx.mat, by_deg, negated).cols
+             if col] if j >= 1 else []
     bcols += _stack(cx.relations, len(sets_j), nm)
     bcols += _stack(cx.slack, len(sets_j), nm)
     zrows = set().union(*zvecs)

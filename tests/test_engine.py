@@ -12,7 +12,7 @@ from gmexp.engine import (
     Verdict,
     WindowError,
     _koszul_bases,
-    _koszul_matrices,
+    _koszul_differential,
     _relation_columns,
     _shift_analysis,
     _stack,
@@ -120,6 +120,12 @@ def tree_koszul(p, j, win_in, index):
     return cols
 
 
+def differential(j, mat, n, cells=None):
+    """d^j by _koszul_differential, with -v for each value v of mat."""
+    negated = {id(v): -v for col in mat.cols for v in col.values()}
+    return _koszul_differential(j, mat, _koszul_bases(n), negated, cells)
+
+
 def assert_columns(cols, expected):
     assert len(cols) == len(expected)
     for col, exp in zip(cols, expected):
@@ -183,14 +189,16 @@ def test_stencil_assembly_matches_tree_walk(case):
         stacked = [{b * len(rows) + r: v for r, v in c.items()} for b in range(3) for c in rel]
         assert_columns(_stack(_relation_columns(p, win, win_out), 3, len(rows)), stacked)
 
+        by_deg = _koszul_bases(n)
         try:
             expected_k = [tree_koszul(p, j, win, index) for j in range(n + 1)]
         except WindowError:
             with pytest.raises(WindowError):
-                _koszul_matrices(n, assemble_phi(p, win, win_out))
+                differential(0, assemble_phi(p, win, win_out), n)
         else:
-            by_deg = _koszul_bases(n)
-            for j, mat in enumerate(_koszul_matrices(n, assemble_phi(p, win, win_out))):
+            image = assemble_phi(p, win, win_out)
+            for j in range(n + 1):
+                mat = differential(j, image, n)
                 assert (mat.nrows, mat.ncols) == (
                     len(by_deg[j + 1]) * len(rows), len(expected_k[j]))
                 assert_columns(mat.cols, expected_k[j])
@@ -207,6 +215,18 @@ def test_stencil_assembly_matches_tree_walk(case):
     interior = big.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
     assert cx.targets == {index_in[m]: index_out[m] for m in interior.monomials(n)}
     assert cx.slack == [{i: Q(1)} for m, i in index_out.items() if m.tdeg >= big.tmax]
+
+    # d^j built at the interior cells alone (as koszul_cohomology builds it
+    # for its cycles) is the matching columns of the full d^j, entry for
+    # entry, in the same order; so is d^j at cells in any order
+    by_deg, dom = _koszul_bases(n), big.size(n)
+    for cells in (sorted(cx.targets), range(dom - 1, -1, -3)):
+        for j in range(n + 1):
+            full = differential(j, cx.mat, n)
+            part = differential(j, cx.mat, n, cells)
+            assert part.nrows == full.nrows
+            assert_columns(part.cols, [full.cols[k * dom + q]
+                                       for k in range(len(by_deg[j])) for q in cells])
 
 
 def test_phi_row_shape():
@@ -561,7 +581,7 @@ def test_koszul_certifies_boundaries_on_the_cycles_neighbourhood(monkeypatch):
 
     cx = _window_complex(p, win, _shift_analysis(p))
     nm, sets = cx.mat.nrows, len(_koszul_bases(2)[2])
-    bcols = [col for col in _koszul_matrices(2, cx.mat)[1].cols if col]
+    bcols = [col for col in differential(1, cx.mat, 2).cols if col]
     bcols += _stack(cx.relations, sets, nm) + _stack(cx.slack, sets, nm)
     assert len(bcols) == 1302
     boundary = {tuple(sorted(col.items())) for col in bcols}
@@ -670,6 +690,67 @@ def test_commutation_falls_back_to_k_x_ginv(monkeypatch):
     calls.clear()  # ProblemInstance normalises f by clear_g too
     assert check_row_commutation(p, DegreeWindow(-2, 2, 2, 2))
     assert calls
+
+
+# the koszul benchmark's shapes, x^w (1 - sum x)^w0 with weights (w0, w1, ...)
+# at a non-exponent class and x1^w over x1, rendered here, and two more
+KOSZUL_CORPUS = [
+    ("x1^3*(1-x1)^2", 1, "1", "1/5"),
+    ("x1^3*(1-x1)", 1, "1", "1/4"),
+    ("x1*(1-x1)^4", 1, "1", "1/3"),
+    ("x1^2*(1-x1)^3", 1, "1", "1/4"),
+    ("x1*x2*(1-x1-x2)", 2, "1", "1/4"),
+    ("x1^2*x2^2*(1-x1-x2)", 2, "1", "1/3"),
+    ("x1*x2^2*(1-x1-x2)^2", 2, "1", "1/5"),
+    ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4"),
+    ("x1^2", 1, "x1", "1/3"),
+    ("x1^3", 1, "x1", "1/4"),
+    ("x1^4", 1, "x1", "1/5"),
+    ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", "3/7"),
+    ("x1^2*ginv", 1, "1-x1", "1/2"),  # clear_g keeps a g-layer: not certified
+]
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS)
+def test_pairwise_certificate_agrees_with_the_probe(monkeypatch, fs, n, gs, alpha):
+    # the stencil certificate holds for every pair of components, so the
+    # probe holds too and koszul_cohomology never composes on it; where it
+    # fails, the probe decides, once
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    probe = DegreeWindow(-2, 2, 2, 0 if gs == "1" else 2)
+    certified = gs != "1-x1"
+    assert p.pairwise_commuting is certified
+    assert check_row_commutation(p, probe)
+    calls = []
+    real = engine.check_row_commutation
+
+    def counting(p, w):
+        calls.append(w)
+        return real(p, w)
+
+    monkeypatch.setattr(engine, "check_row_commutation", counting)
+    dims = koszul_cohomology(p, default_schedule(p)[0])
+    assert calls == ([] if certified else [probe])
+    assert dims == ({0: 0, 1: 0, 2: 1} if not certified else dict.fromkeys(range(n + 2), 0))
+
+
+def test_koszul_rejects_a_break_between_components_one_and_two(monkeypatch):
+    # component 2 gains multiplication by x1, which commutes with f - t but
+    # not with component 1: the pruning's certificate (0 against each i)
+    # still holds, and only the check over every pair catches the break
+    real = engine._row_stencils
+
+    def times_x1(p):
+        comps, relation = real(p)
+        return (*comps[:2], comps[2] + (((0, 0, 1, 0), Q(1), -1, 0),)), relation
+
+    monkeypatch.setattr(engine, "_row_stencils", times_x1)
+    p = instance("x1*x2*(1-x1-x2)", n=2, alpha="1/4")
+    assert p.commuting
+    assert not p.pairwise_commuting
+    assert not check_row_commutation(p, DegreeWindow(-2, 2, 2, 0))
+    with pytest.raises(ValueError, match="do not commute"):
+        koszul_cohomology(p, default_schedule(p)[0])
 
 
 def test_determinism():
