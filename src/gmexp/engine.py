@@ -8,9 +8,10 @@ from R^(n+1) to R = k((t))[x, 1/g] is surjective exactly when alpha mod Z
 is not an exponent at the origin of the direct image of the structure
 sheaf under f; the cokernel dimension counts the Jordan blocks of the
 zeroth cohomology for that class.  On each window this module builds the
-Koszul complex of the pairwise-commuting components once, with one set of
-relation columns; its top degree n+1, the cokernel on the window interior,
-is both exponent_test's estimate and koszul_cohomology's degree n+1.
+Koszul complex of the pairwise-commuting components, with one set of
+relation columns and one slack rule (the slack quotient below); its top
+degree n+1, the cokernel on the window interior, is exponent_test's
+estimate, and koszul_cohomology takes it from the same call.
 Verdicts come once the estimates stabilize over a schedule of nested windows.
 
 The localization by g is handled formally: window bases use monomials
@@ -71,10 +72,9 @@ lattice: that block is then empty, and nothing is eliminated).  When any
 check fails, the whole window is built.
 
 Degree n+1 of a window is its target rows modulo the span of the
-component columns, the relation columns and the slack, the unit columns
-on the output rows at t-degree >= win.tmax.  exponent_test and
-koszul_cohomology eliminate a smaller matrix with the same answer, the
-top image (_top_image), in three steps.
+component columns, the relation columns and the slack (the slack quotient
+below).  exponent_test and koszul_cohomology eliminate a smaller matrix
+with the same answer, the top image (_top_image), in three steps.
 
 Theorem (pruning).  Suppose that the one stencil term of component 0
 that raises t is -t, shift (1, 0, ..., 0) with a non-zero constant
@@ -105,14 +105,25 @@ weights those components are taken at, so the identity stays inside the
 top block.  _kept applies the hypothesis, and finds that the component
 columns of the benchmark's sweep lose about a fifth of their number.
 
-Slack quotient.  The slack columns are unit columns on distinct rows, the
-t-major tail of the output rows from _slack_start on, and no target lies
-there (the interior ends t_margin layers below win.tmax).  For any
-columns A and targets E, the span of [A | S | E] is span(S) plus the
-projection of [A | E] away from those rows, so rank([A | S | E]) -
-rank([A | S]) = rank([A' | E']) - rank(A'), where ' deletes the slack
-rows.  So the top image keeps only the rows below the tail and carries
-no slack column.
+Slack quotient, in every degree.  Solutions in k((t))[x, 1/g] carry
+infinite ascending t-tails, so a window truncation of a true preimage
+leaves its residual in the top t-layers.  Each degree j of a window is
+therefore defined with slack S, the unit columns on the output rows at
+t-degree >= win.tmax (the t-major tail from _slack_start, in each copy):
+it is rank([B | S | Z]) - rank([B | S]), with B the boundaries (the image
+of d^(j-1), or of the components for j = n+1, and the relations) and Z
+the interior cycles (the unit targets for j = n+1).  The span of
+[B | S | Z] is span(S) plus the projection of [B | Z] away from the slack
+rows, so when Z has no entry there this is rank([B' | Z']) - rank(B'),
+where ' deletes them.  That holds in every degree: interior cells sit at
+t <= win.tmax - 2 and each component raises t by at most 1, so neither
+the cycles nor d^j at the interior cells reach a slack row; the relation
+stencil keeps t, so the relation columns in the tail form a block of
+their own there and add no kernel vector on the cells; and a zero
+extension rank on a subset of the projected columns (the neighbourhood
+shortcut of _koszul_h) is still a proof.  So assemble_phi stops every
+column at the slack tail, a relation column that the cut empties is left
+out, and no slack column is built.
 
 Order.  The image columns reach the eliminator in order of descending
 highest row, the top t-layer first.  The pivot rule is unchanged, so the
@@ -126,7 +137,7 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -552,7 +563,9 @@ def assemble_phi(
     p: ProblemInstance, win_in: DegreeWindow, win_out: DegreeWindow,
     grading: Optional[_Grading] = None, top: bool = False,
 ) -> SparseMatrixQ:
-    """Matrix of the row map from the (n+1)-fold basis of win_in to win_out.
+    """Matrix of the row map from the (n+1)-fold basis of win_in to win_out,
+    over the rows of win_out below win_in's slack tail (_slack_start): the
+    slack rows are quotiented out (module docstring), never eliminated.
 
     Its columns, in win_in's canonical order, are each component's stencil
     at each monomial, with rows in win_out's canonical order: column
@@ -560,21 +573,19 @@ def assemble_phi(
     component ci is taken only at the cells it sends into the top block,
     so the columns are those cells of component 0, then of component 1, and
     so on; the rows keep win_out's positions.  With top, the matrix is the
-    one exponent_test eliminates (see the module docstring): the columns
-    that _kept leaves, over only the rows below the slack tail
-    (_slack_start).  The cell cap counts the full window and is checked
-    before any monomial is enumerated.  Raises WindowError when win_out
-    cannot hold the image.
+    one exponent_test eliminates: only the columns that _kept leaves.  The
+    cell cap counts the full window and is checked before any monomial is
+    enumerated.  Raises WindowError when win_out cannot hold the image,
+    slack rows included.
     """
     _check_cells((p.n + 1) * win_in.size(p.n))
     if grading is None:
         cells = [list(win_in.monomials(p.n))] * (p.n + 1)
     else:
         cells = [_cells(win_in, p.n, grading, s) for s in grading.shifts]
-    nrows = win_out.size(p.n)
     if top:
-        nrows = _slack_start(win_in, win_out, p.n)
         cells = _kept(p, win_in, cells)
+    nrows = _slack_start(win_in, win_out, p.n)
     images = _images(p, cells, win_out, nrows)
     return SparseMatrixQ(nrows, [col for cols in images for col in cols])
 
@@ -585,14 +596,11 @@ def _slack_start(win: DegreeWindow, win_out: DegreeWindow, n: int) -> int:
     return (win.tmax - win_out.tmin) * win_out.layout(n)[1]
 
 
-def _kept(
-    p: ProblemInstance, win: DegreeWindow, cells: list[list[Monomial]],
-    items: Optional[list[list]] = None,
-) -> list[list]:
-    """items[i] (by default cells[i]), one entry per cell of component i,
-    less the entries at the cells where the pruning theorem (module
-    docstring) makes the column of component i >= 1 redundant.  Unless
-    p.commuting certifies the theorem's hypotheses, nothing is left out.
+def _kept(p: ProblemInstance, win: DegreeWindow, cells: list[list[Monomial]]) -> list[list]:
+    """cells[i], the cells of component i, less those where the pruning
+    theorem (module docstring) makes the column of component i >= 1
+    redundant.  Unless p.commuting certifies the theorem's hypotheses,
+    nothing is left out.
 
     Component i at the cell t a is redundant when a + s lies in win for the
     shift s of every term of component 0 other than -t, and of component
@@ -600,11 +608,10 @@ def _kept(
     vanishes only where e[var] = -r, so the terms are grouped by (var, r),
     each group's shifts fit exactly when a lies in a box (_fit_box), and
     only the groups with an integer r need their own box."""
-    items = cells if items is None else items
     if not p.commuting:
-        return items
+        return cells
     comps = p.stencils[0]
-    out = [items[0]]
+    out = [cells[0]]
     for i in range(1, p.n + 1):
         groups: dict[tuple, list[tuple]] = {}
         for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
@@ -614,11 +621,11 @@ def _kept(
                  if var >= 0 and r.denominator == 1]
         box = _fit_box(win, live)
         kept = []
-        for item, (k, u, m) in zip(items[i], cells[i]):
-            e = (k - 1, m, *u)
+        for cell in cells[i]:
+            e = (cell.tdeg - 1, cell.gpow, *cell.xdeg)
             if _in_box(box, e) and all(e[var] == z or _in_box(b, e) for var, z, b in dying):
                 continue
-            kept.append(item)
+            kept.append(cell)
         out.append(kept)
     return out
 
@@ -651,11 +658,12 @@ def _relation_columns(
 ) -> list[dict]:
     """Columns mono * (g * g^-(m+1) - g^-m) over win's basis, for the
     monomials of gens (of the top weight, with a grading) whose relation
-    lies inside win, without their rows >= stop."""
+    lies inside win, without their rows >= stop.  A relation keeps t, so
+    one at or past stop's t-layer is all cut, and is left out."""
     if p.g.is_one():
         return []
     cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), win, p.n, stop)
-    return [c for c in cols if c is not None]
+    return [c for c in cols if c]
 
 
 def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
@@ -665,58 +673,37 @@ def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
 
 
 class _WindowComplex(NamedTuple):
-    """One window's complex, built once from (p, win): the component images
+    """Degrees 0..n of one window's complex, built once from (p, win), with
+    the slack rows quotiented out (module docstring): the component images
     (assemble_phi from win to its output window), the relation columns
-    generated in win, the slack columns, targets, {position in win: row in
-    the output window} of each interior cell, and top, the matrix whose
-    columns _top_cokernel eliminates for degree n+1 (see _top_image).
-
-    The slack columns are the unit columns on the output rows at t-degree >=
-    win.tmax, the t-major tail of the rows.  Solutions in k((t))[x, 1/g]
-    carry infinite ascending t-tails; a window truncation of a true preimage
-    leaves its residual in the top t-layers, so those rows need not be
-    matched exactly.
-    """
+    generated in win over the same rows, and targets, {position in win:
+    row in the output window} of each interior cell."""
 
     mat: SparseMatrixQ
     relations: list[dict]
-    slack: list[dict]
     targets: dict[int, int]
-    top: SparseMatrixQ
 
 
 def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
-    """The complex of (p, win).  The Koszul differentials need the full mat,
-    so its top is cut from mat and the relations (the columns _kept leaves,
-    without their rows in the slack tail) instead of assembled a second
-    time as _top_image does."""
+    """The complex of (p, win), every column cut at the slack tail."""
     win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out)
-    relations = _relation_columns(p, win, win_out)
     interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
-    top_layers = replace(win_out, tmin=win.tmax)
-    dom, stop = win.size(p.n), _slack_start(win, win_out, p.n)
-    blocks = [mat.cols[ci * dom: (ci + 1) * dom] for ci in range(p.n + 1)]
-    kept = _kept(p, win, [list(win.monomials(p.n))] * (p.n + 1), blocks)
-    top = [{r: v for r, v in col.items() if r < stop}
-           for col in itertools.chain(*kept, relations)]
     return _WindowComplex(
         mat,
-        relations,
-        [{r: Q(1)} for r in _positions(win_out, p.n, list(top_layers.monomials(p.n)))],
+        _relation_columns(p, win, win_out, stop=mat.nrows),
         dict(zip(_positions(win, p.n, interior), _positions(win_out, p.n, interior))),
-        SparseMatrixQ(stop, top),
     )
 
 
 def _top_image(
     p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading] = None
 ) -> tuple[SparseMatrixQ, list[int]]:
-    """(image, target rows) of degree n+1 on (p, win), assembled directly:
-    the component columns that _kept leaves and the relation columns, over
-    the output rows below the slack tail, and the output rows of the
-    interior cells.  With a grading, only the top block (module docstring),
-    whose degree n+1 is the whole window's."""
+    """(image, target rows) of degree n+1 on (p, win), for exponent_test and
+    koszul_cohomology alike: the component columns that _kept leaves and
+    the relation columns, over the output rows below the slack tail, and
+    the output rows of the interior cells.  With a grading, only the top
+    block (module docstring), whose degree n+1 is the whole window's."""
     win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out, grading, top=True)
     interior = _cells(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin), p.n, grading)
@@ -731,10 +718,10 @@ def _positions(win: DegreeWindow, n: int, monos: list[Monomial]) -> list[int]:
 
 
 def _top_cokernel(image: SparseMatrixQ, targets) -> int:
-    """Degree n+1 from a top image (_top_image, or a complex's top): the
-    target rows modulo the span of the image columns.  The non-empty image
-    columns are pivoted first, in order of descending highest row (the top
-    t-layer first), then the surviving target directions are counted."""
+    """Degree n+1 from a top image (_top_image): the target rows modulo the
+    span of the image columns.  The non-empty image columns are pivoted
+    first, in order of descending highest row (the top t-layer first), then
+    the surviving target directions are counted."""
     cols = sorted(filter(None, image.cols), key=max, reverse=True)
     _, coker = rank_with_extension(
         SparseMatrixQ(image.nrows, cols), [{r: Q(1)} for r in sorted(targets)]
@@ -757,7 +744,7 @@ def exponent_test(
     method 'generic' always uses the truncation path; 'per-degree' uses
     the exact per-degree reduction when it applies (arrangement-shaped f,
     g = 1, and every scaling-operator inversion legal) and falls back to
-    the generic path otherwise.
+    the generic path otherwise.  Any other method is a ValueError.
 
     Each estimate is _top_cokernel of the window's top image (_top_image).
     When (f, g) is certified quasi-homogeneous (p.grading), each window is
@@ -772,6 +759,8 @@ def exponent_test(
     """
     if rounds < 2:
         raise ValueError("the schedule needs at least two rounds")
+    if method not in ("generic", "per-degree"):
+        raise ValueError(f"unknown method {method!r}: use 'generic' or 'per-degree'")
     if method == "per-degree":
         from .arrangements import per_degree_exponent_test
 
@@ -811,11 +800,12 @@ def _koszul_differential(
 ) -> SparseMatrixQ:
     """d^j from K^j(win) to K^(j+1)(win_out), exact, at the positions cells
     of win (default: all), for mat = assemble_phi(p, win, win_out) and
-    by_deg = _koszul_bases(n).  K^j has one copy of cells per j-subset of
-    {0..n}, column k * len(cells) + i of d^j the cells[i] of the copy of
-    by_deg[j][k]: signed slices of mat's component columns, -v read as
-    negated[id(v)], one object per distinct value of mat (which keeps them
-    alive), so the eliminator still converts each only once."""
+    by_deg = _koszul_bases(n), so over mat's rows below the slack tail.
+    K^j has one copy of cells per j-subset of {0..n}, column k * len(cells)
+    + i of d^j the cells[i] of the copy of by_deg[j][k]: signed slices of
+    mat's component columns, -v read as negated[id(v)], one object per
+    distinct value of mat (which keeps them alive), so the eliminator still
+    converts each only once."""
     n = len(by_deg) - 2
     dom = mat.ncols // (n + 1)
     images = [mat.cols[i * dom : (i + 1) * dom] for i in range(n + 1)]
@@ -843,12 +833,12 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     The complex is the one exponent_test's estimate comes from on win:
     every differential has domain win and codomain its output window, so
     chaining two differentials on the overlap composes to zero, and degree
-    n+1 is exponent_test's window cokernel, computed by the same
-    _top_cokernel from the complex's top.  Cycles are taken with interior
-    support (closing up to the localization relations); boundaries come
-    from the full domain window, with slack for the top t-layers where a
-    truncated ascending tail leaves its residual.  Every degree uses the
-    one relation set, generated in win.
+    n+1 is exponent_test's window cokernel, by the very call it makes
+    (_top_cokernel of _top_image, graded where p.grading certifies it).
+    Cycles are taken with interior support (closing up to the localization
+    relations); boundaries come from the full domain window.  Every degree
+    quotients out the slack rows (module docstring) and uses the one
+    relation set, generated in win.
 
     A degree's cycles are first checked against the boundary columns that
     share a row with one of them.  Those columns are a subset of all the
@@ -865,16 +855,18 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     probe = DegreeWindow(-2, 2, 2, 0 if p.g.is_one() else 2)
     if not (p.pairwise_commuting or check_row_commutation(p, probe)):
         raise ValueError("row components do not commute; assembly is inconsistent")
-    cx = _window_complex(p, win, _shift_analysis(p))
+    sh = _shift_analysis(p)
+    cx = _window_complex(p, win, sh)
     negated = {i: -v for i, v in {id(v): v for c in cx.mat.cols for v in c.values()}.items()}
     dims = {j: _koszul_h(j, cx, by_deg, negated) for j in range(p.n + 1)}
-    dims[p.n + 1] = _top_cokernel(cx.top, cx.targets.values())
+    dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading))
     return dims
 
 
 def _koszul_h(j: int, cx: _WindowComplex, by_deg, negated: dict) -> int:
-    """Dimension of degree j <= n, compared inside K^j(win_out): the rank of
-    the interior cycles modulo the boundaries.
+    """Dimension of degree j <= n, compared inside K^j(win_out) below the
+    slack tail of each copy: the rank of the interior cycles modulo the
+    boundaries.
 
     The neighbourhood certificate eliminates first only the boundary columns
     that meet a cycle.  A vector in the span of a subset of the columns is
@@ -898,12 +890,10 @@ def _koszul_h(j: int, cx: _WindowComplex, by_deg, negated: dict) -> int:
     if not zvecs:
         return 0  # rank([B | Z]) - rank(B) with Z empty
 
-    # boundaries: image of d^(j-1) plus relations, plus slack for the top
-    # t-layers where a truncated ascending tail leaves its residual
+    # boundaries: image of d^(j-1) plus relations
     bcols = [col for col in _koszul_differential(j - 1, cx.mat, by_deg, negated).cols
              if col] if j >= 1 else []
     bcols += _stack(cx.relations, len(sets_j), nm)
-    bcols += _stack(cx.slack, len(sets_j), nm)
     zrows = set().union(*zvecs)
     near = [col for col in bcols if not zrows.isdisjoint(col)]
     _, extra = rank_with_extension(SparseMatrixQ(len(sets_j) * nm, near), zvecs)

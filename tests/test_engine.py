@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from gmexp.engine import (
     exponent_test,
     koszul_cohomology,
 )
-from gmexp.linalg import SparseMatrixQ, _Eliminator, rank_with_extension
+from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, rank_with_extension
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
@@ -126,6 +127,38 @@ def differential(j, mat, n, cells=None):
     return _koszul_differential(j, mat, _koszul_bases(n), negated, cells)
 
 
+class FullWindow(NamedTuple):
+    """A window with its slack as columns, built here from the definition."""
+
+    mat: SparseMatrixQ  # every component column over every output row
+    relations: list  # the relation columns over every output row
+    slack: list  # unit columns on the output rows at t-degree >= tmax
+    targets: list  # output rows of the interior cells, sorted
+
+
+def full_image(p, win, win_out):
+    """Every component column from win over every row of win_out:
+    engine._images with no stop."""
+    images = engine._images(p, [list(win.monomials(p.n))] * (p.n + 1), win_out)
+    return SparseMatrixQ(win_out.size(p.n), [col for cols in images for col in cols])
+
+
+def full_window(p, win):
+    """The full window of (p, win) that the engine's slack quotient stands
+    for: full_image, the relation columns over all rows, and unit slack
+    columns made here."""
+    sh = _shift_analysis(p)
+    win_out = sh.output_window(win)
+    index = positions(win_out, p.n)
+    interior = win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
+    return FullWindow(
+        full_image(p, win, win_out),
+        _relation_columns(p, win, win_out),
+        [{i: Q(1)} for m, i in index.items() if m.tdeg >= win.tmax],
+        sorted(index[m] for m in interior.monomials(p.n)),
+    )
+
+
 def assert_columns(cols, expected):
     assert len(cols) == len(expected)
     for col, exp in zip(cols, expected):
@@ -178,11 +211,18 @@ def test_stencil_assembly_matches_tree_walk(case):
                         for m in win.monomials(n)]
         except WindowError:
             with pytest.raises(WindowError):
+                full_image(p, win, win_out)
+            with pytest.raises(WindowError):
                 assemble_phi(p, win, win_out)
         else:
-            mat = assemble_phi(p, win, win_out)
+            # every output row, then assemble_phi's cut at the slack tail
+            mat = full_image(p, win, win_out)
             assert (mat.nrows, mat.ncols) == (len(rows), len(expected))
             assert_columns(mat.cols, expected)
+            cut = assemble_phi(p, win, win_out)
+            assert cut.nrows == sum(1 for m in rows if m.tdeg < win.tmax)
+            assert cut.cols == [{r: v for r, v in col.items() if r < cut.nrows}
+                                for col in expected]
 
         rel = tree_relations(p, win, index)
         assert_columns(_relation_columns(p, win, win_out), rel)
@@ -196,7 +236,7 @@ def test_stencil_assembly_matches_tree_walk(case):
             with pytest.raises(WindowError):
                 differential(0, assemble_phi(p, win, win_out), n)
         else:
-            image = assemble_phi(p, win, win_out)
+            image = full_image(p, win, win_out)
             for j in range(n + 1):
                 mat = differential(j, image, n)
                 assert (mat.nrows, mat.ncols) == (
@@ -204,9 +244,10 @@ def test_stencil_assembly_matches_tree_walk(case):
                 assert_columns(mat.cols, expected_k[j])
 
     # the window complex names cells by position: targets take each interior
-    # cell of the input window to its output row, and the slack columns are
-    # the unit columns on the output rows at t-degree >= tmax; the input
-    # window is widened in t so that it has an interior
+    # cell of the input window to its output row, and its rows stop where
+    # the slack tail starts, the output rows at t-degree >= tmax, which are
+    # the t-major tail; the input window is widened in t so that it has an
+    # interior
     sh = _shift_analysis(p)
     big = win.expand(dt=sh.t_margin)
     out = sh.output_window(big)
@@ -214,7 +255,12 @@ def test_stencil_assembly_matches_tree_walk(case):
     cx = _window_complex(p, big, sh)
     interior = big.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
     assert cx.targets == {index_in[m]: index_out[m] for m in interior.monomials(n)}
-    assert cx.slack == [{i: Q(1)} for m, i in index_out.items() if m.tdeg >= big.tmax]
+    tail = [i for m, i in index_out.items() if m.tdeg >= big.tmax]
+    assert tail == list(range(cx.mat.nrows, len(index_out)))
+    full = full_window(p, big)
+    assert full.targets == sorted(cx.targets.values())
+    assert cx.relations == [c for c in ({r: v for r, v in col.items() if r < cx.mat.nrows}
+                                        for col in full.relations) if c]
 
     # d^j built at the interior cells alone (as koszul_cohomology builds it
     # for its cycles) is the matching columns of the full d^j, entry for
@@ -375,6 +421,14 @@ def test_default_schedule_growth():
         exponent_test(p, rounds=1)
 
 
+def test_exponent_test_rejects_an_unknown_method():
+    # a misspelt method is refused, not run as the generic path
+    p = instance("x1^2*(1-x1)", alpha="1/2")
+    for method in ("per_degree", "Generic", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            exponent_test(p, method=method)
+
+
 def test_windows_built_only_when_reached(monkeypatch):
     # a large round budget costs nothing beyond the windows the verdict needs
     built = []
@@ -423,11 +477,11 @@ def test_resource_cap_precedes_enumeration(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def full_image_cokernel(cx):
-    """Degree n+1 from the full image of a window complex: every component
+def full_image_cokernel(full):
+    """Degree n+1 from the full image of a full_window: every component
     column, the relations and the unit slack columns, then unit targets."""
-    image = SparseMatrixQ(cx.mat.nrows, cx.mat.cols + cx.relations + cx.slack)
-    return rank_with_extension(image, [{r: Q(1)} for r in sorted(cx.targets.values())])[1]
+    image = SparseMatrixQ(full.mat.nrows, full.mat.cols + full.relations + full.slack)
+    return rank_with_extension(image, [{r: Q(1)} for r in full.targets])[1]
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha, rounds, commuting", [
@@ -441,22 +495,28 @@ def full_image_cokernel(cx):
     ("x1^2*ginv", 1, "1-x1", "1/2", 3, False),  # a g-layer: the full image
 ])
 def test_top_image_equals_the_full_image(fs, n, gs, alpha, rounds, commuting):
-    # on every default window, the directly assembled top image (graded
-    # where p.grading certifies it) and the complex's top give the cokernel
-    # of the full image, and the top image has no row in the slack tail
+    # on every default window, the top image (graded where p.grading
+    # certifies it, and ungraded) and the complex's unpruned columns give
+    # the cokernel of the full image, and none has a row in the slack tail
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     assert p.commuting is commuting
     sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=rounds):
+        full = full_window(p, win)
         cx = _window_complex(p, win, sh)
         image, targets = _top_image(p, win, sh, p.grading)
-        assert image.nrows == min(cx.slack[0]) == cx.top.nrows
-        assert all(r < image.nrows for col in image.cols + cx.top.cols for r in col)
+        whole, whole_targets = _top_image(p, win, sh)
+        assert image.nrows == min(full.slack[0]) == cx.mat.nrows == whole.nrows
+        assert all(r < image.nrows
+                   for col in image.cols + whole.cols + cx.mat.cols + cx.relations for r in col)
+        assert sorted(whole_targets) == sorted(cx.targets.values()) == full.targets
         if p.grading is None:
-            assert sorted(targets) == sorted(cx.targets.values())
-        want = full_image_cokernel(cx)
+            assert sorted(targets) == full.targets
+        want = full_image_cokernel(full)
         assert _top_cokernel(image, targets) == want, win
-        assert _top_cokernel(cx.top, cx.targets.values()) == want, win
+        assert _top_cokernel(whole, whole_targets) == want, win
+        unpruned = SparseMatrixQ(cx.mat.nrows, cx.mat.cols + cx.relations)
+        assert _top_cokernel(unpruned, cx.targets.values()) == want, win
 
 
 def test_pruning_needs_the_commutation_certificate(monkeypatch):
@@ -477,8 +537,7 @@ def test_pruning_needs_the_commutation_certificate(monkeypatch):
     for win in default_schedule(p, rounds=3):
         image, targets = _top_image(p, win, sh)
         assert image.ncols == 2 * win.size(1)
-        cx = _window_complex(p, win, sh)
-        assert _top_cokernel(image, targets) == full_image_cokernel(cx)
+        assert _top_cokernel(image, targets) == full_image_cokernel(full_window(p, win))
 
 
 def test_pruning_drops_a_pinned_number_of_columns():
@@ -489,10 +548,10 @@ def test_pruning_drops_a_pinned_number_of_columns():
     win = default_schedule(p)[1]
     out = _shift_analysis(p).output_window(win)
     assert (win, out.tmin) == (DegreeWindow(-5, 5, 10, 0), -6)
-    full = assemble_phi(p, win, out)
+    full = full_window(p, win).mat
     top = assemble_phi(p, win, out, top=True)
     assert (full.ncols, top.ncols) == (3 * 726, 3 * 726 - 378)
-    assert top.nrows == 11 * (full.nrows // 13)
+    assert top.nrows == 11 * (full.nrows // 13) == assemble_phi(p, win, out).nrows
 
 
 def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
@@ -579,13 +638,19 @@ def test_koszul_certifies_boundaries_on_the_cycles_neighbourhood(monkeypatch):
     win = default_schedule(p)[0]
     assert koszul_cohomology(p, win) == {0: 0, 1: 0, 2: 0, 3: 0}
 
-    cx = _window_complex(p, win, _shift_analysis(p))
-    nm, sets = cx.mat.nrows, len(_koszul_bases(2)[2])
-    bcols = [col for col in differential(1, cx.mat, 2).cols if col]
-    bcols += _stack(cx.relations, sets, nm) + _stack(cx.slack, sets, nm)
+    # the reference boundary of degree 2 over the full window, slack included;
+    # the engine eliminates columns of its projection below the slack tail
+    # of each copy
+    full = full_window(p, win)
+    nm, sets = full.mat.nrows, len(_koszul_bases(2)[2])
+    bcols = [col for col in differential(1, full.mat, 2).cols if col]
+    bcols += _stack(full.relations, sets, nm) + _stack(full.slack, sets, nm)
     assert len(bcols) == 1302
-    boundary = {tuple(sorted(col.items())) for col in bcols}
-    (near,) = [a for a, _extra in calls if a.nrows == sets * nm]
+    stop = min(full.slack[0])
+    boundary = {tuple(sorted((r // nm * stop + r % nm, v) for r, v in col.items()
+                             if r % nm < stop))
+                for col in bcols}
+    (near,) = [a for a, _extra in calls if a.nrows == sets * stop]
     assert 0 < near.ncols <= 50
     assert all(tuple(sorted(col.items())) in boundary for col in near.cols)
     assert all(a.ncols < len(bcols) for a, _extra in calls)
@@ -616,6 +681,65 @@ def test_koszul_falls_back_when_the_neighbourhood_does_not_certify(
     # h0 certified, h1 on the neighbourhood then on every boundary column, top
     (_, h0), (small, h1_near), (full, h1), _top = counts
     assert (h0, h1_near, h1) == (0, near, dims[1]) and small < full
+
+
+def definition_koszul(p, win):
+    """Degrees 0..n+1 of the window's Koszul complex from its definition,
+    with no shortcut: tree-walk differentials over the full output window,
+    tree-walk relations and unit slack columns on the output rows at
+    t-degree >= tmax.  Degree j is the rank of the interior cycles (the
+    kernel of d^j at the interior cells, up to the relations) modulo the
+    image of d^(j-1), the relations and the slack, in one elimination."""
+    sh = _shift_analysis(p)
+    out = sh.output_window(win)
+    index_in, index = positions(win, p.n), positions(out, p.n)
+    nm, dom = len(index), len(index_in)
+    interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
+    rel = tree_relations(p, win, index)
+    slack = [{i: Q(1)} for m, i in index.items() if m.tdeg >= win.tmax]
+    by_deg = _koszul_bases(p.n)
+    d = [tree_koszul(p, j, win, index) for j in range(p.n + 1)]
+
+    def stacked(cols, copies):
+        return [{b * nm + r: v for r, v in c.items()} for b in range(copies) for c in cols]
+
+    dims = {}
+    for j in range(p.n + 2):
+        copies = len(by_deg[j])
+        # the interior cells of K^j, as columns of d^j and as rows of K^j(out)
+        cells = [(k * dom + index_in[m], k * nm + index[m])
+                 for k in range(copies) for m in interior]
+        if j <= p.n:
+            up = len(by_deg[j + 1])
+            kernel = nullspace(SparseMatrixQ(
+                up * nm, [d[j][c] for c, _ in cells] + stacked(rel, up)))
+            zvecs = [z for z in ({cells[c][1]: v for c, v in vec.items() if c < len(cells)}
+                                 for vec in kernel) if z]
+        else:
+            zvecs = [{r: Q(1)} for _, r in cells]
+        bcols = (d[j - 1] if j else []) + stacked(rel, copies) + stacked(slack, copies)
+        dims[j] = rank_with_extension(SparseMatrixQ(copies * nm, bcols), zvecs)[1]
+    return dims
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", [
+    ("x1^2", 1, "x1", "1"),  # H^1 != 0
+    ("x1^3", 1, "x1", "1/3"),  # H^1 != 0
+    ("x1^4", 1, "x1", "1/5"),
+    ("x1^2*ginv", 1, "1-x1", "1/2"),  # a g-layer: the probe decides
+    ("x1^3*ginv", 1, "x1^2+1", "1/3"),
+    ("x1^2*(1-x1)", 1, "1", "1/2"),
+    ("x1^2*(1-x1)", 1, "1", "1"),
+    ("x1^3*(1-x1)^2", 1, "1", "1/5"),
+    ("x1*x2*(1-x1-x2)", 2, "1", "1/4"),
+    ("x1^2+x2^3", 2, "1", "5/6"),  # Brieskorn-Pham exponent classes, graded top
+    ("x1^3+x2^3", 2, "1", "2/3"),
+    ("x1*x2*x3", 3, "1", "1"),  # an arrangement, non-zero in degrees 1 to 4
+])
+def test_koszul_cohomology_matches_the_unit_slack_definition(fs, n, gs, alpha):
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    win = default_schedule(p)[0]
+    assert koszul_cohomology(p, win) == definition_koszul(p, win)
 
 
 # (f template, g template, n, alpha); the substitutions below are exact
@@ -770,18 +894,18 @@ def full_window_blocks(p, win, grading):
     the cokernels of all its other blocks), with weights read from grading.
 
     One elimination of the whole window: its full image (every component
-    column, the relations and the slack), then the top block's targets,
-    then every other target.  Every image column must lie in the rows of a
-    single weight."""
+    column, the relations and the slack, over every output row), then the
+    top block's targets, then every other target.  Every image column must
+    lie in the rows of a single weight."""
     sh = _shift_analysis(p)
-    cx = _window_complex(p, win, sh)
+    full = full_window(p, win)
     weight = [grading.scale * m.tdeg - grading.wg * m.gpow
               + sum(a * u for a, u in zip(grading.wx, m.xdeg))
               for m in sh.output_window(win).monomials(p.n)]
-    image = cx.mat.cols + cx.relations + cx.slack
+    image = full.mat.cols + full.relations + full.slack
     assert all(len({weight[r] for r in col}) <= 1 for col in image)
     top = p.alpha * grading.scale - sum(grading.wx)
-    targets = sorted(cx.targets.values())
+    targets = full.targets
     star = [{r: Q(1)} for r in targets if weight[r] == top]
     rest = [{r: Q(1)} for r in targets if weight[r] != top]
     elim = _Eliminator(image + star + rest)
