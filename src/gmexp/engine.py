@@ -11,7 +11,7 @@ zeroth cohomology for that class.  On each window this module builds the
 Koszul complex of the pairwise-commuting components, with one set of
 relation columns and one slack rule (the slack quotient below); its top
 degree n+1, the cokernel on the window interior, is exponent_test's
-estimate, and koszul_cohomology takes it from the same call.
+estimate, which koszul_cohomology reads from the window's one assembly.
 Verdicts come once the estimates stabilize over a schedule of nested windows.
 
 The localization by g is handled formally: window bases use monomials
@@ -79,7 +79,7 @@ with the same answer, the top image (_top_image), in three steps.
 Theorem (pruning).  Suppose that the one stencil term of component 0
 that raises t is -t, shift (1, 0, ..., 0) with a non-zero constant
 coefficient c_tau, and that component 0 commutes with component i >= 1 on
-every monomial; _certify_commutation checks both exactly.  Let c = t a be
+every monomial; p.commuting checks both exactly.  Let c = t a be
 a cell of the input window such that a + s is a cell of it for every
 shift s of a term of component 0 other than -t, and of component i, whose
 coefficient is not 0 at a.  Then col_i(c) lies in the span of the
@@ -208,16 +208,27 @@ class ProblemInstance:
 
     @cached_property
     def commuting(self) -> bool:
-        """Whether f - t certifiably commutes with every other row component
-        as stencils (_certify_commutation), which lets the top image drop
-        redundant columns; computed on first use."""
-        return _certify_commutation(self)
+        """Whether the hypotheses of the pruning theorem (module docstring),
+        which let the top image drop redundant columns, hold exactly on the
+        stencils: the one term of component 0 that raises t is -t itself,
+        shift (1, 0, ..., 0) with a non-zero constant coefficient, and
+        component 0 commutes with each component i >= 1; computed on first use."""
+        # (shift, var, c * (e[-1] + r) != 0), e[-1] = 1
+        raising = [(s, var, bool(c * (1 + r))) for s, c, var, r in self.stencils[0][0] if s[0] > 0]
+        return raising == [((1,) + (0,) * (self.n + 1), -1, True)] and self._commutes_with_0
 
     @cached_property
     def pairwise_commuting(self) -> bool:
         """Whether every pair of row components certifiably commutes as
-        stencils (_commute); computed on first use."""
-        return all(_commute(a, b) for a, b in itertools.combinations(self.stencils[0], 2))
+        stencils (_commute): the pairs with component 0, which commuting
+        reads too, then the rest; computed on first use."""
+        rest = itertools.combinations(self.stencils[0][1:], 2)
+        return self._commutes_with_0 and all(_commute(a, b) for a, b in rest)
+
+    @cached_property
+    def _commutes_with_0(self) -> bool:
+        comps = self.stencils[0]
+        return all(_commute(comps[0], c) for c in comps[1:])
 
 
 class Verdict(str, Enum):
@@ -327,18 +338,6 @@ def _scaled(cols: list[dict], s: int) -> list[dict[int, int]]:
             for col in cols]
 
 
-def _certify_commutation(p: ProblemInstance) -> bool:
-    """The hypotheses of the pruning theorem (module docstring), checked
-    exactly on the stencils: the one term of component 0 that raises t is
-    -t itself, shift (1, 0, ..., 0) with a non-zero constant coefficient,
-    and component 0 commutes with each component i >= 1 (_commute)."""
-    comps = p.stencils[0]
-    # (shift, var, c * (e[-1] + r) != 0), e[-1] = 1
-    raising = [(s, var, bool(c * (1 + r))) for s, c, var, r in comps[0] if s[0] > 0]
-    tau = (1,) + (0,) * (p.n + 1)
-    return raising == [(tau, -1, True)] and all(_commute(comps[0], c) for c in comps[1:])
-
-
 def _commute(left: tuple, right: tuple) -> bool:
     """Whether two stencils commute on every monomial, checked exactly.
 
@@ -350,23 +349,32 @@ def _commute(left: tuple, right: tuple) -> bool:
     a shift read as 0 in the constant slot -1.  When each collected affine
     form is 0 as a polynomial, the commutator vanishes on every monomial,
     so in k[x, 1/g] too.  No window is involved, and the g-layers stay
-    formal: an f whose derivatives clear_g rewrote may fail here."""
-    diff: dict[tuple, dict[int, object]] = {}
-    for s0, c0, v0, r0 in left:
-        for s1, c1, v1, r1 in right:
+    formal: an f whose derivatives clear_g rewrote may fail here.  The
+    arithmetic is on ints (_int_terms): each form is scaled by a non-zero
+    constant, which keeps its zero test exact."""
+    diff: dict[tuple, dict[int, int]] = {}
+    right = _int_terms(right)
+    for s0, c0, v0, cr0 in _int_terms(left):
+        for s1, c1, v1, cr1 in right:
             a = s0[v1] if v1 >= 0 else 0
             b = s1[v0] if v0 >= 0 else 0
             if not (a or b):
                 continue
             form = diff.setdefault(tuple(map(sum, zip(s0, s1))), {})
-            cc = c0 * c1
-            if a:  # + cc * a * (e[v0] + r0)
-                form[v0] = form.get(v0, 0) + cc * a
-                form[-1] = form.get(-1, 0) + cc * a * r0
-            if b:  # - cc * b * (e[v1] + r1)
-                form[v1] = form.get(v1, 0) - cc * b
-                form[-1] = form.get(-1, 0) - cc * b * r1
+            if a:  # + c0 * c1 * a * (e[v0] + r0)
+                form[v0] = form.get(v0, 0) + c0 * c1 * a
+                form[-1] = form.get(-1, 0) + cr0 * c1 * a
+            if b:  # - c0 * c1 * b * (e[v1] + r1)
+                form[v1] = form.get(v1, 0) - c0 * c1 * b
+                form[-1] = form.get(-1, 0) - c0 * cr1 * b
     return not any(v for form in diff.values() for v in form.values())
+
+
+def _int_terms(stencil: tuple) -> list[tuple]:
+    """The terms (shift, L c, var, L c r) of a stencil, for L the lcm of the
+    denominators of every c and c * r in it: all ints."""
+    scale = math.lcm(*(int(q.denominator) for _s, c, _v, r in stencil for q in (c, c * r)))
+    return [(s, int(c * scale), var, int(c * r * scale)) for s, c, var, r in stencil]
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +538,11 @@ def _stencil_columns(
         base = (k - tmin) * tsize + m
         col: Optional[dict[int, object]] = {}
         for (dt, dg, off, c, var, r, memo), x in zip(terms, xs):
-            v = memo.get(e[var])
+            v = memo.get(e[var], memo)  # memo itself marks a miss, None a zero
+            if v is memo:
+                v = c * (e[var] + r)
+                v = memo[e[var]] = v if v else None
             if v is None:
-                v = memo[e[var]] = c * (e[var] + r)
-            if not v:
                 continue
             if x is None or not tmin <= k + dt <= tmax or m + dg > gmax:
                 col = None
@@ -579,14 +588,8 @@ def assemble_phi(
     slack rows included.
     """
     _check_cells((p.n + 1) * win_in.size(p.n))
-    if grading is None:
-        cells = [list(win_in.monomials(p.n))] * (p.n + 1)
-    else:
-        cells = [_cells(win_in, p.n, grading, s) for s in grading.shifts]
-    if top:
-        cells = _kept(p, win_in, cells)
     nrows = _slack_start(win_in, win_out, p.n)
-    images = _images(p, cells, win_out, nrows)
+    images = _images(p, _kept(p, win_in, grading, top), win_out, nrows)
     return SparseMatrixQ(nrows, [col for cols in images for col in cols])
 
 
@@ -596,19 +599,28 @@ def _slack_start(win: DegreeWindow, win_out: DegreeWindow, n: int) -> int:
     return (win.tmax - win_out.tmin) * win_out.layout(n)[1]
 
 
-def _kept(p: ProblemInstance, win: DegreeWindow, cells: list[list[Monomial]]) -> list[list]:
-    """cells[i], the cells of component i, less those where the pruning
-    theorem (module docstring) makes the column of component i >= 1
-    redundant.  Unless p.commuting certifies the theorem's hypotheses,
-    nothing is left out.
+def _kept(
+    p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading], top: bool
+) -> list[list[Monomial]]:
+    """The cells of win that assemble_phi takes each component at: all of
+    them, or with a grading those the component sends into the top block.
+    With top, less those where the pruning theorem (module docstring) makes
+    the column of component i >= 1 redundant, when p.commuting certifies
+    the theorem's hypotheses.
 
     Component i at the cell t a is redundant when a + s lies in win for the
     shift s of every term of component 0 other than -t, and of component
     i, whose coefficient is not 0 at a.  A coefficient c * (e[var] + r)
     vanishes only where e[var] = -r, so the terms are grouped by (var, r),
     each group's shifts fit exactly when a lies in a box (_fit_box), and
-    only the groups with an integer r need their own box."""
-    if not p.commuting:
+    only the groups with an integer r need their own box.  The boxes are
+    read once per (u, m), as the k where the cells t^(k+1) x^u g^-m are
+    redundant (_redundant_ks)."""
+    if grading is None:
+        cells = [list(win.monomials(p.n))] * (p.n + 1)
+    else:
+        cells = [_cells(win, p.n, grading, s) for s in grading.shifts]
+    if not (top and p.commuting):
         return cells
     comps = p.stencils[0]
     out = [cells[0]]
@@ -617,17 +629,35 @@ def _kept(p: ProblemInstance, win: DegreeWindow, cells: list[list[Monomial]]) ->
         for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
             groups.setdefault((var, r), []).append(s)
         live = [s for (var, r), ss in groups.items() if var < 0 or r.denominator != 1 for s in ss]
-        dying = [(var, int(-r), _fit_box(win, ss)) for (var, r), ss in groups.items()
-                 if var >= 0 and r.denominator == 1]
+        dying = sorted([(var, int(-r), _fit_box(win, ss)) for (var, r), ss in groups.items()
+                        if var >= 0 and r.denominator == 1], key=lambda d: -d[0])
         box = _fit_box(win, live)
+        spans: dict[tuple, tuple] = {}
         kept = []
         for cell in cells[i]:
-            e = (cell.tdeg - 1, cell.gpow, *cell.xdeg)
-            if _in_box(box, e) and all(e[var] == z or _in_box(b, e) for var, z, b in dying):
-                continue
-            kept.append(cell)
+            span = spans.get((cell.xdeg, cell.gpow))
+            if span is None:
+                span = spans[cell.xdeg, cell.gpow] = _redundant_ks(box, dying, cell.xdeg, cell.gpow)
+            lo, hi, z = span
+            if not (lo <= cell.tdeg - 1 <= hi or cell.tdeg - 1 == z):
+                kept.append(cell)
         out.append(kept)
     return out
+
+
+def _redundant_ks(box: Optional[tuple], dying: list[tuple], u: tuple, m: int) -> tuple:
+    """(lo, hi, z): _kept's hypothesis holds at (k, m, u) exactly when lo <= k
+    <= hi or k == z.  The group of var 0 (r = -alpha), if any, comes last in
+    dying and alone tests k itself: it holds at k == z or in its box."""
+    (lo, hi), e, z0 = _k_span(box, u, m), (None, m, *u), None
+    for var, z, b in dying:
+        if var == 0:
+            z0 = z if lo <= z <= hi else None
+        elif e[var] == z:
+            continue
+        blo, bhi = _k_span(b, u, m)
+        lo, hi = blo if blo > lo else lo, bhi if bhi < hi else hi
+    return lo, hi, z0
 
 
 def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> Optional[tuple]:
@@ -643,13 +673,14 @@ def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> Optional[tuple]:
             win.xmax - max(map(sum, dxs)), ulo if any(ulo) else None)
 
 
-def _in_box(box: Optional[tuple], e: tuple) -> bool:
-    """Whether e = (k, m, u_1, ..., u_n) lies in a box of _fit_box."""
+def _k_span(box: Optional[tuple], u: tuple, m: int) -> tuple:
+    """(lo, hi): (k, m, u) lies in a box of _fit_box exactly when lo <= k <= hi."""
     if box is None:
-        return True
+        return -math.inf, math.inf
     klo, khi, mlo, mhi, xhi, ulo = box
-    return (klo <= e[0] <= khi and mlo <= e[1] <= mhi and sum(e[2:]) <= xhi
-            and (ulo is None or all(a >= b for a, b in zip(e[2:], ulo))))
+    if mlo <= m <= mhi and sum(u) <= xhi and (ulo is None or all(map(int.__ge__, u, ulo))):
+        return klo, khi
+    return 1, 0
 
 
 def _relation_columns(
@@ -697,18 +728,28 @@ def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _Wind
 
 
 def _top_image(
-    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading] = None
+    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading] = None,
+    cx: Optional[_WindowComplex] = None,
 ) -> tuple[SparseMatrixQ, list[int]]:
     """(image, target rows) of degree n+1 on (p, win), for exponent_test and
     koszul_cohomology alike: the component columns that _kept leaves and
     the relation columns, over the output rows below the slack tail, and
     the output rows of the interior cells.  With a grading, only the top
-    block (module docstring), whose degree n+1 is the whole window's."""
+    block (module docstring), whose degree n+1 is the whole window's.  Given
+    cx = _window_complex(p, win, sh), nothing is assembled again: the same
+    column objects, in the same order, are read from cx by position."""
     win_out = sh.output_window(win)
-    mat = assemble_phi(p, win, win_out, grading, top=True)
+    if cx is None:
+        mat = assemble_phi(p, win, win_out, grading, top=True)
+        cols = mat.cols
+    else:  # column ci * win.size(n) + i of cx.mat is component ci at cell i
+        mat, size = cx.mat, win.size(p.n)
+        cols = [mat.cols[ci * size + i] for ci, cells in enumerate(_kept(p, win, grading, True))
+                for i in _positions(win, p.n, cells)]
+    relations = (cx.relations if cx and grading is None
+                 else _relation_columns(p, win, win_out, grading, mat.nrows))
     interior = _cells(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin), p.n, grading)
-    relations = _relation_columns(p, win, win_out, grading, mat.nrows)
-    return SparseMatrixQ(mat.nrows, mat.cols + relations), _positions(win_out, p.n, interior)
+    return SparseMatrixQ(mat.nrows, cols + relations), _positions(win_out, p.n, interior)
 
 
 def _positions(win: DegreeWindow, n: int, monos: list[Monomial]) -> list[int]:
@@ -723,8 +764,9 @@ def _top_cokernel(image: SparseMatrixQ, targets) -> int:
     first, in order of descending highest row (the top t-layer first), then
     the surviving target directions are counted."""
     cols = sorted(filter(None, image.cols), key=max, reverse=True)
+    one = Q(1)  # one object, which the eliminator converts once
     _, coker = rank_with_extension(
-        SparseMatrixQ(image.nrows, cols), [{r: Q(1)} for r in sorted(targets)]
+        SparseMatrixQ(image.nrows, cols), [{r: one} for r in sorted(targets)]
     )
     return coker
 
@@ -833,8 +875,9 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     The complex is the one exponent_test's estimate comes from on win:
     every differential has domain win and codomain its output window, so
     chaining two differentials on the overlap composes to zero, and degree
-    n+1 is exponent_test's window cokernel, by the very call it makes
-    (_top_cokernel of _top_image, graded where p.grading certifies it).
+    n+1 is exponent_test's window cokernel (_top_cokernel of _top_image,
+    graded where p.grading certifies it), its columns read from the one
+    assembly of the window (_window_complex) that degrees 0..n use.
     Cycles are taken with interior support (closing up to the localization
     relations); boundaries come from the full domain window.  Every degree
     quotients out the slack rows (module docstring) and uses the one
@@ -859,7 +902,7 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     cx = _window_complex(p, win, sh)
     negated = {i: -v for i, v in {id(v): v for c in cx.mat.cols for v in c.values()}.items()}
     dims = {j: _koszul_h(j, cx, by_deg, negated) for j in range(p.n + 1)}
-    dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading))
+    dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading, cx))
     return dims
 
 

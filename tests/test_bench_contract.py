@@ -51,9 +51,9 @@ def test_tracer_finds_and_counts_the_engine_layers():
         assert counts.get(name), name
         for c in counts[name]:
             assert set(c) == keys and all(isinstance(v, int) for v in c.values()), (name, c)
-    # one assembly per window of the verdict; the Koszul window assembles its
-    # complex (degrees 0..n), then its top image as exponent_test does
-    assert len(counts["engine.assemble_phi"]) == 4
+    # one assembly per window of the verdict, and one for the Koszul window:
+    # its complex, from which degree n+1 reads its columns too
+    assert len(counts["engine.assemble_phi"]) == 3
     assert all(c["cells"] > 0 and c["nnz"] > 0 for c in counts["engine.assemble_phi"])
 
 

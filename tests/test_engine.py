@@ -554,6 +554,40 @@ def test_pruning_drops_a_pinned_number_of_columns():
     assert top.nrows == 11 * (full.nrows // 13) == assemble_phi(p, win, out).nrows
 
 
+def hypothesis_holds(p, win, i, cell):
+    """The pruning theorem's hypothesis for component i at cell = t a, term
+    by term: a + s lies in win for the shift s of every term of component 0
+    other than -t, and of component i, whose coefficient is not 0 at a."""
+    a = (cell.tdeg - 1, cell.gpow, *cell.xdeg)
+    comps = p.stencils[0]
+    for s, c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
+        k, m, *u = (x + y for x, y in zip(a, s))
+        if c * ((*a, 1)[var] + r) and not (win.tmin <= k <= win.tmax and 0 <= m <= win.gmax
+                                           and min(u) >= 0 and sum(u) <= win.xmax):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", [
+    ("x1^2*(1-x1)^3", 1, "1", "1"),  # alpha = 1: the f' terms vanish at k = 1
+    ("x1^2*(1-x1)^3", 1, "1", "1/5"),
+    ("x1*x2*(1-x1-x2)^3", 2, "1", "1"),
+    ("x1^2", 1, "x1", "1"),  # graded, with the g-quotient terms
+    ("x1*x2*(1-x1-x2)", 2, "x1+1", "1/3"),
+    ("ginv", 1, "x1", "1"),  # f' has the higher g-power: k = 1 decides alone
+    ("x2*ginv", 2, "1-x1", "1"),
+])
+def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    assert p.commuting
+    for win in default_schedule(p, rounds=2):
+        for grading in {None, p.grading}:
+            cells = engine._kept(p, win, grading, False)
+            kept = engine._kept(p, win, grading, True)
+            for i in range(1, n + 1):
+                assert kept[i] == [c for c in cells[i] if not hypothesis_holds(p, win, i, c)]
+
+
 def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
     # the image columns reach the eliminator in order of descending highest
     # row, without empty columns, ahead of the unit targets
@@ -570,6 +604,54 @@ def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
     for a in seen:
         highest = [max(col) for col in a.cols]
         assert highest == sorted(highest, reverse=True) and all(a.cols)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha, graded, commuting", [
+    ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4", False, True),  # ungraded, pruned
+    ("x1^2", 1, "x1", "1/3", True, True),  # graded, with relations
+    ("x1^2+x2^3", 2, "1", "5/6", True, True),  # graded
+    ("x1^2*ginv", 1, "1-x1", "1/3", False, False),  # a g-layer: nothing pruned
+])
+def test_top_image_cut_from_the_complex_is_its_own_assembly(fs, n, gs, alpha, graded, commuting):
+    # degree n+1 read from the window complex by position holds the columns
+    # that _top_image assembles itself, equal and in the same order, each
+    # component column an object of the complex; the cokernel is the same
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    assert (p.grading is not None, p.commuting) == (graded, commuting)
+    sh = _shift_analysis(p)
+    for win in default_schedule(p, rounds=2):
+        cx = _window_complex(p, win, sh)
+        own, targets = _top_image(p, win, sh, p.grading)
+        cut, cut_targets = _top_image(p, win, sh, p.grading, cx)
+        assert (cut.nrows, cut_targets) == (own.nrows, targets)
+        assert cut.cols == own.cols
+        rels = _relation_columns(p, win, sh.output_window(win), p.grading, own.nrows)
+        comps = len(own.cols) - len(rels)
+        held = {id(col) for col in cx.mat.cols}
+        assert all(id(col) in held for col in cut.cols[:comps])
+        if not graded:
+            assert cut.cols[comps:] == cx.relations
+            assert all(a is b for a, b in zip(cut.cols[comps:], cx.relations))
+            assert (comps < cx.mat.ncols) is commuting
+        assert _top_cokernel(cut, cut_targets) == _top_cokernel(own, targets)
+
+
+def test_koszul_assembles_each_window_once(monkeypatch):
+    # degrees 0..n and degree n+1 read the one assembly of the window
+    calls = []
+    real = engine.assemble_phi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "assemble_phi", counting)
+    for fs, n, gs, alpha in [("x1*x2*(1-x1-x2)^3", 2, "1", "1/4"), ("x1^2", 1, "x1", "1/3"),
+                             ("x1^2+x2^3", 2, "1", "5/6"), ("x1^2*ginv", 1, "1-x1", "1/3")]:
+        p = instance(fs, n=n, gs=gs, alpha=alpha)
+        calls.clear()
+        koszul_cohomology(p, default_schedule(p)[0])
+        assert len(calls) == 1, fs
 
 
 def test_koszul_top_matches_cokernel():
@@ -875,6 +957,49 @@ def test_koszul_rejects_a_break_between_components_one_and_two(monkeypatch):
     assert not check_row_commutation(p, DegreeWindow(-2, 2, 2, 0))
     with pytest.raises(ValueError, match="do not commute"):
         koszul_cohomology(p, default_schedule(p)[0])
+
+
+def rational_commute(left, right):
+    """_commute's collected forms, in Q, unscaled."""
+    diff = {}
+    for (s0, c0, v0, r0), (s1, c1, v1, r1) in itertools.product(left, right):
+        a = s0[v1] if v1 >= 0 else 0
+        b = s1[v0] if v0 >= 0 else 0
+        form = diff.setdefault(tuple(map(sum, zip(s0, s1))), {})
+        for v, d in ((v0, c0 * c1 * a), (-1, c0 * c1 * a * r0),
+                     (v1, -c0 * c1 * b), (-1, -c0 * c1 * b * r1)):
+            form[v] = form.get(v, 0) + d
+    return not any(v for form in diff.values() for v in form.values())
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS)
+def test_int_commutator_matches_the_rational_one(fs, n, gs, alpha):
+    # the int-scaled forms vanish exactly where the rational ones do, also
+    # for components whose coefficients and offsets are moved by thirds
+    comps = instance(fs, n=n, gs=gs, alpha=alpha).stencils[0]
+    moved = [tuple((s, c * Q(2, 3), var, r + Q(1, 3)) if k == 0 else (s, c, var, r)
+                   for k, (s, c, var, r) in enumerate(comp)) for comp in comps]
+    for left, right in itertools.permutations(comps + tuple(moved), 2):
+        assert engine._commute(left, right) is rational_commute(left, right)
+
+
+def test_each_pair_of_components_is_certified_once(monkeypatch):
+    # commuting and pairwise_commuting share the pairs with component 0,
+    # and exponent_test never pays for the pair of components 1 and 2
+    calls = []
+    real = engine._commute
+
+    def counting(left, right):
+        calls.append((left, right))
+        return real(left, right)
+
+    monkeypatch.setattr(engine, "_commute", counting)
+    p = instance("x1*x2*(1-x1-x2)^3", n=2, alpha="1/4")
+    comps = p.stencils[0]
+    exponent_test(p)
+    assert calls == [(comps[0], comps[1]), (comps[0], comps[2])]
+    koszul_cohomology(p, default_schedule(p)[0])
+    assert calls == [(comps[0], comps[1]), (comps[0], comps[2]), (comps[1], comps[2])]
 
 
 def test_determinism():
