@@ -12,8 +12,10 @@ Reports are JSON with a schema field, an echo of the inputs, the library
 version, and a timing field (the only nondeterministic part).  Exit
 codes: 0 success, 2 parse error (a GM_MAX_WINDOW_CELLS that is not a
 nonnegative integer too, before any option is read), 3 precondition
-violation, 4 resource limit exceeded (GM_MAX_WINDOW_CELLS, a MemoryError,
-or univariate's root-search cap).  Every option's text is read by
+violation (an --output or --dump-matrix path that cannot be written too,
+checked for a missing directory before the run), 4 resource limit
+exceeded (GM_MAX_WINDOW_CELLS, a MemoryError, a RecursionError, or
+univariate's root-search cap).  Every option's text is read by
 parser.Tokens, --alphas and --weights as comma lists of rationals, so a
 malformed number (1/0 too) is a parse error at an offset into its
 argument, in any option.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -227,7 +230,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.time()
     try:
+        for path in filter(None, (getattr(args, a, None) for a in ("output", "dump_matrix"))):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise OSError(f"cannot write {path!r}: no such directory, or a directory")
         report = _RUNNERS[args.mode](args, started)
+        text = json.dumps(report, indent=2, sort_keys=False)
+        if getattr(args, "output", None):
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -238,15 +250,12 @@ def main(argv=None) -> int:
         # GM_MAX_WINDOW_CELLS is the real bound: an OOM kill cannot be caught
         print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, IndexError) as exc:
+    except RecursionError:  # e.g. enumerating the x-degrees of a window in very many variables
+        print("resource limit: recursion depth exceeded", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (ValueError, IndexError, OSError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

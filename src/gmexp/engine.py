@@ -23,7 +23,8 @@ shifted terms with coefficients affine in the exponents (k, m, u) of
 t^k x^u g^-m, written once per instance straight from f, its derivatives,
 g and alpha (_row_stencils).  A column is a stencil at one monomial, its
 rows found by index arithmetic over the output window's canonical order
-(DegreeWindow.layout); the probe commutation check composes them.
+(DegreeWindow.layout).  Commutation is certified on the stencils
+themselves, with no window (check_row_commutation).
 A window matrix is its row count and a list of {row: value} columns from
 the stencil to the pivot: window cells are named by their positions,
 never by Monomial labels.
@@ -79,10 +80,10 @@ with the same answer, the top image (_top_image), in three steps.
 Theorem (pruning).  Suppose that the one stencil term of component 0
 that raises t is -t, shift (1, 0, ..., 0) with a non-zero constant
 coefficient c_tau, and that component 0 commutes with component i >= 1 on
-every monomial; p.commuting checks both exactly.  Let c = t a be
-a cell of the input window such that a + s is a cell of it for every
-shift s of a term of component 0 other than -t, and of component i, whose
-coefficient is not 0 at a.  Then col_i(c) lies in the span of the
+every formal monomial, before clear_g; p.commuting checks both exactly.
+Let c = t a be a cell of the input window such that a + s is a cell of it
+for every shift s of a term of component 0 other than -t, and of
+component i, whose coefficient is not 0 at a.  Then col_i(c) lies in the span of the
 columns of component 0 and of the columns of component i at t-degrees
 below that of c.
 
@@ -212,23 +213,19 @@ class ProblemInstance:
         which let the top image drop redundant columns, hold exactly on the
         stencils: the one term of component 0 that raises t is -t itself,
         shift (1, 0, ..., 0) with a non-zero constant coefficient, and
-        component 0 commutes with each component i >= 1; computed on first use."""
+        component 0 commutes formally with each component i >= 1 (its
+        bracket has no surviving form); computed on first use."""
         # (shift, var, c * (e[-1] + r) != 0), e[-1] = 1
         raising = [(s, var, bool(c * (1 + r))) for s, c, var, r in self.stencils[0][0] if s[0] > 0]
-        return raising == [((1,) + (0,) * (self.n + 1), -1, True)] and self._commutes_with_0
+        tau = ((1,) + (0,) * (self.n + 1), -1, True)
+        return raising == [tau] and not any(self._brackets_with_0)
 
     @cached_property
-    def pairwise_commuting(self) -> bool:
-        """Whether every pair of row components certifiably commutes as
-        stencils (_commute): the pairs with component 0, which commuting
-        reads too, then the rest; computed on first use."""
-        rest = itertools.combinations(self.stencils[0][1:], 2)
-        return self._commutes_with_0 and all(_commute(a, b) for a, b in rest)
-
-    @cached_property
-    def _commutes_with_0(self) -> bool:
+    def _brackets_with_0(self) -> tuple[dict, ...]:
+        """_commutator(component 0, component i) for i = 1..n, which both
+        commuting and check_row_commutation read; computed on first use."""
         comps = self.stencils[0]
-        return all(_commute(comps[0], c) for c in comps[1:])
+        return tuple(_commutator(comps[0], c) for c in comps[1:])
 
 
 class Verdict(str, Enum):
@@ -291,67 +288,55 @@ def _row_stencils(p: ProblemInstance) -> tuple[tuple, tuple]:
     return tuple(comps), tuple(_times(g, dg=1) + [((0,) * (n + 2), Q(-1), -1, 0)])
 
 
-def check_row_commutation(p: ProblemInstance, w: DegreeWindow) -> bool:
-    """Exact pairwise commutation of the row components on the monomials of
-    w, by assembly's own evaluator: the component columns from w into its
-    output window, composed with those from there into the next output
-    window.  Each component's columns, both steps, are scaled to ints by
-    the lcm L_a of their denominators, so both sides of pair (a, b) carry
-    the factor L_a * L_b: the int sides agree exactly when the rational
-    sides do.  The g-layers are formal (g * g^-1 stays), so a non-zero
-    difference goes back to Q, divided by L_a * L_b, and is compared in
-    k[x, 1/g] by clear_g."""
-    sh = _shift_analysis(p)
-    mid = sh.output_window(w)
-    out = sh.output_window(mid)
-    mid_monos = list(mid.monomials(p.n))
-    first = _images(p, [list(w.monomials(p.n))] * (p.n + 1), mid)
-    reached = sorted({r for cols in first for col in cols for r in col})
-    second = _images(p, [[mid_monos[r] for r in reached]] * (p.n + 1), out)
-    scales = [math.lcm(*(int(v.denominator) for col in c1 + c2 for v in col.values()))
-              for c1, c2 in zip(first, second)]
-    first = [_scaled(cols, s) for cols, s in zip(first, scales)]
-    second = [dict(zip(reached, _scaled(cols, s))) for cols, s in zip(second, scales)]
-    out_monos: list[Monomial] = []
-    for a, b in itertools.combinations(range(p.n + 1), 2):
-        for col_a, col_b in zip(first[a], first[b]):
-            diff: dict[int, int] = {}
-            for q, v in col_b.items():  # a(b(m)) - b(a(m)), times L_a * L_b
-                for r, c in second[a][q].items():
-                    diff[r] = diff.get(r, 0) + v * c
-            for q, v in col_a.items():
-                for r, c in second[b][q].items():
-                    diff[r] = diff.get(r, 0) - v * c
-            diff = {r: d for r, d in diff.items() if d}
-            if diff:
-                out_monos = out_monos or list(out.monomials(p.n))
-                scale = scales[a] * scales[b]
-                back = {out_monos[r]: Q(d, scale) for r, d in diff.items()}
-                if not clear_g(RingElement(p.n, back), p.g).is_zero():
-                    return False
+def check_row_commutation(p: ProblemInstance) -> bool:
+    """Whether every pair of row components commutes on k((t))[x, 1/g],
+    certified exactly on their stencils, with no window.
+
+    A bracket (_commutator) sends t^k x^u g^-m to the sum over its shifts
+    s = (dt, dg, dx) of form_s(e) t^(k+dt) x^(u+dx) g^-(m+dg).  The check
+    fails when a form reads m or some u_i (var >= 1), or when a shift lowers
+    an x-degree (no stencil term lowers the g-power, so dg >= 0).  Otherwise
+    form_s = A_s + k B_s, and for each dt the elements A_dt = sum A_s x^dx
+    g^-dg and B_dt = sum B_s x^dx g^-dg of k[x, 1/g], over the shifts with
+    that dt, must be ones clear_g makes 0.
+
+    Proof.  Composed stencils send each formal monomial to its image under
+    the composed components, so the bracket's image of t^k x^u g^-m is the
+    commutator's: t^k x^u g^-m sum_dt t^dt (A_dt + k B_dt), which is 0
+    because A_dt = B_dt = 0 in k[x, 1/g].  The formal monomials span
+    k[t, 1/t][x, 1/g], and each component moves t by at most 1, so acts term
+    by term in t: the commutator vanishes on k((t))[x, 1/g].  True components
+    always pass: each bracket multiplies by an element of k[x, 1/g] that is
+    0 there (f'_i against the formal d_i f, or d_i f'_j against d_j f'_i,
+    times phi), written in a formal g-layer.  A bracket with no surviving
+    form (every pair, unless f keeps a g-layer) builds nothing, and the int
+    scaling of _commutator keeps each zero test exact."""
+    comps = p.stencils[0]
+    rest = (_commutator(a, b) for a, b in itertools.combinations(comps[1:], 2))
+    for forms in itertools.chain(p._brackets_with_0, rest):
+        groups: dict[tuple, dict[Monomial, Q]] = {}  # (dt, var) -> terms of A_dt or B_dt
+        for (dt, dg, *dx), form in forms.items():
+            if min(dx) < 0 or max(form) >= 1:
+                return False
+            for var, c in form.items():
+                groups.setdefault((dt, var), {})[Monomial(0, tuple(dx), dg)] = Q(c)
+        if not all(clear_g(RingElement(p.n, terms), p.g).is_zero() for terms in groups.values()):
+            return False
     return True
 
 
-def _scaled(cols: list[dict], s: int) -> list[dict[int, int]]:
-    """The columns times s, a multiple of every denominator, as ints."""
-    return [{r: int(v.numerator) * (s // int(v.denominator)) for r, v in col.items()}
-            for col in cols]
-
-
-def _commute(left: tuple, right: tuple) -> bool:
-    """Whether two stencils commute on every monomial, checked exactly.
+def _commutator(left: tuple, right: tuple) -> dict[tuple, dict[int, int]]:
+    """The bracket of two stencils, as its surviving forms {shift: {var: coeff}}
+    (ints, none of them 0); {} exactly when the stencils commute formally.
 
     Composing stencils gives coefficients of degree <= 2 in e = (k, m, u),
     and for any pair the quadratic parts cancel in the commutator:
     right(left(e)) - left(right(e)) is the stencil whose term at shift s0 +
     s1 collects c0 * c1 * (s0[v1] * (e[v0] + r0) - s1[v0] * (e[v1] + r1))
     over the terms (s0, c0, v0, r0) of left and (s1, c1, v1, r1) of right,
-    a shift read as 0 in the constant slot -1.  When each collected affine
-    form is 0 as a polynomial, the commutator vanishes on every monomial,
-    so in k[x, 1/g] too.  No window is involved, and the g-layers stay
-    formal: an f whose derivatives clear_g rewrote may fail here.  The
-    arithmetic is on ints (_int_terms): each form is scaled by a non-zero
-    constant, which keeps its zero test exact."""
+    a shift read as 0 in the constant slot -1: an affine form, var -1 its
+    constant.  The arithmetic is on ints (_int_terms): every form is scaled
+    by the same non-zero constant, which keeps its zero test exact."""
     diff: dict[tuple, dict[int, int]] = {}
     right = _int_terms(right)
     for s0, c0, v0, cr0 in _int_terms(left):
@@ -367,7 +352,10 @@ def _commute(left: tuple, right: tuple) -> bool:
             if b:  # - c0 * c1 * b * (e[v1] + r1)
                 form[v1] = form.get(v1, 0) - c0 * c1 * b
                 form[-1] = form.get(-1, 0) - c0 * cr1 * b
-    return not any(v for form in diff.values() for v in form.values())
+    if not any(v for form in diff.values() for v in form.values()):
+        return {}
+    survivors = ((s, {var: v for var, v in form.items() if v}) for s, form in diff.items())
+    return {s: form for s, form in survivors if form}
 
 
 def _int_terms(stencil: tuple) -> list[tuple]:
@@ -888,15 +876,14 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     boundary columns, so when they already span every cycle the degree is
     exactly 0; otherwise the whole boundary matrix is eliminated.
 
-    The components must commute pairwise: p.pairwise_commuting certifies
-    it on the stencils, and only where that fails does the probe decide,
-    check_row_commutation in k[x, 1/g].  Raises WindowError on assembly
-    problems and ValueError when the probe fails too (an assembly bug).
+    The components must commute pairwise in k((t))[x, 1/g]:
+    check_row_commutation certifies it on the stencils, once per call, with
+    no window.  Raises WindowError on assembly problems and ValueError when
+    the certificate fails (an assembly bug).
     """
     by_deg = _koszul_bases(p.n)
     _check_cells(max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
-    probe = DegreeWindow(-2, 2, 2, 0 if p.g.is_one() else 2)
-    if not (p.pairwise_commuting or check_row_commutation(p, probe)):
+    if not check_row_commutation(p):
         raise ValueError("row components do not commute; assembly is inconsistent")
     sh = _shift_analysis(p)
     cx = _window_complex(p, win, sh)

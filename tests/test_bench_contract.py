@@ -55,6 +55,8 @@ def test_tracer_finds_and_counts_the_engine_layers():
     # its complex, from which degree n+1 reads its columns too
     assert len(counts["engine.assemble_phi"]) == 3
     assert all(c["cells"] > 0 and c["nnz"] > 0 for c in counts["engine.assemble_phi"])
+    # the commutation certificate runs once per Koszul query, also for g = 1
+    assert len(counts["engine.check_row_commutation"]) == 1
 
 
 def test_graded_queries_keep_one_assembly_per_window():
@@ -95,6 +97,7 @@ def test_koszul_boundary_checks_are_traced():
     counts = [c for name, _t0, _t1, _parent, _q, c in tracer.spans
               if name == "linalg.rank_with_extension"]
     assert len(counts) == 4  # h0 neighbourhood, h1 neighbourhood, h1 whole, top
+    assert [span[0] for span in tracer.spans].count("engine.check_row_commutation") == 1
     for c in counts:
         assert set(c) == {"input_nnz", "pivots"} and all(isinstance(v, int) for v in c.values())
 

@@ -79,7 +79,7 @@ def test_operator_check_mode(capsys):
         assert rep["applied"] == applied
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^", "--alphas", "1")
     assert code == 2 and "parse error" in err
 
@@ -124,6 +124,31 @@ def test_exit_codes(capsys, monkeypatch):
 
     code, out, err = run_cli(capsys, "univariate", "--L", "A0=D-10^30")
     assert code == 4 and out == "" and "resource" in err
+
+    # a window in 1000 variables overflows the recursion of its x-degree
+    # enumeration before any cell cap could be read: a resource limit too
+    monkeypatch.delenv("GM_MAX_WINDOW_CELLS", raising=False)
+    code, out, err = run_cli(capsys, "exponent-test", "--n", "1000", "--f", "x1",
+                             "--alphas", "1/2")
+    assert code == 4 and out == "" and "recursion" in err
+
+    # a report or matrix path that cannot be written is a precondition
+    # violation; a missing directory is found before the run
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    query = ("exponent-test", "--n", "1", "--f", "x1", "--alphas", "1/2")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "exponent_test", no_run)
+        m.setattr(cli, "univariate_regular_exponents", no_run)
+        for argv in (
+            (*query, "--output", missing),
+            (*query, "--dump-matrix", missing),
+            ("univariate", "--L", "A0=D-1/2", "--output", str(tmp_path)),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and "precondition" in err, argv
 
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "5")
     code, _, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "1")

@@ -30,7 +30,7 @@ from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, rank_with_extens
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
-from gmexp.ring import RingElement
+from gmexp.ring import RingElement, clear_g
 
 
 def instance(fs, n=1, gs="1", alpha="0"):
@@ -60,21 +60,25 @@ def phi_row(p):
 
 
 def trees_commute(p, w):
-    """Pairwise commutation of the phi_row operator trees, applied by tree walk."""
+    """Pairwise commutation of the phi_row operator trees on the monomials of
+    w, applied by tree walk and compared in k[x, 1/g]."""
     for a, b in itertools.combinations(phi_row(p), 2):
         for m in w.monomials(p.n):
             e = RingElement.monomial(p.n, m)
-            if apply(a, apply(b, e, p.g), p.g) != apply(b, apply(a, e, p.g), p.g):
+            diff = apply(a, apply(b, e, p.g), p.g) - apply(b, apply(a, e, p.g), p.g)
+            if not clear_g(diff, p.g).is_zero():
                 return False
     return True
 
 
 def test_phi_row_components_commute():
-    for fs, n, gs in [("x1^2*(1-x1)", 1, "1"), ("x1*x2", 2, "1"), ("x1^2*ginv", 1, "x1")]:
+    # the stencil certificate, with no window, and the tree walk on a small
+    # window agree
+    for fs, n, gs in [("x1^2*(1-x1)", 1, "1"), ("x1*x2", 2, "1"), ("x1^2*ginv", 1, "x1"),
+                      ("x1^2*ginv", 1, "1-x1")]:
         p = instance(fs, n=n, gs=gs, alpha="1/2")
-        probe = DegreeWindow(-2, 2, 2, 0 if gs == "1" else 2)
-        assert check_row_commutation(p, probe)
-        assert trees_commute(p, probe)
+        assert check_row_commutation(p)
+        assert trees_commute(p, DegreeWindow(-2, 2, 2, 0 if gs == "1" else 2))
 
 
 # -- the tree walk as the oracle for stencil assembly ---------------------------
@@ -808,7 +812,7 @@ def definition_koszul(p, win):
     ("x1^2", 1, "x1", "1"),  # H^1 != 0
     ("x1^3", 1, "x1", "1/3"),  # H^1 != 0
     ("x1^4", 1, "x1", "1/5"),
-    ("x1^2*ginv", 1, "1-x1", "1/2"),  # a g-layer: the probe decides
+    ("x1^2*ginv", 1, "1-x1", "1/2"),  # a g-layer: certified in k[x, 1/g]
     ("x1^3*ginv", 1, "x1^2+1", "1/3"),
     ("x1^2*(1-x1)", 1, "1", "1/2"),
     ("x1^2*(1-x1)", 1, "1", "1"),
@@ -861,16 +865,16 @@ def test_koszul_rejects_non_commuting_components(monkeypatch):
     monkeypatch.setattr(engine, "_row_stencils", bare_dx1)
     for fs, gs in [("x1^2", "1"), ("x1^2*ginv", "1-x1")]:
         p = instance(fs, gs=gs, alpha="1/2")
-        assert not check_row_commutation(p, DegreeWindow(-2, 2, 2, 2))
+        assert not check_row_commutation(p)
         with pytest.raises(ValueError, match="do not commute"):
             koszul_cohomology(p, default_schedule(p)[0])
 
 
 def test_commutation_with_rational_coefficients(monkeypatch):
-    # denominators 3, 5 and 7 in the stencils: the int-scaled sides must
-    # still cancel exactly, and still differ once component 1 is broken
-    fs, probe = "(1/3)*x1^2*x2+(1/5)*x2^3", DegreeWindow(-2, 2, 2, 0)
-    assert check_row_commutation(instance(fs, n=2, alpha="3/7"), probe)
+    # denominators 3, 5 and 7 in the stencils: the int-scaled forms must
+    # still cancel exactly, and still survive once component 1 is broken
+    fs = "(1/3)*x1^2*x2+(1/5)*x2^3"
+    assert check_row_commutation(instance(fs, n=2, alpha="3/7"))
     real = engine._row_stencils
 
     def bare_dx1(p):  # as in test_koszul_rejects_non_commuting_components
@@ -878,12 +882,12 @@ def test_commutation_with_rational_coefficients(monkeypatch):
         return (comps[0], tuple(t for t in comps[1] if t[0][0] == 0)), relation
 
     monkeypatch.setattr(engine, "_row_stencils", bare_dx1)
-    assert not check_row_commutation(instance(fs, n=2, alpha="3/7"), probe)
+    assert not check_row_commutation(instance(fs, n=2, alpha="3/7"))
 
 
 def test_commutation_falls_back_to_k_x_ginv(monkeypatch):
-    # the formal g-layer keeps g * g^-1, so some composed sides differ as
-    # written and agree only after clear_g
+    # the formal g-layer keeps g * g^-1, so the brackets with component 0
+    # survive as written and vanish only after clear_g
     calls = []
     real = engine.clear_g
 
@@ -893,9 +897,19 @@ def test_commutation_falls_back_to_k_x_ginv(monkeypatch):
 
     monkeypatch.setattr(engine, "clear_g", counting)
     p = instance("x1^2*ginv", gs="1-x1", alpha="1/3")
+    assert all(p._brackets_with_0) and not p.commuting
     calls.clear()  # ProblemInstance normalises f by clear_g too
-    assert check_row_commutation(p, DegreeWindow(-2, 2, 2, 2))
+    assert check_row_commutation(p)
     assert calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(stencil_cases())
+def test_certificate_accepts_the_components_of_any_instance(case):
+    # random f with g-layers up to ginv^2 over the g of the assembly test:
+    # true components always commute, so the certificate never refuses them
+    n, fs, gs, alpha, _win = case
+    assert check_row_commutation(instance(fs, n=n, gs=gs, alpha=alpha))
 
 
 # the koszul benchmark's shapes, x^w (1 - sum x)^w0 with weights (w0, w1, ...)
@@ -913,31 +927,62 @@ KOSZUL_CORPUS = [
     ("x1^3", 1, "x1", "1/4"),
     ("x1^4", 1, "x1", "1/5"),
     ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", "3/7"),
-    ("x1^2*ginv", 1, "1-x1", "1/2"),  # clear_g keeps a g-layer: not certified
+    ("x1^2*ginv", 1, "1-x1", "1/2"),  # clear_g keeps a g-layer
+]
+
+# f that keep a g-layer: their brackets survive formally and vanish in k[x, 1/g]
+G_LAYERS = [
+    ("x1^3*ginv", 1, "x1^2+1", "1/3"),
+    ("x1*ginv^3", 1, "1+x1", "1/2"),
+    ("x1*x2*ginv", 2, "1-x1-x2", "1/3"),
 ]
 
 
-@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS)
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + G_LAYERS)
 def test_pairwise_certificate_agrees_with_the_probe(monkeypatch, fs, n, gs, alpha):
-    # the stencil certificate holds for every pair of components, so the
-    # probe holds too and koszul_cohomology never composes on it; where it
-    # fails, the probe decides, once
+    # the stencil certificate and the independent tree walk on a small probe
+    # window agree that every pair commutes; the brackets with component 0
+    # are formally 0 exactly when f keeps no g-layer, and koszul_cohomology
+    # runs the certificate once
     p = instance(fs, n=n, gs=gs, alpha=alpha)
-    probe = DegreeWindow(-2, 2, 2, 0 if gs == "1" else 2)
-    certified = gs != "1-x1"
-    assert p.pairwise_commuting is certified
-    assert check_row_commutation(p, probe)
+    assert check_row_commutation(p)
+    assert trees_commute(p, DegreeWindow(-2, 2, 2, 0 if gs == "1" else 2))
+    layered = p.f.max_gpow() > 0
+    assert all(p._brackets_with_0) is layered and p.commuting is not layered
     calls = []
     real = engine.check_row_commutation
 
-    def counting(p, w):
-        calls.append(w)
-        return real(p, w)
+    def counting(q):
+        calls.append(q)
+        return real(q)
 
     monkeypatch.setattr(engine, "check_row_commutation", counting)
     dims = koszul_cohomology(p, default_schedule(p)[0])
-    assert calls == ([] if certified else [probe])
-    assert dims == ({0: 0, 1: 0, 2: 1} if not certified else dict.fromkeys(range(n + 2), 0))
+    assert calls == [p]
+    want = dict.fromkeys(range(n + 2), 0)
+    if (fs, gs, alpha) in [("x1^2*ginv", "1-x1", "1/2"), ("x1^3*ginv", "x1^2+1", "1/3")]:
+        want[n + 1] = 1
+    assert dims == want
+
+
+def test_a_bracket_that_vanishes_only_in_k_x_ginv_is_certified(monkeypatch):
+    # x1 x2 / g over g = 1 - x1 - x2: the bracket of components 1 and 2 reads
+    # k and survives as written, yet every group of its forms is 0 in
+    # k[x, 1/g]; koszul_cohomology accepts it and assembles its window once
+    p = instance("x1*x2*ginv", n=2, gs="1-x1-x2", alpha="1/3")
+    forms = engine._commutator(*p.stencils[0][1:])
+    assert forms and {var for form in forms.values() for var in form} == {-1, 0}
+    assert check_row_commutation(p)
+    calls = []
+    real = engine.assemble_phi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "assemble_phi", counting)
+    assert koszul_cohomology(p, default_schedule(p)[0]) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert len(calls) == 1
 
 
 def test_koszul_rejects_a_break_between_components_one_and_two(monkeypatch):
@@ -953,14 +998,31 @@ def test_koszul_rejects_a_break_between_components_one_and_two(monkeypatch):
     monkeypatch.setattr(engine, "_row_stencils", times_x1)
     p = instance("x1*x2*(1-x1-x2)", n=2, alpha="1/4")
     assert p.commuting
-    assert not p.pairwise_commuting
-    assert not check_row_commutation(p, DegreeWindow(-2, 2, 2, 0))
+    assert engine._commutator(*p.stencils[0][1:])
+    assert not check_row_commutation(p)
     with pytest.raises(ValueError, match="do not commute"):
         koszul_cohomology(p, default_schedule(p)[0])
 
 
-def rational_commute(left, right):
-    """_commute's collected forms, in Q, unscaled."""
+def test_a_bracket_that_reads_u_is_rejected(monkeypatch):
+    # component 2 gains u1 times the identity: its bracket with d/dx1 in
+    # component 1 is u1 x^(u - e1), a form that reads u1 at a shift that
+    # lowers x1, which the certificate refuses before any clear_g
+    real = engine._row_stencils
+
+    def times_u1(p):
+        comps, relation = real(p)
+        return (*comps[:2], comps[2] + (((0, 0, 0, 0), Q(1), 2, 0),)), relation
+
+    monkeypatch.setattr(engine, "_row_stencils", times_u1)
+    p = instance("x1*x2*(1-x1-x2)", n=2, alpha="1/4")
+    forms = engine._commutator(*p.stencils[0][1:])
+    assert set(forms[0, 0, -1, 0]) == {2}  # u1, scaled to ints
+    assert not check_row_commutation(p)
+
+
+def rational_commutator(left, right):
+    """_commutator's surviving forms, in Q, unscaled."""
     diff = {}
     for (s0, c0, v0, r0), (s1, c1, v1, r1) in itertools.product(left, right):
         a = s0[v1] if v1 >= 0 else 0
@@ -969,31 +1031,36 @@ def rational_commute(left, right):
         for v, d in ((v0, c0 * c1 * a), (-1, c0 * c1 * a * r0),
                      (v1, -c0 * c1 * b), (-1, -c0 * c1 * b * r1)):
             form[v] = form.get(v, 0) + d
-    return not any(v for form in diff.values() for v in form.values())
+    forms = {s: {v: d for v, d in form.items() if d} for s, form in diff.items()}
+    return {s: form for s, form in forms.items() if form}
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS)
 def test_int_commutator_matches_the_rational_one(fs, n, gs, alpha):
-    # the int-scaled forms vanish exactly where the rational ones do, also
-    # for components whose coefficients and offsets are moved by thirds
+    # the int-scaled forms survive exactly where the rational ones do, each
+    # the same positive multiple of its rational form, also for components
+    # whose coefficients and offsets are moved by thirds
     comps = instance(fs, n=n, gs=gs, alpha=alpha).stencils[0]
     moved = [tuple((s, c * Q(2, 3), var, r + Q(1, 3)) if k == 0 else (s, c, var, r)
                    for k, (s, c, var, r) in enumerate(comp)) for comp in comps]
     for left, right in itertools.permutations(comps + tuple(moved), 2):
-        assert engine._commute(left, right) is rational_commute(left, right)
+        got, want = engine._commutator(left, right), rational_commutator(left, right)
+        assert {s: set(f) for s, f in got.items()} == {s: set(f) for s, f in want.items()}
+        ratios = {Q(got[s][v]) / want[s][v] for s in want for v in want[s]}
+        assert len(ratios) <= 1 and all(q > 0 for q in ratios)
 
 
 def test_each_pair_of_components_is_certified_once(monkeypatch):
-    # commuting and pairwise_commuting share the pairs with component 0,
-    # and exponent_test never pays for the pair of components 1 and 2
+    # commuting and check_row_commutation share the brackets with component
+    # 0, and exponent_test never pays for the pair of components 1 and 2
     calls = []
-    real = engine._commute
+    real = engine._commutator
 
     def counting(left, right):
         calls.append((left, right))
         return real(left, right)
 
-    monkeypatch.setattr(engine, "_commute", counting)
+    monkeypatch.setattr(engine, "_commutator", counting)
     p = instance("x1*x2*(1-x1-x2)^3", n=2, alpha="1/4")
     comps = p.stencils[0]
     exponent_test(p)
