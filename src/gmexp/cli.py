@@ -14,7 +14,8 @@ codes: 0 success, 2 parse error (a GM_MAX_WINDOW_CELLS that is not a
 nonnegative integer too, before any option is read), 3 precondition
 violation (an --output or --dump-matrix path that cannot be written too,
 checked for a missing directory before the run), 4 resource limit
-exceeded (GM_MAX_WINDOW_CELLS, a MemoryError, a RecursionError, or
+exceeded (the window cell cap, GM_MAX_WINDOW_CELLS or else
+engine.DEFAULT_MAX_WINDOW_CELLS; a MemoryError, a RecursionError, or
 univariate's root-search cap).  Every option's text is read by
 parser.Tokens, --alphas and --weights as comma lists of rationals, so a
 malformed number (1/0 too) is a parse error at an offset into its
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
         # GM_MAX_WINDOW_CELLS is the real bound: an OOM kill cannot be caught
         print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except RecursionError:  # e.g. enumerating the x-degrees of a window in very many variables
+    except RecursionError:  # e.g. a window in very many variables under a raised cell cap
         print("resource limit: recursion depth exceeded", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, IndexError, OSError) as exc:

@@ -27,7 +27,9 @@ rows found by index arithmetic over the output window's canonical order
 themselves, with no window (check_row_commutation).
 A window matrix is its row count and a list of {row: value} columns from
 the stencil to the pivot: window cells are named by their positions,
-never by Monomial labels.
+never by Monomial labels, and every value is the reduced int pair (num,
+den) that gmexp.linalg eliminates (rational.pair), made once per stencil
+term and value of the exponent it reads; no Q value is built per entry.
 
 Quasi-homogeneous instances are graded by the Euler field (K. Saito 1971).
 Let rational weights w_1..w_n and delta give every term of f the weight 1
@@ -103,7 +105,7 @@ which is never left out, and of the columns of component i that are
 kept; so leaving all of them out keeps the span, and every estimate.  With
 a grading, the cells a + s of component i and q of component 0 have the
 weights those components are taken at, so the identity stays inside the
-top block.  _kept applies the hypothesis, and finds that the component
+top block.  _unpruned applies the hypothesis, and finds that the component
 columns of the benchmark's sweep lose about a fifth of their number.
 
 Slack quotient, in every degree.  Solutions in k((t))[x, 1/g] carry
@@ -144,7 +146,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
-from .rational import Q, class_rep
+from .rational import Q, class_rep, pair
 from .ring import (
     DegreeWindow,
     Monomial,
@@ -165,6 +167,7 @@ class ResourceLimitError(RuntimeError):
 
 
 MAX_WINDOW_CELLS_ENV = "GM_MAX_WINDOW_CELLS"
+DEFAULT_MAX_WINDOW_CELLS = 2_000_000  # the cell cap when GM_MAX_WINDOW_CELLS is unset
 
 
 @dataclass(frozen=True)
@@ -499,37 +502,49 @@ def window_cell_cap() -> Optional[int]:
 
 
 def _check_cells(cells: int) -> None:
+    """ResourceLimitError when a window of this many cells exceeds the cap:
+    GM_MAX_WINDOW_CELLS, or DEFAULT_MAX_WINDOW_CELLS when it is unset.
+
+    The default sits 19x above the largest window Tier-1 builds (102,600
+    cells: x1^2+x2^2 over x1+x2, fourth window) and 230x above the largest
+    of the four benchmark workloads (8,550), and refuses exponent-test --f
+    x1 --n 100 (1.25e8 cells) before any cell is enumerated."""
     cap = window_cell_cap()
-    if cap is not None and cells > cap:
-        raise ResourceLimitError(f"window needs {cells} cells, cap is {cap}")
+    if cap is None:
+        cap = DEFAULT_MAX_WINDOW_CELLS
+    if cells > cap:
+        raise ResourceLimitError(
+            f"window needs {cells} cells, cap is {cap} ({MAX_WINDOW_CELLS_ENV} sets it)")
 
 
 def _stencil_columns(
     stencil: tuple, monos: list[Monomial], win: DegreeWindow, n: int, stop: Optional[int] = None
-) -> list[Optional[dict[int, object]]]:
+) -> list[Optional[dict[int, tuple[int, int]]]]:
     """Each monomial's image under a stencil (see _row_stencils) as a column
-    {row: value} over win's canonical order (rows placed by win.layout), or
-    None if a non-zero term falls outside win; with stop, the entries on
-    rows >= stop are left out (but must still lie in win)."""
+    {row: (num, den)} over win's canonical order (rows placed by
+    win.layout), or None if a non-zero term falls outside win; with stop,
+    the entries on rows >= stop are left out (but must still lie in win).
+    Each term's coefficient is made into a pair once per value of the
+    exponent it reads, and that one pair object is shared by its entries."""
     xrow, tsize = win.layout(n)
     if stop is None:
         stop = (win.tmax - win.tmin + 1) * tsize
     tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
     terms = [(s[0], s[1], s[0] * tsize + s[1], c, var, r, {}) for s, c, var, r in stencil]
     by_u: dict[tuple, list] = {}  # u -> row offset of u + dx for each term, None outside
-    cols: list[Optional[dict[int, object]]] = []
+    cols: list[Optional[dict[int, tuple[int, int]]]] = []
     for k, u, m in monos:
         xs = by_u.get(u)
         if xs is None:
             xs = by_u[u] = [xrow.get(tuple(map(sum, zip(u, s[2:])))) for s, *_ in stencil]
         e = (k, m, *u, 1)
         base = (k - tmin) * tsize + m
-        col: Optional[dict[int, object]] = {}
+        col: Optional[dict[int, tuple[int, int]]] = {}
         for (dt, dg, off, c, var, r, memo), x in zip(terms, xs):
             v = memo.get(e[var], memo)  # memo itself marks a miss, None a zero
             if v is memo:
                 v = c * (e[var] + r)
-                v = memo[e[var]] = v if v else None
+                v = memo[e[var]] = pair(v) if v else None
             if v is None:
                 continue
             if x is None or not tmin <= k + dt <= tmax or m + dg > gmax:
@@ -594,7 +609,31 @@ def _kept(
     them, or with a grading those the component sends into the top block.
     With top, less those where the pruning theorem (module docstring) makes
     the column of component i >= 1 redundant, when p.commuting certifies
-    the theorem's hypotheses.
+    the theorem's hypotheses (_unpruned)."""
+    if grading is None:
+        cells = [list(win.monomials(p.n))] * (p.n + 1)
+    else:
+        cells = [_cells(win, p.n, grading, s) for s in grading.shifts]
+    if not (top and p.commuting):
+        return cells
+    at = _cell_positions(p, win, grading, cells)
+    return [[cs[j] for j in js] for cs, js in zip(cells, _unpruned(p, win, at))]
+
+
+def _cell_positions(
+    p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading], cells: Optional[list] = None
+) -> list:
+    """The positions in win of each component's cells, cells = _kept(p,
+    win, grading, False): range(size) ungraded, where no cell is read."""
+    if grading is None:
+        return [range(win.size(p.n))] * (p.n + 1)
+    return [_positions(win, p.n, cs) for cs in cells or _kept(p, win, grading, False)]
+
+
+def _unpruned(p: ProblemInstance, win: DegreeWindow, at: list) -> list:
+    """For each component ci, the indices j of the cells at positions
+    at[ci][j] of win where its column is not redundant: all of them for
+    component 0, or when p.commuting does not certify the pruning theorem.
 
     Component i at the cell t a is redundant when a + s lies in win for the
     shift s of every term of component 0 other than -t, and of component
@@ -602,16 +641,17 @@ def _kept(
     vanishes only where e[var] = -r, so the terms are grouped by (var, r),
     each group's shifts fit exactly when a lies in a box (_fit_box), and
     only the groups with an integer r need their own box.  The boxes are
-    read once per (u, m), as the k where the cells t^(k+1) x^u g^-m are
-    redundant (_redundant_ks)."""
-    if grading is None:
-        cells = [list(win.monomials(p.n))] * (p.n + 1)
-    else:
-        cells = [_cells(win, p.n, grading, s) for s in grading.shifts]
-    if not (top and p.commuting):
-        return cells
+    read once per (u, m) of win.layout, as the k where the cells
+    t^(k+1) x^u g^-m are redundant (_redundant_ks); no cell is built."""
+    out = [range(len(a)) for a in at]
+    if not p.commuting:
+        return out
     comps = p.stencils[0]
-    out = [cells[0]]
+    xrow, tsize = win.layout(p.n)
+    um = [None] * tsize  # (u, m) of each position of a t-layer
+    for u, x in xrow.items():
+        for m in range(win.gmax + 1):
+            um[x + m] = u, m
     for i in range(1, p.n + 1):
         groups: dict[tuple, list[tuple]] = {}
         for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
@@ -620,21 +660,23 @@ def _kept(
         dying = sorted([(var, int(-r), _fit_box(win, ss)) for (var, r), ss in groups.items()
                         if var >= 0 and r.denominator == 1], key=lambda d: -d[0])
         box = _fit_box(win, live)
-        spans: dict[tuple, tuple] = {}
+        spans: list = [None] * tsize  # of each (u, m), less tmin - 1: read at q // tsize
         kept = []
-        for cell in cells[i]:
-            span = spans.get((cell.xdeg, cell.gpow))
+        for j, q in enumerate(at[i]):
+            span = spans[q % tsize]
             if span is None:
-                span = spans[cell.xdeg, cell.gpow] = _redundant_ks(box, dying, cell.xdeg, cell.gpow)
+                lo, hi, z = _redundant_ks(box, dying, *um[q % tsize])
+                d = win.tmin - 1
+                span = spans[q % tsize] = lo - d, hi - d, None if z is None else z - d
             lo, hi, z = span
-            if not (lo <= cell.tdeg - 1 <= hi or cell.tdeg - 1 == z):
-                kept.append(cell)
-        out.append(kept)
+            if not (lo <= q // tsize <= hi or q // tsize == z):
+                kept.append(j)
+        out[i] = kept
     return out
 
 
 def _redundant_ks(box: Optional[tuple], dying: list[tuple], u: tuple, m: int) -> tuple:
-    """(lo, hi, z): _kept's hypothesis holds at (k, m, u) exactly when lo <= k
+    """(lo, hi, z): _unpruned's hypothesis holds at (k, m, u) exactly when lo <= k
     <= hi or k == z.  The group of var 0 (r = -alpha), if any, comes last in
     dying and alone tests k itself: it holds at k == z or in its box."""
     (lo, hi), e, z0 = _k_span(box, u, m), (None, m, *u), None
@@ -732,8 +774,9 @@ def _top_image(
         cols = mat.cols
     else:  # column ci * win.size(n) + i of cx.mat is component ci at cell i
         mat, size = cx.mat, win.size(p.n)
-        cols = [mat.cols[ci * size + i] for ci, cells in enumerate(_kept(p, win, grading, True))
-                for i in _positions(win, p.n, cells)]
+        at = _cell_positions(p, win, grading)
+        cols = [mat.cols[ci * size + a[j]]
+                for ci, (a, js) in enumerate(zip(at, _unpruned(p, win, at))) for j in js]
     relations = (cx.relations if cx and grading is None
                  else _relation_columns(p, win, win_out, grading, mat.nrows))
     interior = _cells(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin), p.n, grading)
@@ -752,9 +795,8 @@ def _top_cokernel(image: SparseMatrixQ, targets) -> int:
     first, in order of descending highest row (the top t-layer first), then
     the surviving target directions are counted."""
     cols = sorted(filter(None, image.cols), key=max, reverse=True)
-    one = Q(1)  # one object, which the eliminator converts once
     _, coker = rank_with_extension(
-        SparseMatrixQ(image.nrows, cols), [{r: one} for r in sorted(targets)]
+        SparseMatrixQ(image.nrows, cols), [{r: (1, 1)} for r in sorted(targets)]
     )
     return coker
 
@@ -833,9 +875,9 @@ def _koszul_differential(
     by_deg = _koszul_bases(n), so over mat's rows below the slack tail.
     K^j has one copy of cells per j-subset of {0..n}, column k * len(cells)
     + i of d^j the cells[i] of the copy of by_deg[j][k]: signed slices of
-    mat's component columns, -v read as negated[id(v)], one object per
-    distinct value of mat (which keeps them alive), so the eliminator still
-    converts each only once."""
+    mat's component columns, the pair -v read as negated[id(v)], one pair
+    per distinct pair object of mat (which keeps them alive), so the
+    negated entries share their pairs as the columns' entries do."""
     n = len(by_deg) - 2
     dom = mat.ncols // (n + 1)
     images = [mat.cols[i * dom : (i + 1) * dom] for i in range(n + 1)]
@@ -887,7 +929,7 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
         raise ValueError("row components do not commute; assembly is inconsistent")
     sh = _shift_analysis(p)
     cx = _window_complex(p, win, sh)
-    negated = {i: -v for i, v in {id(v): v for c in cx.mat.cols for v in c.values()}.items()}
+    negated = {id(v): (-v[0], v[1]) for c in cx.mat.cols for v in c.values()}
     dims = {j: _koszul_h(j, cx, by_deg, negated) for j in range(p.n + 1)}
     dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading, cx))
     return dims

@@ -9,13 +9,11 @@ index).  The column minimum comes from a lazy heap that gets one fresh entry
 per changed column after each pivot's row updates, so a pivot costs no scan
 over the columns.  All arithmetic is exact.
 
-Matrices hold Q values.  The eliminator takes the columns alone, with no row
-count, and builds only the rows they touch; it converts each value once to a
-reduced (numerator, denominator) pair of Python ints with a positive
-denominator, and does every row update on those pairs; Q values come back
-only in nullspace's basis vectors.  The pairs are the same reduced rationals
-the Q values were, so the pivots do not depend on the representation; the
-pairs only skip the per-operation dispatch of Fraction.
+Every value, from the columns to the last pivot, is a reduced (numerator,
+denominator) pair of Python ints with a positive denominator (rational.pair),
+the canonical form of Q, so the pivots do not depend on it.  The eliminator
+converts nothing, and nullspace returns pair vectors; a caller that holds Q
+values converts at its boundary (ring.quasi_weights).
 """
 
 from __future__ import annotations
@@ -25,20 +23,18 @@ from collections import defaultdict
 from math import gcd
 from typing import Optional
 
-from .rational import Q
-
 
 class SparseMatrixQ:
-    """Sparse matrix over Q: nrows and a list of {row: value} columns.
+    """Sparse matrix over Q: nrows and a list of {row: (num, den)} columns.
 
-    The columns hold Q values and no zeros, and are taken as they are, not
-    copied.  Matrices are immutable once assembled (by convention; the
-    eliminator builds its own rows from them).
+    The columns hold reduced int pairs (module docstring) and no zeros, and
+    are taken as they are, not copied.  Matrices are immutable once
+    assembled (by convention; the eliminator builds its own rows from them).
     """
 
     __slots__ = ("nrows", "cols")
 
-    def __init__(self, nrows: int, cols: list[dict[int, object]]):
+    def __init__(self, nrows: int, cols: list[dict[int, tuple[int, int]]]):
         self.nrows = nrows
         self.cols = cols
 
@@ -50,9 +46,11 @@ class SparseMatrixQ:
         return sum(len(col) for col in self.cols)
 
     def dump_triplets(self) -> str:
-        """Plain 'row col num/den' text, rows sorted, for debugging."""
+        """Plain 'row col value' text, rows sorted, for debugging; a value is
+        'num' or 'num/den', as Q prints it."""
         entries = sorted((r, c, v) for c, col in enumerate(self.cols) for r, v in col.items())
-        return "\n".join([f"{self.nrows} {self.ncols}"] + [f"{r} {c} {v}" for r, c, v in entries])
+        return "\n".join([f"{self.nrows} {self.ncols}"] + [
+            f"{r} {c} {n}" if d == 1 else f"{r} {c} {n}/{d}" for r, c, (n, d) in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -68,45 +66,43 @@ class _Eliminator:
     nonzero; within it, the active row minimizing (row nnz, numerator bit
     length, row index).  Fully deterministic.
 
-    The column choice uses a lazy min-heap of (active count, column) entries
-    for the current class.  A pivot retires its row and adds multiples of it
-    to the other rows, so it changes the counts of the pivot row's columns
-    only; once its updates are done, each in-class column of the pivot row
-    with a non-zero count gets one fresh entry.  Entries whose count is no
-    longer current (or is 0) are dropped when they reach the top.  Every
-    in-class column with active rows thus has a current entry, and the top
-    current entry is the exact argmin, found without scanning the class.
+    The column choice uses a lazy min-heap of int keys count * ncols + c, for
+    the active count of column c: ordered as the pairs (count, c), since c <
+    ncols.  A pivot retires its row and adds multiples of it to the other
+    rows, so it changes the counts of the pivot row's columns only; once its
+    updates are done, each in-class column of the pivot row with a non-zero
+    count gets one fresh key.  Keys whose count is no longer current (or is
+    0) are dropped when they reach the top.  Every in-class column with
+    active rows thus has a current key, and the top current key is the exact
+    argmin, found without scanning the class.
 
     self.rows holds the rows the columns touch and no others, each active
     until it is a pivot row; every entry is a reduced pair (num, den) of ints
-    with den > 0 and num != 0, and a row update that cancels it deletes it.
+    with den > 0 and num != 0, the columns' own pair objects until an update
+    replaces them.  A row update pops its entry in the pivot column, which
+    cancels exactly, and deletes any other entry it cancels.  A term and an
+    entry that both have denominator 1 add as ints, with no gcd.
     """
 
-    def __init__(self, cols: list[dict[int, object]]):
-        # the one transposition: the eliminator owns, and mutates, these rows.
-        # Each distinct value object is converted once and its pair shared:
-        # stencil columns repeat a few thousand values over many entries.
-        # Keying by id() is sound because cols keeps every value alive.
+    def __init__(self, cols: list[dict[int, tuple[int, int]]]):
+        # the one transposition: the eliminator owns, and mutates, these rows
         self.rows: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
-        pairs: dict[int, tuple[int, int]] = {}
         for c, col in enumerate(cols):
             for r, v in col.items():
-                pair = pairs.get(id(v))
-                if pair is None:
-                    pair = pairs[id(v)] = (int(v.numerator), int(v.denominator))
-                self.rows[r][c] = pair
+                self.rows[r][c] = v
         # set(col.keys()) sizes each table as add() would; set(col) presizes
         # from the dict, and that layout raised peak RSS on `sweep` by 0.6 MiB
         self.col_rows: list[set[int]] = [set(col.keys()) for col in cols]
         self.pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
-        self._heap: list[tuple[int, int]] = []
+        self._heap: list[int] = []
 
     def _pick_pivot(self) -> Optional[tuple[int, int]]:
         heap, col_rows = self._heap, self.col_rows
+        ncols = len(col_rows)
         while heap:
-            cnt, c = heap[0]
+            cnt, c = divmod(heap[0], ncols)
             if cnt != len(col_rows[c]):
-                heapq.heappop(heap)  # stale: a fresher entry exists, or c is empty
+                heapq.heappop(heap)  # stale: a fresher key exists, or c is empty
                 continue
             if cnt == 1:  # a column singleton: its one active row
                 for r in col_rows[c]:
@@ -130,7 +126,8 @@ class _Eliminator:
         """Eliminate using pivots only from the given columns; returns the
         number of pivots found."""
         rows, col_rows = self.rows, self.col_rows
-        heap = self._heap = [(len(col_rows[c]), c) for c in cols if col_rows[c]]
+        ncols = len(col_rows)
+        heap = self._heap = [len(col_rows[c]) * ncols + c for c in cols if col_rows[c]]
         heapq.heapify(heap)
         found = 0
         while (pick := self._pick_pivot()) is not None:
@@ -141,17 +138,29 @@ class _Eliminator:
             for c in prow:  # retire the pivot row
                 col_rows[c].discard(pr)
             piv = prow[pc]
-            for r in list(col_rows[pc]):  # row r += (fn/fd) * prow, on reduced pairs
+            rest = [(c, v) for c, v in prow.items() if c != pc]
+            for r in col_rows[pc]:  # row r += (fn/fd) * prow, on reduced pairs
                 row = rows[r]
-                fn, fd = _ratio(row[pc], piv)
-                for c, (vn, vd) in prow.items():
+                fn, fd = _ratio(row.pop(pc), piv)  # the entry at pc cancels exactly
+                for c, (vn, vd) in rest:
                     tn, td = fn * vn, fd * vd  # the term, tn != 0 < td
                     cur = row.get(c)
                     if cur is None:
                         col_rows[c].add(r)
+                        if td == 1:
+                            row[c] = (tn, 1)
+                            continue
                         n, d = tn, td
                     else:
                         cn, cd = cur
+                        if cd == td == 1:  # an int sum: already reduced
+                            n = cn + tn
+                            if n:
+                                row[c] = (n, 1)
+                            else:
+                                del row[c]
+                                col_rows[c].discard(r)
+                            continue
                         n = cn * td + tn * cd
                         if n == 0:
                             del row[c]
@@ -160,10 +169,11 @@ class _Eliminator:
                         d = cd * td
                     g = gcd(n, d)
                     row[c] = (n // g, d // g)
-            # only the pivot row's columns changed count: one fresh entry each
-            for c in prow:
+            col_rows[pc].clear()
+            # only the pivot row's columns changed count: one fresh key each
+            for c, _v in rest:
                 if c in cols and col_rows[c]:
-                    heapq.heappush(heap, (len(col_rows[c]), c))
+                    heapq.heappush(heap, len(col_rows[c]) * ncols + c)
         return found
 
 
@@ -177,9 +187,10 @@ def _ratio(a: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
     return fn // g, fd // g
 
 
-def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
-    """Basis of ker(A) as sparse {col: value} vectors, one per free column c:
-    the kernel vector that is 1 at c and 0 at every other free column.
+def nullspace(a: SparseMatrixQ) -> list[dict[int, tuple[int, int]]]:
+    """Basis of ker(A) as sparse {col: (num, den)} vectors, one per free
+    column c: the kernel vector that is (1, 1) at c and 0 at every other free
+    column.
 
     After elimination, pivot row k holds its own pivot column, columns of
     later pivots and free columns only, so one back-substitution in reverse
@@ -204,16 +215,16 @@ def nullspace(a: SparseMatrixQ) -> list[dict[int, object]]:
                     g = gcd(n, d)
                     coord[f] = (n // g, d // g)
         solved[pc] = coord
-    basis = {c: {c: Q(1)} for c in range(a.ncols) if c not in solved}
+    basis = {c: {c: (1, 1)} for c in range(a.ncols) if c not in solved}
     for _r, pc in elim.pivots:
-        for f, (n, d) in solved[pc].items():
-            basis[f][pc] = Q(n, d)
+        for f, v in solved[pc].items():
+            basis[f][pc] = v
     return list(basis.values())
 
 
-def rank_with_extension(a: SparseMatrixQ, extra_cols: list[dict[int, object]]):
+def rank_with_extension(a: SparseMatrixQ, extra_cols: list[dict[int, tuple[int, int]]]):
     """(rank(A), rank([A | extra]) - rank(A)) with A-columns pivoted first;
-    extra_cols are {row: value} columns like A's."""
+    extra_cols are {row: (num, den)} columns like A's."""
     elim = _Eliminator(a.cols + extra_cols)
     base = elim.eliminate(range(a.ncols))
     extra = elim.eliminate(range(a.ncols, a.ncols + len(extra_cols)))

@@ -21,6 +21,12 @@ except ImportError:  # gmpy2 is optional (the "fast" extra)
 QZERO = Q(0)
 
 
+def pair(q) -> tuple[int, int]:
+    """q as the reduced (numerator, denominator) pair of Python ints, with a
+    positive denominator, that gmexp.linalg computes on."""
+    return int(q.numerator), int(q.denominator)
+
+
 def is_integer(q) -> bool:
     return q.denominator == 1
 

@@ -271,15 +271,15 @@ def quasi_weights(f: RingElement, g: RingElement) -> tuple[tuple, object] | None
     """
     n = f.n
     rows = [(*m.xdeg, -m.gpow, -1) for m in f.terms] + [(*m.xdeg, -1, 0) for m in g.terms]
-    cols: list[dict[int, object]] = [{} for _ in range(n + 2)]
+    cols: list[dict[int, tuple[int, int]]] = [{} for _ in range(n + 2)]
     for r, row in enumerate(rows):
         for j, v in enumerate(row):
             if v:
-                cols[j][r] = Q(v)
+                cols[j][r] = (v, 1)
     kernel = nullspace(SparseMatrixQ(len(rows), cols))
-    if len(kernel) != 1 or not kernel[0].get(n + 1):
+    if len(kernel) != 1 or n + 1 not in kernel[0]:
         return None
-    (vec,) = kernel
+    vec = {j: Q(*v) for j, v in kernel[0].items()}  # the pairs of linalg, as Q
     c = vec[n + 1]
     return tuple(vec.get(j, QZERO) / c for j in range(n)), vec.get(n, QZERO) / c
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -125,12 +126,13 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, out, err = run_cli(capsys, "univariate", "--L", "A0=D-10^30")
     assert code == 4 and out == "" and "resource" in err
 
-    # a window in 1000 variables overflows the recursion of its x-degree
-    # enumeration before any cell cap could be read: a resource limit too
+    # a window in 1000 variables is refused by the default cell cap before
+    # any of its cells is enumerated
     monkeypatch.delenv("GM_MAX_WINDOW_CELLS", raising=False)
     code, out, err = run_cli(capsys, "exponent-test", "--n", "1000", "--f", "x1",
                              "--alphas", "1/2")
-    assert code == 4 and out == "" and "recursion" in err
+    cap = engine.DEFAULT_MAX_WINDOW_CELLS
+    assert code == 4 and out == "" and f"cap is {cap} (GM_MAX_WINDOW_CELLS sets it)" in err
 
     # a report or matrix path that cannot be written is a precondition
     # violation; a missing directory is found before the run
@@ -264,6 +266,39 @@ def test_json_determinism(capsys, tmp_path):
     d1, d2 = json.loads(out1), json.loads(out2)
     d1.pop("elapsed_seconds"), d2.pop("elapsed_seconds")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+# (n, f, g, alphas, sha256 and line count of the --dump-matrix text, the JSON
+# report outside elapsed_seconds): an ungraded f, a graded one and one with a
+# g-layer, pinned to the output of the Fraction-valued assembly that the
+# reduced int pairs replaced, which printed the same bytes
+PINNED = [
+    ("1", "x1^2*(1-x1)^3", "1", "1/2,1/5",
+     "4be66a8fd9c76e315dfd7fdba428d74c712bd2a81c8a64a22e0bac98134017a4", 431,
+     "bd3eea9370a75cc1add647ce2089774d2bc9d85e02fc405311e3989a1310a000"),
+    ("2", "x1^2+x2^3", "1", "5/6,1/2",
+     "03b8f2b7c44a5eae3b692c0858e9e813f1057f5f6c81ec6946c892d1bfa6247e", 28,
+     "cb65451f54c50002095d495facb3d36fcd2fd06ce9008b3adf0a6b29d9192527"),
+    ("1", "x1^2*ginv", "1-x1", "1/2",
+     "2c90c5e004754d5020d0ad807feec9523eb2df5b618f9b6a5e5b45a335408986", 1261,
+     "a1fff680aacbca658de82d43b235ebfa1e367fe54aa0d9f60767d5edd5b1963c"),
+]
+
+
+@pytest.mark.parametrize("n, fs, gs, alphas, dump_sha, lines, report_sha", PINNED,
+                         ids=[case[1] for case in PINNED])
+def test_dump_and_report_are_pinned(capsys, tmp_path, n, fs, gs, alphas, dump_sha, lines,
+                                    report_sha):
+    dump = tmp_path / "mat.txt"
+    code, out, _ = run_cli(capsys, "exponent-test", "--n", n, "--f", fs, "--g", gs,
+                           "--alphas", alphas, "--dump-matrix", str(dump))
+    assert code == 0
+    text = dump.read_text()
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text.splitlines())) == (
+        dump_sha, lines)
+    rep = json.loads(out)
+    rep.pop("elapsed_seconds")
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == report_sha
 
 
 def test_matrix_dump(capsys, tmp_path, monkeypatch):

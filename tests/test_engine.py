@@ -29,7 +29,7 @@ from gmexp.engine import (
 from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, rank_with_extension
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
-from gmexp.rational import Q
+from gmexp.rational import Q, pair
 from gmexp.ring import RingElement, clear_g
 
 
@@ -127,7 +127,7 @@ def tree_koszul(p, j, win_in, index):
 
 def differential(j, mat, n, cells=None):
     """d^j by _koszul_differential, with -v for each value v of mat."""
-    negated = {id(v): -v for col in mat.cols for v in col.values()}
+    negated = {id(v): (-v[0], v[1]) for col in mat.cols for v in col.values()}
     return _koszul_differential(j, mat, _koszul_bases(n), negated, cells)
 
 
@@ -158,16 +158,27 @@ def full_window(p, win):
     return FullWindow(
         full_image(p, win, win_out),
         _relation_columns(p, win, win_out),
-        [{i: Q(1)} for m, i in index.items() if m.tdeg >= win.tmax],
+        [{i: pair(Q(1))} for m, i in index.items() if m.tdeg >= win.tmax],
         sorted(index[m] for m in interior.monomials(p.n)),
     )
 
 
+def as_pairs(cols):
+    """Q-valued columns, such as the tree walk's, as the reduced int pairs
+    of rational.pair that assembly and elimination hold."""
+    return [{r: pair(v) for r, v in col.items()} for col in cols]
+
+
+def is_reduced_pair(v):
+    """A reduced (num, den) pair of Python ints with num != 0 < den."""
+    return (type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)
+            and v[0] != 0 and v[1] > 0 and math.gcd(*v) == 1)
+
+
 def assert_columns(cols, expected):
-    assert len(cols) == len(expected)
-    for col, exp in zip(cols, expected):
-        assert col == exp
-        assert all(type(v) is Q and v != 0 for v in col.values())
+    """cols equal the Q-valued columns expected, as reduced int pairs."""
+    assert cols == as_pairs(expected)
+    assert all(is_reduced_pair(v) for col in cols for v in col.values())
 
 
 def positions(win, n):
@@ -225,8 +236,8 @@ def test_stencil_assembly_matches_tree_walk(case):
             assert_columns(mat.cols, expected)
             cut = assemble_phi(p, win, win_out)
             assert cut.nrows == sum(1 for m in rows if m.tdeg < win.tmax)
-            assert cut.cols == [{r: v for r, v in col.items() if r < cut.nrows}
-                                for col in expected]
+            assert cut.cols == as_pairs([{r: v for r, v in col.items() if r < cut.nrows}
+                                         for col in expected])
 
         rel = tree_relations(p, win, index)
         assert_columns(_relation_columns(p, win, win_out), rel)
@@ -275,8 +286,9 @@ def test_stencil_assembly_matches_tree_walk(case):
             full = differential(j, cx.mat, n)
             part = differential(j, cx.mat, n, cells)
             assert part.nrows == full.nrows
-            assert_columns(part.cols, [full.cols[k * dom + q]
-                                       for k in range(len(by_deg[j])) for q in cells])
+            assert part.cols == [full.cols[k * dom + q]
+                                 for k in range(len(by_deg[j])) for q in cells]
+            assert all(is_reduced_pair(v) for col in part.cols for v in col.values())
 
 
 def test_phi_row_shape():
@@ -343,7 +355,7 @@ def test_brieskorn_pham_late_windows():
 @pytest.mark.xfail(
     strict=True,
     reason="the two-window stabilisation rule stops at the early estimates 2, 2 "
-    "(ROADMAP item 4: harden the verdict rule)",
+    "(ROADMAP item 1: start where the Milnor algebra fits, and certify)",
 )
 def test_brieskorn_pham_default_schedule():
     p = instance("x1^5+x2^5", n=2, alpha="3/5")
@@ -476,6 +488,52 @@ def test_resource_cap_precedes_enumeration(monkeypatch):
         koszul_cohomology(p, win)
 
 
+def test_default_cap_bounds_a_query_in_many_variables(monkeypatch):
+    # without GM_MAX_WINDOW_CELLS the default cap refuses the first window of
+    # x1 in 100 variables (1.25e8 cells, from its size alone: no query is
+    # run), stays 10x above the largest window Tier-1 builds, and the
+    # variable still overrides it
+    monkeypatch.delenv("GM_MAX_WINDOW_CELLS", raising=False)
+    p = instance("x1", n=100, alpha="1/2")
+    cells = (p.n + 1) * default_schedule(p)[0].size(p.n)
+    assert cells == 101 * 7 * math.comb(103, 100) > 1.25e8
+    with pytest.raises(ResourceLimitError, match="GM_MAX_WINDOW_CELLS"):
+        engine._check_cells(cells)
+    largest = instance("x1^2+x2^2", n=2, gs="x1+x2", alpha="1")
+    assert 3 * default_schedule(largest)[3].size(2) == 102_600
+    assert engine.DEFAULT_MAX_WINDOW_CELLS >= 10 * 102_600
+    engine._check_cells(engine.DEFAULT_MAX_WINDOW_CELLS)
+    monkeypatch.setenv("GM_MAX_WINDOW_CELLS", str(cells))
+    engine._check_cells(cells)
+    monkeypatch.setenv("GM_MAX_WINDOW_CELLS", "100")
+    with pytest.raises(ResourceLimitError, match="cap is 100"):
+        engine._check_cells(101)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", [
+    ("x1^2*(1-x1)^3", 1, "1", "1/2"),  # ungraded, pruned
+    ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4"),
+    ("x1^2+x2^3", 2, "1", "5/6"),  # graded
+    ("x1^2", 1, "x1", "1/3"),  # graded, with relations
+    ("x1^2*ginv", 1, "1-x1", "1/2"),  # a g-layer: relations, nothing pruned
+    ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", "3/7"),  # rational coefficients
+])
+def test_window_columns_hold_reduced_int_pairs(fs, n, gs, alpha):
+    # the stencil evaluator writes reduced int pairs, and no Q value, into
+    # every column that reaches the eliminator
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    sh = _shift_analysis(p)
+    win = default_schedule(p)[0]
+    out = sh.output_window(win)
+    cx = _window_complex(p, win, sh)
+    matrices = [assemble_phi(p, win, out), assemble_phi(p, win, out, p.grading, top=True),
+                _top_image(p, win, sh, p.grading)[0], _top_image(p, win, sh, p.grading, cx)[0],
+                cx.mat, SparseMatrixQ(cx.mat.nrows, cx.relations)]
+    for mat in matrices:
+        assert all(is_reduced_pair(v) for col in mat.cols for v in col.values())
+    assert cx.mat.nnz() > 0 and any(v[1] > 1 for col in cx.mat.cols for v in col.values())
+
+
 # ---------------------------------------------------------------------------
 # The top image: redundant columns left out, slack rows quotiented out
 # ---------------------------------------------------------------------------
@@ -485,7 +543,7 @@ def full_image_cokernel(full):
     """Degree n+1 from the full image of a full_window: every component
     column, the relations and the unit slack columns, then unit targets."""
     image = SparseMatrixQ(full.mat.nrows, full.mat.cols + full.relations + full.slack)
-    return rank_with_extension(image, [{r: Q(1)} for r in full.targets])[1]
+    return rank_with_extension(image, [{r: pair(Q(1))} for r in full.targets])[1]
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha, rounds, commuting", [
@@ -706,7 +764,7 @@ def test_koszul_skips_boundaries_without_cycles(monkeypatch):
     p = instance("x1^2*(1-x1)^3", alpha="1/5")
     assert koszul_cohomology(p, default_schedule(p)[0]) == {0: 0, 1: 0, 2: 0}
     (extra,) = calls
-    assert extra and all(list(col.values()) == [1] for col in extra)
+    assert extra and all(list(col.values()) == [(1, 1)] for col in extra)
 
 
 def test_koszul_certifies_boundaries_on_the_cycles_neighbourhood(monkeypatch):
@@ -781,10 +839,10 @@ def definition_koszul(p, win):
     index_in, index = positions(win, p.n), positions(out, p.n)
     nm, dom = len(index), len(index_in)
     interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
-    rel = tree_relations(p, win, index)
-    slack = [{i: Q(1)} for m, i in index.items() if m.tdeg >= win.tmax]
+    rel = as_pairs(tree_relations(p, win, index))
+    slack = [{i: pair(Q(1))} for m, i in index.items() if m.tdeg >= win.tmax]
     by_deg = _koszul_bases(p.n)
-    d = [tree_koszul(p, j, win, index) for j in range(p.n + 1)]
+    d = [as_pairs(tree_koszul(p, j, win, index)) for j in range(p.n + 1)]
 
     def stacked(cols, copies):
         return [{b * nm + r: v for r, v in c.items()} for b in range(copies) for c in cols]
@@ -802,7 +860,7 @@ def definition_koszul(p, win):
             zvecs = [z for z in ({cells[c][1]: v for c, v in vec.items() if c < len(cells)}
                                  for vec in kernel) if z]
         else:
-            zvecs = [{r: Q(1)} for _, r in cells]
+            zvecs = [{r: pair(Q(1))} for _, r in cells]
         bcols = (d[j - 1] if j else []) + stacked(rel, copies) + stacked(slack, copies)
         dims[j] = rank_with_extension(SparseMatrixQ(copies * nm, bcols), zvecs)[1]
     return dims
@@ -1098,8 +1156,8 @@ def full_window_blocks(p, win, grading):
     assert all(len({weight[r] for r in col}) <= 1 for col in image)
     top = p.alpha * grading.scale - sum(grading.wx)
     targets = full.targets
-    star = [{r: Q(1)} for r in targets if weight[r] == top]
-    rest = [{r: Q(1)} for r in targets if weight[r] != top]
+    star = [{r: pair(Q(1))} for r in targets if weight[r] == top]
+    rest = [{r: pair(Q(1))} for r in targets if weight[r] != top]
     elim = _Eliminator(image + star + rest)
     elim.eliminate(range(len(image)))
     top_coker = elim.eliminate(range(len(image), len(image) + len(star)))

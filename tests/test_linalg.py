@@ -8,7 +8,7 @@ from gmexp import linalg
 from gmexp.engine import ProblemInstance, default_schedule, exponent_test, koszul_cohomology
 from gmexp.linalg import SparseMatrixQ, nullspace, rank_with_extension
 from gmexp.parser import parse_poly
-from gmexp.rational import Q
+from gmexp.rational import Q, pair
 
 
 def rank(m):
@@ -37,8 +37,15 @@ def dense_rank(rows):
 
 def from_dense(rows):
     ncols = len(rows[0]) if rows else 0
-    cols = [{i: Q(row[j]) for i, row in enumerate(rows) if row[j] != 0} for j in range(ncols)]
+    cols = [{i: pair(Q(row[j])) for i, row in enumerate(rows) if row[j] != 0}
+            for j in range(ncols)]
     return SparseMatrixQ(len(rows), cols)
+
+
+def is_reduced_pair(v):
+    """A reduced (num, den) pair of Python ints with num != 0 < den."""
+    n, d = v
+    return type(n) is int and type(d) is int and n != 0 and d > 0 and gcd(n, d) == 1
 
 
 def transpose(m):
@@ -92,11 +99,11 @@ def test_nullspace_rank_nullity(rows):
     free = [next(iter(vec)) for vec in basis]
     assert free == sorted(free)
     for c, vec in zip(free, basis):
-        assert vec[c] == 1 and not set(vec) & set(free) - {c}
+        assert vec[c] == (1, 1) and not set(vec) & set(free) - {c}
     for vec in basis:
-        assert all(type(v) is Q for v in vec.values())
+        assert all(is_reduced_pair(v) for v in vec.values())
         for r in range(m.nrows):
-            assert sum((m.cols[c].get(r, 0) * v for c, v in vec.items()), Q(0)) == 0
+            assert sum((Q(*m.cols[c].get(r, (0, 1))) * Q(*v) for c, v in vec.items()), Q(0)) == 0
 
 
 class _CheckedEliminator(linalg._Eliminator):
@@ -114,8 +121,8 @@ class _CheckedEliminator(linalg._Eliminator):
 
     def _pick_pivot(self):
         for row in self.rows.values():
-            for n, d in row.values():
-                assert n != 0 and d > 0 and gcd(n, d) == 1, (n, d)
+            for v in row.values():
+                assert is_reduced_pair(v), v
         live = set(self.rows) - {r for r, _ in self.pivots}
         for c in range(len(self.col_rows)):
             assert self.col_rows[c] == {r for r in live if c in self.rows[r]}
@@ -136,26 +143,36 @@ class _CheckedEliminator(linalg._Eliminator):
         return got
 
 
+def sparse_matrices(nonzero):
+    """Matrices of up to 9 x 9 entries, two thirds of them 0, the rest drawn
+    from nonzero, with up to 4 extension columns from nonzero."""
+    entries = st.one_of(st.just(Q(0)), st.just(Q(0)), nonzero)
+    rows = st.integers(1, 9).flatmap(
+        lambda w: st.lists(st.lists(entries, min_size=w, max_size=w), min_size=1, max_size=9)
+    )
+    return st.tuples(rows, st.lists(st.dictionaries(st.integers(0, 8), nonzero, max_size=4),
+                                    max_size=4))
+
+
 nonzero_entries = st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(1, 3))
-sparse_entries = st.one_of(st.just(Q(0)), st.just(Q(0)), nonzero_entries)
-sparse_matrices = st.integers(1, 9).flatmap(
-    lambda w: st.lists(st.lists(sparse_entries, min_size=w, max_size=w), min_size=1, max_size=9)
-)
-extra_columns = st.lists(
-    st.dictionaries(st.integers(0, 8), nonzero_entries, max_size=4), max_size=4
-)
+# denominators 1 only: every row update takes the eliminator's int branch
+integer_entries = st.builds(Q, st.integers(-5, 5).filter(bool))
 
 
-@settings(max_examples=200, deadline=None)
-@given(sparse_matrices, extra_columns)
+# 400 examples: about 200 from each strategy, as the fractional one had alone
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(sparse_matrices(nonzero_entries), sparse_matrices(integer_entries)))
 # two fills raise column 2's count above every queued entry for it; the
 # queue must take the raised count, or column 2 is never pivoted
 @example(
-    rows=[[Q(4), 0, 0], [0, -1, -3], [-3, 1, 0], [Q(-5, 3), 1, Q(-4, 3)],
-          [Q(-4, 3), -1, 0], [Q(-5, 3), 0, -5], [Q(-5, 2), 0, -2]],
-    extra=[],
+    ([[Q(4), 0, 0], [0, -1, -3], [-3, 1, 0], [Q(-5, 3), 1, Q(-4, 3)],
+      [Q(-4, 3), -1, 0], [Q(-5, 3), 0, -5], [Q(-5, 2), 0, -2]], []),
 )
-def test_pivot_order_is_brute_force_argmin(rows, extra):
+# all ints: entries that cancel to 0 and fill-in, both on the int branch
+@example(([[Q(2), Q(1), 0], [Q(4), Q(2), Q(3)], [0, Q(-1), Q(1)], [Q(1), 0, Q(1)]],
+          [{0: Q(1), 3: Q(-2)}]))
+def test_pivot_order_is_brute_force_argmin(case):
+    rows, extra = case
     m = from_dense(rows)
     extra = [{r: v for r, v in col.items() if r < m.nrows} for col in extra]
     with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
@@ -163,7 +180,9 @@ def test_pivot_order_is_brute_force_argmin(rows, extra):
         rk = rank(m)  # mode rank
         # every pivot, then the empty pick of A's columns and of the empty extension
         assert _CheckedEliminator.steps == rk + 2
-        base, more = rank_with_extension(m, extra)  # second class after the first
+        # second class after the first
+        base, more = rank_with_extension(m, [{r: pair(v) for r, v in col.items()}
+                                             for col in extra])
         augmented = [list(row) + [col.get(i, 0) for col in extra] for i, row in enumerate(rows)]
         assert (base, more) == (rk, dense_rank(augmented) - rk)
         assert len(nullspace(m)) == m.ncols - rk
@@ -183,7 +202,7 @@ def test_pivot_order_is_brute_force_argmin_on_real_windows():
 
 def test_eliminator_holds_only_the_rows_its_columns_touch():
     # a block of a large window: two entries among 10^5 rows
-    elim = linalg._Eliminator(SparseMatrixQ(10**5, [{3: Q(1)}, {99_999: Q(2)}]).cols)
+    elim = linalg._Eliminator(SparseMatrixQ(10**5, [{3: pair(Q(1))}, {99_999: pair(Q(2))}]).cols)
     assert elim.eliminate(range(2)) == 2
     assert len(elim.rows) == 2
 
@@ -191,13 +210,13 @@ def test_eliminator_holds_only_the_rows_its_columns_touch():
 def test_rank_with_extension_orders_pivots():
     # extension columns must not steal pivots from the base matrix
     a = from_dense([[1], [1]])
-    base, extra = rank_with_extension(a, [{0: Q(1)}, {1: Q(1)}])
+    base, extra = rank_with_extension(a, [{0: pair(Q(1))}, {1: pair(Q(1))}])
     assert (base, extra) == (1, 1)
 
 
 def cokernel_on(m, targets):
     """dim of span{e_r : r in targets} modulo the column space of m."""
-    return rank_with_extension(m, [{r: Q(1)} for r in targets])[1]
+    return rank_with_extension(m, [{r: pair(Q(1))} for r in targets])[1]
 
 
 def test_cokernel_examples():
@@ -219,6 +238,12 @@ def test_dump_triplets_roundtrip():
     lines = text.splitlines()
     assert lines[0] == "2 2"
     assert "0 0 1/2" in lines and "1 1 -3" in lines
+
+
+def test_dump_triplets_prints_values_as_q_does():
+    values = [Q(1), Q(-1), Q(1, 2), Q(-7, 3), Q(10**20, 3), Q(-10**20)]
+    m = from_dense([values])
+    assert m.dump_triplets().splitlines()[1:] == [f"0 {c} {v}" for c, v in enumerate(values)]
 
 
 def test_determinism():
