@@ -128,10 +128,11 @@ shortcut of _koszul_h) is still a proof.  So assemble_phi stops every
 column at the slack tail, a relation column that the cut empties is left
 out, and no slack column is built.
 
-Order.  The image columns reach the eliminator in order of descending
-highest row, the top t-layer first.  The pivot rule is unchanged, so the
-order only breaks its ties between columns of equal count; no rank
-depends on it, only the fill-in on the way.
+Order.  _top_cokernel pivots the non-empty image columns in one order
+fixed before elimination (linalg's in_order policy): by entry count, then
+by descending highest row, the top t-layer first; the unit targets follow.
+_koszul_h and nullspace keep the Markowitz rule.  No rank depends on the
+order, only the fill-in on the way.
 """
 
 from __future__ import annotations
@@ -792,11 +793,11 @@ def _positions(win: DegreeWindow, n: int, monos: list[Monomial]) -> list[int]:
 def _top_cokernel(image: SparseMatrixQ, targets) -> int:
     """Degree n+1 from a top image (_top_image): the target rows modulo the
     span of the image columns.  The non-empty image columns are pivoted
-    first, in order of descending highest row (the top t-layer first), then
-    the surviving target directions are counted."""
-    cols = sorted(filter(None, image.cols), key=max, reverse=True)
+    first, each once, in the order of the module docstring (Order.), then
+    the unit targets by row; the surviving target directions are counted."""
+    cols = sorted(filter(None, image.cols), key=lambda col: (len(col), -max(col)))
     _, coker = rank_with_extension(
-        SparseMatrixQ(image.nrows, cols), [{r: (1, 1)} for r in sorted(targets)]
+        SparseMatrixQ(image.nrows, cols), [{r: (1, 1)} for r in sorted(targets)], in_order=True
     )
     return coker
 

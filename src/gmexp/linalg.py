@@ -1,13 +1,13 @@
 """Sparse exact rational linear algebra.
 
-Ranks, ranks of extensions and nullspaces over Q, computed by sparse
-Gaussian elimination with Markowitz-style pivot selection.  The pivot
-rule is exact and deterministic: within the column class being eliminated,
-take the column minimizing (active nonzero count, column index); within that
-column, take the active row minimizing (row nnz, numerator bit length, row
-index).  The column minimum comes from a lazy heap that gets one fresh entry
-per changed column after each pivot's row updates, so a pivot costs no scan
-over the columns.  All arithmetic is exact.
+Ranks, ranks of extensions and nullspaces over Q, computed by exact sparse
+Gaussian elimination under one of two deterministic column policies
+(_Eliminator): Markowitz, through a lazy heap, or in the order given.  The
+top cokernel of gmexp.engine pivots in order: its columns arrive in a band
+order fixed before elimination, on which the heap costs more than it saves
+(about 0.65x the Markowitz time on the benchmark's sweep).  The Koszul
+boundaries and nullspace keep Markowitz, where a fixed order is several
+times slower.  No rank depends on the policy.
 
 Every value, from the columns to the last pivot, is a reduced (numerator,
 denominator) pair of Python ints with a positive denominator (rational.pair),
@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class SparseMatrixQ:
@@ -59,22 +59,25 @@ class SparseMatrixQ:
 
 
 class _Eliminator:
-    """Row-based sparse elimination with Markowitz pivoting.
+    """Row-based sparse elimination, one column class at a time.
 
-    Pivot rule: among the columns of the class passed to eliminate(), take
-    the column c minimizing (len(col_rows[c]), c) over columns with an active
-    nonzero; within it, the active row minimizing (row nnz, numerator bit
+    Pivot rule: with the Markowitz policy, among the columns of the class
+    passed to eliminate(), take the column c minimizing (len(col_rows[c]),
+    c) over columns with an active nonzero; with in_order, take the class's
+    columns in the order given, skipping those with no active row.  Within
+    the column, take the active row minimizing (row nnz, numerator bit
     length, row index).  Fully deterministic.
 
-    The column choice uses a lazy min-heap of int keys count * ncols + c, for
-    the active count of column c: ordered as the pairs (count, c), since c <
-    ncols.  A pivot retires its row and adds multiples of it to the other
-    rows, so it changes the counts of the pivot row's columns only; once its
-    updates are done, each in-class column of the pivot row with a non-zero
-    count gets one fresh key.  Keys whose count is no longer current (or is
-    0) are dropped when they reach the top.  Every in-class column with
-    active rows thus has a current key, and the top current key is the exact
-    argmin, found without scanning the class.
+    The Markowitz choice uses a lazy min-heap of int keys count * ncols + c,
+    for the active count of column c: ordered as the pairs (count, c), since
+    c < ncols.  A pivot retires its row and adds multiples of it to the
+    other rows, so it changes the counts of the pivot row's columns only;
+    once its updates are done, each in-class column of the pivot row with a
+    non-zero count gets one fresh key.  Keys whose count is no longer
+    current (or is 0) are dropped when they reach the top.  Every in-class
+    column with active rows thus has a current key, and the top current key
+    is the exact argmin, found without scanning the class.  In order, the
+    heap is neither built nor read.
 
     self.rows holds the rows the columns touch and no others, each active
     until it is a pivot row; every entry is a reduced pair (num, den) of ints
@@ -96,41 +99,55 @@ class _Eliminator:
         self.pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
         self._heap: list[int] = []
 
-    def _pick_pivot(self) -> Optional[tuple[int, int]]:
-        heap, col_rows = self._heap, self.col_rows
-        ncols = len(col_rows)
-        while heap:
-            cnt, c = divmod(heap[0], ncols)
-            if cnt != len(col_rows[c]):
+    def _pick_pivot(self, todo: Optional[Iterator[int]]) -> Optional[tuple[int, int]]:
+        """The next pivot (row, col), or None: the column is next(todo) when
+        pivoting in order, else the heap's top current key."""
+        col_rows = self.col_rows
+        if todo is not None:
+            c = next(todo, None)
+            if c is None:
+                return None
+        else:
+            heap, ncols = self._heap, len(col_rows)
+            while heap:
+                cnt, c = divmod(heap[0], ncols)
+                if cnt == len(col_rows[c]):
+                    break
                 heapq.heappop(heap)  # stale: a fresher key exists, or c is empty
-                continue
-            if cnt == 1:  # a column singleton: its one active row
-                for r in col_rows[c]:
-                    return r, c
-            # the argmin of (row nnz, numerator bit length, row), compared in place
-            rows = self.rows
-            best = -1
+            else:
+                return None
+        if len(col_rows[c]) == 1:  # a column singleton: its one active row
             for r in col_rows[c]:
-                row = rows[r]
-                size = len(row)
-                if best < 0 or size < best_size:
-                    best, best_size, best_bits = r, size, row[c][0].bit_length()
-                elif size == best_size:
-                    bits = row[c][0].bit_length()
-                    if bits < best_bits or (bits == best_bits and r < best):
-                        best, best_bits = r, bits
-            return best, c
-        return None
+                return r, c
+        # the argmin of (row nnz, numerator bit length, row), compared in place
+        rows = self.rows
+        best = -1
+        for r in col_rows[c]:
+            row = rows[r]
+            size = len(row)
+            if best < 0 or size < best_size:
+                best, best_size, best_bits = r, size, row[c][0].bit_length()
+            elif size == best_size:
+                bits = row[c][0].bit_length()
+                if bits < best_bits or (bits == best_bits and r < best):
+                    best, best_bits = r, bits
+        return best, c
 
-    def eliminate(self, cols: range) -> int:
-        """Eliminate using pivots only from the given columns; returns the
-        number of pivots found."""
+    def eliminate(self, cols: range, *, in_order: bool = False) -> int:
+        """Eliminate using pivots only from the given columns, under the
+        policy in_order names (class docstring); returns the pivot count."""
         rows, col_rows = self.rows, self.col_rows
         ncols = len(col_rows)
-        heap = self._heap = [len(col_rows[c]) * ncols + c for c in cols if col_rows[c]]
-        heapq.heapify(heap)
+        if in_order:
+            # the columns with an active row when reached: a passed column has
+            # no active row, so no later pivot row has an entry there
+            todo = filter(col_rows.__getitem__, cols)
+        else:
+            todo, heap = None, [len(col_rows[c]) * ncols + c for c in cols if col_rows[c]]
+            heapq.heapify(heap)
+            self._heap = heap
         found = 0
-        while (pick := self._pick_pivot()) is not None:
+        while (pick := self._pick_pivot(todo)) is not None:
             pr, pc = pick
             self.pivots.append(pick)
             found += 1
@@ -170,10 +187,11 @@ class _Eliminator:
                     g = gcd(n, d)
                     row[c] = (n // g, d // g)
             col_rows[pc].clear()
-            # only the pivot row's columns changed count: one fresh key each
-            for c, _v in rest:
-                if c in cols and col_rows[c]:
-                    heapq.heappush(heap, len(col_rows[c]) * ncols + c)
+            if todo is None:
+                # only the pivot row's columns changed count: one fresh key each
+                for c, _v in rest:
+                    if c in cols and col_rows[c]:
+                        heapq.heappush(heap, len(col_rows[c]) * ncols + c)
         return found
 
 
@@ -222,10 +240,13 @@ def nullspace(a: SparseMatrixQ) -> list[dict[int, tuple[int, int]]]:
     return list(basis.values())
 
 
-def rank_with_extension(a: SparseMatrixQ, extra_cols: list[dict[int, tuple[int, int]]]):
+def rank_with_extension(
+    a: SparseMatrixQ, extra_cols: list[dict[int, tuple[int, int]]], *, in_order: bool = False
+):
     """(rank(A), rank([A | extra]) - rank(A)) with A-columns pivoted first;
-    extra_cols are {row: (num, den)} columns like A's."""
+    extra_cols are {row: (num, den)} columns like A's.  in_order pivots each
+    class in its given column order instead of by Markowitz (_Eliminator)."""
     elim = _Eliminator(a.cols + extra_cols)
-    base = elim.eliminate(range(a.ncols))
-    extra = elim.eliminate(range(a.ncols, a.ncols + len(extra_cols)))
+    base = elim.eliminate(range(a.ncols), in_order=in_order)
+    extra = elim.eliminate(range(a.ncols, a.ncols + len(extra_cols)), in_order=in_order)
     return base, extra

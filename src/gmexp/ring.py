@@ -301,9 +301,11 @@ class DegreeWindow:
 
     def monomials(self, n: int) -> Iterator[Monomial]:
         """All window monomials in canonical order: t-major, then the x-degrees
-        in _xdegs_upto order, then gpow; layout gives their positions."""
+        in _xdegs_upto order (the keys of layout's xrow), then gpow; layout
+        gives their positions."""
+        xdegs = self.layout(n)[0]
         for tdeg in range(self.tmin, self.tmax + 1):
-            for xdeg in _xdegs_upto(n, self.xmax):
+            for xdeg in xdegs:
                 for gpow in range(self.gmax + 1):
                     yield Monomial(tdeg, xdeg, gpow)
 

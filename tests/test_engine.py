@@ -651,21 +651,23 @@ def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
 
 
 def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
-    # the image columns reach the eliminator in order of descending highest
-    # row, without empty columns, ahead of the unit targets
+    # the image columns reach the eliminator without empty columns, ahead of
+    # the unit targets, by entry count and then by descending highest row,
+    # and are pivoted in that order
     seen = []
     real = engine.rank_with_extension
 
-    def recording(a, extra):
-        seen.append(a)
-        return real(a, extra)
+    def recording(a, extra, **kwargs):
+        seen.append((a, kwargs))
+        return real(a, extra, **kwargs)
 
     monkeypatch.setattr(engine, "rank_with_extension", recording)
     p = instance("x1^2*(1-x1)^3", alpha="1/2")
     assert exponent_test(p).cokernel_dim == 1
-    for a in seen:
-        highest = [max(col) for col in a.cols]
-        assert highest == sorted(highest, reverse=True) and all(a.cols)
+    assert seen
+    for a, kwargs in seen:
+        keys = [(len(col), -max(col)) for col in a.cols]
+        assert keys == sorted(keys) and all(a.cols) and kwargs == {"in_order": True}
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha, graded, commuting", [
@@ -756,9 +758,9 @@ def test_koszul_skips_boundaries_without_cycles(monkeypatch):
     calls = []
     real = engine.rank_with_extension
 
-    def counting(a, extra):
+    def counting(a, extra, **kwargs):
         calls.append(extra)
-        return real(a, extra)
+        return real(a, extra, **kwargs)
 
     monkeypatch.setattr(engine, "rank_with_extension", counting)
     p = instance("x1^2*(1-x1)^3", alpha="1/5")
@@ -773,9 +775,9 @@ def test_koszul_certifies_boundaries_on_the_cycles_neighbourhood(monkeypatch):
     calls = []
     real = engine.rank_with_extension
 
-    def recording(a, extra):
+    def recording(a, extra, **kwargs):
         calls.append((a, extra))
-        return real(a, extra)
+        return real(a, extra, **kwargs)
 
     monkeypatch.setattr(engine, "rank_with_extension", recording)
     p = instance("x1*x2*(1-x1-x2)^3", n=2, alpha="1/4")
@@ -814,8 +816,8 @@ def test_koszul_falls_back_when_the_neighbourhood_does_not_certify(
     counts = []
     real = engine.rank_with_extension
 
-    def recording(a, extra):
-        result = real(a, extra)
+    def recording(a, extra, **kwargs):
+        result = real(a, extra, **kwargs)
         counts.append((a.ncols, result[1]))
         return result
 
@@ -994,6 +996,31 @@ G_LAYERS = [
     ("x1*ginv^3", 1, "1+x1", "1/2"),
     ("x1*x2*ginv", 2, "1-x1-x2", "1/3"),
 ]
+
+# the sweep benchmark's shapes at each of their classes, rendered here
+SWEEP_SHAPES = (
+    [(f, n, "1", a) for f, n, alphas in (
+        ("x1^3*(1-x1)^2", 1, "1/5 1/2 1"), ("x1*(1-x1)^4", 1, "1/4 2/5"),
+        ("x1*x2*(1-x1-x2)", 2, "1/4 1"), ("x1^2*x2^2*(1-x1-x2)", 2, "1/3 1/2"),
+        ("x1*x2*(1-x1-x2)^2", 2, "1/3"), ("x1^2+x2^3", 2, "5/6 1/2 1/6"),
+        ("x1^3+x2^3", 2, "1 1/3"), ("x1^2+x2^5", 2, "3/10 1/5"), ("x1^3+x2^4", 2, "5/12"),
+    ) for a in alphas.split()]
+)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + SWEEP_SHAPES)
+def test_top_cokernel_in_order_matches_markowitz(fs, n, gs, alpha):
+    # the fixed column order of _top_cokernel and the Markowitz rule, the
+    # reference, find the same ranks on the top images of windows 0-2
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    sh = _shift_analysis(p)
+    for win in default_schedule(p, rounds=3):
+        image, targets = _top_image(p, win, sh, p.grading)
+        cols = sorted(filter(None, image.cols), key=lambda col: (len(col), -max(col)))
+        a, units = SparseMatrixQ(image.nrows, cols), [{r: (1, 1)} for r in sorted(targets)]
+        fixed = rank_with_extension(a, units, in_order=True)
+        assert fixed == rank_with_extension(a, units), win
+        assert fixed[1] == _top_cokernel(image, targets)
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + G_LAYERS)
@@ -1220,10 +1247,10 @@ def test_classes_off_the_weight_lattice_vanish(monkeypatch, fs, n, gs, alpha, cl
         assembled.append(real_assemble(*args, **kwargs))
         return assembled[-1]
 
-    def empty_only(a, extra):
+    def empty_only(a, extra, **kwargs):
         assert a.nnz() == 0 and not any(extra)
         ranks.append(a.ncols)
-        return real_rank(a, extra)
+        return real_rank(a, extra, **kwargs)
 
     monkeypatch.setattr(engine, "assemble_phi", recording)
     monkeypatch.setattr(engine, "rank_with_extension", empty_only)

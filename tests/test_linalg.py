@@ -109,27 +109,35 @@ def test_nullspace_rank_nullity(rows):
 class _CheckedEliminator(linalg._Eliminator):
     """Asserts at every step that the pivot equals a brute-force argmin
     computed from the live rows (the keys of rows less the retired pivot
-    rows): column (active count, index), then row (row nnz, numerator bit
-    length, index), and that every stored entry is a reduced (num, den)
-    pair with num != 0 and den > 0."""
+    rows): the column, with the Markowitz heap, by (active count, index);
+    in order, the first column of the class, in the given order, with an
+    active row, with the heap left empty; then the row by (row nnz,
+    numerator bit length, index).  Also that every stored entry is a
+    reduced (num, den) pair with num != 0 and den > 0, and that col_rows
+    lists exactly the live rows of each column."""
 
     steps = 0
 
-    def eliminate(self, cols):
-        self.checked_cols = cols
-        return super().eliminate(cols)
+    def eliminate(self, cols, *, in_order=False):
+        self.checked_cols, self.checked_in_order = cols, in_order
+        return super().eliminate(cols, in_order=in_order)
 
-    def _pick_pivot(self):
+    def _pick_pivot(self, todo):
+        assert (todo is not None) == self.checked_in_order
         for row in self.rows.values():
             for v in row.values():
                 assert is_reduced_pair(v), v
         live = set(self.rows) - {r for r, _ in self.pivots}
         for c in range(len(self.col_rows)):
             assert self.col_rows[c] == {r for r in live if c in self.rows[r]}
-        counts = [(len(self.col_rows[c]), c) for c in self.checked_cols if self.col_rows[c]]
+        active = [c for c in self.checked_cols if self.col_rows[c]]
         want = None
-        if counts:
-            _, c = min(counts)
+        if active:
+            if self.checked_in_order:
+                assert not self._heap
+                c = active[0]
+            else:
+                _, c = min((len(self.col_rows[c]), c) for c in active)
             r = min(
                 self.col_rows[c],
                 key=lambda rr: (
@@ -137,7 +145,7 @@ class _CheckedEliminator(linalg._Eliminator):
                 ),
             )
             want = (r, c)
-        got = super()._pick_pivot()
+        got = super()._pick_pivot(todo)
         assert got == want
         type(self).steps += 1
         return got
@@ -174,30 +182,41 @@ integer_entries = st.builds(Q, st.integers(-5, 5).filter(bool))
 def test_pivot_order_is_brute_force_argmin(case):
     rows, extra = case
     m = from_dense(rows)
-    extra = [{r: v for r, v in col.items() if r < m.nrows} for col in extra]
+    extra = [{r: pair(v) for r, v in col.items() if r < m.nrows} for col in extra]
+    augmented = [list(row) + [Q(*col[i]) if i in col else 0 for col in extra]
+                 for i, row in enumerate(rows)]
+    rk = dense_rank(rows)
     with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
-        _CheckedEliminator.steps = 0
-        rk = rank(m)  # mode rank
-        # every pivot, then the empty pick of A's columns and of the empty extension
-        assert _CheckedEliminator.steps == rk + 2
-        # second class after the first
-        base, more = rank_with_extension(m, [{r: pair(v) for r, v in col.items()}
-                                             for col in extra])
-        augmented = [list(row) + [col.get(i, 0) for col in extra] for i, row in enumerate(rows)]
-        assert (base, more) == (rk, dense_rank(augmented) - rk)
+        for in_order in (False, True):
+            _CheckedEliminator.steps = 0
+            assert rank_with_extension(m, [], in_order=in_order)[0] == rk
+            # every pivot, then the empty pick of A's columns and of the
+            # empty extension
+            assert _CheckedEliminator.steps == rk + 2
+            # second class after the first
+            base, more = rank_with_extension(m, extra, in_order=in_order)
+            assert (base, more) == (rk, dense_rank(augmented) - rk)
         assert len(nullspace(m)) == m.ncols - rk
 
 
-def test_pivot_order_is_brute_force_argmin_on_real_windows():
+def test_pivot_order_is_brute_force_argmin_on_real_windows(monkeypatch):
     # window matrices fill in far more than the small random matrices above,
-    # so the heap sees many stale entries per column between pivots
+    # so the heap sees many stale entries per column between pivots; every
+    # elimination of the queries runs under one policy, then the other
+    checked = _CheckedEliminator.eliminate
+
+    def forced(self, cols, **_kw):  # the loop's policy, whatever the caller asks
+        return checked(self, cols, in_order=in_order)
+
+    monkeypatch.setattr(_CheckedEliminator, "eliminate", forced)
     p = ProblemInstance(n=1, f=parse_poly("x1^2*(1-x1)^2", 1), g=parse_poly("1", 1), alpha="1/2")
-    with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
-        _CheckedEliminator.steps = 0
-        rep = exponent_test(p)  # every window of the default schedule it reaches
-        assert (rep.cokernel_dim, list(rep.estimates)) == (2, [2, 2])
-        assert koszul_cohomology(p, default_schedule(p)[0]) == {0: 0, 1: 1, 2: 2}
-        assert _CheckedEliminator.steps > 300
+    for in_order in (False, True):
+        with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
+            _CheckedEliminator.steps = 0
+            rep = exponent_test(p)  # every window of the default schedule it reaches
+            assert (rep.cokernel_dim, list(rep.estimates)) == (2, [2, 2])
+            assert koszul_cohomology(p, default_schedule(p)[0]) == {0: 0, 1: 1, 2: 2}
+            assert _CheckedEliminator.steps > 300, in_order
 
 
 def test_eliminator_holds_only_the_rows_its_columns_touch():
