@@ -44,6 +44,7 @@ from .arrangements import (
 from .engine import (
     ProblemInstance,
     ResourceLimitError,
+    _kept,
     _shift_analysis,
     assemble_phi,
     default_schedule,
@@ -84,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", default="1")
     sp.add_argument("--alphas", required=True, help="comma-separated rationals")
     sp.add_argument("--dump-matrix",
-                    help="write the first window's matrix, as exponent_test assembles it, "
-                    "as triplets here")
+                    help="write the component columns of the first window's top image, as "
+                    "exponent_test assembles them, as triplets here")
     add_common(sp)
 
     sp = sub.add_parser("arrangement")
@@ -133,7 +134,8 @@ def _run_exponent_test(args, started):
         p = ProblemInstance(n=args.n, f=f, g=g, alpha=alpha)
         if args.dump_matrix and not results:
             win = default_schedule(p)[0]
-            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win), p.grading, top=True)
+            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win),
+                               _kept(p, win, p.grading))
             with open(args.dump_matrix, "w") as fh:
                 fh.write(mat.dump_triplets() + "\n")
         rep = exponent_test(p, rounds=args.max_rounds, method=args.method)

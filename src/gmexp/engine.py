@@ -26,10 +26,12 @@ rows found by index arithmetic over the output window's canonical order
 (DegreeWindow.layout).  Commutation is certified on the stencils
 themselves, with no window (check_row_commutation).
 A window matrix is its row count and a list of {row: value} columns from
-the stencil to the pivot: window cells are named by their positions,
-never by Monomial labels, and every value is the reduced int pair (num,
-den) that gmexp.linalg eliminates (rational.pair), made once per stencil
-term and value of the exponent it reads; no Q value is built per entry.
+the stencil to the pivot.  Window cells are their positions in
+DegreeWindow.layout from selection (_cells, _kept) to assembly, decoded
+by its inverse DegreeWindow.layer; no Monomial label is built.  Every value
+is the reduced int pair (num, den) that gmexp.linalg eliminates
+(rational.pair), made once per stencil term and value of the exponent it
+reads; no Q value is built per entry.
 
 Quasi-homogeneous instances are graded by the Euler field (K. Saito 1971).
 Let rational weights w_1..w_n and delta give every term of f the weight 1
@@ -56,7 +58,7 @@ and col_0(a / t) = f t^(k-1) x^u g^-m - a, this gives
         = (lambda + sum(w_i) - alpha) a.
 
 Every column on the left is in the window: x_i a and a / t are cells of
-it because x_margin >= 1 and t_margin = 2 (every scheduled window has
+it because x_margin >= 1 and _T_MARGIN = 2 (every scheduled window has
 xmax > x_margin), and rel(a) lies inside the output window because
 dx >= deg g and dg >= 1, so it is one of the relation columns.  All of
 them lie in the block of weight lambda.  When lambda != lambda* the
@@ -126,7 +128,9 @@ their own there and add no kernel vector on the cells; and a zero
 extension rank on a subset of the projected columns (the neighbourhood
 shortcut of _koszul_h) is still a proof.  So assemble_phi stops every
 column at the slack tail, a relation column that the cut empties is left
-out, and no slack column is built.
+out, and no slack column is built.  Component 0 is t-free but for -t, so
+its column at a cell of the top t-layer lies wholly in the slack rows: the
+top image leaves it out (_kept).
 
 Order.  _top_cokernel pivots the non-empty image columns in one order
 fixed before elimination (linalg's in_order policy): by entry count, then
@@ -144,7 +148,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
 from .rational import Q, class_rep, pair
@@ -416,24 +420,29 @@ def _certify_grading(p: ProblemInstance) -> Optional[_Grading]:
 
 
 def _cells(
-    win: DegreeWindow, n: int, grading: Optional[_Grading], shift: int = 0
-) -> list[Monomial]:
-    """The monomials of win in canonical order; with a grading, only those
-    that a column moving weight by shift sends into the top block, of weight
-    (top - shift) / scale: one division per (u, m) gives the only t-degree
-    that can have it."""
+    win: DegreeWindow, n: int, grading: Optional[_Grading] = None, shift: int = 0,
+    at: Optional[DegreeWindow] = None,
+) -> Sequence[int]:
+    """The cells of win, ascending, as their positions in the window at, which
+    holds win (default win itself, where the ungraded cells are
+    range(win.size(n))).  With a grading, only those that a column moving
+    weight by shift sends into the top block, of weight (top - shift) /
+    scale: one division per (u, m) gives the only t-degree that can have it."""
+    if at is None and grading is None:
+        return range(win.size(n))
+    at = at or win
+    xrow, tsize = at.layout(n)
     if grading is None:
-        return list(win.monomials(n))
-    weight = grading.top - shift
-    xrow, _tsize = win.layout(n)
+        offsets = [xrow[u] + m for u, m in win.layer(n)]
+        return [(k - at.tmin) * tsize + x for k in range(win.tmin, win.tmax + 1) for x in offsets]
     out = []
-    for u in xrow:
-        rest = weight - sum(a * b for a, b in zip(grading.wx, u))
+    for u in win.layout(n)[0]:
+        rest = grading.top - shift - sum(a * b for a, b in zip(grading.wx, u))
         for m in range(win.gmax + 1):
             k, r = divmod(rest + grading.wg * m, grading.scale)
             if not r and win.tmin <= k <= win.tmax:
-                out.append(Monomial(k, u, m))
-    out.sort(key=lambda c: c.tdeg)  # stable: t-major, then x and g as listed
+                out.append((k - at.tmin) * tsize + xrow[u] + m)
+    out.sort()  # t-major, then x and g as layout orders them
     return out
 
 
@@ -442,16 +451,22 @@ def _cells(
 # ---------------------------------------------------------------------------
 
 
+_T_MARGIN = 2  # interior margin in t: the max |t|-shift (1) times safety factor 2
+
+
 class _Shifts(NamedTuple):
     dx: int  # max raise of total x-degree by any component (or relation)
     dg: int  # max raise of gpow
     x_margin: int  # interior margin in x
     g_margin: int  # interior margin in gpow
-    t_margin: int = 2  # max |t|-shift (1) times safety factor 2
 
     def output_window(self, win: DegreeWindow) -> DegreeWindow:
         """The window holding the image of win under the row components and relations."""
         return win.expand(dt=1, dx=self.dx, dg=self.dg)
+
+    def interior(self, win: DegreeWindow) -> DegreeWindow:
+        """The window of win's interior cells, whose targets every degree tests."""
+        return win.shrink(dt=_T_MARGIN, dx=self.x_margin, dg=self.g_margin)
 
 
 def _shift_analysis(p: ProblemInstance) -> _Shifts:
@@ -479,9 +494,9 @@ def default_schedule(p: ProblemInstance, rounds: int = 5) -> list[DegreeWindow]:
 
 
 def _round_window(p: ProblemInstance, sh: _Shifts, r: int) -> DegreeWindow:
-    """Window r of the schedule: t in [-tmax, tmax] with tmax = t_margin + 1 + 2r,
+    """Window r of the schedule: t in [-tmax, tmax] with tmax = _T_MARGIN + 1 + 2r,
     xmax = x_margin + 2 + 3r, and gmax = xmax when g != 1."""
-    tmax = sh.t_margin + 1 + 2 * r
+    tmax = _T_MARGIN + 1 + 2 * r
     xmax = sh.x_margin + 2 + 3 * r
     return DegreeWindow(-tmax, tmax, xmax, 0 if p.g.is_one() else xmax)
 
@@ -519,22 +534,26 @@ def _check_cells(cells: int) -> None:
 
 
 def _stencil_columns(
-    stencil: tuple, monos: list[Monomial], win: DegreeWindow, n: int, stop: Optional[int] = None
+    stencil: tuple, cells: Sequence[int], win_in: DegreeWindow, win: DegreeWindow, n: int,
+    stop: Optional[int] = None,
 ) -> list[Optional[dict[int, tuple[int, int]]]]:
-    """Each monomial's image under a stencil (see _row_stencils) as a column
-    {row: (num, den)} over win's canonical order (rows placed by
-    win.layout), or None if a non-zero term falls outside win; with stop,
-    the entries on rows >= stop are left out (but must still lie in win).
-    Each term's coefficient is made into a pair once per value of the
-    exponent it reads, and that one pair object is shared by its entries."""
+    """The image under a stencil (see _row_stencils) of each cell, given by
+    its position in win_in, as a column {row: (num, den)} over win's
+    canonical order (rows placed by win.layout), or None if a non-zero term
+    falls outside win; with stop, the entries on rows >= stop are left out
+    (but must still lie in win).  Each term's coefficient is made into a
+    pair once per value of the exponent it reads, and that one pair object
+    is shared by its entries."""
     xrow, tsize = win.layout(n)
     if stop is None:
         stop = (win.tmax - win.tmin + 1) * tsize
     tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
+    layer, kmin, lsize = win_in.layer(n), win_in.tmin, win_in.layout(n)[1]
     terms = [(s[0], s[1], s[0] * tsize + s[1], c, var, r, {}) for s, c, var, r in stencil]
     by_u: dict[tuple, list] = {}  # u -> row offset of u + dx for each term, None outside
     cols: list[Optional[dict[int, tuple[int, int]]]] = []
-    for k, u, m in monos:
+    for q in cells:
+        k, (u, m) = kmin + q // lsize, layer[q % lsize]
         xs = by_u.get(u)
         if xs is None:
             xs = by_u[u] = [xrow.get(tuple(map(sum, zip(u, s[2:])))) for s, *_ in stencil]
@@ -557,44 +576,36 @@ def _stencil_columns(
     return cols
 
 
-def _images(
-    p: ProblemInstance, cells: list[list[Monomial]], win: DegreeWindow, stop: Optional[int] = None
-) -> list[list[dict]]:
-    """The columns over win of each row component ci at each of cells[ci],
-    without their rows >= stop; raises WindowError when an image leaves win."""
-    images = []
-    for ci, (stencil, monos) in enumerate(zip(p.stencils[0], cells)):
-        cols = _stencil_columns(stencil, monos, win, p.n, stop)
-        if None in cols:
-            bad = RingElement.monomial(p.n, monos[cols.index(None)])
-            raise WindowError(f"image of {serialize(bad)} under component {ci} leaves the window")
-        images.append(cols)
-    return images
-
-
 def assemble_phi(
     p: ProblemInstance, win_in: DegreeWindow, win_out: DegreeWindow,
-    grading: Optional[_Grading] = None, top: bool = False,
+    cells: Optional[list[Sequence[int]]] = None,
 ) -> SparseMatrixQ:
     """Matrix of the row map from the (n+1)-fold basis of win_in to win_out,
     over the rows of win_out below win_in's slack tail (_slack_start): the
     slack rows are quotiented out (module docstring), never eliminated.
 
-    Its columns, in win_in's canonical order, are each component's stencil
-    at each monomial, with rows in win_out's canonical order: column
-    ci * win_in.size(n) + i is component ci at cell i.  With a grading,
-    component ci is taken only at the cells it sends into the top block,
-    so the columns are those cells of component 0, then of component 1, and
-    so on; the rows keep win_out's positions.  With top, the matrix is the
-    one exponent_test eliminates: only the columns that _kept leaves.  The
-    cell cap counts the full window and is checked before any monomial is
-    enumerated.  Raises WindowError when win_out cannot hold the image,
-    slack rows included.
+    Its columns are component 0 at the positions cells[0] of win_in, then
+    component 1 at cells[1], and so on, with rows in win_out's canonical
+    order.  cells = None means every cell for every component, so column
+    ci * win_in.size(n) + q is component ci at cell q, as the window complex
+    needs; _kept gives the cells of the top image.  The cell cap counts the
+    full window and is checked before any cell is decoded.  Raises
+    WindowError, naming the cell, when win_out cannot hold the image, slack
+    rows included.
     """
     _check_cells((p.n + 1) * win_in.size(p.n))
     nrows = _slack_start(win_in, win_out, p.n)
-    images = _images(p, _kept(p, win_in, grading, top), win_out, nrows)
-    return SparseMatrixQ(nrows, [col for cols in images for col in cols])
+    if cells is None:
+        cells = [range(win_in.size(p.n))] * (p.n + 1)
+    cols = []
+    for ci, (stencil, qs) in enumerate(zip(p.stencils[0], cells)):
+        image = _stencil_columns(stencil, qs, win_in, win_out, p.n, nrows)
+        if None in image:
+            dk, j = divmod(qs[image.index(None)], win_in.layout(p.n)[1])
+            bad = RingElement.monomial(p.n, Monomial(win_in.tmin + dk, *win_in.layer(p.n)[j]))
+            raise WindowError(f"image of {serialize(bad)} under component {ci} leaves the window")
+        cols += image
+    return SparseMatrixQ(nrows, cols)
 
 
 def _slack_start(win: DegreeWindow, win_out: DegreeWindow, n: int) -> int:
@@ -604,37 +615,30 @@ def _slack_start(win: DegreeWindow, win_out: DegreeWindow, n: int) -> int:
 
 
 def _kept(
-    p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading], top: bool
-) -> list[list[Monomial]]:
-    """The cells of win that assemble_phi takes each component at: all of
-    them, or with a grading those the component sends into the top block.
-    With top, less those where the pruning theorem (module docstring) makes
-    the column of component i >= 1 redundant, when p.commuting certifies
-    the theorem's hypotheses (_unpruned)."""
+    p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]
+) -> list[Sequence[int]]:
+    """The positions of win at which the top image takes each component, the
+    one selection of its cells: every cell, or with a grading those the
+    component sends into the top block; less component 0 at the top
+    t-layer, whose columns lie wholly in the slack rows (module docstring),
+    and, where p.commuting certifies the pruning theorem, less the cells
+    where it makes the column of component i >= 1 redundant (_unpruned).
+    The cell cap is checked first, before any layout is built."""
+    size = win.size(p.n)
+    _check_cells((p.n + 1) * size)
+    top = size - win.layout(p.n)[1]  # the first cell of the top t-layer
     if grading is None:
-        cells = [list(win.monomials(p.n))] * (p.n + 1)
+        at = [range(top)] + [range(size)] * p.n
     else:
-        cells = [_cells(win, p.n, grading, s) for s in grading.shifts]
-    if not (top and p.commuting):
-        return cells
-    at = _cell_positions(p, win, grading, cells)
-    return [[cs[j] for j in js] for cs, js in zip(cells, _unpruned(p, win, at))]
-
-
-def _cell_positions(
-    p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading], cells: Optional[list] = None
-) -> list:
-    """The positions in win of each component's cells, cells = _kept(p,
-    win, grading, False): range(size) ungraded, where no cell is read."""
-    if grading is None:
-        return [range(win.size(p.n))] * (p.n + 1)
-    return [_positions(win, p.n, cs) for cs in cells or _kept(p, win, grading, False)]
+        at = [_cells(win, p.n, grading, s) for s in grading.shifts]
+        at[0] = [q for q in at[0] if q < top]
+    return _unpruned(p, win, at) if p.commuting else at
 
 
 def _unpruned(p: ProblemInstance, win: DegreeWindow, at: list) -> list:
-    """For each component ci, the indices j of the cells at positions
-    at[ci][j] of win where its column is not redundant: all of them for
-    component 0, or when p.commuting does not certify the pruning theorem.
+    """For each component ci, the positions of at[ci] in win where its column
+    is not redundant under the pruning theorem (module docstring), whose
+    hypotheses p.commuting certifies: all of them for component 0.
 
     Component i at the cell t a is redundant when a + s lies in win for the
     shift s of every term of component 0 other than -t, and of component
@@ -642,17 +646,12 @@ def _unpruned(p: ProblemInstance, win: DegreeWindow, at: list) -> list:
     vanishes only where e[var] = -r, so the terms are grouped by (var, r),
     each group's shifts fit exactly when a lies in a box (_fit_box), and
     only the groups with an integer r need their own box.  The boxes are
-    read once per (u, m) of win.layout, as the k where the cells
-    t^(k+1) x^u g^-m are redundant (_redundant_ks); no cell is built."""
-    out = [range(len(a)) for a in at]
-    if not p.commuting:
-        return out
+    read once per (u, m) of win.layer, as the k where the cells
+    t^(k+1) x^u g^-m are redundant (_redundant_ks)."""
+    out = list(at)
     comps = p.stencils[0]
-    xrow, tsize = win.layout(p.n)
-    um = [None] * tsize  # (u, m) of each position of a t-layer
-    for u, x in xrow.items():
-        for m in range(win.gmax + 1):
-            um[x + m] = u, m
+    layer = win.layer(p.n)
+    tsize = len(layer)
     for i in range(1, p.n + 1):
         groups: dict[tuple, list[tuple]] = {}
         for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
@@ -663,15 +662,15 @@ def _unpruned(p: ProblemInstance, win: DegreeWindow, at: list) -> list:
         box = _fit_box(win, live)
         spans: list = [None] * tsize  # of each (u, m), less tmin - 1: read at q // tsize
         kept = []
-        for j, q in enumerate(at[i]):
+        for q in at[i]:
             span = spans[q % tsize]
             if span is None:
-                lo, hi, z = _redundant_ks(box, dying, *um[q % tsize])
+                lo, hi, z = _redundant_ks(box, dying, *layer[q % tsize])
                 d = win.tmin - 1
                 span = spans[q % tsize] = lo - d, hi - d, None if z is None else z - d
             lo, hi, z = span
             if not (lo <= q // tsize <= hi or q // tsize == z):
-                kept.append(j)
+                kept.append(q)
         out[i] = kept
     return out
 
@@ -724,7 +723,7 @@ def _relation_columns(
     one at or past stop's t-layer is all cut, and is left out."""
     if p.g.is_one():
         return []
-    cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), win, p.n, stop)
+    cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), gens, win, p.n, stop)
     return [c for c in cols if c]
 
 
@@ -750,11 +749,11 @@ def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _Wind
     """The complex of (p, win), every column cut at the slack tail."""
     win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out)
-    interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
+    inner = sh.interior(win)
     return _WindowComplex(
         mat,
         _relation_columns(p, win, win_out, stop=mat.nrows),
-        dict(zip(_positions(win, p.n, interior), _positions(win_out, p.n, interior))),
+        dict(zip(_cells(inner, p.n, at=win), _cells(inner, p.n, at=win_out))),
     )
 
 
@@ -763,31 +762,25 @@ def _top_image(
     cx: Optional[_WindowComplex] = None,
 ) -> tuple[SparseMatrixQ, list[int]]:
     """(image, target rows) of degree n+1 on (p, win), for exponent_test and
-    koszul_cohomology alike: the component columns that _kept leaves and
-    the relation columns, over the output rows below the slack tail, and
-    the output rows of the interior cells.  With a grading, only the top
-    block (module docstring), whose degree n+1 is the whole window's.  Given
-    cx = _window_complex(p, win, sh), nothing is assembled again: the same
-    column objects, in the same order, are read from cx by position."""
+    koszul_cohomology alike: the component columns at the cells _kept
+    selects and the relation columns, over the output rows below the slack
+    tail, and the output rows of the interior cells.  With a grading, only
+    the top block (module docstring), whose degree n+1 is the whole
+    window's.  Given cx = _window_complex(p, win, sh), nothing is assembled
+    again: the same column objects, in the same order, are read from cx by
+    position."""
     win_out = sh.output_window(win)
+    kept = _kept(p, win, grading)
     if cx is None:
-        mat = assemble_phi(p, win, win_out, grading, top=True)
+        mat = assemble_phi(p, win, win_out, kept)
         cols = mat.cols
-    else:  # column ci * win.size(n) + i of cx.mat is component ci at cell i
+    else:  # column ci * win.size(n) + q of cx.mat is component ci at cell q
         mat, size = cx.mat, win.size(p.n)
-        at = _cell_positions(p, win, grading)
-        cols = [mat.cols[ci * size + a[j]]
-                for ci, (a, js) in enumerate(zip(at, _unpruned(p, win, at))) for j in js]
+        cols = [mat.cols[ci * size + q] for ci, qs in enumerate(kept) for q in qs]
     relations = (cx.relations if cx and grading is None
                  else _relation_columns(p, win, win_out, grading, mat.nrows))
-    interior = _cells(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin), p.n, grading)
-    return SparseMatrixQ(mat.nrows, cols + relations), _positions(win_out, p.n, interior)
-
-
-def _positions(win: DegreeWindow, n: int, monos: list[Monomial]) -> list[int]:
-    """The places of monos in win's canonical order."""
-    xrow, tsize = win.layout(n)
-    return [(m.tdeg - win.tmin) * tsize + xrow[m.xdeg] + m.gpow for m in monos]
+    targets = _cells(sh.interior(win), p.n, grading, at=win_out)
+    return SparseMatrixQ(mat.nrows, cols + relations), targets
 
 
 def _top_cokernel(image: SparseMatrixQ, targets) -> int:
@@ -868,17 +861,14 @@ def _koszul_bases(n: int):
     return [list(itertools.combinations(range(n + 1), j)) for j in range(n + 2)]
 
 
-def _koszul_differential(
-    j: int, mat: SparseMatrixQ, by_deg: list, negated: dict, cells=None
-) -> SparseMatrixQ:
+def _koszul_differential(j: int, mat: SparseMatrixQ, by_deg: list, cells=None) -> SparseMatrixQ:
     """d^j from K^j(win) to K^(j+1)(win_out), exact, at the positions cells
     of win (default: all), for mat = assemble_phi(p, win, win_out) and
     by_deg = _koszul_bases(n), so over mat's rows below the slack tail.
     K^j has one copy of cells per j-subset of {0..n}, column k * len(cells)
     + i of d^j the cells[i] of the copy of by_deg[j][k]: signed slices of
-    mat's component columns, the pair -v read as negated[id(v)], one pair
-    per distinct pair object of mat (which keeps them alive), so the
-    negated entries share their pairs as the columns' entries do."""
+    mat's component columns, each odd-signed pair (num, den) written
+    (-num, den)."""
     n = len(by_deg) - 2
     dom = mat.ncols // (n + 1)
     images = [mat.cols[i * dom : (i + 1) * dom] for i in range(n + 1)]
@@ -892,7 +882,7 @@ def _koszul_differential(
             if i not in s
         ]
         cols += (
-            {b + r: negated[id(v)] if odd else v
+            {b + r: (-v[0], v[1]) if odd else v
              for img, b, odd in parts for r, v in img[mi].items()}
             for mi in (range(dom) if cells is None else cells)
         )
@@ -930,13 +920,12 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
         raise ValueError("row components do not commute; assembly is inconsistent")
     sh = _shift_analysis(p)
     cx = _window_complex(p, win, sh)
-    negated = {id(v): (-v[0], v[1]) for c in cx.mat.cols for v in c.values()}
-    dims = {j: _koszul_h(j, cx, by_deg, negated) for j in range(p.n + 1)}
+    dims = {j: _koszul_h(j, cx, by_deg) for j in range(p.n + 1)}
     dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading, cx))
     return dims
 
 
-def _koszul_h(j: int, cx: _WindowComplex, by_deg, negated: dict) -> int:
+def _koszul_h(j: int, cx: _WindowComplex, by_deg) -> int:
     """Dimension of degree j <= n, compared inside K^j(win_out) below the
     slack tail of each copy: the rank of the interior cycles modulo the
     boundaries.
@@ -952,7 +941,7 @@ def _koszul_h(j: int, cx: _WindowComplex, by_deg, negated: dict) -> int:
     # supported cycles are detected (closing up to the localization
     # relations), so lower-degree dimensions are lower bounds
     interior = sorted(cx.targets)
-    mat_j = _koszul_differential(j, cx.mat, by_deg, negated, interior)
+    mat_j = _koszul_differential(j, cx.mat, by_deg, interior)
     rows = [k * nm + cx.targets[q] for k in range(len(sets_j)) for q in interior]
     zvecs = []
     for vec in nullspace(SparseMatrixQ(
@@ -964,7 +953,7 @@ def _koszul_h(j: int, cx: _WindowComplex, by_deg, negated: dict) -> int:
         return 0  # rank([B | Z]) - rank(B) with Z empty
 
     # boundaries: image of d^(j-1) plus relations
-    bcols = [col for col in _koszul_differential(j - 1, cx.mat, by_deg, negated).cols
+    bcols = [col for col in _koszul_differential(j - 1, cx.mat, by_deg).cols
              if col] if j >= 1 else []
     bcols += _stack(cx.relations, len(sets_j), nm)
     zrows = set().union(*zvecs)

@@ -302,12 +302,10 @@ class DegreeWindow:
     def monomials(self, n: int) -> Iterator[Monomial]:
         """All window monomials in canonical order: t-major, then the x-degrees
         in _xdegs_upto order (the keys of layout's xrow), then gpow; layout
-        gives their positions."""
-        xdegs = self.layout(n)[0]
+        gives their positions, and layer is one t-layer of them."""
         for tdeg in range(self.tmin, self.tmax + 1):
-            for xdeg in xdegs:
-                for gpow in range(self.gmax + 1):
-                    yield Monomial(tdeg, xdeg, gpow)
+            for xdeg, gpow in self.layer(n):
+                yield Monomial(tdeg, xdeg, gpow)
 
     def layout(self, n: int) -> tuple[dict[tuple[int, ...], int], int]:
         """(xrow, tsize): t^k x^u g^-m is cell (k - tmin) * tsize + xrow[u] + m
@@ -315,6 +313,12 @@ class DegreeWindow:
         is shared by every window of the same (n, xmax, gmax): read xrow,
         never change it."""
         return _layout(n, self.xmax, self.gmax)
+
+    def layer(self, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The inverse of layout: the (u, m) at each position of a t-layer, so
+        cell q is t^(tmin + q // tsize) x^u g^-m for (u, m) = layer[q % tsize].
+        Shared like layout's pair by every window of the same (n, xmax, gmax)."""
+        return _layer(n, self.xmax, self.gmax)
 
     def size(self, n: int) -> int:
         nx = math.comb(self.xmax + n, n)
@@ -339,6 +343,11 @@ def _layout(n: int, xmax: int, gmax: int) -> tuple[dict[tuple[int, ...], int], i
     gsize = gmax + 1
     xrow = {u: i * gsize for i, u in enumerate(_xdegs_upto(n, xmax))}
     return xrow, len(xrow) * gsize
+
+
+@lru_cache(maxsize=64)
+def _layer(n: int, xmax: int, gmax: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    return tuple((u, m) for u in _layout(n, xmax, gmax)[0] for m in range(gmax + 1))
 
 
 def _xdegs_upto(n: int, xmax: int) -> Iterator[tuple[int, ...]]:

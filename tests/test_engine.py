@@ -12,6 +12,8 @@ from gmexp.engine import (
     ResourceLimitError,
     Verdict,
     WindowError,
+    _cells,
+    _kept,
     _koszul_bases,
     _koszul_differential,
     _relation_columns,
@@ -30,7 +32,7 @@ from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, rank_with_extens
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q, pair
-from gmexp.ring import RingElement, clear_g
+from gmexp.ring import Monomial, RingElement, clear_g
 
 
 def instance(fs, n=1, gs="1", alpha="0"):
@@ -126,9 +128,8 @@ def tree_koszul(p, j, win_in, index):
 
 
 def differential(j, mat, n, cells=None):
-    """d^j by _koszul_differential, with -v for each value v of mat."""
-    negated = {id(v): (-v[0], v[1]) for col in mat.cols for v in col.values()}
-    return _koszul_differential(j, mat, _koszul_bases(n), negated, cells)
+    """d^j by _koszul_differential."""
+    return _koszul_differential(j, mat, _koszul_bases(n), cells)
 
 
 class FullWindow(NamedTuple):
@@ -141,10 +142,13 @@ class FullWindow(NamedTuple):
 
 
 def full_image(p, win, win_out):
-    """Every component column from win over every row of win_out:
-    engine._images with no stop."""
-    images = engine._images(p, [list(win.monomials(p.n))] * (p.n + 1), win_out)
-    return SparseMatrixQ(win_out.size(p.n), [col for cols in images for col in cols])
+    """Every component column from win over every row of win_out: the
+    stencil evaluator with no stop; WindowError when an image leaves it."""
+    cols = [col for stencil in p.stencils[0]
+            for col in engine._stencil_columns(stencil, range(win.size(p.n)), win, win_out, p.n)]
+    if None in cols:
+        raise WindowError("outside")
+    return SparseMatrixQ(win_out.size(p.n), cols)
 
 
 def full_window(p, win):
@@ -154,7 +158,7 @@ def full_window(p, win):
     sh = _shift_analysis(p)
     win_out = sh.output_window(win)
     index = positions(win_out, p.n)
-    interior = win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
+    interior = sh.interior(win)
     return FullWindow(
         full_image(p, win, win_out),
         _relation_columns(p, win, win_out),
@@ -264,11 +268,11 @@ def test_stencil_assembly_matches_tree_walk(case):
     # the t-major tail; the input window is widened in t so that it has an
     # interior
     sh = _shift_analysis(p)
-    big = win.expand(dt=sh.t_margin)
+    big = win.expand(dt=engine._T_MARGIN)
     out = sh.output_window(big)
     index_in, index_out = positions(big, n), positions(out, n)
     cx = _window_complex(p, big, sh)
-    interior = big.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin)
+    interior = sh.interior(big)
     assert cx.targets == {index_in[m]: index_out[m] for m in interior.monomials(n)}
     tail = [i for m, i in index_out.items() if m.tdeg >= big.tmax]
     assert tail == list(range(cx.mat.nrows, len(index_out)))
@@ -307,8 +311,9 @@ def test_phi_row_shape():
 def test_assemble_phi_window_error():
     p = instance("x1^3", alpha="1/2")
     win = DegreeWindow(-2, 2, 3, 0)
-    with pytest.raises(WindowError):
-        assemble_phi(p, win, win)  # too small to hold the image
+    # too small to hold the image; the message decodes the first cell that leaves it
+    with pytest.raises(WindowError, match=r"^image of t\^-2\*x1 under component 0 leaves"):
+        assemble_phi(p, win, win)
     mat = assemble_phi(p, win, win.expand(1, 3, 0))
     assert mat.ncols == 2 * win.size(1)
     assert rank_with_extension(mat, [])[0] <= min(mat.nrows, mat.ncols)
@@ -526,7 +531,7 @@ def test_window_columns_hold_reduced_int_pairs(fs, n, gs, alpha):
     win = default_schedule(p)[0]
     out = sh.output_window(win)
     cx = _window_complex(p, win, sh)
-    matrices = [assemble_phi(p, win, out), assemble_phi(p, win, out, p.grading, top=True),
+    matrices = [assemble_phi(p, win, out), assemble_phi(p, win, out, _kept(p, win, p.grading)),
                 _top_image(p, win, sh, p.grading)[0], _top_image(p, win, sh, p.grading, cx)[0],
                 cx.mat, SparseMatrixQ(cx.mat.nrows, cx.relations)]
     for mat in matrices:
@@ -583,7 +588,8 @@ def test_top_image_equals_the_full_image(fs, n, gs, alpha, rounds, commuting):
 
 def test_pruning_needs_the_commutation_certificate(monkeypatch):
     # d/dx1 alone does not commute with f - t: the certificate refuses, and
-    # the top image keeps every component column
+    # the top image keeps every component column but those of component 0
+    # at the top t-layer
     real = engine._row_stencils
 
     def bare_dx1(p):
@@ -598,22 +604,25 @@ def test_pruning_needs_the_commutation_certificate(monkeypatch):
     sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=3):
         image, targets = _top_image(p, win, sh)
-        assert image.ncols == 2 * win.size(1)
+        assert image.ncols == 2 * win.size(1) - win.layout(1)[1]
         assert _top_cokernel(image, targets) == full_image_cokernel(full_window(p, win))
 
 
 def test_pruning_drops_a_pinned_number_of_columns():
     # the benchmark's arr(1,2,2) at 1/3 on its second window: 378 of the
-    # 1452 columns of components 1 and 2 are redundant, and the rows stop
-    # at the slack tail (t-degree >= 5 of the output window from t^-6)
+    # 1452 columns of components 1 and 2 are redundant, the 66 columns of
+    # component 0 at the top t-layer lie wholly in the slack rows, and the
+    # rows stop at the slack tail (t-degree >= 5 of the output window from
+    # t^-6)
     p = instance("x1*x2^2*(1-x1-x2)^2", n=2, alpha="1/3")
     win = default_schedule(p)[1]
     out = _shift_analysis(p).output_window(win)
-    assert (win, out.tmin) == (DegreeWindow(-5, 5, 10, 0), -6)
+    assert (win, out.tmin, win.layout(2)[1]) == (DegreeWindow(-5, 5, 10, 0), -6, 66)
     full = full_window(p, win).mat
-    top = assemble_phi(p, win, out, top=True)
-    assert (full.ncols, top.ncols) == (3 * 726, 3 * 726 - 378)
+    top = assemble_phi(p, win, out, _kept(p, win, None))
+    assert (full.ncols, top.ncols) == (3 * 726, 3 * 726 - 378 - 66)
     assert top.nrows == 11 * (full.nrows // 13) == assemble_phi(p, win, out).nrows
+    assert all(col and min(col) >= top.nrows for col in full.cols[726 - 66 : 726])
 
 
 def hypothesis_holds(p, win, i, cell):
@@ -630,6 +639,28 @@ def hypothesis_holds(p, win, i, cell):
     return True
 
 
+def decode(win, n, q):
+    """The monomial at position q of win, read from win.layer."""
+    layer = win.layer(n)
+    dk, j = divmod(q, len(layer))
+    return Monomial(win.tmin + dk, *layer[j])
+
+
+def weight(grading, m):
+    """The weight of monomial m, times grading.scale."""
+    return (grading.scale * m.tdeg - grading.wg * m.gpow
+            + sum(a * u for a, u in zip(grading.wx, m.xdeg)))
+
+
+def block_cells(win, n, grading, shift):
+    """Every position of win, or with a grading those of weight
+    (grading.top - shift) / grading.scale, weighed cell by cell."""
+    cells = range(win.size(n))
+    if grading is None:
+        return list(cells)
+    return [q for q in cells if weight(grading, decode(win, n, q)) == grading.top - shift]
+
+
 @pytest.mark.parametrize("fs, n, gs, alpha", [
     ("x1^2*(1-x1)^3", 1, "1", "1"),  # alpha = 1: the f' terms vanish at k = 1
     ("x1^2*(1-x1)^3", 1, "1", "1/5"),
@@ -643,11 +674,17 @@ def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     assert p.commuting
     for win in default_schedule(p, rounds=2):
+        top = win.size(n) - win.layout(n)[1]  # the first position of the top t-layer
         for grading in {None, p.grading}:
-            cells = engine._kept(p, win, grading, False)
-            kept = engine._kept(p, win, grading, True)
+            shifts = grading.shifts if grading else (0,) * (n + 1)
+            cells = [block_cells(win, n, grading, s) for s in shifts]
+            assert [list(_cells(win, n, grading, s)) for s in shifts] == cells
+            kept = _kept(p, win, grading)
+            # component 0 leaves out the top t-layer and nothing else
+            assert list(kept[0]) == [q for q in cells[0] if q < top]
             for i in range(1, n + 1):
-                assert kept[i] == [c for c in cells[i] if not hypothesis_holds(p, win, i, c)]
+                assert list(kept[i]) == [q for q in cells[i]
+                                         if not hypothesis_holds(p, win, i, decode(win, n, q))]
 
 
 def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
@@ -696,7 +733,10 @@ def test_top_image_cut_from_the_complex_is_its_own_assembly(fs, n, gs, alpha, gr
         if not graded:
             assert cut.cols[comps:] == cx.relations
             assert all(a is b for a, b in zip(cut.cols[comps:], cx.relations))
-            assert (comps < cx.mat.ncols) is commuting
+            # component 0 leaves out its top t-layer, and the pruning more
+            # exactly where p.commuting certifies it
+            assert comps <= cx.mat.ncols - win.layout(n)[1]
+            assert (comps < cx.mat.ncols - win.layout(n)[1]) is commuting
         assert _top_cokernel(cut, cut_targets) == _top_cokernel(own, targets)
 
 
@@ -840,7 +880,7 @@ def definition_koszul(p, win):
     out = sh.output_window(win)
     index_in, index = positions(win, p.n), positions(out, p.n)
     nm, dom = len(index), len(index_in)
-    interior = list(win.shrink(dt=sh.t_margin, dx=sh.x_margin, dg=sh.g_margin).monomials(p.n))
+    interior = list(sh.interior(win).monomials(p.n))
     rel = as_pairs(tree_relations(p, win, index))
     slack = [{i: pair(Q(1))} for m, i in index.items() if m.tdeg >= win.tmax]
     by_deg = _koszul_bases(p.n)
@@ -1023,6 +1063,22 @@ def test_top_cokernel_in_order_matches_markowitz(fs, n, gs, alpha):
         assert fixed[1] == _top_cokernel(image, targets)
 
 
+def test_the_window_path_enumerates_no_monomial(monkeypatch):
+    # cells are positions from their selection to assembly, decoded by
+    # DegreeWindow.layer: no query builds the monomials of a window, graded
+    # (x1^2+x2^3 at 5/6), ungraded or with a g-layer
+    def enumerated(*args):
+        raise AssertionError("window monomials enumerated")
+
+    monkeypatch.setattr(DegreeWindow, "monomials", enumerated)
+    for fs, n, gs, alpha in KOSZUL_CORPUS + [("x1^2+x2^3", 2, "1", "5/6")]:
+        p = instance(fs, n=n, gs=gs, alpha=alpha)
+        exponent_test(p)
+        koszul_cohomology(p, default_schedule(p)[0])
+    assert instance("x1^2+x2^3", n=2, alpha="5/6").grading is not None
+    assert ("x1^2*ginv", 1, "1-x1", "1/2") in KOSZUL_CORPUS
+
+
 @pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + G_LAYERS)
 def test_pairwise_certificate_agrees_with_the_probe(monkeypatch, fs, n, gs, alpha):
     # the stencil certificate and the independent tree walk on a small probe
@@ -1176,15 +1232,13 @@ def full_window_blocks(p, win, grading):
     lie in the rows of a single weight."""
     sh = _shift_analysis(p)
     full = full_window(p, win)
-    weight = [grading.scale * m.tdeg - grading.wg * m.gpow
-              + sum(a * u for a, u in zip(grading.wx, m.xdeg))
-              for m in sh.output_window(win).monomials(p.n)]
+    weights = [weight(grading, m) for m in sh.output_window(win).monomials(p.n)]
     image = full.mat.cols + full.relations + full.slack
-    assert all(len({weight[r] for r in col}) <= 1 for col in image)
+    assert all(len({weights[r] for r in col}) <= 1 for col in image)
     top = p.alpha * grading.scale - sum(grading.wx)
     targets = full.targets
-    star = [{r: pair(Q(1))} for r in targets if weight[r] == top]
-    rest = [{r: pair(Q(1))} for r in targets if weight[r] != top]
+    star = [{r: pair(Q(1))} for r in targets if weights[r] == top]
+    rest = [{r: pair(Q(1))} for r in targets if weights[r] != top]
     elim = _Eliminator(image + star + rest)
     elim.eliminate(range(len(image)))
     top_coker = elim.eliminate(range(len(image), len(image) + len(star)))
@@ -1268,8 +1322,8 @@ def test_classes_off_the_weight_lattice_vanish(monkeypatch, fs, n, gs, alpha, cl
     ("x1^2*x2", 2, "1"),  # weights underdetermined: 2 w1 + w2 = 1
 ])
 def test_uncertified_instances_take_the_full_window(monkeypatch, fs, n, gs):
-    # no grading reaches assembly, and component 0 (never pruned) has a
-    # column at every cell of the window
+    # no grading selects the cells that reach assembly: component 0 (never
+    # pruned) has a column at every cell of the window below its top t-layer
     p = instance(fs, n=n, gs=gs, alpha="1/2")
     assert p.grading is None
     calls = []
@@ -1282,7 +1336,8 @@ def test_uncertified_instances_take_the_full_window(monkeypatch, fs, n, gs):
 
     monkeypatch.setattr(engine, "assemble_phi", recording)
     rep = exponent_test(p, rounds=2)
-    assert [grading for grading, _ in calls] == [None] * len(rep.windows_used)
+    assert [cells[0] for cells, _ in calls] == [range(w.size(n) - w.layout(n)[1])
+                                                for w in rep.windows_used]
     assert all(ncols >= w.size(n) for (_, ncols), w in zip(calls, rep.windows_used))
 
 

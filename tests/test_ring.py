@@ -133,6 +133,22 @@ def test_window_monomials():
     assert len(set(monos)) == len(monos)
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_window_layer_inverts_layout(n):
+    # layer[q % tsize] is the (u, m) at position q of every t-layer: the
+    # inverse of layout, in the order of monomials, shared like layout
+    for xmax in (0, 1, 2, 5):
+        for gmax in (0, 3):
+            w = DegreeWindow(-1, 1, xmax, gmax)
+            xrow, tsize = w.layout(n)
+            layer = w.layer(n)
+            assert len(layer) == tsize and len(set(layer)) == tsize
+            assert [xrow[u] + m for u, m in layer] == list(range(tsize))
+            assert [(m.tdeg, m.xdeg, m.gpow) for m in w.monomials(n)] == [
+                (k, u, m) for k in (-1, 0, 1) for u, m in layer]
+            assert DegreeWindow(3, 7, xmax, gmax).layer(n) is layer
+
+
 def test_window_expand_shrink():
     w = DegreeWindow(-2, 3, 4, 1)
     assert w.expand(1, 2, 1) == DegreeWindow(-3, 4, 6, 2)
