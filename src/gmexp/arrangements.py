@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import upoly
 from .engine import (
     ExponentReport,
     ProblemInstance,
@@ -128,9 +129,9 @@ def determinant_polynomial(a: Arrangement, l: int, m: int) -> list:
     for r in range(1, w0 + 1):
         term = [Q(math.comb(w0 - 1, w0 - r) * (-1) ** (w0 - r))]
         for k in range(1, r):
-            term = _poly_mul(term, [Q(d * l + m + d + n - k), Q(d)])
+            term = upoly.mul(term, [Q(d * l + m + d + n - k), Q(d)])
         for k in range(r, w0):
-            term = _poly_mul(term, [Q((d - w0) * l + m + d + n - k - 1), Q(d - w0)])
+            term = upoly.mul(term, [Q((d - w0) * l + m + d + n - k - 1), Q(d - w0)])
         for i, c in enumerate(term):
             total[i] += c
     return total
@@ -144,19 +145,8 @@ def determinant_d(a: Arrangement, alpha, l: int, m: int):
         raise ValueError("the determinant needs w0 >= 2")
     if alpha + l == 0:
         raise ValueError("alpha + l = 0: prefactor pole")
-    poly = determinant_polynomial(a, l, m)
-    val = Q(0)
-    for c in reversed(poly):
-        val = val * alpha + c
+    val = upoly.at(determinant_polynomial(a, l, m), alpha)
     return (alpha / (l + alpha)) ** (w0 - 1) * val
-
-
-def _poly_mul(p, q):
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def alternating_sum(n: int, m: int) -> int:

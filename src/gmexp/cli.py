@@ -15,11 +15,11 @@ nonnegative integer too, before any option is read), 3 precondition
 violation (an --output or --dump-matrix path that cannot be written too,
 checked for a missing directory before the run), 4 resource limit
 exceeded (the window cell cap, GM_MAX_WINDOW_CELLS or else
-engine.DEFAULT_MAX_WINDOW_CELLS; a MemoryError, a RecursionError, or
-univariate's root-search cap).  Every option's text is read by
-parser.Tokens, --alphas and --weights as comma lists of rationals, so a
-malformed number (1/0 too) is a parse error at an offset into its
-argument, in any option.
+engine.DEFAULT_MAX_WINDOW_CELLS; a MemoryError, a RecursionError,
+univariate's A0 size cap and root scan, or a power too large to expand in
+any option).  Every option's text is read by parser.Tokens, --alphas and
+--weights as comma lists of rationals, so a malformed number (1/0 too) is
+a parse error at an offset into its argument, in any option.
 
 The degree windows come from the shift analysis of each instance
 (engine.default_schedule); --max-rounds sets only how many are tried.

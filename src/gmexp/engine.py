@@ -151,7 +151,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import SparseMatrixQ, nullspace, rank_with_extension
-from .rational import Q, class_rep, pair
+from .rational import Q, ResourceLimitError, class_rep, pair
 from .ring import (
     DegreeWindow,
     Monomial,
@@ -165,10 +165,6 @@ from .ring import (
 
 class WindowError(ValueError):
     """Output window too small to hold the image of the input window."""
-
-
-class ResourceLimitError(RuntimeError):
-    """A window exceeds the matrix-size cap, or a univariate A0 the root-search cap."""
 
 
 MAX_WINDOW_CELLS_ENV = "GM_MAX_WINDOW_CELLS"

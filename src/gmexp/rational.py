@@ -3,7 +3,8 @@
 Everything in this library is computed over Q.  We use gmpy2.mpq when
 available (much faster for the elimination-heavy workloads) and fall back
 to fractions.Fraction, which has the same canonical-form semantics
-(reduced, positive denominator).
+(reduced, positive denominator).  ResourceLimitError is here because every
+module that raises it reads this one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ except ImportError:  # gmpy2 is optional (the "fast" extra)
     HAVE_GMPY2 = False
 
 QZERO = Q(0)
+
+
+class ResourceLimitError(RuntimeError):
+    """Work past a cap (exit 4): a power, an engine window or a univariate A0."""
 
 
 def pair(q) -> tuple[int, int]:

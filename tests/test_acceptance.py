@@ -1,7 +1,9 @@
 """Acceptance battery: closed-form oracles against the full engine.
 
-Each criterion prints exactly one PASS/FAIL line.  All comparisons are
-exact (rational arithmetic end to end); no tolerances anywhere.
+Each criterion prints exactly one PASS/FAIL line (criterion 15 one per
+class, so that each known mismatch is its own strict xfail).  All
+comparisons are exact (rational arithmetic end to end); no tolerances
+anywhere.
 """
 
 import itertools
@@ -9,6 +11,9 @@ import math
 import random
 from functools import lru_cache
 
+import pytest
+
+from gmexp import upoly
 from gmexp.arrangements import (
     Arrangement,
     alternating_sum,
@@ -361,3 +366,144 @@ def test_criterion_13_brieskorn_pham():
         f"cokernel equals the Brieskorn-Pham count on {total} classes of x1^a+x2^b"
         + (f"; failures: {bad[:5]}" if bad else ""),
     )
+
+
+# ---------------------------------------------------------------------------
+# Criterion 15: the n = 1 Puiseux oracle
+# ---------------------------------------------------------------------------
+
+
+def _dense(e):
+    """A polynomial RingElement in x1 as a coefficient list, lowest degree first."""
+    out = [Q(0)] * (e.max_xdeg() + 1)
+    for m, c in e.terms.items():
+        out[m.xdeg[0]] = c
+    return out
+
+
+def _sub(p, q):
+    return upoly.trim([a - b for a, b in itertools.zip_longest(p, q, fillvalue=0)])
+
+
+def square_free_factors(p):
+    """[a_1, a_2, ...] with p = c * prod a_i^i, each a_i square-free and the
+    a_i pairwise coprime (Yun 1976), on the gcd of gmexp.upoly."""
+    dp = upoly.derivative(p)
+    b = upoly.gcd(p, dp)
+    c = upoly.divide(p, b)[0]
+    d = _sub(upoly.divide(dp, b)[0], upoly.derivative(c))
+    out = []
+    while len(c) > 1:
+        a = upoly.gcd(c, d)
+        c = upoly.divide(c, a)[0]
+        d = _sub(upoly.divide(d, a)[0], upoly.derivative(c))
+        out.append(a)
+    return out
+
+
+def cycle_lengths(fs, gs):
+    """The cycles of the monodromy on the zero fibre of f = P/G, P/G in lowest
+    terms: one of length e for each root of P of multiplicity e, and one of
+    length deg G - deg P at infinity when that is positive."""
+    f, g = parse_poly(fs, 1, allow_ginv=True), _dense(parse_poly(gs, 1))
+    top = f.max_gpow()
+    num, den = [], [Q(1)]
+    for m, c in f.terms.items():
+        term = [Q(0)] * m.xdeg[0] + [c]
+        for _ in range(top - m.gpow):
+            term = upoly.mul(term, g)
+        num = _sub(num, [-x for x in term])
+    for _ in range(top):
+        den = upoly.mul(den, g)
+    h = upoly.gcd(num, den)
+    p, q = upoly.divide(num, h)[0], upoly.divide(den, h)[0]
+    lengths = [i for i, a in enumerate(square_free_factors(p), start=1) for _ in range(len(a) - 1)]
+    return lengths + ([len(q) - len(p)] if len(q) > len(p) else [])
+
+
+def test_puiseux_cycle_lengths_by_hand():
+    assert [len(a) - 1 for a in square_free_factors(_dense(parse_poly(
+        "x1^2*(x1-1)^3*(x1^2+1)", 1)))] == [2, 1, 1]
+    assert cycle_lengths("x1^2*(x1-1)^3", "x1") == [2, 3]
+    assert cycle_lengths("(x1-1)^2*ginv", "1-x1") == [1]  # P/G = 1 - x1
+    assert cycle_lengths("x1^3*ginv^2", "x1") == [1]  # P/G = x1
+    assert cycle_lengths("x1^3*ginv^2", "x1^2+1") == [3, 1]  # one cycle at infinity
+    assert cycle_lengths("(x1-3)^2*(x1^2+1)", "1") == [1, 1, 2]
+
+
+# The probe's 312 classes are f in PUISEUX_F over g in {x1, 1-x1, x1^2+1,
+# 1+x1, 1} (no ginv over g = 1) at alpha in {1, 1/2, 1/3, 2/3, 1/4, 3/4}.
+# The corpus is chosen by run time only: the 152 classes whose exponent_test
+# took under 0.092 s (4.8 s in all on 2 cores, CPython 3.11).  Per (f, g):
+PUISEUX_CORPUS = [
+    ("x1", "x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1", "1-x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1", "x1^2+1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1", "1+x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1*(x1+2)^2", "x1", "1 1/2 1/4"),
+    ("x1*(x1+2)^2", "1-x1", "1 1/2"),
+    ("x1*(x1+2)^2", "1+x1", "1 1/2"),
+    ("x1*(x1+2)^2", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1*(x1+2)", "x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1*(x1+2)", "1-x1", "1 1/4"),
+    ("x1*(x1+2)", "x1^2+1", "1"),
+    ("x1*(x1+2)", "1+x1", "1"),
+    ("x1*(x1+2)", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1^2*(1-x1)", "x1", "1"),
+    ("x1^2*(1-x1)", "1-x1", "1 1/2"),
+    ("x1^2*(1-x1)", "x1^2+1", "1 1/2"),
+    ("x1^2*(1-x1)", "1+x1", "1 1/2"),
+    ("x1^2*(1-x1)", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("(x1-3)^2*(x1^2+1)", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1*(1-x1)^2", "x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1*(1-x1)^2", "1-x1", "1"),
+    ("x1*(1-x1)^2", "x1^2+1", "1"),
+    ("x1*(1-x1)^2", "1+x1", "1"),
+    ("x1*(1-x1)^2", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1^2*(x1-1)^3", "x1", "1"),
+    ("x1^2*(x1-1)^3", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1^4+x1^2", "x1", "1 1/2"),
+    ("x1^4+x1^2", "1-x1", "1 1/2"),
+    ("x1^4+x1^2", "x1^2+1", "1"),
+    ("x1^4+x1^2", "1+x1", "1 1/2"),
+    ("x1^4+x1^2", "1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1^3*ginv^2", "x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1^3*ginv^2", "1-x1", "1 1/3 2/3"),
+    ("x1^3*ginv^2", "x1^2+1", "1 1/3 2/3 1/4"),
+    ("x1^3*ginv^2", "1+x1", "1 1/3 2/3"),
+    ("(x1-1)^2*ginv", "x1", "1 1/2"),
+    ("(x1-1)^2*ginv", "1-x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("(x1-1)^2*ginv", "1+x1", "1 1/2"),
+    ("x1^2*ginv", "x1", "1 1/2 1/3 2/3 1/4 3/4"),
+    ("x1^2*ginv", "1-x1", "1 1/2"),
+    ("x1^2*ginv", "x1^2+1", "1 1/2"),
+    ("x1^2*ginv", "1+x1", "1 1/2 3/4"),
+]
+
+# (f, g, alpha): the engine's cokernel differs from the cycle count.  Those
+# with a count of 1 and verdict not-exponent are wrong verdicts; the others
+# are class-1 dimensions that are too small (finding B)
+PUISEUX_MISMATCHES = {
+    ("x1", "x1", "1"), ("x1^3*ginv^2", "x1", "1"), ("x1^2*ginv", "x1", "1"),
+    ("(x1-1)^2*ginv", "1-x1", "1"), ("x1^4+x1^2", "x1", "1/2"),
+    ("x1*(x1+2)", "x1", "1"), ("x1*(x1+2)^2", "x1", "1"), ("x1*(1-x1)^2", "x1", "1"),
+    ("x1^2*(1-x1)", "x1", "1"), ("x1^4+x1^2", "x1", "1"), ("x1^3*ginv^2", "x1^2+1", "1"),
+    ("x1^2*(1-x1)", "1-x1", "1"), ("x1*(1-x1)^2", "1-x1", "1"),
+    ("x1^4+x1^2", "x1^2+1", "1"), ("x1^2*(x1-1)^3", "x1", "1"),
+}
+
+
+@pytest.mark.parametrize("fs, gs, alpha", [
+    pytest.param(fs, gs, a, id=f"{fs}/{gs}@{a}", marks=[pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: the localized windows miss a cycle")]
+        if (fs, gs, a) in PUISEUX_MISMATCHES else [])
+    for fs, gs, alphas in PUISEUX_CORPUS for a in alphas.split()
+])
+def test_criterion_15_puiseux_oracle(fs, gs, alpha):
+    want = sum(1 for e in cycle_lengths(fs, gs) if is_integer(e * Q(alpha)))
+    rep = exponent_test(ProblemInstance(
+        n=1, f=parse_poly(fs, 1, allow_ginv=True), g=parse_poly(gs, 1), alpha=alpha))
+    ok = rep.cokernel_dim == want and (rep.verdict is Verdict.EXPONENT) == (want > 0)
+    _line(15, ok, f"{fs} over {gs} at {alpha}: cycle count {want}, engine "
+                  f"{rep.verdict.value} {rep.cokernel_dim} (estimates {rep.estimates})")

@@ -123,8 +123,11 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and "precondition" in err
 
-    code, out, err = run_cli(capsys, "univariate", "--L", "A0=D-10^30")
-    assert code == 4 and out == "" and "resource" in err
+    # an A0 past the size cap, and a power too large to expand in any option
+    for argv in (("univariate", "--L", "A0=D^2000+1"),
+                 ("exponent-test", "--n", "1", "--f", "(x1+1)^1000", "--alphas", "1/2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == "" and "resource" in err
 
     # a window in 1000 variables is refused by the default cell cap before
     # any of its cells is enumerated

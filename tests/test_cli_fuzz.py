@@ -4,7 +4,8 @@ exit code (0, 2, 3 or 4) and never lets an exception escape.
 Each textual option, --alphas and --weights included, is either grown from
 its grammar's productions, so it reaches the preconditions and the engine,
 or a soup of that grammar's words and punctuation, which mostly exercises
-the parse errors.  Exponents stay small and GM_MAX_WINDOW_CELLS is low, so
+the parse errors; --L also draws operators around the A0 size cap and the
+power cap.  Exponents stay small and GM_MAX_WINDOW_CELLS is low, so
 every query ends quickly: in a verdict or in exit 4.
 """
 
@@ -70,7 +71,14 @@ EQUATIONS = st.lists(st.sampled_from(["A0", "A1", "A2"]), min_size=1, max_size=3
     lambda names: st.lists(sentences(["D", *RATIONALS], _poly), min_size=len(names),
                            max_size=len(names)).map(
         lambda ps: "; ".join(f"{a}={p}" for a, p in zip(names, ps))))
-L_TEXT = st.one_of(EQUATIONS, words("A0", "A1", "A2", "B0", "D", "x1"))
+# around the two size caps, both exit 4 when passed: an A0 of high degree, and
+# a power of a base with several terms
+LARGE_A0 = st.one_of(
+    st.integers(150, 2000).map(lambda d: f"A0=D^{d}+1"),
+    st.tuples(st.sampled_from(["D+1", "1-2*D", "D^2+D+1/2"]), st.integers(220, 5000))
+    .map(lambda p: f"A0=({p[0]})^{p[1]}"),
+)
+L_TEXT = st.one_of(EQUATIONS, words("A0", "A1", "A2", "B0", "D", "x1"), LARGE_A0)
 ALPHAS = st.one_of(st.lists(st.sampled_from(RATIONALS + ["x", ""]), max_size=3).map(",".join),
                    words("x"))
 WEIGHTS = st.one_of(

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from gmexp.parser import ParseError, parse_poly, parse_rationals
+from gmexp.engine import ResourceLimitError
+from gmexp.parser import MAX_POWER_WORK, ParseError, parse_poly, parse_rationals
 from gmexp.rational import Q
 from gmexp.ring import Monomial, RingElement, serialize
 
@@ -91,3 +94,24 @@ def test_precedence_and_unary_minus():
 def test_var_names_override():
     e = parse_poly("(D - 1/2)*(D - 1/3)", 1, var_names={"D": 0})
     assert e == parse_poly("x1^2 - 5/6*x1 + 1/6", 1)
+
+
+def test_powers_past_the_work_cap_are_refused_before_expansion():
+    # (terms)^2 * (coefficient bits + 1024)^2 decides, before any expansion:
+    # (x1+1)^217 is the last power of x1+1 within the cap
+    assert 218**2 * 1024**2 <= MAX_POWER_WORK < 219**2 * 1024**2
+    for src, n in (("(x1+1)^1000", 1), ("(x1+1)^218", 1), ("(x1+x2+x3+1)^16", 3),
+                   ("((x1+1)^200)^2", 1), ("7^1000000000", 1), ("(x1+x2)^10000000000", 2)):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            parse_poly(src, n)
+        assert time.perf_counter() - started < 1, src
+    # the worst accepted powers, and those the tests and the README use, parse
+    assert len(parse_poly("(1-x1-x2-x3)^7", 3).terms) == 120
+    assert parse_poly("10^30", 1) == RingElement.constant(1, Q(10**30))
+    assert parse_poly("D^2000", 1, var_names={"D": 0}).max_xdeg() == 2000
+    assert parse_poly("0^0 + (x1+1)^0", 1) == RingElement.constant(1, Q(2))
+    for src, n in (("(x1+1)^217", 1), ("(x1+x2+x3+1)^8", 3), ("(x1-12345/677)^79", 1)):
+        started = time.perf_counter()
+        parse_poly(src, n)
+        assert time.perf_counter() - started < 1, src

@@ -4,13 +4,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmexp import upoly
 from gmexp.engine import ResourceLimitError, Verdict, exponent_test
 from gmexp.parser import ParseError, parse_poly
 from gmexp.rational import Q, class_rep
 from gmexp.reduction import (
+    MAX_A0_SIZE,
     FamilySpec,
     UnivariateOperator,
-    _find_rational_root,
     reduce_family,
     scale_exponents,
     univariate_regular_exponents,
@@ -115,50 +116,80 @@ def test_univariate_a0_required():
 
 
 def test_univariate_root_search_is_bounded():
-    # roots near 10^6, with the constant just under the 10^12 cap, are found
+    # roots near 10^6 are found
     op = UnivariateOperator.parse("A0=(D-999983)*(D-1000003)")
     assert univariate_regular_exponents(op)[1] == [(Q(999983), 1), (Q(1000003), 1)]
-    # past the cap on the constant or the leading coefficient, at once
-    for src in ("A0=D-10^30", "A0=10^13*D-1", "A0=D-1/10^13"):
+    # large end coefficients bound no divisor search: each is answered at once
+    for src, roots in (("A0=(D-1/7)^15", [(Q(1, 7), 15)]), ("A0=D-10^30", [(Q(10**30), 1)]),
+                       ("A0=10^13*D-1", [(Q(1, 10**13), 1)]),
+                       ("A0=D-1/10^13", [(Q(1, 10**13), 1)])):
+        started = time.perf_counter()
+        assert univariate_regular_exponents(UnivariateOperator.parse(src))[1] == roots, src
+        assert time.perf_counter() - started < 1, src
+
+
+def test_univariate_a0_past_the_size_cap_is_refused():
+    # deg^2 * (coefficient bits + degree bits) decides, before any gcd: degree
+    # 163 with coefficients in [-99, 99] is the largest dense A0 accepted
+    assert 163**2 * (7 + 8) <= MAX_A0_SIZE < 164**2 * (7 + 8)
+    for src in ("A0=D^2000+1", "A0=99*D^164+98", "A0=(D-2^300)*(D-3^200)*D^38"):
         started = time.perf_counter()
         with pytest.raises(ResourceLimitError):
             univariate_regular_exponents(UnivariateOperator.parse(src))
         assert time.perf_counter() - started < 1, src
+    assert univariate_regular_exponents(UnivariateOperator.parse("A0=99*D^163+98"))[0] == 163
 
 
-def smallest_root_by_sorting(coefs):
-    """Every +-p/q with p | a_0 and q | a_d, sorted, evaluated over Q: the
-    search _find_rational_root replaced, kept here as its oracle."""
-    if coefs[0] == 0:
-        return Q(0)
+def test_root_search_is_bounded_when_no_small_prime_separates_the_roots():
+    # the roots 0 and P of D^2 - P*D meet modulo every prime dividing P, and
+    # the scan for a prime that keeps them apart is bounded by MAX_ROOT_SCAN
+    def odd_primorial(bound):
+        return math.prod(q for q in range(3, bound) if all(q % d for d in range(2, math.isqrt(q) + 1)))
+
+    small = odd_primorial(2000)
+    assert univariate_regular_exponents(UnivariateOperator.from_polys({0: [0, -small, 1]}))[1] == \
+        [(Q(0), 1), (Q(small), 1)]
+    big = odd_primorial(8000)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        univariate_regular_exponents(UnivariateOperator.from_polys({0: [0, -big, 1]}))
+    assert time.perf_counter() - started < 3
+
+
+def rational_roots_by_sorting(coefs):
+    """Every +-p/q with p | a_0 and q | a_d (a_0 the lowest nonzero
+    coefficient), evaluated over Q, and 0 when it is a root, sorted: the
+    divisor search that upoly.rational_roots replaced, kept as its oracle."""
+    zero = [Q(0)] if coefs[0] == 0 else []
+    while coefs[0] == 0:
+        coefs = coefs[1:]
     den = 1
     for c in coefs:
         den = den * c.denominator // math.gcd(den, c.denominator)
     a0, an = abs(int(coefs[0] * den)), abs(int(coefs[-1] * den))
     divisors = lambda m: [d for d in range(1, m + 1) if m % d == 0]
     candidates = sorted({Q(s * p, q) for p in divisors(a0) for q in divisors(an) for s in (1, -1)})
-    hits = [r for r in candidates if sum(c * r**i for i, c in enumerate(coefs)) == 0]
-    return hits[0] if hits else None
+    return sorted(zero + [r for r in candidates if sum(c * r**i for i, c in enumerate(coefs)) == 0])
 
 
 def test_rational_root_search_keeps_the_smallest_root():
-    # the polynomials the univariate tests deflate, and others whose ends share factors
+    # the polynomials the univariate tests solve, and others whose ends share factors
     for src in ("(D-1/2)*(D-1/3)", "D-2/5", "(D-1/2)^2", "(D^2-2)*(D-1)", "D",
                 "(2*D-1)*(3*D+2)*(D+2/3)", "6*D^2-6", "4*D^2+4*D+1", "D^2+1", "12*D^3-12*D"):
         coefs = UnivariateOperator.parse(f"A0={src}").a0()
-        assert _find_rational_root(coefs) == smallest_root_by_sorting(coefs), src
+        assert upoly.rational_roots(coefs) == rational_roots_by_sorting(coefs), src
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-12, 12), min_size=2, max_size=4).filter(lambda c: c[-1] != 0))
 def test_rational_root_search_matches_sorting(ints):
     coefs = [Q(c) for c in ints]
-    assert _find_rational_root(coefs) == smallest_root_by_sorting(coefs)
+    assert upoly.rational_roots(coefs) == rational_roots_by_sorting(coefs)
 
 
 def test_rational_root_search_divides_out_the_content():
-    # 400 * (157625987 D - 34918884): 2688 x 60 candidate rationals without
-    # the content, and a second at most once it is divided out
+    # 400 * (157625987 D - 34918884): the content is divided out and the one
+    # root read back from its lift
     started = time.perf_counter()
     op = UnivariateOperator.parse("A0=63050394800*D-13967553600")
     assert univariate_regular_exponents(op)[1] == [(Q(34918884, 157625987), 1)]
@@ -166,8 +197,8 @@ def test_rational_root_search_divides_out_the_content():
 
 
 def test_rational_root_search_sieves_divisor_pairs():
-    # both ends with 6720 divisors: about 45 million coprime pairs, which the
-    # sieve mod a prime cuts to a few thousand Horner tests
+    # both ends with 6720 divisors (about 45 million coprime pairs, which a
+    # divisor search would have to sieve), and no divisor is enumerated
     started = time.perf_counter()
     op = UnivariateOperator.parse("A0=963761198400*D^2+D+963761198400")
     assert univariate_regular_exponents(op)[1] == []
