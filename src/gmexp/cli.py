@@ -16,8 +16,9 @@ violation (an --output or --dump-matrix path that cannot be written too,
 checked for a missing directory before the run), 4 resource limit
 exceeded (the window cell cap, GM_MAX_WINDOW_CELLS or else
 engine.DEFAULT_MAX_WINDOW_CELLS; a MemoryError, a RecursionError,
-univariate's A0 size cap and root scan, or a power too large to expand in
-any option).  Every option's text is read by parser.Tokens, --alphas and
+univariate's A0 size cap and root scan, or a polynomial product past
+ring.MAX_PRODUCT_WORK in any option, a power or an arrangement's lambda
+included).  Every option's text is read by parser.Tokens, --alphas and
 --weights as comma lists of rationals, so a malformed number (1/0 too) is
 a parse error at an offset into its argument, in any option.
 

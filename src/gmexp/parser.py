@@ -20,23 +20,20 @@ Polynomial grammar (LL(1)), where unary has consumed any '-' before an atom:
 Variables are x1..xn, plus 't' and 'ginv' where the caller allows them.
 Parse errors carry the position and the expected token.  Parentheses nest
 at most MAX_NESTING deep in any grammar, so deep input is a parse error
-rather than a recursion overflow.
+rather than a recursion overflow.  Products and powers are RingElement's:
+one past ring.MAX_PRODUCT_WORK raises ResourceLimitError before it is formed.
 """
 
 from __future__ import annotations
 
-import math
 import re
 
-from .rational import Q, ResourceLimitError, is_integer
+from .rational import Q, is_integer
 from .ring import Monomial, RingElement
 
 # deepest nesting Tokens.open accepts, in every grammar; each level costs a
 # few Python frames, so this stays far below the interpreter's recursion limit
 MAX_NESTING = 100
-# cap on (terms)^2 * (coefficient bits + 1024)^2 of a power, about the digit
-# products its squarings cost: (x1+1)^217 and (x1+x2+x3+1)^8 take 0.3 s
-MAX_POWER_WORK = 5 * 10**10
 
 
 class ParseError(ValueError):
@@ -175,7 +172,7 @@ class _Parser:
             k = tokens.rational()
             if not is_integer(k) or (k < 0 and not base_is_t):
                 raise ParseError(f"exponent {k}", at, expected="an integer, negative only on t")
-            e = RingElement.t(self.n, int(k)) if k < 0 else _power(e, int(k), at)
+            e = RingElement.t(self.n, int(k)) if k < 0 else e ** int(k)
         return e
 
     def atom(self) -> RingElement:
@@ -205,19 +202,6 @@ class _Parser:
             tokens.close()
             return e
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected="expression")
-
-
-def _power(e: RingElement, k: int, at: int) -> RingElement:
-    """e^k, unless its terms (at most C(k+T-1, T-1) for T terms, and at most
-    its exponent box) and coefficient bits (about k times e's) pass the cap."""
-    vecs = [(m.tdeg, m.gpow, *m.xdeg) for m in e.terms]
-    terms = min(math.comb(k + len(vecs) - 1, k) if vecs else 1,
-                math.prod(k * (max(c) - min(c)) + 1 for c in zip(*vecs)))
-    bits = k * max((c.numerator.bit_length() + c.denominator.bit_length() - 2
-                    for c in e.terms.values()), default=0)
-    if terms * terms * (bits + 1024) ** 2 > MAX_POWER_WORK:
-        raise ResourceLimitError(f"the power at position {at} is past MAX_POWER_WORK")
-    return e**k
 
 
 def parse_expr(tokens: Tokens, n: int, *, allow_t: bool = False, allow_ginv: bool = False,

@@ -23,7 +23,8 @@ QZERO = Q(0)
 
 
 class ResourceLimitError(RuntimeError):
-    """Work past a cap (exit 4): a power, an engine window or a univariate A0."""
+    """Work past a cap (exit 4): a polynomial product, an engine window or a
+    univariate A0."""
 
 
 def pair(q) -> tuple[int, int]:

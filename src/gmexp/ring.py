@@ -4,6 +4,10 @@ Elements are finite Q-linear combinations of monomials t^k * x^u * g^-m.
 The denominator layer g^-m is purely formal here: multiplication adds the
 layers and never cancels against numerator factors of g.  A separate
 normalization pass (clear_g) produces the canonical minimal-layer form.
+
+A product of two elements whose work passes MAX_PRODUCT_WORK raises
+ResourceLimitError before it is formed.  Powers, parsing, clear_g and
+operator application multiply through __mul__, so this one cap bounds them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,13 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .linalg import SparseMatrixQ, nullspace
-from .rational import Q, QZERO
+from .rational import Q, QZERO, ResourceLimitError
+
+# cap on len(a) * len(b) * (bits_a + 1024) * (bits_b + 1024) of one product
+# a * b, bits the largest numerator + denominator bit length of a coefficient:
+# about its digit products, 0.1 s at the cap in few variables.  (x1+1)^217,
+# whose last product is (x1+1)^89 * (x1+1)^128, is the last power of x1+1 within it
+MAX_PRODUCT_WORK = 15 * 10**9
 
 
 class Monomial(NamedTuple):
@@ -139,6 +149,9 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)
+        la, lb = len(self.terms), len(other.terms)
+        if la * lb * (_bits(self) + 1024) * (_bits(other) + 1024) > MAX_PRODUCT_WORK:
+            raise ResourceLimitError(f"a product of {la} by {lb} terms is past MAX_PRODUCT_WORK")
         products = (
             (Monomial(a.tdeg + b.tdeg, tuple(map(sum, zip(a.xdeg, b.xdeg))), a.gpow + b.gpow),
              c * d)
@@ -172,8 +185,9 @@ class RingElement:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- comparison ----------------------------------------------------
@@ -190,6 +204,11 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"RingElement({serialize(self)!r})"
+
+
+def _bits(e: RingElement) -> int:
+    return max((c.numerator.bit_length() + c.denominator.bit_length()
+                for c in e.terms.values()), default=0)
 
 
 def _collect(items) -> dict:
@@ -391,11 +410,13 @@ def clear_g(e: RingElement, g: RingElement) -> RingElement:
             k = Monomial(m.tdeg, m.xdeg, 0)
             flat[k] = flat.get(k, QZERO) + c
         return RingElement(e.n, flat)
-    # numerator = sum over layers m of (layer m) * g^(M-m)
-    num = RingElement.zero(e.n)
+    layers: list[dict[Monomial, object]] = [{} for _ in range(big_m + 1)]
     for m, c in e.terms.items():
-        piece = RingElement.monomial(e.n, Monomial(m.tdeg, m.xdeg, 0), c)
-        num = num + piece * (g ** (big_m - m.gpow))
+        layers[m.gpow][Monomial(m.tdeg, m.xdeg, 0)] = c
+    # numerator = sum over layers m of (layer m) * g^(M-m), by Horner's rule
+    num = RingElement.zero(e.n)
+    for layer in layers:
+        num = num * g + RingElement._trusted(e.n, layer)
     while big_m > 0:
         quo = exact_divide(num, g)
         if quo is None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -123,11 +124,15 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and "precondition" in err
 
-    # an A0 past the size cap, and a power too large to expand in any option
+    # an A0 past the size cap, and a product too large to form in any option,
+    # lambda of an arrangement included, each refused in under 1 s
     for argv in (("univariate", "--L", "A0=D^2000+1"),
-                 ("exponent-test", "--n", "1", "--f", "(x1+1)^1000", "--alphas", "1/2")):
+                 ("exponent-test", "--n", "1", "--f", "(x1+1)^1000", "--alphas", "1/2"),
+                 ("arrangement", "--weights", "40,1,1,1")):
+        started = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert code == 4 and out == "" and "resource" in err
+        assert time.perf_counter() - started < 1, argv
 
     # a window in 1000 variables is refused by the default cell cap before
     # any of its cells is enumerated

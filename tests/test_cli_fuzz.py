@@ -4,9 +4,11 @@ exit code (0, 2, 3 or 4) and never lets an exception escape.
 Each textual option, --alphas and --weights included, is either grown from
 its grammar's productions, so it reaches the preconditions and the engine,
 or a soup of that grammar's words and punctuation, which mostly exercises
-the parse errors; --L also draws operators around the A0 size cap and the
-power cap.  Exponents stay small and GM_MAX_WINDOW_CELLS is low, so
-every query ends quickly: in a verdict or in exit 4.
+the parse errors.  Some draws sit around the caps instead: --L draws
+operators around the A0 size cap, --f, --g and --p products of powers
+around the product cap, and --weights arrangements with a large w0.
+Other exponents stay small and GM_MAX_WINDOW_CELLS is low, so every query
+ends quickly: in a verdict or in exit 4.
 """
 
 import contextlib
@@ -42,9 +44,20 @@ def _poly(inner):
     )
 
 
-def polys(*names):
+# products of powers of bases with several terms, around the product cap
+POWER_PRODUCTS = st.lists(
+    st.tuples(st.sampled_from(["x1+1", "1-x1-x2", "x1-1/3*x2+2", "2*x2-1"]), st.integers(2, 40)),
+    min_size=2, max_size=3,
+).map(lambda factors: "*".join(f"({b})^{k}" for b, k in factors))
+
+
+def polys(*names, products=False):
+    """A polynomial text; with products, one draw in six is a product of powers."""
     leaves = list(names) + RATIONALS
-    return st.one_of(sentences(leaves, _poly), words(*names))
+    texts = st.one_of(sentences(leaves, _poly), words(*names))
+    if not products:
+        return texts
+    return st.integers(0, 5).flatmap(lambda i: texts if i else POWER_PRODUCTS)
 
 
 def _operator(inner):
@@ -71,7 +84,7 @@ EQUATIONS = st.lists(st.sampled_from(["A0", "A1", "A2"]), min_size=1, max_size=3
     lambda names: st.lists(sentences(["D", *RATIONALS], _poly), min_size=len(names),
                            max_size=len(names)).map(
         lambda ps: "; ".join(f"{a}={p}" for a, p in zip(names, ps))))
-# around the two size caps, both exit 4 when passed: an A0 of high degree, and
+# around the A0 size cap, which exits 4 when passed: an A0 of high degree, or
 # a power of a base with several terms
 LARGE_A0 = st.one_of(
     st.integers(150, 2000).map(lambda d: f"A0=D^{d}+1"),
@@ -85,6 +98,8 @@ WEIGHTS = st.one_of(
     st.lists(st.sampled_from(["1", "2", "3"]), min_size=2, max_size=3).map(",".join),
     st.lists(st.sampled_from(["0", "1", "-1", "", "a", "2/2"]), max_size=4).map(",".join),
     words("a", "1.5"),
+    st.tuples(st.integers(10, 60), st.lists(st.sampled_from(["1", "2"]), min_size=1, max_size=3))
+    .map(lambda p: ",".join([str(p[0]), *p[1]])),
 )
 N = st.integers(0, 2).map(str)
 
@@ -100,14 +115,15 @@ def argvs(draw):
         ["exponent-test", "arrangement", "family", "univariate", "operator-check"]
     ))
     if mode == "exponent-test":
-        return [mode, option("n", draw(N)), option("f", draw(polys("x1", "x2", "ginv"))),
-                option("g", draw(polys("x1", "x2"))),
+        return [mode, option("n", draw(N)),
+                option("f", draw(polys("x1", "x2", "ginv", products=True))),
+                option("g", draw(polys("x1", "x2", products=True))),
                 option("alphas", draw(ALPHAS)),
                 option("method", draw(st.sampled_from(["generic", "per-degree"])))]
     if mode == "arrangement":
         return [mode, option("weights", draw(WEIGHTS)), option("alphas", draw(ALPHAS))]
     if mode == "family":
-        return [mode, option("n", draw(N)), option("p", draw(polys("x1", "ginv"))),
+        return [mode, option("n", draw(N)), option("p", draw(polys("x1", "ginv", products=True))),
                 option("q", draw(polys("x1", "ginv"))), option("r", draw(polys("x1"))),
                 option("d", draw(st.integers(-1, 3))),
                 option("alphas", draw(ALPHAS))]

@@ -2,10 +2,11 @@ import time
 
 import pytest
 
+from gmexp import ring
 from gmexp.engine import ResourceLimitError
-from gmexp.parser import MAX_POWER_WORK, ParseError, parse_poly, parse_rationals
+from gmexp.parser import ParseError, parse_poly, parse_rationals
 from gmexp.rational import Q
-from gmexp.ring import Monomial, RingElement, serialize
+from gmexp.ring import MAX_PRODUCT_WORK, Monomial, RingElement, serialize
 
 
 def test_expansion_examples():
@@ -96,10 +97,25 @@ def test_var_names_override():
     assert e == parse_poly("x1^2 - 5/6*x1 + 1/6", 1)
 
 
-def test_powers_past_the_work_cap_are_refused_before_expansion():
-    # (terms)^2 * (coefficient bits + 1024)^2 decides, before any expansion:
-    # (x1+1)^217 is the last power of x1+1 within the cap
-    assert 218**2 * 1024**2 <= MAX_POWER_WORK < 219**2 * 1024**2
+def test_powers_past_the_work_cap_are_refused_before_expansion(monkeypatch):
+    # len(a) * len(b) * (bits_a + 1024) * (bits_b + 1024) of each product
+    # decides, before it is formed: (x1+1)^217 ends in (x1+1)^89 * (x1+1)^128,
+    # the last such product of powers of x1+1 within the cap, and (x1+1)^218
+    # in (x1+1)^90 * (x1+1)^128, past it
+    assert 90 * 129 * (87 + 1024) * (126 + 1024) <= MAX_PRODUCT_WORK
+    assert MAX_PRODUCT_WORK < 91 * 129 * (88 + 1024) * (126 + 1024)
+    x = parse_poly("x1+1", 1)
+    a, b = parse_poly("(x1+1)^90", 1), parse_poly("(x1+1)^128", 1)
+    assert len(a.terms) * len(b.terms) == 91 * 129
+    assert max(c.numerator.bit_length() + 1 for c in b.terms.values()) == 126
+    formed = []
+    real_collect = ring._collect
+    monkeypatch.setattr(ring, "_collect", lambda items: formed.append(1) or real_collect(items))
+    assert len((a * x).terms) == 92 and formed == [1]
+    with pytest.raises(ResourceLimitError, match="91 by 129 terms"):
+        a * b
+    assert formed == [1]  # refused before any coefficient product
+    monkeypatch.undo()
     for src, n in (("(x1+1)^1000", 1), ("(x1+1)^218", 1), ("(x1+x2+x3+1)^16", 3),
                    ("((x1+1)^200)^2", 1), ("7^1000000000", 1), ("(x1+x2)^10000000000", 2)):
         started = time.perf_counter()
@@ -115,3 +131,16 @@ def test_powers_past_the_work_cap_are_refused_before_expansion():
         started = time.perf_counter()
         parse_poly(src, n)
         assert time.perf_counter() - started < 1, src
+
+
+def test_a_product_of_powers_is_refused_before_expansion():
+    # each power is well inside the cap, but (x1+1)^40 * (x2+1)^40, 1681
+    # terms, times (x3+1)^40 would form 68,921: that product is refused
+    # (k = 22 is the last k whose product is formed)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="1681 by 41 terms"):
+        parse_poly("(x1+1)^40*(x2+1)^40*(x3+1)^40", 3)
+    assert time.perf_counter() - started < 1
+    assert len(parse_poly("(x1+1)^22*(x2+1)^22*(x3+1)^22", 3).terms) == 23**3
+    with pytest.raises(ResourceLimitError):
+        parse_poly("(x1+1)^23*(x2+1)^23*(x3+1)^23", 3)

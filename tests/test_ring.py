@@ -1,12 +1,15 @@
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gmexp.arrangements import Arrangement, lambda_poly
+from gmexp.engine import ProblemInstance
 from gmexp.operators import ArS, Dtr, PhiC, apply
 from gmexp.parser import parse_poly
-from gmexp.rational import Q
+from gmexp.rational import Q, ResourceLimitError
 from gmexp.ring import (
     DegreeWindow,
     Monomial,
@@ -96,6 +99,42 @@ def test_pow_and_scale():
     assert (x + y) ** 0 == RingElement.one(2)
     with pytest.raises(ValueError):
         (x + y) ** -1
+
+
+def test_pow_stops_after_its_last_bit(monkeypatch):
+    # e^16: the squarings e^2, e^4, e^8, e^16 and 1 * e^16, and no e^32
+    e = parse_poly("x1+x2+1", 2)
+    expected = RingElement(2, {Monomial(0, (i, j), 0): math.comb(16, i) * math.comb(16 - i, j)
+                               for i in range(17) for j in range(17 - i)})
+    products = []
+    mul = RingElement.__mul__
+    monkeypatch.setattr(RingElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert e**16 == expected
+    assert len(products) == 5
+
+
+def test_clear_g_takes_one_product_by_g_per_layer(monkeypatch):
+    # the numerator of 1 + x1/g^20 is g^20 + x1, built by Horner's rule: one
+    # product by g for each of the layers 0..20, and no power of g
+    f = parse_poly("1+x1*ginv^20", 3, allow_ginv=True)
+    g = parse_poly("x1+x2+x3+1", 3)
+    started = time.perf_counter()
+    p = ProblemInstance(n=3, f=f, g=g, alpha=0)
+    assert time.perf_counter() - started < 1
+    assert p.f.max_gpow() == 20 and len(p.f.terms) == 1771
+    products = []
+    mul = RingElement.__mul__
+    monkeypatch.setattr(RingElement, "__mul__", lambda a, b: products.append(b is g) or mul(a, b))
+    assert clear_g(f, g) == p.f
+    assert products == [True] * 21
+
+
+def test_lambda_poly_past_the_work_cap_is_refused():
+    # (1 - x1 - x2 - x3)^40 stops at its squaring (...)^8 * (...)^8
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="165 by 165 terms"):
+        lambda_poly(Arrangement((40, 1, 1, 1)))
+    assert time.perf_counter() - started < 1
 
 
 def test_clear_g_cancels_layers():
