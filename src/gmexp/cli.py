@@ -15,7 +15,8 @@ nonnegative integer too, before any option is read), 3 precondition
 violation (an --output or --dump-matrix path that cannot be written too,
 checked for a missing directory before the run), 4 resource limit
 exceeded (the window cell cap, GM_MAX_WINDOW_CELLS or else
-engine.DEFAULT_MAX_WINDOW_CELLS; a MemoryError, a RecursionError,
+engine.DEFAULT_MAX_WINDOW_CELLS; engine.MAX_WINDOW_ENTRIES, on a window's
+cells times its longest stencil; a MemoryError, a RecursionError,
 univariate's A0 size cap and root scan, or a polynomial product past
 ring.MAX_PRODUCT_WORK in any option, a power or an arrangement's lambda
 included).  Every option's text is read by parser.Tokens, --alphas and

@@ -169,6 +169,7 @@ class WindowError(ValueError):
 
 MAX_WINDOW_CELLS_ENV = "GM_MAX_WINDOW_CELLS"
 DEFAULT_MAX_WINDOW_CELLS = 2_000_000  # the cell cap when GM_MAX_WINDOW_CELLS is unset
+MAX_WINDOW_ENTRIES = 10_000_000  # cap on a window's cells times its longest stencil
 
 
 @dataclass(frozen=True)
@@ -529,6 +530,23 @@ def _check_cells(cells: int) -> None:
             f"window needs {cells} cells, cap is {cap} ({MAX_WINDOW_CELLS_ENV} sets it)")
 
 
+def _check_window(p: ProblemInstance, cells: int) -> None:
+    """_check_cells(cells), then ResourceLimitError when cells times the term
+    count of p's longest component stencil, a bound on the entries the
+    window's columns can hold, exceeds MAX_WINDOW_ENTRIES, which no variable
+    raises.  It passes a window at the cell cap whose stencils have up to
+    5 terms, sits 32x above the largest Tier-1 window by this count
+    (307,800: the window of _check_cells, by 3 terms), and refuses
+    1+x1*ginv^20 over x1+x2+x3+1, whose first window has 1,747,200 cells
+    and f - t 1,772 terms, before any column is built."""
+    _check_cells(cells)
+    terms = max(map(len, p.stencils[0]))
+    if cells * terms > MAX_WINDOW_ENTRIES:
+        raise ResourceLimitError(
+            f"window of {cells} cells by stencils of up to {terms} terms is past "
+            f"MAX_WINDOW_ENTRIES = {MAX_WINDOW_ENTRIES}")
+
+
 def _stencil_columns(
     stencil: tuple, cells: Sequence[int], win_in: DegreeWindow, win: DegreeWindow, n: int,
     stop: Optional[int] = None,
@@ -584,12 +602,13 @@ def assemble_phi(
     component 1 at cells[1], and so on, with rows in win_out's canonical
     order.  cells = None means every cell for every component, so column
     ci * win_in.size(n) + q is component ci at cell q, as the window complex
-    needs; _kept gives the cells of the top image.  The cell cap counts the
-    full window and is checked before any cell is decoded.  Raises
+    needs; _kept gives the cells of the top image.  The caps of
+    _check_window count the full window and are checked before any cell is
+    decoded.  Raises
     WindowError, naming the cell, when win_out cannot hold the image, slack
     rows included.
     """
-    _check_cells((p.n + 1) * win_in.size(p.n))
+    _check_window(p, (p.n + 1) * win_in.size(p.n))
     nrows = _slack_start(win_in, win_out, p.n)
     if cells is None:
         cells = [range(win_in.size(p.n))] * (p.n + 1)
@@ -619,9 +638,9 @@ def _kept(
     t-layer, whose columns lie wholly in the slack rows (module docstring),
     and, where p.commuting certifies the pruning theorem, less the cells
     where it makes the column of component i >= 1 redundant (_unpruned).
-    The cell cap is checked first, before any layout is built."""
+    The caps of _check_window are checked first, before any layout is built."""
     size = win.size(p.n)
-    _check_cells((p.n + 1) * size)
+    _check_window(p, (p.n + 1) * size)
     top = size - win.layout(p.n)[1]  # the first cell of the top t-layer
     if grading is None:
         at = [range(top)] + [range(size)] * p.n
@@ -732,13 +751,15 @@ def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
 class _WindowComplex(NamedTuple):
     """Degrees 0..n of one window's complex, built once from (p, win), with
     the slack rows quotiented out (module docstring): the component images
-    (assemble_phi from win to its output window), the relation columns
-    generated in win over the same rows, and targets, {position in win:
-    row in the output window} of each interior cell."""
+    (assemble_phi from win to its output window win_out), the relation
+    columns generated in win over the same rows, and targets, {position in
+    win: row in win_out} of each interior cell."""
 
     mat: SparseMatrixQ
     relations: list[dict]
     targets: dict[int, int]
+    win: DegreeWindow
+    win_out: DegreeWindow
 
 
 def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
@@ -750,6 +771,8 @@ def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _Wind
         mat,
         _relation_columns(p, win, win_out, stop=mat.nrows),
         dict(zip(_cells(inner, p.n, at=win), _cells(inner, p.n, at=win_out))),
+        win,
+        win_out,
     )
 
 
@@ -901,9 +924,11 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     relation set, generated in win.
 
     A degree's cycles are first checked against the boundary columns that
-    share a row with one of them.  Those columns are a subset of all the
-    boundary columns, so when they already span every cycle the degree is
-    exactly 0; otherwise the whole boundary matrix is eliminated.
+    share a row with one of them, built only at the cells those rows reach
+    back through the stencils' shifts (_near_boundary).  Those columns are a
+    subset of all the boundary columns, so when they already span every
+    cycle the degree is exactly 0; otherwise the whole boundary matrix is
+    built and eliminated.
 
     The components must commute pairwise in k((t))[x, 1/g]:
     check_row_commutation certifies it on the stencils, once per call, with
@@ -911,52 +936,90 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     the certificate fails (an assembly bug).
     """
     by_deg = _koszul_bases(p.n)
-    _check_cells(max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
+    _check_window(p, max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
     if not check_row_commutation(p):
         raise ValueError("row components do not commute; assembly is inconsistent")
     sh = _shift_analysis(p)
     cx = _window_complex(p, win, sh)
-    dims = {j: _koszul_h(j, cx, by_deg) for j in range(p.n + 1)}
+    dims = {j: _koszul_h(p, j, cx, by_deg) for j in range(p.n + 1)}
     dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading, cx))
     return dims
 
 
-def _koszul_h(j: int, cx: _WindowComplex, by_deg) -> int:
+def _koszul_h(p: ProblemInstance, j: int, cx: _WindowComplex, by_deg) -> int:
     """Dimension of degree j <= n, compared inside K^j(win_out) below the
     slack tail of each copy: the rank of the interior cycles modulo the
     boundaries.
 
     The neighbourhood certificate eliminates first only the boundary columns
-    that meet a cycle.  A vector in the span of a subset of the columns is
-    in the span of all of them, so an extension rank of 0 there is exact;
-    any other count is only an upper bound, and the whole boundary matrix
-    is eliminated instead."""
+    that meet a cycle: those of d^(j-1), built at the cells _near_boundary
+    finds from the cycle rows alone, and the relation columns.  A vector in
+    the span of a subset of the columns is in the span of all of them, so
+    an extension rank of 0 there is exact; any other count is only an upper
+    bound, and the whole boundary matrix, d^(j-1) at every cell, is built
+    and eliminated instead."""
+    zvecs = _interior_cycles(j, cx, by_deg)
+    if not zvecs:
+        return 0  # rank([B | Z]) - rank(B) with Z empty
+    nrows = len(by_deg[j]) * cx.mat.nrows
+    relations = _stack(cx.relations, len(by_deg[j]), cx.mat.nrows)
+    zrows = set().union(*zvecs)
+    near = _near_boundary(p, j, cx, by_deg, zrows) if j >= 1 else []
+    near += [col for col in relations if not zrows.isdisjoint(col)]
+    _, extra = rank_with_extension(SparseMatrixQ(nrows, near), zvecs)
+    if extra == 0:
+        return 0
+    # a non-zero count there is only an upper bound: eliminate everything
+    bcols = [col for col in _koszul_differential(j - 1, cx.mat, by_deg).cols
+             if col] if j >= 1 else []
+    _, extra = rank_with_extension(SparseMatrixQ(nrows, bcols + relations), zvecs)
+    return extra
+
+
+def _interior_cycles(j: int, cx: _WindowComplex, by_deg) -> list[dict]:
+    """The non-zero interior cycles of degree j, as {row of K^j(win_out):
+    (num, den)}: kernel vectors of d^j built at the interior cells alone.
+    Only finitely supported cycles are detected (closing up to the
+    localization relations), so lower-degree dimensions are lower bounds."""
     nm = cx.mat.nrows
-    sets_j = by_deg[j]
-    # kernel vectors of d^j, built at the interior cells alone; only finitely
-    # supported cycles are detected (closing up to the localization
-    # relations), so lower-degree dimensions are lower bounds
     interior = sorted(cx.targets)
     mat_j = _koszul_differential(j, cx.mat, by_deg, interior)
-    rows = [k * nm + cx.targets[q] for k in range(len(sets_j)) for q in interior]
+    rows = [k * nm + cx.targets[q] for k in range(len(by_deg[j])) for q in interior]
     zvecs = []
     for vec in nullspace(SparseMatrixQ(
             mat_j.nrows, mat_j.cols + _stack(cx.relations, len(by_deg[j + 1]), nm))):
         z = {rows[c]: v for c, v in vec.items() if c < len(rows)}
         if z:
             zvecs.append(z)
-    if not zvecs:
-        return 0  # rank([B | Z]) - rank(B) with Z empty
+    return zvecs
 
-    # boundaries: image of d^(j-1) plus relations
-    bcols = [col for col in _koszul_differential(j - 1, cx.mat, by_deg).cols
-             if col] if j >= 1 else []
-    bcols += _stack(cx.relations, len(sets_j), nm)
-    zrows = set().union(*zvecs)
-    near = [col for col in bcols if not zrows.isdisjoint(col)]
-    _, extra = rank_with_extension(SparseMatrixQ(len(sets_j) * nm, near), zvecs)
-    if extra == 0:
-        return 0
-    # a non-zero count there is only an upper bound: eliminate everything
-    _, extra = rank_with_extension(SparseMatrixQ(len(sets_j) * nm, bcols), zvecs)
-    return extra
+
+def _near_boundary(
+    p: ProblemInstance, j: int, cx: _WindowComplex, by_deg, zrows: set[int]
+) -> list[dict]:
+    """The columns of d^(j-1), 1 <= j <= n, that meet a row of zrows, in
+    their order in the whole d^(j-1), built only at the cells that can meet
+    one.  Component i maps the copy of S - {i} into that of S, and its
+    column at a cell c holds rows c + s only, for s the shifts of its
+    stencil; so a row of the copy of S = by_deg[j][k] at position r of
+    win_out is met only by columns at the cells r - s of win, for the shifts
+    s of the components i in S, decoded by win_out.layer and placed by
+    win.layout."""
+    win, win_out, n, nm = cx.win, cx.win_out, p.n, cx.mat.nrows
+    xrow, tsize = win.layout(n)
+    layer_out, tsize_out = win_out.layer(n), win_out.layout(n)[1]
+    dk = win_out.tmin - win.tmin  # a t-index of win_out, as one of win
+    shifts = [[s for s, *_ in comp] for comp in p.stencils[0]]
+    by_copy = [[s for i in sets for s in shifts[i]] for sets in by_deg[j]]
+    cells = set()
+    for z in zrows:
+        k, r = divmod(z, nm)
+        kt, (u, m) = r // tsize_out + dk, layer_out[r % tsize_out]
+        for dt, dg, *dx in by_copy[k]:
+            kc, mc = kt - dt, m - dg
+            if 0 <= kc <= win.tmax - win.tmin and 0 <= mc <= win.gmax:
+                x = xrow.get(tuple([a - b for a, b in zip(u, dx)]))
+                if x is not None:
+                    cells.add(kc * tsize + x + mc)
+    cols = _koszul_differential(j - 1, cx.mat, by_deg, sorted(cells)).cols
+    return [col for col in cols if not zrows.isdisjoint(col)]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from math import gcd
-from typing import Iterator, Optional
 
 
 class SparseMatrixQ:
@@ -77,120 +76,120 @@ class _Eliminator:
     current (or is 0) are dropped when they reach the top.  Every in-class
     column with active rows thus has a current key, and the top current key
     is the exact argmin, found without scanning the class.  In order, the
-    heap is neither built nor read.
+    heap is neither built nor read.  The column and the row are chosen
+    inline in eliminate(), with no call per pivot.
 
     self.rows holds the rows the columns touch and no others, each active
     until it is a pivot row; every entry is a reduced pair (num, den) of ints
     with den > 0 and num != 0, the columns' own pair objects until an update
     replaces them.  A row update pops its entry in the pivot column, which
     cancels exactly, and deletes any other entry it cancels.  A term and an
-    entry that both have denominator 1 add as ints, with no gcd.
+    entry that both have denominator 1 add as ints, with no gcd.  A pivot
+    column with no active row but the pivot row's skips the update pass.
     """
 
     def __init__(self, cols: list[dict[int, tuple[int, int]]]):
         # the one transposition: the eliminator owns, and mutates, these rows
-        self.rows: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
+        rows: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
         for c, col in enumerate(cols):
             for r, v in col.items():
-                self.rows[r][c] = v
+                rows[r][c] = v
+        self.rows = rows
         # set(col.keys()) sizes each table as add() would; set(col) presizes
         # from the dict, and that layout raised peak RSS on `sweep` by 0.6 MiB
         self.col_rows: list[set[int]] = [set(col.keys()) for col in cols]
         self.pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
-        self._heap: list[int] = []
-
-    def _pick_pivot(self, todo: Optional[Iterator[int]]) -> Optional[tuple[int, int]]:
-        """The next pivot (row, col), or None: the column is next(todo) when
-        pivoting in order, else the heap's top current key."""
-        col_rows = self.col_rows
-        if todo is not None:
-            c = next(todo, None)
-            if c is None:
-                return None
-        else:
-            heap, ncols = self._heap, len(col_rows)
-            while heap:
-                cnt, c = divmod(heap[0], ncols)
-                if cnt == len(col_rows[c]):
-                    break
-                heapq.heappop(heap)  # stale: a fresher key exists, or c is empty
-            else:
-                return None
-        if len(col_rows[c]) == 1:  # a column singleton: its one active row
-            for r in col_rows[c]:
-                return r, c
-        # the argmin of (row nnz, numerator bit length, row), compared in place
-        rows = self.rows
-        best = -1
-        for r in col_rows[c]:
-            row = rows[r]
-            size = len(row)
-            if best < 0 or size < best_size:
-                best, best_size, best_bits = r, size, row[c][0].bit_length()
-            elif size == best_size:
-                bits = row[c][0].bit_length()
-                if bits < best_bits or (bits == best_bits and r < best):
-                    best, best_bits = r, bits
-        return best, c
 
     def eliminate(self, cols: range, *, in_order: bool = False) -> int:
         """Eliminate using pivots only from the given columns, under the
         policy in_order names (class docstring); returns the pivot count."""
-        rows, col_rows = self.rows, self.col_rows
+        rows, col_rows, pivots = self.rows, self.col_rows, self.pivots
         ncols = len(col_rows)
         if in_order:
             # the columns with an active row when reached: a passed column has
             # no active row, so no later pivot row has an entry there
-            todo = filter(col_rows.__getitem__, cols)
+            todo, heap = filter(col_rows.__getitem__, cols), None
         else:
-            todo, heap = None, [len(col_rows[c]) * ncols + c for c in cols if col_rows[c]]
+            heap = [len(col_rows[c]) * ncols + c for c in cols if col_rows[c]]
             heapq.heapify(heap)
-            self._heap = heap
         found = 0
-        while (pick := self._pick_pivot(todo)) is not None:
-            pr, pc = pick
-            self.pivots.append(pick)
+        while True:
+            if heap is None:
+                pc = next(todo, None)
+                if pc is None:
+                    break
+            else:
+                while heap:
+                    cnt, pc = divmod(heap[0], ncols)
+                    if cnt == len(col_rows[pc]):
+                        break
+                    heapq.heappop(heap)  # stale: a fresher key exists, or pc is empty
+                else:
+                    break
+            active = col_rows[pc]
+            if len(active) == 1:  # a column singleton: its one active row
+                for pr in active:
+                    break
+            else:  # the argmin of (row nnz, numerator bit length, row), in place
+                pr = -1
+                for r in active:
+                    row = rows[r]
+                    size = len(row)
+                    if pr < 0 or size < best_size:
+                        pr, best_size, best_bits = r, size, row[pc][0].bit_length()
+                    elif size == best_size:
+                        bits = row[pc][0].bit_length()
+                        if bits < best_bits or (bits == best_bits and r < pr):
+                            pr, best_bits = r, bits
+            pivots.append((pr, pc))
             found += 1
             prow = rows[pr]
             for c in prow:  # retire the pivot row
                 col_rows[c].discard(pr)
-            piv = prow[pc]
-            rest = [(c, v) for c, v in prow.items() if c != pc]
-            for r in col_rows[pc]:  # row r += (fn/fd) * prow, on reduced pairs
-                row = rows[r]
-                fn, fd = _ratio(row.pop(pc), piv)  # the entry at pc cancels exactly
-                for c, (vn, vd) in rest:
-                    tn, td = fn * vn, fd * vd  # the term, tn != 0 < td
-                    cur = row.get(c)
-                    if cur is None:
-                        col_rows[c].add(r)
-                        if td == 1:
-                            row[c] = (tn, 1)
-                            continue
-                        n, d = tn, td
-                    else:
-                        cn, cd = cur
-                        if cd == td == 1:  # an int sum: already reduced
-                            n = cn + tn
-                            if n:
-                                row[c] = (n, 1)
-                            else:
+            if active:  # rows other than the pivot row meet pc: update them
+                pn, pd = prow[pc]
+                rest = [(c, v) for c, v in prow.items() if c != pc]
+                for r in active:  # row r += (fn/fd) * prow, on reduced pairs
+                    row = rows[r]
+                    an, ad = row.pop(pc)  # the entry at pc cancels exactly
+                    fn, fd = -an * pd, ad * pn  # -(a/p), reduced below
+                    if fd < 0:
+                        fn, fd = -fn, -fd
+                    g = gcd(fn, fd)
+                    if g != 1:
+                        fn, fd = fn // g, fd // g
+                    for c, (vn, vd) in rest:
+                        tn, td = fn * vn, fd * vd  # the term, tn != 0 < td
+                        cur = row.get(c)
+                        if cur is None:
+                            col_rows[c].add(r)
+                            if td == 1:
+                                row[c] = (tn, 1)
+                                continue
+                            n, d = tn, td
+                        else:
+                            cn, cd = cur
+                            if cd == td == 1:  # an int sum: already reduced
+                                n = cn + tn
+                                if n:
+                                    row[c] = (n, 1)
+                                else:
+                                    del row[c]
+                                    col_rows[c].discard(r)
+                                continue
+                            n = cn * td + tn * cd
+                            if n == 0:
                                 del row[c]
                                 col_rows[c].discard(r)
-                            continue
-                        n = cn * td + tn * cd
-                        if n == 0:
-                            del row[c]
-                            col_rows[c].discard(r)
-                            continue
-                        d = cd * td
-                    g = gcd(n, d)
-                    row[c] = (n // g, d // g)
-            col_rows[pc].clear()
-            if todo is None:
+                                continue
+                            d = cd * td
+                        g = gcd(n, d)
+                        row[c] = (n // g, d // g)
+                active.clear()
+            if heap is not None:
                 # only the pivot row's columns changed count: one fresh key each
-                for c, _v in rest:
-                    if c in cols and col_rows[c]:
+                for c in prow:
+                    if c != pc and c in cols and col_rows[c]:
                         heapq.heappush(heap, len(col_rows[c]) * ncols + c)
         return found
 

@@ -178,6 +178,30 @@ def test_malformed_cell_cap_is_a_parse_error(capsys, monkeypatch):
     assert code == 4 and "resource" in err
 
 
+def test_a_window_past_the_entry_cap_is_refused_before_assembly(capsys, monkeypatch):
+    # 1,747,200 cells pass the default cell cap, but f - t has 1,772 terms:
+    # the window's cells times its longest stencil pass MAX_WINDOW_ENTRIES,
+    # and the query exits 4 before any column is built, which a larger cell
+    # cap does not change
+    def no_columns(*_args, **_kwargs):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(engine, "_stencil_columns", no_columns)
+    argv = ("exponent-test", "--n", "3", "--f", "1+x1*ginv^20", "--g", "x1+x2+x3+1",
+            "--alphas", "1/2")
+    for cap in (None, "100000000"):
+        if cap is None:
+            monkeypatch.delenv("GM_MAX_WINDOW_CELLS", raising=False)
+        else:
+            monkeypatch.setenv("GM_MAX_WINDOW_CELLS", cap)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == "" and "MAX_WINDOW_ENTRIES" in err, err
+        assert time.perf_counter() - started < 10
+    assert 1_747_200 <= engine.DEFAULT_MAX_WINDOW_CELLS
+    assert 1_747_200 * 1_772 > engine.MAX_WINDOW_ENTRIES
+
+
 def test_alphas_and_weights_are_read_as_rational_lists(capsys):
     # a malformed item is a parse error at its offset, an empty one included
     for argv, position in [

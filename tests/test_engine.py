@@ -507,6 +507,9 @@ def test_default_cap_bounds_a_query_in_many_variables(monkeypatch):
     largest = instance("x1^2+x2^2", n=2, gs="x1+x2", alpha="1")
     assert 3 * default_schedule(largest)[3].size(2) == 102_600
     assert engine.DEFAULT_MAX_WINDOW_CELLS >= 10 * 102_600
+    # the entry cap stays 10x above that window by its longest stencil
+    assert max(map(len, largest.stencils[0])) == 3
+    assert engine.MAX_WINDOW_ENTRIES >= 10 * 102_600 * 3
     engine._check_cells(engine.DEFAULT_MAX_WINDOW_CELLS)
     monkeypatch.setenv("GM_MAX_WINDOW_CELLS", str(cells))
     engine._check_cells(cells)
@@ -1061,6 +1064,27 @@ def test_top_cokernel_in_order_matches_markowitz(fs, n, gs, alpha):
         fixed = rank_with_extension(a, units, in_order=True)
         assert fixed == rank_with_extension(a, units), win
         assert fixed[1] == _top_cokernel(image, targets)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS)
+def test_neighbourhood_columns_are_those_of_the_whole_boundary_that_meet_the_rows(
+    fs, n, gs, alpha
+):
+    # the columns of d^(j-1) that _near_boundary builds from the rows alone
+    # are, in order, those of the whole d^(j-1) that meet them: for the
+    # interior cycles of each degree, and for every interior row of K^j
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    by_deg = _koszul_bases(n)
+    cx = _window_complex(p, default_schedule(p)[0], _shift_analysis(p))
+    nm = cx.mat.nrows
+    for j in range(1, n + 1):
+        whole = _koszul_differential(j - 1, cx.mat, by_deg).cols
+        cycles = engine._interior_cycles(j, cx, by_deg)
+        interior = {k * nm + r for k in range(len(by_deg[j])) for r in cx.targets.values()}
+        for zrows in (set().union(*cycles), interior):
+            want = [col for col in whole if not zrows.isdisjoint(col)]
+            assert engine._near_boundary(p, j, cx, by_deg, zrows) == want, (j, len(zrows))
+            assert want or not zrows
 
 
 def test_the_window_path_enumerates_no_monomial(monkeypatch):

@@ -106,49 +106,84 @@ def test_nullspace_rank_nullity(rows):
             assert sum((Q(*m.cols[c].get(r, (0, 1))) * Q(*v) for c, v in vec.items()), Q(0)) == 0
 
 
-class _CheckedEliminator(linalg._Eliminator):
-    """Asserts at every step that the pivot equals a brute-force argmin
-    computed from the live rows (the keys of rows less the retired pivot
-    rows): the column, with the Markowitz heap, by (active count, index);
-    in order, the first column of the class, in the given order, with an
-    active row, with the heap left empty; then the row by (row nnz,
-    numerator bit length, index).  Also that every stored entry is a
-    reduced (num, den) pair with num != 0 and den > 0, and that col_rows
-    lists exactly the live rows of each column."""
+class _RecordingEliminator(linalg._Eliminator):
+    """Keeps every eliminator made (in made), the columns it was given, and
+    for each class it eliminates the columns, the policy, where its pivots
+    start in self.pivots, and a copy of the rows and col_rows after it.  In
+    order, linalg's heapq is unbound for the call: the heap is neither built
+    nor read."""
 
-    steps = 0
+    made: list = []
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.given = [dict(col) for col in cols]
+        self.classes = []
+        type(self).made.append(self)
 
     def eliminate(self, cols, *, in_order=False):
-        self.checked_cols, self.checked_in_order = cols, in_order
-        return super().eliminate(cols, in_order=in_order)
+        start = len(self.pivots)
+        with mock.patch.object(linalg, "heapq", None if in_order else linalg.heapq):
+            found = super().eliminate(cols, in_order=in_order)
+        assert found == len(self.pivots) - start
+        after = ({r: dict(row) for r, row in self.rows.items()}, [set(s) for s in self.col_rows])
+        self.classes.append((cols, in_order, start, after))
+        return found
 
-    def _pick_pivot(self, todo):
-        assert (todo is not None) == self.checked_in_order
-        for row in self.rows.values():
-            for v in row.values():
-                assert is_reduced_pair(v), v
-        live = set(self.rows) - {r for r, _ in self.pivots}
-        for c in range(len(self.col_rows)):
-            assert self.col_rows[c] == {r for r in live if c in self.rows[r]}
-        active = [c for c in self.checked_cols if self.col_rows[c]]
-        want = None
-        if active:
-            if self.checked_in_order:
-                assert not self._heap
-                c = active[0]
-            else:
-                _, c = min((len(self.col_rows[c]), c) for c in active)
-            r = min(
-                self.col_rows[c],
-                key=lambda rr: (
-                    len(self.rows[rr]), self.rows[rr][c][0].bit_length(), rr
-                ),
-            )
-            want = (r, c)
-        got = super()._pick_pivot(todo)
-        assert got == want
-        type(self).steps += 1
-        return got
+
+def replay(elim):
+    """Replays elim's pivots, class by class, on a plain elimination in Q from
+    the columns it was given, asserting that each pivot is the brute-force
+    argmin computed from the live rows (the rows less the retired pivot
+    rows): the column, with the Markowitz heap, by (active count, index); in
+    order, the first column of the class, in the given order, with an active
+    row; then the row by (row nnz, numerator bit length, index).  After the
+    last pivot of a class, that no column of it has an active row; and that
+    the eliminator's rows then hold the reference's values as reduced (num,
+    den) pairs with num != 0 and den > 0, and its col_rows list exactly the
+    live rows of each column.  Returns the steps: every pivot, and the empty
+    pick that ends each class."""
+    rows = {}
+    for c, col in enumerate(elim.given):
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = Q(*v)
+    live = set(rows)
+    col_rows = [{r for r in rows if c in rows[r]} for c in range(len(elim.given))]
+    steps = 0
+    ends = [start for _cols, _order, start, _after in elim.classes[1:]] + [len(elim.pivots)]
+    for (cols, in_order, start, (got_rows, got_col_rows)), end in zip(elim.classes, ends):
+        for pick in elim.pivots[start:end] + [None]:
+            steps += 1
+            active = [c for c in cols if col_rows[c]]
+            want = None
+            if active:
+                c = active[0] if in_order else min(active, key=lambda c: (len(col_rows[c]), c))
+                r = min(col_rows[c],
+                        key=lambda rr: (len(rows[rr]), rows[rr][c].numerator.bit_length(), rr))
+                want = (r, c)
+            assert pick == want
+            if pick is None:
+                break
+            pr, pc = pick
+            live.discard(pr)
+            for c in rows[pr]:
+                col_rows[c].discard(pr)
+            for r in list(col_rows[pc]):
+                f = rows[r][pc] / rows[pr][pc]
+                for c, v in rows[pr].items():
+                    x = rows[r].get(c, 0) - f * v
+                    if x:
+                        rows[r][c] = x
+                        col_rows[c].add(r)
+                    else:
+                        rows[r].pop(c, None)
+                        col_rows[c].discard(r)
+        for row in got_rows.values():
+            assert all(is_reduced_pair(v) for v in row.values())
+        assert {r: {c: Q(*v) for c, v in row.items()} for r, row in got_rows.items()} == rows
+        for c, got in enumerate(got_col_rows):
+            assert got == col_rows[c] == {r for r in live if c in rows[r]}
+    return steps
 
 
 def sparse_matrices(nonzero):
@@ -186,37 +221,43 @@ def test_pivot_order_is_brute_force_argmin(case):
     augmented = [list(row) + [Q(*col[i]) if i in col else 0 for col in extra]
                  for i, row in enumerate(rows)]
     rk = dense_rank(rows)
-    with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
+    made = _RecordingEliminator.made
+    with mock.patch.object(linalg, "_Eliminator", _RecordingEliminator):
         for in_order in (False, True):
-            _CheckedEliminator.steps = 0
+            made.clear()
             assert rank_with_extension(m, [], in_order=in_order)[0] == rk
             # every pivot, then the empty pick of A's columns and of the
             # empty extension
-            assert _CheckedEliminator.steps == rk + 2
+            assert [replay(elim) for elim in made] == [rk + 2]
+            assert [order for elim in made for _c, order, _s, _a in elim.classes] == [in_order] * 2
             # second class after the first
             base, more = rank_with_extension(m, extra, in_order=in_order)
             assert (base, more) == (rk, dense_rank(augmented) - rk)
+            assert replay(made[-1]) == base + more + 2
+        made.clear()
         assert len(nullspace(m)) == m.ncols - rk
+        assert [replay(elim) for elim in made] == [rk + 1]
 
 
 def test_pivot_order_is_brute_force_argmin_on_real_windows(monkeypatch):
     # window matrices fill in far more than the small random matrices above,
     # so the heap sees many stale entries per column between pivots; every
     # elimination of the queries runs under one policy, then the other
-    checked = _CheckedEliminator.eliminate
+    recorded = _RecordingEliminator.eliminate
 
     def forced(self, cols, **_kw):  # the loop's policy, whatever the caller asks
-        return checked(self, cols, in_order=in_order)
+        return recorded(self, cols, in_order=in_order)
 
-    monkeypatch.setattr(_CheckedEliminator, "eliminate", forced)
+    monkeypatch.setattr(_RecordingEliminator, "eliminate", forced)
     p = ProblemInstance(n=1, f=parse_poly("x1^2*(1-x1)^2", 1), g=parse_poly("1", 1), alpha="1/2")
+    made = _RecordingEliminator.made
     for in_order in (False, True):
-        with mock.patch.object(linalg, "_Eliminator", _CheckedEliminator):
-            _CheckedEliminator.steps = 0
+        made.clear()
+        with mock.patch.object(linalg, "_Eliminator", _RecordingEliminator):
             rep = exponent_test(p)  # every window of the default schedule it reaches
             assert (rep.cokernel_dim, list(rep.estimates)) == (2, [2, 2])
             assert koszul_cohomology(p, default_schedule(p)[0]) == {0: 0, 1: 1, 2: 2}
-            assert _CheckedEliminator.steps > 300, in_order
+        assert sum(replay(elim) for elim in made) > 300, in_order
 
 
 def test_eliminator_holds_only_the_rows_its_columns_touch():

@@ -5,12 +5,14 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from gmexp import ring
 from gmexp.arrangements import Arrangement, lambda_poly
 from gmexp.engine import ProblemInstance
 from gmexp.operators import ArS, Dtr, PhiC, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q, ResourceLimitError
 from gmexp.ring import (
+    MAX_PRODUCT_WORK,
     DegreeWindow,
     Monomial,
     RingElement,
@@ -162,6 +164,66 @@ def test_exact_divide_roundtrip(a, which):
     g = parse_poly("1 - x1 - x2" if which == 1 else "x1 + x2^2", 2)
     quo = exact_divide(a * g, g)
     assert quo == a
+
+
+def max_scan_divide(p, g, g_lead):
+    """The reference for ring._divide_xpoly: reduction at max(p) of the whole
+    remainder at every step."""
+    p = dict(p)
+    quo = {}
+    while p:
+        lead = max(p)
+        diff = tuple(a - b for a, b in zip(lead, g_lead))
+        if any(d < 0 for d in diff):
+            return None
+        coef = p[lead] / g[g_lead]
+        quo[diff] = quo.get(diff, Q(0)) + coef
+        for gm, gc in g.items():
+            m = tuple(a + b for a, b in zip(diff, gm))
+            s = p.get(m, Q(0)) - coef * gc
+            if s == 0:
+                p.pop(m, None)
+            else:
+                p[m] = s
+    return quo
+
+
+@given(elem(n=3, max_terms=8, allow_g=False, allow_t=False),
+       elem(n=3, max_terms=4, allow_g=False, allow_t=False).filter(lambda g: not g.is_zero()),
+       elem(n=3, max_terms=3, allow_g=False, allow_t=False))
+def test_heap_division_matches_the_max_scan(a, g, r):
+    # exact (a * g) and inexact (a * g + r) divisions: the same quotient, or
+    # the same refusal, as reducing at the max of the whole remainder
+    g_terms = {m.xdeg: c for m, c in g.terms.items()}
+    g_lead = max(g_terms)
+    for p in (a * g, a * g + r):
+        terms = {m.xdeg: c for m, c in p.terms.items()}
+        got = ring._divide_xpoly(terms, g_terms, g_lead)
+        assert got == max_scan_divide(terms, g_terms, g_lead)
+    assert ring._divide_xpoly({m.xdeg: c for m, c in (a * g).terms.items()},
+                              g_terms, g_lead) == {m.xdeg: c for m, c in a.terms.items()}
+
+
+def test_product_work_counts_the_variables(monkeypatch):
+    # a product at the cap took about 0.1 s in 1-10 variables and 0.48 s in
+    # 200; the measure's factor for n, max(60, n + 50) / 60, is 1 up to 10
+    # variables and refuses this product in 200, which the bare measure
+    # accepts, before any term product is formed
+    def formed(_items):
+        raise AssertionError("the product was formed")
+
+    n = 200
+    a = RingElement(n, {Monomial(0, tuple(int(j == i) for j in range(n)), 0): 1
+                        for i in range(-1, n)})
+    b = RingElement(n, {Monomial(0, (k,) + (0,) * (n - 1), 0): 1 for k in range(2, 62)})
+    bare = 201 * 60 * (2 + 1024) ** 2
+    assert bare <= MAX_PRODUCT_WORK < ring._product_work(a, b) == bare * 250 // 60
+    monkeypatch.setattr(ring, "_collect", formed)
+    with pytest.raises(ResourceLimitError, match="in 200 variables"):
+        a * b
+    for n in (1, 10):
+        x = RingElement(n, {Monomial(0, (k,) + (0,) * (n - 1), 0): 1 for k in range(201)})
+        assert ring._product_work(x, x) == 201 * 201 * (2 + 1024) ** 2
 
 
 def test_window_monomials():
