@@ -9,14 +9,22 @@ is not an exponent at the origin of the direct image of the structure
 sheaf under f; the cokernel dimension counts the Jordan blocks of the
 zeroth cohomology for that class.  On each window this module builds the
 Koszul complex of the pairwise-commuting components, with one set of
-relation columns and one slack rule (the slack quotient below); its top
+relations and one slack rule (the slack quotient below); its top
 degree n+1, the cokernel on the window interior, is exponent_test's
 estimate, which koszul_cohomology reads from the window's one assembly.
 Verdicts come once the estimates stabilize over a schedule of nested windows.
 
 The localization by g is handled formally: window bases use monomials
-t^k x^u g^-m and the assembled image is augmented with the relation
-columns g * g^-(m+1) - g^-m, so cokernels are computed in the quotient.
+t^k x^u g^-m, and cokernels are computed modulo the span R of the relation
+columns g * g^-(m+1) - g^-m.  The top degree (exponent_test's image)
+augments its columns with R.  Degrees 0..n of koszul_cohomology, where R
+would be stacked into every copy of every degree, use instead the quotient
+map pi by span(R), built once per window by Gauss-Jordan over R
+(linalg.quotient_map) and applied to each copy of the rows: the cycles
+are the kernel of pi(d^j), exactly {z : d^j z in span R}, and since
+rank([B | R | Z]) - rank([B | R]) = rank([pi B | pi Z]) - rank(pi B), each
+degree is compared as pi of its cycles modulo pi of its boundaries.  For
+g = 1, R and pi are empty.
 
 Each row component, and the relation generator, is a stencil: a few
 shifted terms with coefficients affine in the exponents (k, m, u) of
@@ -116,21 +124,23 @@ leaves its residual in the top t-layers.  Each degree j of a window is
 therefore defined with slack S, the unit columns on the output rows at
 t-degree >= win.tmax (the t-major tail from _slack_start, in each copy):
 it is rank([B | S | Z]) - rank([B | S]), with B the boundaries (the image
-of d^(j-1), or of the components for j = n+1, and the relations) and Z
-the interior cycles (the unit targets for j = n+1).  The span of
-[B | S | Z] is span(S) plus the projection of [B | Z] away from the slack
-rows, so when Z has no entry there this is rank([B' | Z']) - rank(B'),
-where ' deletes them.  That holds in every degree: interior cells sit at
-t <= win.tmax - 2 and each component raises t by at most 1, so neither
-the cycles nor d^j at the interior cells reach a slack row; the relation
-stencil keeps t, so the relation columns in the tail form a block of
-their own there and add no kernel vector on the cells; and a zero
-extension rank on a subset of the projected columns (the neighbourhood
-shortcut of _koszul_h) is still a proof.  So assemble_phi stops every
-column at the slack tail, a relation column that the cut empties is left
-out, and no slack column is built.  Component 0 is t-free but for -t, so
-its column at a cell of the top t-layer lies wholly in the slack rows: the
-top image leaves it out (_kept).
+of d^(j-1), or of the components for j = n+1, and the relations, as
+columns for j = n+1 and through pi below it) and Z the interior cycles
+(the unit targets for j = n+1).  The span of [B | S | Z] is span(S) plus
+the projection of [B | Z] away from the slack rows, so when Z has no entry
+there this is rank([B' | Z']) - rank(B'), where ' deletes them.  That
+holds in every degree: interior cells sit at t <= win.tmax - 2 and each
+component raises t by at most 1, so neither the cycles nor d^j at the
+interior cells reach a slack row; the relation stencil keeps t, so the
+relation columns in the tail form a block of their own there and add no
+kernel vector on the cells, and pi, built from the relation columns as
+cut, is the quotient by their projected span; and a zero extension rank on
+a subset of the projected columns (the neighbourhood shortcut of
+_koszul_h) is still a proof.  So assemble_phi stops every column at the
+slack tail, a relation column that the cut empties is left out, and no
+slack column is built.  Component 0 is t-free but for -t, so its column at
+a cell of the top t-layer lies wholly in the slack rows: the top image
+leaves it out (_kept).
 
 Order.  _top_cokernel pivots the non-empty image columns in one order
 fixed before elimination (linalg's in_order policy): by entry count, then
@@ -150,7 +160,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import SparseMatrixQ, nullspace, rank_with_extension
+from .linalg import SparseMatrixQ, nullspace, quotient, quotient_map, rank_with_extension
 from .rational import Q, ResourceLimitError, class_rep, pair
 from .ring import (
     DegreeWindow,
@@ -288,8 +298,8 @@ def _row_stencils(p: ProblemInstance) -> tuple[tuple, tuple]:
     comps = [tuple(_times(p.f) + [((1,) + (0,) * (n + 1), Q(-1), -1, 0)])]  # f - t
     for i, df in enumerate(p.derivatives, start=1):
         lower = ((0, 0, *(-1 if j == i else 0 for j in range(1, n + 1))), Q(1), i + 1, 0)
-        quotient = _times(-partial_x(i, g, g), dg=1, var=1)
-        comps.append(tuple([lower] + quotient + _times(df, dt=-1, var=0, r=-p.alpha)))
+        quotient_rule = _times(-partial_x(i, g, g), dg=1, var=1)
+        comps.append(tuple([lower] + quotient_rule + _times(df, dt=-1, var=0, r=-p.alpha)))
     return tuple(comps), tuple(_times(g, dg=1) + [((0,) * (n + 2), Q(-1), -1, 0)])
 
 
@@ -742,24 +752,28 @@ def _relation_columns(
     return [c for c in cols if c]
 
 
-def _stack(cols: list[dict], blocks: int, size: int) -> list[dict]:
-    """cols repeated in each of `blocks` stacked copies of a size-row basis."""
-    return [{b * size + r: v for r, v in c.items()} if b else c
-            for b in range(blocks) for c in cols]
-
-
 class _WindowComplex(NamedTuple):
     """Degrees 0..n of one window's complex, built once from (p, win), with
     the slack rows quotiented out (module docstring): the component images
     (assemble_phi from win to its output window win_out), the relation
-    columns generated in win over the same rows, and targets, {position in
-    win: row in win_out} of each interior cell."""
+    columns generated in win over the same rows, the quotient map by their
+    span (linalg.quotient_map, empty when g = 1), which degrees 0..n apply
+    to each copy of the rows in place of the relation columns, and targets,
+    {position in win: row in win_out} of each interior cell."""
 
     mat: SparseMatrixQ
     relations: list[dict]
     targets: dict[int, int]
     win: DegreeWindow
     win_out: DegreeWindow
+    pi: dict[int, dict]
+
+    def reduce(self, cols: list[dict]) -> list[dict]:
+        """pi of each column, in order, over stacked copies of mat's rows;
+        cols itself when pi is empty (g = 1)."""
+        if not self.pi:
+            return cols
+        return [quotient(col, self.pi, self.mat.nrows) for col in cols]
 
 
 def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
@@ -767,12 +781,14 @@ def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _Wind
     win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out)
     inner = sh.interior(win)
+    relations = _relation_columns(p, win, win_out, stop=mat.nrows)
     return _WindowComplex(
         mat,
-        _relation_columns(p, win, win_out, stop=mat.nrows),
+        relations,
         dict(zip(_cells(inner, p.n, at=win), _cells(inner, p.n, at=win_out))),
         win,
         win_out,
+        quotient_map(relations),
     )
 
 
@@ -921,7 +937,8 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     Cycles are taken with interior support (closing up to the localization
     relations); boundaries come from the full domain window.  Every degree
     quotients out the slack rows (module docstring) and uses the one
-    relation set, generated in win.
+    relation set, generated in win: as columns in degree n+1, and through
+    its quotient map, built once, in degrees 0..n (module docstring).
 
     A degree's cycles are first checked against the boundary columns that
     share a row with one of them, built only at the cells those rows reach
@@ -948,50 +965,49 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
 
 def _koszul_h(p: ProblemInstance, j: int, cx: _WindowComplex, by_deg) -> int:
     """Dimension of degree j <= n, compared inside K^j(win_out) below the
-    slack tail of each copy: the rank of the interior cycles modulo the
-    boundaries.
+    slack tail of each copy, modulo the relations: the rank of pi of the
+    interior cycles modulo pi of the boundaries, for pi the window's
+    quotient map (cx.pi), which equals the rank of the cycles modulo the
+    boundaries and the relation columns stacked in each copy.
 
-    The neighbourhood certificate eliminates first only the boundary columns
-    that meet a cycle: those of d^(j-1), built at the cells _near_boundary
-    finds from the cycle rows alone, and the relation columns.  A vector in
-    the span of a subset of the columns is in the span of all of them, so
-    an extension rank of 0 there is exact; any other count is only an upper
-    bound, and the whole boundary matrix, d^(j-1) at every cell, is built
-    and eliminated instead."""
-    zvecs = _interior_cycles(j, cx, by_deg)
-    if not zvecs:
+    The neighbourhood certificate eliminates first only the columns of
+    d^(j-1) that meet a cycle before pi, built at the cells _near_boundary
+    finds from the cycle rows alone.  A vector in the span of a subset of
+    the columns is in the span of all of them, so an extension rank of 0
+    there is exact; any other count is only an upper bound, and the whole
+    boundary matrix, d^(j-1) at every cell, is built and eliminated instead.
+    Cycles that pi sends to 0 lie in the span of the relations and are
+    dropped.  Degree 0 has no boundary: the rank of its cycles is the answer."""
+    cycles = _interior_cycles(j, cx, by_deg)
+    kept = [(z, zq) for z, zq in zip(cycles, cx.reduce(cycles)) if zq]
+    if not kept:
         return 0  # rank([B | Z]) - rank(B) with Z empty
     nrows = len(by_deg[j]) * cx.mat.nrows
-    relations = _stack(cx.relations, len(by_deg[j]), cx.mat.nrows)
-    zrows = set().union(*zvecs)
-    near = _near_boundary(p, j, cx, by_deg, zrows) if j >= 1 else []
-    near += [col for col in relations if not zrows.isdisjoint(col)]
-    _, extra = rank_with_extension(SparseMatrixQ(nrows, near), zvecs)
-    if extra == 0:
-        return 0
+    zrows = set().union(*(z for z, _ in kept))
+    zvecs = [zq for _, zq in kept]
+    near = cx.reduce(_near_boundary(p, j, cx, by_deg, zrows)) if j >= 1 else []
+    _, extra = rank_with_extension(SparseMatrixQ(nrows, [col for col in near if col]), zvecs)
+    if extra == 0 or j == 0:
+        return extra
     # a non-zero count there is only an upper bound: eliminate everything
-    bcols = [col for col in _koszul_differential(j - 1, cx.mat, by_deg).cols
-             if col] if j >= 1 else []
-    _, extra = rank_with_extension(SparseMatrixQ(nrows, bcols + relations), zvecs)
+    whole = cx.reduce(_koszul_differential(j - 1, cx.mat, by_deg).cols)
+    _, extra = rank_with_extension(SparseMatrixQ(nrows, [col for col in whole if col]), zvecs)
     return extra
 
 
 def _interior_cycles(j: int, cx: _WindowComplex, by_deg) -> list[dict]:
-    """The non-zero interior cycles of degree j, as {row of K^j(win_out):
-    (num, den)}: kernel vectors of d^j built at the interior cells alone.
-    Only finitely supported cycles are detected (closing up to the
-    localization relations), so lower-degree dimensions are lower bounds."""
+    """The interior cycles of degree j, as {row of K^j(win_out): (num, den)}:
+    a basis of the kernel of pi(d^j) built at the interior cells alone, for
+    pi the quotient map cx.pi, so of {z : d^j z in the span of the
+    relations}.  Only finitely supported cycles are detected (closing up to
+    the localization relations), so lower-degree dimensions are lower
+    bounds."""
     nm = cx.mat.nrows
     interior = sorted(cx.targets)
     mat_j = _koszul_differential(j, cx.mat, by_deg, interior)
     rows = [k * nm + cx.targets[q] for k in range(len(by_deg[j])) for q in interior]
-    zvecs = []
-    for vec in nullspace(SparseMatrixQ(
-            mat_j.nrows, mat_j.cols + _stack(cx.relations, len(by_deg[j + 1]), nm))):
-        z = {rows[c]: v for c, v in vec.items() if c < len(rows)}
-        if z:
-            zvecs.append(z)
-    return zvecs
+    kernel = nullspace(SparseMatrixQ(mat_j.nrows, cx.reduce(mat_j.cols)))
+    return [{rows[c]: v for c, v in vec.items()} for vec in kernel]
 
 
 def _near_boundary(

@@ -14,6 +14,12 @@ denominator) pair of Python ints with a positive denominator (rational.pair),
 the canonical form of Q, so the pivots do not depend on it.  The eliminator
 converts nothing, and nullspace returns pair vectors; a caller that holds Q
 values converts at its boundary (ring.quasi_weights).
+
+A quotient by a column span is a map, not columns: quotient_map builds it
+once by Gauss-Jordan over the columns, and quotient applies it to each
+block of stacked rows, so a caller that would stack the same columns into
+every block of many matrices (the relations of gmexp.engine's Koszul
+degrees) eliminates them once.
 """
 
 from __future__ import annotations
@@ -207,36 +213,110 @@ def _ratio(a: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
 def nullspace(a: SparseMatrixQ) -> list[dict[int, tuple[int, int]]]:
     """Basis of ker(A) as sparse {col: (num, den)} vectors, one per free
     column c: the kernel vector that is (1, 1) at c and 0 at every other free
-    column.
+    column; [] with no back-substitution when every column pivots.
 
     After elimination, pivot row k holds its own pivot column, columns of
     later pivots and free columns only, so one back-substitution in reverse
     pivot order gives each pivot coordinate as {free column: value}."""
     elim = _Eliminator(a.cols)
-    elim.eliminate(range(a.ncols))
+    if elim.eliminate(range(a.ncols)) == a.ncols:
+        return []
     solved: dict[int, dict[int, tuple[int, int]]] = {}  # pivot column -> coordinate
     for r, pc in reversed(elim.pivots):
         row = elim.rows[r]
         coord: dict[int, tuple[int, int]] = {}
         for c, v in row.items():
-            if c == pc:
-                continue
-            fn, fd = _ratio(v, row[pc])
-            for f, (xn, xd) in solved.get(c, {c: (1, 1)}).items():
-                tn, td = fn * xn, fd * xd
-                cn, cd = coord.get(f, (0, 1))
-                n, d = cn * td + tn * cd, cd * td
-                if n == 0:
-                    del coord[f]
-                else:
-                    g = gcd(n, d)
-                    coord[f] = (n // g, d // g)
+            if c != pc:
+                _add_scaled(coord, _ratio(v, row[pc]), solved.get(c, {c: (1, 1)}))
         solved[pc] = coord
     basis = {c: {c: (1, 1)} for c in range(a.ncols) if c not in solved}
     for _r, pc in elim.pivots:
         for f, v in solved[pc].items():
             basis[f][pc] = v
     return list(basis.values())
+
+
+def _add_scaled(
+    acc: dict[int, tuple[int, int]], f: tuple[int, int], vec: dict[int, tuple[int, int]],
+    offset: int = 0,
+) -> None:
+    """acc[k + offset] += f * vec[k] for each k of vec, on reduced pairs, f
+    non-zero; an entry that cancels is deleted."""
+    fn, fd = f
+    for k, (xn, xd) in vec.items():
+        n, d = fn * xn, fd * xd
+        cur = acc.get(k + offset)
+        if cur is not None:
+            cn, cd = cur
+            n, d = cn * d + n * cd, cd * d
+            if n == 0:
+                del acc[k + offset]
+                continue
+        g = gcd(n, d)
+        acc[k + offset] = (n // g, d // g)
+
+
+# ---------------------------------------------------------------------------
+# Quotient by a column span
+# ---------------------------------------------------------------------------
+
+
+_UNIT = {0: (1, 1)}  # the unit vector at offset 0, for _add_scaled
+
+
+def quotient_map(cols: list[dict[int, tuple[int, int]]]) -> dict[int, dict[int, tuple[int, int]]]:
+    """The quotient map pi of Q^rows onto Q^rows / span(cols), by Gauss-Jordan
+    over cols: {eliminated row: {free row: (num, den)}}.  pi sends each
+    eliminated row to its combination of free rows and keeps every other
+    row, so pi(v) = 0 exactly when v lies in span(cols), and rank([B | cols
+    | Z]) - rank([B | cols]) = rank([pi B | pi Z]) - rank(pi B).
+
+    Each column in turn, reduced by the rows eliminated so far, pivots at its
+    highest remaining row; its other rows are lower, so the map stays
+    triangular while it is built, each eliminated row substituted highest
+    first.  A last pass in ascending row order then leaves free rows alone
+    in every image."""
+    image: dict[int, dict[int, tuple[int, int]]] = {}
+    for col in cols:
+        v = dict(col)
+        todo = [-r for r in v if r in image]  # a max-heap of the eliminated rows
+        heapq.heapify(todo)
+        while todo:
+            r = -heapq.heappop(todo)
+            a = v.pop(r, None)  # None: a repeated key, already substituted
+            if a is not None:
+                img = image[r]
+                _add_scaled(v, a, img)
+                for k in img:
+                    if k in image:
+                        heapq.heappush(todo, -k)
+        if v:
+            p = max(v)
+            pv = v.pop(p)
+            image[p] = {r: _ratio(x, pv) for r, x in v.items()}
+    for p in sorted(image):  # an image's eliminated rows are lower: already final
+        img = image[p]
+        for r in [r for r in img if r in image]:
+            _add_scaled(img, img.pop(r), image[r])
+    return image
+
+
+def quotient(
+    col: dict[int, tuple[int, int]], image: dict[int, dict[int, tuple[int, int]]], size: int
+) -> dict[int, tuple[int, int]]:
+    """pi(col), for pi = quotient_map(...) over blocks of `size` rows: col's
+    rows are stacked blocks, and pi acts on each block alone."""
+    out: dict[int, tuple[int, int]] = {}
+    for r, a in col.items():
+        base = r - r % size
+        img = image.get(r - base)
+        if img is not None:
+            _add_scaled(out, a, img, base)
+        elif r in out:
+            _add_scaled(out, a, _UNIT, r)
+        else:
+            out[r] = a
+    return out
 
 
 def rank_with_extension(

@@ -250,21 +250,21 @@ def partial_x(i: int, e: RingElement, g: RingElement) -> RingElement:
     if not g.is_polynomial():
         raise ValueError("g must be a pure polynomial (no t, no g-layer)")
     dg = _poly_partial(i, g)
-    out = RingElement.zero(e.n)
+    # every term goes into one dict: a sum of RingElements would copy it per term
     acc: dict[Monomial, object] = {}
     for m, c in e.terms.items():
         u = m.xdeg[i - 1]
-        if u:
-            m2 = Monomial(m.tdeg, _dec(m.xdeg, i - 1), m.gpow)
-            s = acc.get(m2, QZERO) + c * u
+        terms = [(Monomial(m.tdeg, _dec(m.xdeg, i - 1), m.gpow), c * u)] if u else []
+        if m.gpow:
+            piece = RingElement.monomial(e.n, Monomial(m.tdeg, m.xdeg, m.gpow + 1), -c * m.gpow)
+            terms += (piece * dg).terms.items()  # through __mul__: the product cap applies
+        for m2, v in terms:
+            s = acc.get(m2, QZERO) + v
             if s == 0:
                 acc.pop(m2, None)
             else:
                 acc[m2] = s
-        if m.gpow:
-            piece = RingElement.monomial(e.n, Monomial(m.tdeg, m.xdeg, m.gpow + 1), -c * m.gpow)
-            out = out + piece * dg
-    return out + RingElement(e.n, acc)
+    return RingElement(e.n, acc)
 
 
 def partial_t(e: RingElement) -> RingElement:

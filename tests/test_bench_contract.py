@@ -83,9 +83,10 @@ def test_graded_queries_keep_one_assembly_per_window():
 
 
 def test_koszul_boundary_checks_are_traced():
-    # x1^2 over x1 at class 1: degree 0 is certified on the neighbourhood of
-    # its cycles, degree 1 falls back to its whole boundary matrix, and the
-    # top cokernel follows; every elimination is a counted span
+    # x1^2 over x1 at class 1: degree 0 has no cycle outside the span of the
+    # relations, degree 1 is checked on the neighbourhood of its cycles, then
+    # falls back to its whole boundary matrix, and the top cokernel follows;
+    # every elimination is a counted span
     tracing = load_tracing()
     modules = {"engine": engine, "parser": parser, "arrangements": arrangements,
                "rational": rational, "ring": ring}
@@ -96,7 +97,7 @@ def test_koszul_boundary_checks_are_traced():
         assert engine.koszul_cohomology(p, engine.default_schedule(p)[0]) == {0: 0, 1: 1, 2: 0}
     counts = [c for name, _t0, _t1, _parent, _q, c in tracer.spans
               if name == "linalg.rank_with_extension"]
-    assert len(counts) == 4  # h0 neighbourhood, h1 neighbourhood, h1 whole, top
+    assert len(counts) == 3  # h1 neighbourhood, h1 whole, top
     assert [span[0] for span in tracer.spans].count("engine.check_row_commutation") == 1
     for c in counts:
         assert set(c) == {"input_nnz", "pivots"} and all(isinstance(v, int) for v in c.values())

@@ -18,7 +18,6 @@ from gmexp.engine import (
     _koszul_differential,
     _relation_columns,
     _shift_analysis,
-    _stack,
     _top_cokernel,
     _top_image,
     _window_complex,
@@ -28,7 +27,7 @@ from gmexp.engine import (
     exponent_test,
     koszul_cohomology,
 )
-from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, rank_with_extension
+from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, quotient, rank_with_extension
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q, pair
@@ -185,6 +184,11 @@ def assert_columns(cols, expected):
     assert all(is_reduced_pair(v) for col in cols for v in col.values())
 
 
+def stacked(cols, copies, size):
+    """cols repeated in each of `copies` stacked copies of a size-row basis."""
+    return [{b * size + r: v for r, v in c.items()} for b in range(copies) for c in cols]
+
+
 def positions(win, n):
     """{monomial: its index in win.monomials(n)}, checked against win.layout(n)."""
     index = {m: i for i, m in enumerate(win.monomials(n))}
@@ -245,8 +249,6 @@ def test_stencil_assembly_matches_tree_walk(case):
 
         rel = tree_relations(p, win, index)
         assert_columns(_relation_columns(p, win, win_out), rel)
-        stacked = [{b * len(rows) + r: v for r, v in c.items()} for b in range(3) for c in rel]
-        assert_columns(_stack(_relation_columns(p, win, win_out), 3, len(rows)), stacked)
 
         by_deg = _koszul_bases(n)
         try:
@@ -280,6 +282,11 @@ def test_stencil_assembly_matches_tree_walk(case):
     assert full.targets == sorted(cx.targets.values())
     assert cx.relations == [c for c in ({r: v for r, v in col.items() if r < cx.mat.nrows}
                                         for col in full.relations) if c]
+    # the quotient map sends every relation column, in every stacked copy, to 0
+    nm = cx.mat.nrows
+    assert bool(cx.pi) is bool(cx.relations)
+    assert all(quotient({b * nm + r: v for r, v in col.items()}, cx.pi, nm) == {}
+               for b in range(3) for col in cx.relations)
 
     # d^j built at the interior cells alone (as koszul_cohomology builds it
     # for its cycles) is the matching columns of the full d^j, entry for
@@ -833,7 +840,7 @@ def test_koszul_certifies_boundaries_on_the_cycles_neighbourhood(monkeypatch):
     full = full_window(p, win)
     nm, sets = full.mat.nrows, len(_koszul_bases(2)[2])
     bcols = [col for col in differential(1, full.mat, 2).cols if col]
-    bcols += _stack(full.relations, sets, nm) + _stack(full.slack, sets, nm)
+    bcols += stacked(full.relations, sets, nm) + stacked(full.slack, sets, nm)
     assert len(bcols) == 1302
     stop = min(full.slack[0])
     boundary = {tuple(sorted((r // nm * stop + r % nm, v) for r, v in col.items()
@@ -845,17 +852,20 @@ def test_koszul_certifies_boundaries_on_the_cycles_neighbourhood(monkeypatch):
     assert all(a.ncols < len(bcols) for a, _extra in calls)
 
 
-@pytest.mark.parametrize("fs, gs, alpha, dims, near", [
-    ("x1^2", "x1", "1", {0: 0, 1: 1, 2: 0}, 1),
-    ("x1^4", "x1", "1/5", {0: 0, 1: 0, 2: 0}, 3),  # the bound is not the answer
-    ("x1^3", "x1", "1/3", {0: 0, 1: 1, 2: 1}, 1),
+@pytest.mark.parametrize("fs, gs, alpha, dims, extras", [
+    ("x1^2", "x1", "1", {0: 0, 1: 1, 2: 0}, [1, 1, 0]),
+    ("x1^3", "x1", "1/3", {0: 0, 1: 1, 2: 1}, [1, 1, 1]),
+    ("x1^2", "x1^2", "1/2", {0: 0, 1: 0, 2: 0}, [1, 0, 0]),  # the bound is not the answer
+    ("x1^4", "x1", "1/5", {0: 0, 1: 0, 2: 0}, [0, 0]),  # certified on the neighbourhood
 ])
 def test_koszul_falls_back_when_the_neighbourhood_does_not_certify(
-    monkeypatch, fs, gs, alpha, dims, near
+    monkeypatch, fs, gs, alpha, dims, extras
 ):
-    # degree 1 keeps cycles outside the span of the columns that meet them:
-    # the neighbourhood count is an upper bound, and the whole boundary
-    # matrix decides
+    # degree 0 keeps no cycle that the quotient map leaves non-zero, so it
+    # eliminates nothing; degree 1 checks its cycles on the neighbourhood
+    # first, and where cycles stay outside the span of the columns that meet
+    # them, that count is an upper bound and the whole boundary decides;
+    # the top cokernel follows
     counts = []
     real = engine.rank_with_extension
 
@@ -867,9 +877,36 @@ def test_koszul_falls_back_when_the_neighbourhood_does_not_certify(
     monkeypatch.setattr(engine, "rank_with_extension", recording)
     p = instance(fs, gs=gs, alpha=alpha)
     assert koszul_cohomology(p, default_schedule(p)[0]) == dims
-    # h0 certified, h1 on the neighbourhood then on every boundary column, top
-    (_, h0), (small, h1_near), (full, h1), _top = counts
-    assert (h0, h1_near, h1) == (0, near, dims[1]) and small < full
+    assert [extra for _ncols, extra in counts] == extras
+    if len(counts) == 3:  # h1 on the neighbourhood, then on every boundary column, top
+        (small, _), (full, h1), _top = counts
+        assert small < full and h1 == dims[1]
+
+
+# the koszul benchmark's shapes, x^w (1 - sum x)^w0 with weights (w0, w1, ...)
+# at a non-exponent class and x1^w over x1, rendered here, and two more
+KOSZUL_CORPUS = [
+    ("x1^3*(1-x1)^2", 1, "1", "1/5"),
+    ("x1^3*(1-x1)", 1, "1", "1/4"),
+    ("x1*(1-x1)^4", 1, "1", "1/3"),
+    ("x1^2*(1-x1)^3", 1, "1", "1/4"),
+    ("x1*x2*(1-x1-x2)", 2, "1", "1/4"),
+    ("x1^2*x2^2*(1-x1-x2)", 2, "1", "1/3"),
+    ("x1*x2^2*(1-x1-x2)^2", 2, "1", "1/5"),
+    ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4"),
+    ("x1^2", 1, "x1", "1/3"),
+    ("x1^3", 1, "x1", "1/4"),
+    ("x1^4", 1, "x1", "1/5"),
+    ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", "3/7"),
+    ("x1^2*ginv", 1, "1-x1", "1/2"),  # clear_g keeps a g-layer
+]
+
+# f that keep a g-layer: their brackets survive formally and vanish in k[x, 1/g]
+G_LAYERS = [
+    ("x1^3*ginv", 1, "x1^2+1", "1/3"),
+    ("x1*ginv^3", 1, "1+x1", "1/2"),
+    ("x1*x2*ginv", 2, "1-x1-x2", "1/3"),
+]
 
 
 def definition_koszul(p, win):
@@ -889,9 +926,6 @@ def definition_koszul(p, win):
     by_deg = _koszul_bases(p.n)
     d = [as_pairs(tree_koszul(p, j, win, index)) for j in range(p.n + 1)]
 
-    def stacked(cols, copies):
-        return [{b * nm + r: v for r, v in c.items()} for b in range(copies) for c in cols]
-
     dims = {}
     for j in range(p.n + 2):
         copies = len(by_deg[j])
@@ -901,33 +935,37 @@ def definition_koszul(p, win):
         if j <= p.n:
             up = len(by_deg[j + 1])
             kernel = nullspace(SparseMatrixQ(
-                up * nm, [d[j][c] for c, _ in cells] + stacked(rel, up)))
+                up * nm, [d[j][c] for c, _ in cells] + stacked(rel, up, nm)))
             zvecs = [z for z in ({cells[c][1]: v for c, v in vec.items() if c < len(cells)}
                                  for vec in kernel) if z]
         else:
             zvecs = [{r: pair(Q(1))} for _, r in cells]
-        bcols = (d[j - 1] if j else []) + stacked(rel, copies) + stacked(slack, copies)
+        bcols = (d[j - 1] if j else []) + stacked(rel, copies, nm) + stacked(slack, copies, nm)
         dims[j] = rank_with_extension(SparseMatrixQ(copies * nm, bcols), zvecs)[1]
     return dims
 
 
-@pytest.mark.parametrize("fs, n, gs, alpha", [
-    ("x1^2", 1, "x1", "1"),  # H^1 != 0
-    ("x1^3", 1, "x1", "1/3"),  # H^1 != 0
-    ("x1^4", 1, "x1", "1/5"),
-    ("x1^2*ginv", 1, "1-x1", "1/2"),  # a g-layer: certified in k[x, 1/g]
-    ("x1^3*ginv", 1, "x1^2+1", "1/3"),
-    ("x1^2*(1-x1)", 1, "1", "1/2"),
-    ("x1^2*(1-x1)", 1, "1", "1"),
-    ("x1^3*(1-x1)^2", 1, "1", "1/5"),
-    ("x1*x2*(1-x1-x2)", 2, "1", "1/4"),
-    ("x1^2+x2^3", 2, "1", "5/6"),  # Brieskorn-Pham exponent classes, graded top
-    ("x1^3+x2^3", 2, "1", "2/3"),
-    ("x1*x2*x3", 3, "1", "1"),  # an arrangement, non-zero in degrees 1 to 4
+@pytest.mark.parametrize("fs, n, gs, alpha, window", [
+    ("x1^2", 1, "x1", "1", 0),  # H^1 != 0
+    ("x1^2", 1, "x1", "1", 1),
+    ("x1^3", 1, "x1", "1/3", 0),  # H^1 != 0
+    ("x1^3", 1, "x1", "1/3", 1),
+    ("x1^2", 1, "x1^2", "1/2", 0),  # the neighbourhood bound is not the answer
+    ("x1^2*(1-x1)", 1, "1", "1/2", 0),
+    ("x1^2*(1-x1)", 1, "1", "1", 0),
+    ("x1^3*(1-x1)^2", 1, "1", "1/5", 0),
+    ("x1*x2*(1-x1-x2)", 2, "1", "1/4", 0),
+    ("x1^2+x2^3", 2, "1", "5/6", 0),  # Brieskorn-Pham exponent classes, graded top
+    ("x1^3+x2^3", 2, "1", "2/3", 0),
+    ("x1*x2*x3", 3, "1", "1", 0),  # an arrangement, non-zero in degrees 1 to 4
+] + [  # every localized case of KOSZUL_CORPUS and G_LAYERS, at windows 0 and 1
+    (fs, n, gs, alpha, window)
+    for fs, n, gs, alpha in KOSZUL_CORPUS + G_LAYERS if gs != "1"
+    for window in ((0,) if n == 2 else (0, 1))  # x1*x2*ginv: 30 s at window 1, 2 s at 0
 ])
-def test_koszul_cohomology_matches_the_unit_slack_definition(fs, n, gs, alpha):
+def test_koszul_cohomology_matches_the_unit_slack_definition(fs, n, gs, alpha, window):
     p = instance(fs, n=n, gs=gs, alpha=alpha)
-    win = default_schedule(p)[0]
+    win = default_schedule(p)[window]
     assert koszul_cohomology(p, win) == definition_koszul(p, win)
 
 
@@ -1014,31 +1052,6 @@ def test_certificate_accepts_the_components_of_any_instance(case):
     n, fs, gs, alpha, _win = case
     assert check_row_commutation(instance(fs, n=n, gs=gs, alpha=alpha))
 
-
-# the koszul benchmark's shapes, x^w (1 - sum x)^w0 with weights (w0, w1, ...)
-# at a non-exponent class and x1^w over x1, rendered here, and two more
-KOSZUL_CORPUS = [
-    ("x1^3*(1-x1)^2", 1, "1", "1/5"),
-    ("x1^3*(1-x1)", 1, "1", "1/4"),
-    ("x1*(1-x1)^4", 1, "1", "1/3"),
-    ("x1^2*(1-x1)^3", 1, "1", "1/4"),
-    ("x1*x2*(1-x1-x2)", 2, "1", "1/4"),
-    ("x1^2*x2^2*(1-x1-x2)", 2, "1", "1/3"),
-    ("x1*x2^2*(1-x1-x2)^2", 2, "1", "1/5"),
-    ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4"),
-    ("x1^2", 1, "x1", "1/3"),
-    ("x1^3", 1, "x1", "1/4"),
-    ("x1^4", 1, "x1", "1/5"),
-    ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", "3/7"),
-    ("x1^2*ginv", 1, "1-x1", "1/2"),  # clear_g keeps a g-layer
-]
-
-# f that keep a g-layer: their brackets survive formally and vanish in k[x, 1/g]
-G_LAYERS = [
-    ("x1^3*ginv", 1, "x1^2+1", "1/3"),
-    ("x1*ginv^3", 1, "1+x1", "1/2"),
-    ("x1*x2*ginv", 2, "1-x1-x2", "1/3"),
-]
 
 # the sweep benchmark's shapes at each of their classes, rendered here
 SWEEP_SHAPES = (

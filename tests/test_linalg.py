@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gmexp import linalg
 from gmexp.engine import ProblemInstance, default_schedule, exponent_test, koszul_cohomology
-from gmexp.linalg import SparseMatrixQ, nullspace, rank_with_extension
+from gmexp.linalg import SparseMatrixQ, nullspace, quotient, quotient_map, rank_with_extension
 from gmexp.parser import parse_poly
 from gmexp.rational import Q, pair
 
@@ -104,6 +104,101 @@ def test_nullspace_rank_nullity(rows):
         assert all(is_reduced_pair(v) for v in vec.values())
         for r in range(m.nrows):
             assert sum((Q(*m.cols[c].get(r, (0, 1))) * Q(*v) for c, v in vec.items()), Q(0)) == 0
+
+
+def back_substituted_nullspace(a):
+    """nullspace as it was before its early return: the back-substitution
+    runs whatever the pivot count, the reference for the full-rank case."""
+    elim = linalg._Eliminator(a.cols)
+    elim.eliminate(range(a.ncols))
+    solved = {}
+    for r, pc in reversed(elim.pivots):
+        row = elim.rows[r]
+        coord = {}
+        for c, v in row.items():
+            if c == pc:
+                continue
+            fn, fd = linalg._ratio(v, row[pc])
+            for f, (xn, xd) in solved.get(c, {c: (1, 1)}).items():
+                tn, td = fn * xn, fd * xd
+                cn, cd = coord.get(f, (0, 1))
+                n, d = cn * td + tn * cd, cd * td
+                if n == 0:
+                    del coord[f]
+                else:
+                    g = gcd(n, d)
+                    coord[f] = (n // g, d // g)
+        solved[pc] = coord
+    basis = {c: {c: (1, 1)} for c in range(a.ncols) if c not in solved}
+    for _r, pc in elim.pivots:
+        for f, v in solved[pc].items():
+            basis[f][pc] = v
+    return list(basis.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, wide_matrices, matrices.map(lambda rows: rows + [
+    [Q(int(i == j)) for j in range(len(rows[0]))] for i in range(len(rows[0]))])))
+def test_nullspace_returns_early_when_every_column_pivots(rows):
+    # the same basis as the back-substitution, which runs only when some
+    # column is free (the third strategy stacks an identity: full column rank)
+    m = from_dense(rows)
+    ratios = []
+    real = linalg._ratio
+    with mock.patch.object(linalg, "_ratio", lambda a, p: ratios.append(1) or real(a, p)):
+        basis = nullspace(m)
+    assert basis == back_substituted_nullspace(m)
+    if rank(m) == m.ncols:
+        assert basis == [] and ratios == []
+
+
+def column_strategy(nrows):
+    """Up to five columns over nrows rows, about half their entries 0."""
+    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-4, 4), st.integers(1, 3)))
+    return st.lists(st.lists(entry, min_size=nrows, max_size=nrows), max_size=5).map(
+        lambda cols: [{r: pair(v) for r, v in enumerate(col) if v} for col in cols])
+
+
+quotient_cases = st.integers(1, 6).flatmap(
+    lambda nrows: st.tuples(st.just(nrows), column_strategy(nrows), column_strategy(nrows)))
+
+
+def in_span(nrows, cols, vec):
+    """Whether vec lies in the span of cols."""
+    return rank_with_extension(SparseMatrixQ(nrows, cols), [vec])[1] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_cases)
+@example((3, [{0: (1, 1), 1: (-1, 1)}, {1: (1, 1), 2: (-1, 1)}], [{2: (1, 1)}, {0: (2, 1)}]))
+def test_quotient_map_quotients_the_span(case):
+    nrows, rel, d = case
+    pi = quotient_map(rel)
+    # eliminated rows map to free rows only, one per independent relation
+    assert len(pi) == rank(SparseMatrixQ(nrows, rel))
+    assert all(set(img).isdisjoint(pi) for img in pi.values())
+    assert all(is_reduced_pair(v) for img in pi.values() for v in img.values())
+    # pi vanishes exactly on span(R)
+    assert all(quotient(col, pi, nrows) == {} for col in rel)
+    pd = [quotient(col, pi, nrows) for col in d]
+    assert all(is_reduced_pair(v) for col in pd for v in col.values())
+    assert [not col for col in pd] == [in_span(nrows, rel, col) for col in d]
+    # rank(pi D) = rank([R | D]) - rank(R)
+    assert rank(SparseMatrixQ(nrows, pd)) == rank_with_extension(SparseMatrixQ(nrows, rel), d)[1]
+    # nullspace(pi D) spans {z : D z in span R}
+    basis = nullspace(SparseMatrixQ(nrows, pd))
+    assert len(basis) == len(d) - rank(SparseMatrixQ(nrows, pd))
+    for z in basis:
+        dz = {}
+        for c, v in z.items():
+            for r, x in d[c].items():
+                dz[r] = dz.get(r, Q(0)) + Q(*v) * Q(*x)
+        assert in_span(nrows, rel, {r: pair(v) for r, v in dz.items() if v})
+    # over stacked copies of the rows, pi acts on each copy alone
+    for col in d:
+        stacked = {**col, **{nrows + r: v for r, v in col.items()}}
+        alone = quotient(col, pi, nrows)
+        assert quotient(stacked, pi, nrows) == {**alone, **{nrows + r: v for r, v in alone.items()}}
 
 
 class _RecordingEliminator(linalg._Eliminator):

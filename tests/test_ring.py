@@ -94,6 +94,55 @@ def test_partial_x_quotient_rule():
     assert got == expected
 
 
+def summed_partial_x(i, e, g):
+    """d/dx_i as a sum of RingElements, one per term: the reference the
+    single-dict accumulation of partial_x is checked against."""
+    dg = ring._poly_partial(i, g)
+    out = RingElement.zero(e.n)
+    for m, c in e.terms.items():
+        u = m.xdeg[i - 1]
+        if u:
+            out = out + RingElement.monomial(e.n, Monomial(m.tdeg, ring._dec(m.xdeg, i - 1),
+                                                           m.gpow), c * u)
+        if m.gpow:
+            out = out + RingElement.monomial(
+                e.n, Monomial(m.tdeg, m.xdeg, m.gpow + 1), -c * m.gpow) * dg
+    return out
+
+
+@given(elem(allow_g=True), st.integers(1, 2),
+       st.sampled_from(["1 - x1 - x2", "x1", "x1*x2 + 3*x2^2", "1"]))
+def test_partial_x_adds_no_ring_elements(e, i, gs):
+    # every term goes into one dict, so a derivative is linear in f's terms:
+    # no RingElement.__add__ per g-layer term, and the same result as the sum
+    g = parse_poly(gs, 2)
+    want = summed_partial_x(i, e, g)
+    calls = []
+    real = RingElement.__add__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    RingElement.__add__ = counting  # by hand: Hypothesis runs many examples per fixture
+    try:
+        got = partial_x(i, e, g)
+    finally:
+        RingElement.__add__ = real
+    assert got == want
+    assert_canonical(got)
+    assert calls == []
+
+
+def test_partial_x_keeps_the_product_cap(monkeypatch):
+    # each g-layer term's product with d_i g still goes through __mul__
+    g, f, df = (parse_poly(s, 1) for s in ("1 - x1", "x1^3", "3*x1^2"))
+    monkeypatch.setattr(ring, "MAX_PRODUCT_WORK", 0)
+    with pytest.raises(ResourceLimitError):
+        partial_x(1, RingElement.monomial(1, Monomial(0, (2,), 1)), g)  # x^2 / g
+    assert partial_x(1, f, g) == df  # no g-layer: no product
+
+
 def test_pow_and_scale():
     x = RingElement.var(2, 1)
     y = RingElement.var(2, 2)
