@@ -83,24 +83,37 @@ def test_graded_queries_keep_one_assembly_per_window():
 
 
 def test_koszul_boundary_checks_are_traced():
-    # x1^2 over x1 at class 1: degree 0 has no cycle outside the span of the
-    # relations, degree 1 is checked on the neighbourhood of its cycles, then
-    # falls back to its whole boundary matrix, and the top cokernel follows;
-    # every elimination is a counted span
+    # x1^2 over x1 at class 1, graded: one assembly of the window's weight
+    # blocks, smaller than the window; degree 0 has no cycle outside the
+    # span of the relations, degree 1 is checked on the neighbourhood of its
+    # cycles, then falls back to its whole block boundary, and the top
+    # cokernel follows; every elimination is a counted span.  At class 1/3,
+    # off the weight lattice, only the commutation certificate runs
     tracing = load_tracing()
     modules = {"engine": engine, "parser": parser, "arrangements": arrangements,
                "rational": rational, "ring": ring}
     tracer = tracing.Tracer(modules)
-    with tracer.installed():
-        p = engine.ProblemInstance(n=1, f=parser.parse_poly("x1^2", 1),
-                                   g=parser.parse_poly("x1", 1), alpha="1")
-        assert engine.koszul_cohomology(p, engine.default_schedule(p)[0]) == {0: 0, 1: 1, 2: 0}
-    counts = [c for name, _t0, _t1, _parent, _q, c in tracer.spans
-              if name == "linalg.rank_with_extension"]
-    assert len(counts) == 3  # h1 neighbourhood, h1 whole, top
-    assert [span[0] for span in tracer.spans].count("engine.check_row_commutation") == 1
-    for c in counts:
-        assert set(c) == {"input_nnz", "pivots"} and all(isinstance(v, int) for v in c.values())
+    for alpha, dims, assembled, nullspaces, eliminations in [
+        ("1", {0: 0, 1: 1, 2: 0}, 1, 2, 3),
+        ("1/3", {0: 0, 1: 0, 2: 0}, 0, 0, 0),
+    ]:
+        tracer.spans.clear()
+        with tracer.installed():
+            p = engine.ProblemInstance(n=1, f=parser.parse_poly("x1^2", 1),
+                                       g=parser.parse_poly("x1", 1), alpha=alpha)
+            win = engine.default_schedule(p)[0]
+            assert engine.koszul_cohomology(p, win) == dims
+        counts: dict = {}
+        for name, _t0, _t1, _parent, _q, c in tracer.spans:
+            counts.setdefault(name, []).append(c)
+        ranks = counts.get("linalg.rank_with_extension", [])
+        assert len(ranks) == eliminations  # h1 neighbourhood, h1 whole, top
+        assert len(counts.get("linalg.nullspace", [])) == nullspaces  # degrees 0 and 1
+        assert counts["engine.check_row_commutation"] == [None]
+        cells = [c["cells"] for c in counts.get("engine.assemble_phi", [])]
+        assert len(cells) == assembled and all(0 < c < 2 * win.size(1) for c in cells)
+        for c in ranks:
+            assert set(c) == {"input_nnz", "pivots"} and all(isinstance(v, int) for v in c.values())
 
 
 def test_run_calls_keep_working():
