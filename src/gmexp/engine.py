@@ -105,20 +105,24 @@ columns, as above.  h(r) is a combination of the rel(x_i b) and rel(b / t)
 over the generators b that r uses: none for g = 1.  For g = c x^v each
 relation column meets b and x^v b / g only, so they are independent and
 r's coefficients unique; along a chain b, x^v b / g, ... a run of used
-columns is followed by a row of r.  A row of r is an interior cell moved by a component:
-at most dg up in g-power and x_margin - 1 up in x-degree (clear_g writes f
-over one power of g, d_i f is at most deg g - 1 above it, and division by
-a monomial g lowers degree), and into t-degrees tmin + 1 .. tmax - 1.  So
-each b has g-power <= gmax - dg - 1 and x-degree <= xmax - 1 - deg g, and
-x_i b and b / t are cells whose relations are relation columns.  Off the
-slack rows z is in the span of the boundary and relation columns, of its
-block alone.  (Degree n+1 is the theorem above.)
+columns is followed by a row of r.  A row of r is an interior cell moved
+by a component: at most dg up in g-power and x_margin - 1 up in x-degree
+(clear_g writes f over one power of g, d_i f is at most deg g - 1 above
+it, and division by a monomial g lowers degree), and into t-degrees
+tmin + 1 .. tmax - 1.  So each b has g-power <= gmax - dg - 1 and
+x-degree <= xmax - 1 - deg g, and x_i b and b / t are cells whose
+relations are relation columns.  Off the slack rows z is in the span of
+the boundary and relation columns, of its block alone.  (Degree n+1 is
+the theorem above.)  Every x-degree here, of a cell, of g and of the
+margins, is a total degree, so a monomial g in several variables is no
+different.
 
-So koszul_cohomology, under a certified grading with g = 1 or a monomial
-of positive degree, gives the copy of S only the cells of weight lambda*
-- sum_{i not in S} s_i (_blocks), the rule _kept applies to degree n+1,
-and answers 0 in every degree, with nothing assembled, when all of them
-are empty; any other g keeps the whole window in degrees 0..n.
+So only the copy of S at the cells of weight lambda* - sum_{i not in S}
+s_i, the rule _kept applies to degree n+1, can carry cohomology.  When
+alpha is off the weight lattice none of them has a cell, and
+koszul_cohomology, under a certified grading with g = 1 or a monomial of
+positive degree, answers 0 in every degree with nothing assembled.  Every
+other query builds the whole window in degrees 0..n.
 
 Degree n+1 of a window is its target rows modulo the span of the
 component columns, the relation columns and the slack (the slack quotient
@@ -777,36 +781,29 @@ def _k_span(box: Optional[tuple], u: tuple, m: int) -> tuple:
 def _relation_columns(
     p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow,
     grading: Optional[_Grading] = None, stop: Optional[int] = None,
-    cells: Optional[Sequence[int]] = None,
 ) -> list[dict]:
     """Columns mono * (g * g^-(m+1) - g^-m) over win's basis, for the
-    monomials of gens at the positions cells (default: all, or those of the
-    top weight with a grading) whose relation lies inside win, without
-    their rows >= stop.  A relation keeps t, so one at or past stop's
-    t-layer is all cut, and is left out."""
+    monomials of gens (of the top weight, with a grading) whose relation
+    lies inside win, without their rows >= stop.  A relation keeps t, so
+    one at or past stop's t-layer is all cut, and is left out."""
     if p.g.is_one():
         return []
-    if cells is None:
-        cells = _cells(gens, p.n, grading)
-    cols = _stencil_columns(p.stencils[1], cells, gens, win, p.n, stop)
+    cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), gens, win, p.n, stop)
     return [c for c in cols if c]
 
 
 class _WindowComplex(NamedTuple):
     """Degrees 0..n of one window's complex, built once from (p, win), with
-    the slack rows quotiented out (module docstring): blocks, the cells of
-    each copy (_blocks); the component images (assemble_phi from win to its
-    output window win_out), component i at the cells of the copies it maps
-    from, and comps[i], {position in win: column} of them; the relation
-    columns generated at the cells of the blocks, over the same rows; and
-    the quotient map by their span (linalg.quotient_map, empty when g = 1),
-    which degrees 0..n apply to each copy of the rows in place of the
-    relation columns."""
+    the slack rows quotiented out (module docstring): the component images
+    (assemble_phi from win to its output window win_out), the relation
+    columns generated in win over the same rows, the quotient map by their
+    span (linalg.quotient_map, empty when g = 1), which degrees 0..n apply
+    to each copy of the rows in place of the relation columns, and targets,
+    {position in win: row in win_out} of each interior cell."""
 
     mat: SparseMatrixQ
-    comps: tuple[dict[int, dict], ...]
-    blocks: dict[tuple, tuple]
     relations: list[dict]
+    targets: dict[int, int]
     win: DegreeWindow
     win_out: DegreeWindow
     pi: dict[int, dict]
@@ -819,51 +816,20 @@ class _WindowComplex(NamedTuple):
         return [quotient(col, self.pi, self.mat.nrows) for col in cols]
 
 
-def _blocks(
-    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading]
-) -> dict[tuple, tuple]:
-    """{S: (cells, targets)} for each subset S of {0..n}, sorted: the
-    positions of win, ascending, that the copy of S takes, and {position in
-    win: row in win_out} of its interior cells.  Every cell, or with a
-    grading the block of the every-degree theorem (module docstring): the
-    cells _cells gives for the sum of grading.shifts over i not in S.
-    Copies of one shift share the pair."""
-    n, inner, win_out = p.n, sh.interior(win), sh.output_window(win)
-    shifts = grading.shifts if grading else (0,) * (n + 1)
-    made: dict[int, tuple] = {}
-    out = {}
-    for s in itertools.chain.from_iterable(_koszul_bases(n)):
-        shift = sum(shifts[i] for i in range(n + 1) if i not in s)
-        if shift not in made:
-            made[shift] = (_cells(win, n, grading, shift), dict(zip(
-                _cells(inner, n, grading, shift, at=win),
-                _cells(inner, n, grading, shift, at=win_out))))
-        out[s] = made[shift]
-    return out
-
-
-def _union(parts: list[Sequence[int]]) -> Sequence[int]:
-    """The ascending union of ascending position lists, each shared list
-    counted once; that list itself when there is one."""
-    parts = list({id(q): q for q in parts}.values())
-    return parts[0] if len(parts) == 1 else sorted(set().union(*parts))
-
-
-def _window_complex(
-    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, blocks: Optional[dict] = None
-) -> _WindowComplex:
-    """The complex of (p, win) on blocks (default: every cell of every
-    copy), every column cut at the slack tail."""
-    n, win_out = p.n, sh.output_window(win)
-    if blocks is None:
-        blocks = _blocks(p, win, sh, None)
-    cells = [_union([qs for s, (qs, _) in blocks.items() if i not in s]) for i in range(n + 1)]
-    mat = assemble_phi(p, win, win_out, cells)
-    cols = iter(mat.cols)
-    comps = tuple(dict(zip(qs, cols)) for qs in cells)
-    every = _union([qs for qs, _ in blocks.values()])
-    relations = _relation_columns(p, win, win_out, stop=mat.nrows, cells=every)
-    return _WindowComplex(mat, comps, blocks, relations, win, win_out, quotient_map(relations))
+def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
+    """The complex of (p, win), every column cut at the slack tail."""
+    win_out = sh.output_window(win)
+    mat = assemble_phi(p, win, win_out)
+    inner = sh.interior(win)
+    relations = _relation_columns(p, win, win_out, stop=mat.nrows)
+    return _WindowComplex(
+        mat,
+        relations,
+        dict(zip(_cells(inner, p.n, at=win), _cells(inner, p.n, at=win_out))),
+        win,
+        win_out,
+        quotient_map(relations),
+    )
 
 
 def _top_image(
@@ -883,9 +849,9 @@ def _top_image(
     if cx is None:
         mat = assemble_phi(p, win, win_out, kept)
         cols = mat.cols
-    else:
-        mat = cx.mat
-        cols = [cx.comps[ci][q] for ci, qs in enumerate(kept) for q in qs]
+    else:  # column ci * win.size(n) + q of cx.mat is component ci at cell q
+        mat, size = cx.mat, win.size(p.n)
+        cols = [mat.cols[ci * size + q] for ci, qs in enumerate(kept) for q in qs]
     relations = (cx.relations if cx and grading is None
                  else _relation_columns(p, win, win_out, grading, mat.nrows))
     targets = _cells(sh.interior(win), p.n, grading, at=win_out)
@@ -970,31 +936,32 @@ def _koszul_bases(n: int):
     return [list(itertools.combinations(range(n + 1), j)) for j in range(n + 2)]
 
 
-def _koszul_differential(
-    j: int, comps: Sequence, nrows: int, by_deg: list, cells: list[Sequence[int]]
-) -> SparseMatrixQ:
-    """d^j from K^j(win) to K^(j+1)(win_out), exact, over nrows rows per
-    copy (those below the slack tail), for by_deg = _koszul_bases(n) and
-    comps[i][q] the column of component i at the position q of win: the
-    copy of by_deg[j][k] at the positions cells[k], copy after copy, each
-    column signed slices of the component columns, each odd-signed pair
-    (num, den) written (-num, den)."""
+def _koszul_differential(j: int, mat: SparseMatrixQ, by_deg: list, cells=None) -> SparseMatrixQ:
+    """d^j from K^j(win) to K^(j+1)(win_out), exact, at the positions cells
+    of win (default: all), for mat = assemble_phi(p, win, win_out) and
+    by_deg = _koszul_bases(n), so over mat's rows below the slack tail.
+    K^j has one copy of cells per j-subset of {0..n}, column k * len(cells)
+    + i of d^j the cells[i] of the copy of by_deg[j][k]: signed slices of
+    mat's component columns, each odd-signed pair (num, den) written
+    (-num, den)."""
     n = len(by_deg) - 2
+    dom = mat.ncols // (n + 1)
+    images = [mat.cols[i * dom : (i + 1) * dom] for i in range(n + 1)]
     cod_pos = {s: k for k, s in enumerate(by_deg[j + 1])}
     cols = []
-    for s, qs in zip(by_deg[j], cells):
+    for s in by_deg[j]:
         # component i maps the copy of s to that of s + {i}, sign (-1)^#{x in s: x < i}
         parts = [
-            (comps[i], cod_pos[tuple(sorted(s + (i,)))] * nrows, sum(x < i for x in s) % 2)
+            (images[i], cod_pos[tuple(sorted(s + (i,)))] * mat.nrows, sum(x < i for x in s) % 2)
             for i in range(n + 1)
             if i not in s
         ]
         cols += (
             {b + r: (-v[0], v[1]) if odd else v
              for img, b, odd in parts for r, v in img[mi].items()}
-            for mi in qs
+            for mi in (range(dom) if cells is None else cells)
         )
-    return SparseMatrixQ(len(cod_pos) * nrows, cols)
+    return SparseMatrixQ(len(cod_pos) * mat.nrows, cols)
 
 
 def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
@@ -1013,19 +980,18 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     relation set, generated in win: as columns in degree n+1, and through
     its quotient map, built once, in degrees 0..n (module docstring).
 
-    Where p.grading certifies the grading and g is 1 or a monomial of
-    positive degree, each copy takes only its block of the every-degree
-    theorem (module docstring; _blocks) and, when every block is empty
-    (alpha off the weight lattice), every degree is 0 with nothing
-    assembled or eliminated.  Any other g takes every cell in degrees 0..n.
-    The caps count the whole window.
-
     A degree's cycles are first checked against the boundary columns that
     share a row with one of them, built only at the cells those rows reach
     back through the stencils' shifts (_near_boundary).  Those columns are a
     subset of all the boundary columns, so when they already span every
     cycle the degree is exactly 0; otherwise the whole boundary matrix is
     built and eliminated.
+
+    Where p.grading certifies the grading, g is 1 or a monomial of
+    positive degree and alpha is off the weight lattice (no cell has the
+    weight of any copy's block), every degree is 0 by the every-degree
+    theorem (module docstring), with nothing assembled or eliminated.  The
+    caps still count the whole window.
 
     The components must commute pairwise in k((t))[x, 1/g]:
     check_row_commutation certifies it on the stencils, once per call, with
@@ -1037,11 +1003,15 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     if not check_row_commutation(p):
         raise ValueError("row components do not commute; assembly is inconsistent")
     sh = _shift_analysis(p)
+    sh.interior(win)  # a window with no interior is refused before any answer
+    grading = p.grading
     proved = p.g.is_one() or (len(p.g.terms) == 1 and p.g.max_xdeg() > 0)
-    blocks = _blocks(p, win, sh, p.grading if proved else None)
-    if not any(qs for qs, _ in blocks.values()):
+    if grading and proved and not any(
+        _cells(win, p.n, grading, sum(s))
+        for k in range(p.n + 2) for s in itertools.combinations(grading.shifts, k)
+    ):  # alpha off the weight lattice: every degree is 0 (module docstring)
         return dict.fromkeys(range(p.n + 2), 0)
-    cx = _window_complex(p, win, sh, blocks)
+    cx = _window_complex(p, win, sh)
     dims = {j: _koszul_h(p, j, cx, by_deg) for j in range(p.n + 1)}
     dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading, cx))
     return dims
@@ -1052,18 +1022,16 @@ def _koszul_h(p: ProblemInstance, j: int, cx: _WindowComplex, by_deg) -> int:
     slack tail of each copy, modulo the relations: the rank of pi of the
     interior cycles modulo pi of the boundaries, for pi the window's
     quotient map (cx.pi), which equals the rank of the cycles modulo the
-    boundaries and the relation columns stacked in each copy.  Every copy
-    is taken at its block's cells (cx.blocks).
+    boundaries and the relation columns stacked in each copy.
 
     The neighbourhood certificate eliminates first only the columns of
     d^(j-1) that meet a cycle before pi, built at the cells _near_boundary
     finds from the cycle rows alone.  A vector in the span of a subset of
     the columns is in the span of all of them, so an extension rank of 0
     there is exact; any other count is only an upper bound, and the whole
-    boundary matrix, d^(j-1) at every cell of each copy's block, is built
-    and eliminated instead.  Cycles that pi sends to 0 lie in the span of
-    the relations and are dropped.  Degree 0 has no boundary: the rank of
-    its cycles is the answer."""
+    boundary matrix, d^(j-1) at every cell, is built and eliminated instead.
+    Cycles that pi sends to 0 lie in the span of the relations and are
+    dropped.  Degree 0 has no boundary: the rank of its cycles is the answer."""
     cycles = _interior_cycles(j, cx, by_deg)
     kept = [(z, zq) for z, zq in zip(cycles, cx.reduce(cycles)) if zq]
     if not kept:
@@ -1076,23 +1044,22 @@ def _koszul_h(p: ProblemInstance, j: int, cx: _WindowComplex, by_deg) -> int:
     if extra == 0 or j == 0:
         return extra
     # a non-zero count there is only an upper bound: eliminate everything
-    cells = [cx.blocks[s][0] for s in by_deg[j - 1]]
-    whole = cx.reduce(_koszul_differential(j - 1, cx.comps, cx.mat.nrows, by_deg, cells).cols)
+    whole = cx.reduce(_koszul_differential(j - 1, cx.mat, by_deg).cols)
     _, extra = rank_with_extension(SparseMatrixQ(nrows, [col for col in whole if col]), zvecs)
     return extra
 
 
 def _interior_cycles(j: int, cx: _WindowComplex, by_deg) -> list[dict]:
     """The interior cycles of degree j, as {row of K^j(win_out): (num, den)}:
-    a basis of the kernel of pi(d^j) built at the interior cells of each
-    copy's block (cx.blocks), for pi the quotient map cx.pi, so of {z : d^j
-    z in the span of the relations}.  Only finitely supported cycles are
-    detected (closing up to the localization relations), so lower-degree
-    dimensions are lower bounds."""
+    a basis of the kernel of pi(d^j) built at the interior cells alone, for
+    pi the quotient map cx.pi, so of {z : d^j z in the span of the
+    relations}.  Only finitely supported cycles are detected (closing up to
+    the localization relations), so lower-degree dimensions are lower
+    bounds."""
     nm = cx.mat.nrows
-    targets = [cx.blocks[s][1] for s in by_deg[j]]
-    mat_j = _koszul_differential(j, cx.comps, nm, by_deg, targets)
-    rows = [k * nm + r for k, tg in enumerate(targets) for r in tg.values()]
+    interior = sorted(cx.targets)
+    mat_j = _koszul_differential(j, cx.mat, by_deg, interior)
+    rows = [k * nm + cx.targets[q] for k in range(len(by_deg[j])) for q in interior]
     kernel = nullspace(SparseMatrixQ(mat_j.nrows, cx.reduce(mat_j.cols)))
     return [{rows[c]: v for c, v in vec.items()} for vec in kernel]
 
@@ -1105,29 +1072,24 @@ def _near_boundary(
     one.  Component i maps the copy of S - {i} into that of S, and its
     column at a cell c holds rows c + s only, for s the shifts of its
     stencil; so a row of the copy of S = by_deg[j][k] at position r of
-    win_out is met only by the columns of the copies of S - {i}, i in S, at
-    the cells r - s of win for the shifts s of component i, decoded by
-    win_out.layer and placed by win.layout.  Component i moves the weight
-    by its shift, so with a grading those cells lie in their copy's block."""
+    win_out is met only by columns at the cells r - s of win, for the shifts
+    s of the components i in S, decoded by win_out.layer and placed by
+    win.layout."""
     win, win_out, n, nm = cx.win, cx.win_out, p.n, cx.mat.nrows
     xrow, tsize = win.layout(n)
     layer_out, tsize_out = win_out.layer(n), win_out.layout(n)[1]
     dk = win_out.tmin - win.tmin  # a t-index of win_out, as one of win
     shifts = [[s for s, *_ in comp] for comp in p.stencils[0]]
-    below = {s: k for k, s in enumerate(by_deg[j - 1])}
-    # for each copy of degree j, (the cells of which copy, the shifts) per i in it
-    by_copy = [[(below[tuple(x for x in sets if x != i)], shifts[i]) for i in sets]
-               for sets in by_deg[j]]
-    cells: list[set[int]] = [set() for _ in by_deg[j - 1]]
+    by_copy = [[s for i in sets for s in shifts[i]] for sets in by_deg[j]]
+    cells = set()
     for z in zrows:
         k, r = divmod(z, nm)
         kt, (u, m) = r // tsize_out + dk, layer_out[r % tsize_out]
-        for into, moves in by_copy[k]:
-            for dt, dg, *dx in moves:
-                kc, mc = kt - dt, m - dg
-                if 0 <= kc <= win.tmax - win.tmin and 0 <= mc <= win.gmax:
-                    x = xrow.get(tuple([a - b for a, b in zip(u, dx)]))
-                    if x is not None:
-                        cells[into].add(kc * tsize + x + mc)
-    cols = _koszul_differential(j - 1, cx.comps, nm, by_deg, [sorted(c) for c in cells]).cols
+        for dt, dg, *dx in by_copy[k]:
+            kc, mc = kt - dt, m - dg
+            if 0 <= kc <= win.tmax - win.tmin and 0 <= mc <= win.gmax:
+                x = xrow.get(tuple([a - b for a, b in zip(u, dx)]))
+                if x is not None:
+                    cells.add(kc * tsize + x + mc)
+    cols = _koszul_differential(j - 1, cx.mat, by_deg, sorted(cells)).cols
     return [col for col in cols if not zrows.isdisjoint(col)]

@@ -83,12 +83,12 @@ def test_graded_queries_keep_one_assembly_per_window():
 
 
 def test_koszul_boundary_checks_are_traced():
-    # x1^2 over x1 at class 1, graded: one assembly of the window's weight
-    # blocks, smaller than the window; degree 0 has no cycle outside the
-    # span of the relations, degree 1 is checked on the neighbourhood of its
-    # cycles, then falls back to its whole block boundary, and the top
-    # cokernel follows; every elimination is a counted span.  At class 1/3,
-    # off the weight lattice, only the commutation certificate runs
+    # x1^2 over x1 at class 1: one assembly of the whole window; degree 0
+    # has no cycle outside the span of the relations, degree 1 is checked on
+    # the neighbourhood of its cycles, then falls back to its whole boundary
+    # matrix, and the top cokernel follows; every elimination is a counted
+    # span.  At class 1/3, graded and off the weight lattice, only the
+    # commutation certificate runs
     tracing = load_tracing()
     modules = {"engine": engine, "parser": parser, "arrangements": arrangements,
                "rational": rational, "ring": ring}
@@ -111,7 +111,7 @@ def test_koszul_boundary_checks_are_traced():
         assert len(counts.get("linalg.nullspace", [])) == nullspaces  # degrees 0 and 1
         assert counts["engine.check_row_commutation"] == [None]
         cells = [c["cells"] for c in counts.get("engine.assemble_phi", [])]
-        assert len(cells) == assembled and all(0 < c < 2 * win.size(1) for c in cells)
+        assert cells == [2 * win.size(1)] * assembled
         for c in ranks:
             assert set(c) == {"input_nnz", "pivots"} and all(isinstance(v, int) for v in c.values())
 

@@ -127,19 +127,8 @@ def tree_koszul(p, j, win_in, index):
 
 
 def differential(j, mat, n, cells=None):
-    """d^j by _koszul_differential, for mat every component's column at
-    every cell (column i * dom + q is component i at cell q), each copy at
-    the cells given (default: all)."""
-    by_deg, dom = _koszul_bases(n), mat.ncols // (n + 1)
-    comps = [mat.cols[i * dom:(i + 1) * dom] for i in range(n + 1)]
-    cells = range(dom) if cells is None else cells
-    return _koszul_differential(j, comps, mat.nrows, by_deg, [cells] * len(by_deg[j]))
-
-
-def every_target(cx):
-    """{position in win: row in win_out} of every interior cell, from a
-    window complex on every cell, where each copy has them all."""
-    return cx.blocks[()][1]
+    """d^j by _koszul_differential."""
+    return _koszul_differential(j, mat, _koszul_bases(n), cells)
 
 
 class FullWindow(NamedTuple):
@@ -286,13 +275,11 @@ def test_stencil_assembly_matches_tree_walk(case):
     index_in, index_out = positions(big, n), positions(out, n)
     cx = _window_complex(p, big, sh)
     interior = sh.interior(big)
-    assert every_target(cx) == {index_in[m]: index_out[m] for m in interior.monomials(n)}
-    assert all(qs == range(big.size(n)) and tg is every_target(cx)
-               for qs, tg in cx.blocks.values())
+    assert cx.targets == {index_in[m]: index_out[m] for m in interior.monomials(n)}
     tail = [i for m, i in index_out.items() if m.tdeg >= big.tmax]
     assert tail == list(range(cx.mat.nrows, len(index_out)))
     full = full_window(p, big)
-    assert full.targets == sorted(every_target(cx).values())
+    assert full.targets == sorted(cx.targets.values())
     assert cx.relations == [c for c in ({r: v for r, v in col.items() if r < cx.mat.nrows}
                                         for col in full.relations) if c]
     # the quotient map sends every relation column, in every stacked copy, to 0
@@ -305,7 +292,7 @@ def test_stencil_assembly_matches_tree_walk(case):
     # for its cycles) is the matching columns of the full d^j, entry for
     # entry, in the same order; so is d^j at cells in any order
     by_deg, dom = _koszul_bases(n), big.size(n)
-    for cells in (sorted(every_target(cx)), range(dom - 1, -1, -3)):
+    for cells in (sorted(cx.targets), range(dom - 1, -1, -3)):
         for j in range(n + 1):
             full = differential(j, cx.mat, n)
             part = differential(j, cx.mat, n, cells)
@@ -599,14 +586,14 @@ def test_top_image_equals_the_full_image(fs, n, gs, alpha, rounds, commuting):
         assert image.nrows == min(full.slack[0]) == cx.mat.nrows == whole.nrows
         assert all(r < image.nrows
                    for col in image.cols + whole.cols + cx.mat.cols + cx.relations for r in col)
-        assert sorted(whole_targets) == sorted(every_target(cx).values()) == full.targets
+        assert sorted(whole_targets) == sorted(cx.targets.values()) == full.targets
         if p.grading is None:
             assert sorted(targets) == full.targets
         want = full_image_cokernel(full)
         assert _top_cokernel(image, targets) == want, win
         assert _top_cokernel(whole, whole_targets) == want, win
         unpruned = SparseMatrixQ(cx.mat.nrows, cx.mat.cols + cx.relations)
-        assert _top_cokernel(unpruned, every_target(cx).values()) == want, win
+        assert _top_cokernel(unpruned, cx.targets.values()) == want, win
 
 
 def test_pruning_needs_the_commutation_certificate(monkeypatch):
@@ -764,10 +751,10 @@ def test_top_image_cut_from_the_complex_is_its_own_assembly(fs, n, gs, alpha, gr
 
 
 def test_koszul_assembles_each_window_once(monkeypatch):
-    # degrees 0..n and degree n+1 read the one assembly of the window: of
-    # every cell, or of the blocks of the every-degree theorem, which leave
-    # x1^2 over x1 at 1/3 (off the weight lattice) nothing to assemble; a
-    # graded instance over a g that is not a monomial takes every cell
+    # degrees 0..n and degree n+1 read the one assembly of the whole window;
+    # x1^2 over x1 at 1/3, graded and off the weight lattice, assembles
+    # nothing, and a graded instance over a g that is not a monomial
+    # assembles its window even off the lattice
     calls = []
     real = engine.assemble_phi
 
@@ -777,21 +764,19 @@ def test_koszul_assembles_each_window_once(monkeypatch):
         return mat
 
     monkeypatch.setattr(engine, "assemble_phi", counting)
-    for fs, n, gs, alpha, graded, assemblies, blocks in [
-        ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4", False, 1, False),
-        ("x1^2", 1, "x1", "1/3", True, 0, True),
-        ("x1^2+x2^3", 2, "1", "5/6", True, 1, True),
-        ("x1^2*ginv", 1, "1-x1", "1/3", False, 1, False),
-        ("x1^2+x2^2", 2, "x1+x2", "1", True, 1, False),
+    for fs, n, gs, alpha, graded, assemblies in [
+        ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4", False, 1),
+        ("x1^2", 1, "x1", "1/3", True, 0),
+        ("x1^2+x2^3", 2, "1", "5/6", True, 1),
+        ("x1^2*ginv", 1, "1-x1", "1/3", False, 1),
+        ("x1^2+x2^2", 2, "x1+x2", "1/3", True, 1),
     ]:
         p = instance(fs, n=n, gs=gs, alpha=alpha)
         assert (p.grading is not None) is graded
         calls.clear()
         win = default_schedule(p)[0]
         koszul_cohomology(p, win)
-        assert len(calls) == assemblies, fs
-        every = (n + 1) * win.size(n)
-        assert all(0 < ncols < every if blocks else ncols == every for ncols in calls), fs
+        assert calls == [(n + 1) * win.size(n)] * assemblies, fs
 
 
 def test_koszul_top_matches_cokernel():
@@ -893,9 +878,8 @@ def test_koszul_falls_back_when_the_neighbourhood_does_not_certify(
     # eliminates nothing; each degree j >= 1 checks its cycles on the
     # neighbourhood first, and where cycles stay outside the span of the
     # columns that meet them, that count is an upper bound and the whole
-    # boundary decides; the top cokernel follows.  The graded cases take the
-    # blocks of the every-degree theorem, and x1^4 over x1 at 1/5, off the
-    # weight lattice, eliminates nothing at all
+    # boundary decides; the top cokernel follows.  x1^4 over x1 at 1/5,
+    # graded and off the weight lattice, eliminates nothing at all
     counts = []
     real = engine.rank_with_extension
 
@@ -1117,23 +1101,19 @@ def test_neighbourhood_columns_are_those_of_the_whole_boundary_that_meet_the_row
 ):
     # the columns of d^(j-1) that _near_boundary builds from the rows alone
     # are, in order, those of the whole d^(j-1) that meet them: for the
-    # interior cycles of each degree, and for every interior row of K^j;
-    # on every cell, and on the blocks of a grading, if p has one
+    # interior cycles of each degree, and for every interior row of K^j
     p = instance(fs, n=n, gs=gs, alpha=alpha)
-    by_deg, sh = _koszul_bases(n), _shift_analysis(p)
-    win = default_schedule(p)[0]
-    for grading in {None, p.grading}:
-        cx = _window_complex(p, win, sh, engine._blocks(p, win, sh, grading))
-        nm = cx.mat.nrows
-        for j in range(1, n + 1):
-            whole = _koszul_differential(j - 1, cx.comps, nm, by_deg,
-                                         [cx.blocks[s][0] for s in by_deg[j - 1]]).cols
-            cycles = engine._interior_cycles(j, cx, by_deg)
-            interior = {k * nm + r for k, s in enumerate(by_deg[j]) for r in cx.blocks[s][1].values()}
-            for zrows in (set().union(*cycles), interior):
-                want = [col for col in whole if not zrows.isdisjoint(col)]
-                assert engine._near_boundary(p, j, cx, by_deg, zrows) == want, (j, len(zrows))
-                assert want or not zrows
+    by_deg = _koszul_bases(n)
+    cx = _window_complex(p, default_schedule(p)[0], _shift_analysis(p))
+    nm = cx.mat.nrows
+    for j in range(1, n + 1):
+        whole = _koszul_differential(j - 1, cx.mat, by_deg).cols
+        cycles = engine._interior_cycles(j, cx, by_deg)
+        interior = {k * nm + r for k in range(len(by_deg[j])) for r in cx.targets.values()}
+        for zrows in (set().union(*cycles), interior):
+            want = [col for col in whole if not zrows.isdisjoint(col)]
+            assert engine._near_boundary(p, j, cx, by_deg, zrows) == want, (j, len(zrows))
+            assert want or not zrows
 
 
 def test_the_window_path_enumerates_no_monomial(monkeypatch):
@@ -1422,43 +1402,59 @@ def test_graded_path_keeps_the_late_class():
     assert rep.estimates == [0, 0, 1, 1] and rep.verdict is Verdict.EXPONENT
 
 
-# the block path of koszul_cohomology against the whole window: (f, n, g, N,
-# windows), the classes j/N on the weight lattice, and 1/7 off it, for
-# x1^a+x2^b, x1^w over x1 and over 1, monomial g of other degrees, rational
-# coefficients, n = 3 and a g that is not a monomial (whole in degrees 0..n)
+# graded instances and the denominator D of their weight lattice (1/D)Z, on
+# which alpha must lie for a block to have a cell: x1^a+x2^b, x1^w over x1
+# and over 1, monomial g of other degrees and in two variables, rational
+# coefficients, n = 3
 KOSZUL_BLOCKS = (
-    [(f"x1^{a}+x2^{b}", 2, "1", math.lcm(a, b), (0, 1) if b <= 3 else (0,))
-     for a in range(2, 6) for b in range(a, 7)]
-    + [(f"x1^{w}", 1, g, w, (0, 1)) for w in range(1, 6) for g in ("x1", "1")]
-    + [("x1^2", 1, "x1^3", 2, (0, 1)), ("x1^3", 1, "x1^2", 3, (0, 1)),
-       ("x1^2+x2^2", 2, "x1", 2, (0,)), ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", 3, (0, 1)),
-       ("x1^2*x2+x2^3", 2, "1", 3, (0,)), ("x1^4+x2^4+x1^2*x2^2", 2, "1", 4, (0,)),
-       ("x1^2+x2^2+x3^2", 3, "1", 2, (0,)), ("x1*x2", 2, "x1-x2", 2, (0,))]
+    [(f"x1^{a}+x2^{b}", 2, "1", math.lcm(a, b)) for a in range(2, 6) for b in range(a, 7)]
+    + [(f"x1^{w}", 1, g, w) for w in range(1, 6) for g in ("x1", "1")]
+    + [("x1^2", 1, "x1^3", 2), ("x1^3", 1, "x1^2", 3), ("x1^2+x2^2", 2, "x1", 2),
+       ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", 3), ("x1^2*x2+x2^3", 2, "1", 3),
+       ("x1^4+x2^4+x1^2*x2^2", 2, "1", 4), ("x1^2+x2^2+x3^2", 3, "1", 2),
+       ("x1^2+x2^2", 2, "x1*x2", 2), ("x1^3+x2^3", 2, "x1*x2^2", 3)]
 )
 
 
-def test_graded_koszul_block_equals_the_whole_window():
-    # each graded query gives, in every degree, the dimension of the same
-    # query with its grading taken away, which assembles the whole window
-    nonzero = []
-    for fs, n, gs, den, windows in KOSZUL_BLOCKS:
-        for alpha in [Q(j, den) for j in range(1, den + 1)] + [Q(1, 7)]:
-            for window in windows if alpha.denominator != 7 else (0,):
+def test_graded_koszul_block_equals_the_whole_window(monkeypatch):
+    # at every class j/q (q <= 7) off the weight lattice, every block of
+    # every copy is empty: the graded query is 0 in every degree with
+    # nothing assembled, and so is the same query with its grading taken
+    # away, on the whole window; for the monomial g in two variables at one
+    # class on window 1 too
+    assembled = []
+    real = engine.assemble_phi
+
+    def counting(*args, **kwargs):
+        assembled.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "assemble_phi", counting)
+    cases = 0
+    for fs, n, gs, den in KOSZUL_BLOCKS:
+        for alpha in sorted({Q(j, q) for q in range(2, 8) for j in range(1, q)}):
+            if (alpha * den).denominator == 1:
+                continue
+            windows = (0, 1) if "*" in gs and alpha in (Q(1, 3), Q(1, 2)) else (0,)
+            for window in windows:
                 p = instance(fs, n=n, gs=gs, alpha=alpha)
                 assert p.grading is not None
+                win = default_schedule(p)[window]
+                assembled.clear()
+                assert koszul_cohomology(p, win) == dict.fromkeys(range(n + 2), 0)
+                assert not assembled, (fs, gs, alpha)
                 whole = instance(fs, n=n, gs=gs, alpha=alpha)
                 vars(whole)["grading"] = None  # the cached property, taken away
-                win = default_schedule(p)[window]
-                got = koszul_cohomology(p, win)
-                assert got == koszul_cohomology(whole, win), (fs, gs, alpha, window)
-                nonzero += [j for j, dim in got.items() if dim]
-    # cohomology in every degree but 0 is compared, not only zeros
-    assert len(nonzero) == 260 and set(nonzero) == {1, 2, 3, 4}
+                assert koszul_cohomology(whole, win) == dict.fromkeys(range(n + 2), 0)
+                assert assembled, (fs, gs, alpha)
+                cases += 1
+    assert cases == 459
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha", [
     ("x1^4", 1, "x1", "1/5"),
     ("x1^2+x2^3", 2, "1", "1/5"),
+    ("x1^2+x2^2", 2, "x1*x2", "1/3"),
 ])
 def test_koszul_off_the_weight_lattice_builds_nothing(monkeypatch, fs, n, gs, alpha):
     # every block is empty: every degree is 0 with nothing assembled or
