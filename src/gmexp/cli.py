@@ -46,8 +46,7 @@ from .arrangements import (
 from .engine import (
     ProblemInstance,
     ResourceLimitError,
-    _kept,
-    _shift_analysis,
+    _select,
     assemble_phi,
     default_schedule,
     exponent_test,
@@ -136,8 +135,8 @@ def _run_exponent_test(args, started):
         p = ProblemInstance(n=args.n, f=f, g=g, alpha=alpha)
         if args.dump_matrix and not results:
             win = default_schedule(p)[0]
-            mat = assemble_phi(p, win, _shift_analysis(p).output_window(win),
-                               _kept(p, win, p.grading))
+            mat = assemble_phi(p, win, p.shifts.output_window(win),
+                               _select(p, win, p.grading).kept)
             with open(args.dump_matrix, "w") as fh:
                 fh.write(mat.dump_triplets() + "\n")
         rep = exponent_test(p, rounds=args.max_rounds, method=args.method)

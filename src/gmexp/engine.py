@@ -35,7 +35,7 @@ rows found by index arithmetic over the output window's canonical order
 themselves, with no window (check_row_commutation).
 A window matrix is its row count and a list of {row: value} columns from
 the stencil to the pivot.  Window cells are their positions in
-DegreeWindow.layout from selection (_cells, _kept) to assembly, decoded
+DegreeWindow.layout from selection (_cells, _select) to assembly, decoded
 by its inverse DegreeWindow.layer; no Monomial label is built.  Every value
 is the reduced int pair (num, den) that gmexp.linalg eliminates
 (rational.pair), made once per stencil term and value of the exponent it
@@ -84,6 +84,17 @@ are those of the whole window (all 0 when alpha is off the weight
 lattice: that block is then empty, and nothing is eliminated).  When any
 check fails, the whole window is built.
 
+Graded selection.  A window's block cells are chosen in one pass over its
+(u, m) layer (_block_cells), with sum(w_i u_i) taken once per u.  For each
+weight shift s (every component's, 0 for the relations and the targets,
+and the subset sums that koszul_cohomology tests off the lattice) a cell
+t^k x^u g^-m is in the block exactly when scale k = c + wg m, for c =
+top - s - sum(wx_i u_i): its m form the arithmetic progression wg m = -c
+(mod scale), and each m gives its one k.  The pruning hypothesis below is
+tested on each block cell as it is found, against boxes built once per
+window (_prune_groups, _hypothesis_at).  Each list comes out t-major and
+ascending, as the per-shift scan of every (u, m) gave it.
+
 Theorem (every degree).  In the Koszul complex (koszul_cohomology), give
 e_S (x) a, the cell a in the copy of S, the weight mu = lambda(a) - sum_S
 s_i, where s_0 = 1 and s_i = -w_i are the moves of the components: every
@@ -118,7 +129,7 @@ margins, is a total degree, so a monomial g in several variables is no
 different.
 
 So only the copy of S at the cells of weight lambda* - sum_{i not in S}
-s_i, the rule _kept applies to degree n+1, can carry cohomology.  When
+s_i, the rule _select applies to degree n+1, can carry cohomology.  When
 alpha is off the weight lattice none of them has a cell, and
 koszul_cohomology, under a certified grading with g = 1 or a monomial of
 positive degree, answers 0 in every degree with nothing assembled.  Every
@@ -155,8 +166,10 @@ which is never left out, and of the columns of component i that are
 kept; so leaving all of them out keeps the span, and every estimate.  With
 a grading, the cells a + s of component i and q of component 0 have the
 weights those components are taken at, so the identity stays inside the
-top block.  _unpruned applies the hypothesis, and finds that the component
-columns of the benchmark's sweep lose about a fifth of their number.
+top block.  _select applies the hypothesis (cell by cell in the graded
+pass, once per (u, m) in an ungraded window: _unpruned), and finds that
+the component columns of the benchmark's sweep lose about a fifth of
+their number.
 
 Slack quotient, in every degree.  Solutions in k((t))[x, 1/g] carry
 infinite ascending t-tails, so a window truncation of a true preimage
@@ -180,11 +193,12 @@ _koszul_h) is still a proof.  So assemble_phi stops every column at the
 slack tail, a relation column that the cut empties is left out, and no
 slack column is built.  Component 0 is t-free but for -t, so its column at
 a cell of the top t-layer lies wholly in the slack rows: the top image
-leaves it out (_kept).
+leaves it out (_select).
 
 Order.  _top_cokernel pivots the non-empty image columns in one order
 fixed before elimination (linalg's in_order policy): by entry count, then
-by descending highest row, the top t-layer first; the unit targets follow.
+by descending highest row, the top t-layer first (two stable sorts); the
+unit targets follow.
 _koszul_h and nullspace keep the Markowitz rule.  No rank depends on the
 order, only the fill-in on the way.
 """
@@ -255,6 +269,12 @@ class ProblemInstance:
         """(component stencils, relation stencil), written on first use by
         _row_stencils; instances that never assemble never build them."""
         return _row_stencils(self)
+
+    @cached_property
+    def shifts(self) -> "_Shifts":
+        """The shift analysis (_shift_analysis) that shapes every window of
+        p, computed on first use."""
+        return _shift_analysis(self)
 
     @cached_property
     def grading(self) -> Optional["_Grading"]:
@@ -466,31 +486,80 @@ def _certify_grading(p: ProblemInstance) -> Optional[_Grading]:
     return _Grading(scale, wx, wg, shifts, int(top))
 
 
-def _cells(
-    win: DegreeWindow, n: int, grading: Optional[_Grading] = None, shift: int = 0,
-    at: Optional[DegreeWindow] = None,
-) -> Sequence[int]:
+def _cells(win: DegreeWindow, n: int, at: Optional[DegreeWindow] = None) -> Sequence[int]:
     """The cells of win, ascending, as their positions in the window at, which
-    holds win (default win itself, where the ungraded cells are
-    range(win.size(n))).  With a grading, only those that a column moving
-    weight by shift sends into the top block, of weight (top - shift) /
-    scale: one division per (u, m) gives the only t-degree that can have it."""
-    if at is None and grading is None:
+    holds win (default win itself, where they are range(win.size(n)))."""
+    if at is None:
         return range(win.size(n))
-    at = at or win
     xrow, tsize = at.layout(n)
-    if grading is None:
-        offsets = [xrow[u] + m for u, m in win.layer(n)]
-        return [(k - at.tmin) * tsize + x for k in range(win.tmin, win.tmax + 1) for x in offsets]
-    out = []
+    offsets = [xrow[u] + m for u, m in win.layer(n)]
+    return [(k - at.tmin) * tsize + x for k in range(win.tmin, win.tmax + 1) for x in offsets]
+
+
+def _block_cells(
+    win: DegreeWindow, n: int, grading: _Grading, lanes: list[tuple]
+) -> list[list[int]]:
+    """One pass over the (u, m) layer of win for every lane (shift, box, at,
+    groups): the cells t^k x^u g^-m of win inside box = (tlo, thi, xhi, ghi)
+    (tlo <= k <= thi, sum(u) <= xhi, m <= ghi) that a column moving weight
+    by shift sends into the top block, of weight (top - shift) / scale, as
+    ascending positions of the window at, which holds them; with pruning
+    groups (_prune_groups), less the cells where the pruning hypothesis
+    holds, tested cell by cell on the groups as _hypothesis_at reads them.
+
+    sum(w_i u_i) is taken once per u.  For c = top - shift - sum(wx_i u_i)
+    a cell has the weight exactly when scale k = c + wg m, so its m are the
+    progression wg m = -c (mod scale), of step scale / gcd(wg, scale), cut to
+    the m whose k lies in [tlo, thi], and k moves by wg / gcd(wg, scale) per
+    step.  Each lane collects its cells per t-layer, in the order of u and
+    then m that the layout gives them, so the t-major concatenation is
+    ascending."""
+    scale, wg = grading.scale, grading.wg
+    d = math.gcd(wg, scale)
+    step, kstep = scale // d, wg // d
+    inv = pow(kstep, -1, step) if step > 1 else 0
+    runs = []
+    for shift, (tlo, thi, xhi, ghi), at, groups in lanes:
+        xrow_at, tsize = at.layout(n)
+        buckets: list[list[int]] = [[] for _ in range(thi - tlo + 1)]
+        runs.append((shift, tlo, thi, xhi, ghi, xrow_at, tsize, at.tmin, groups, buckets))
     for u in win.layout(n)[0]:
-        rest = grading.top - shift - sum(a * b for a, b in zip(grading.wx, u))
-        for m in range(win.gmax + 1):
-            k, r = divmod(rest + grading.wg * m, grading.scale)
-            if not r and win.tmin <= k <= win.tmax:
-                out.append((k - at.tmin) * tsize + xrow[u] + m)
-    out.sort()  # t-major, then x and g as layout orders them
-    return out
+        su = sum(u)
+        top_u = grading.top - sum(a * b for a, b in zip(grading.wx, u))
+        for shift, tlo, thi, xhi, ghi, xrow_at, tsize, atmin, groups, buckets in runs:
+            if su > xhi:
+                continue
+            c = top_u - shift
+            if c % d:
+                continue
+            lo, hi = tlo * scale - c, thi * scale - c  # the bounds of wg m
+            if wg:
+                mlo, mhi = (-(-lo // wg), hi // wg) if wg > 0 else (-(-hi // wg), lo // wg)
+            elif lo <= 0 <= hi:
+                mlo, mhi = 0, ghi
+            else:
+                continue
+            mlo = max(mlo, 0)
+            ms = range(mlo + ((-c // d) * inv - mlo) % step, min(mhi, ghi) + 1, step)
+            k = (c + wg * ms.start) // scale
+            pairs = zip(range(k, k + kstep * len(ms), kstep) if kstep else itertools.repeat(k), ms)
+            base = xrow_at[u] - atmin * tsize
+            hyp = groups and _hypothesis_at(groups, u, su)
+            if not hyp:
+                for k, m in pairs:
+                    buckets[k - tlo].append(k * tsize + base + m)
+                continue
+            kl, kh, ml, mh, rest = hyp
+            for k, m in pairs:
+                a = k - 1  # the cell is t a, and the hypothesis reads a
+                held = kl <= a <= kh and ml <= m <= mh
+                for var, z, k0, k1, m0, m1 in rest if held else ():
+                    if (a, m)[var] != z and not (k0 <= a <= k1 and m0 <= m <= m1):
+                        held = False
+                        break
+                if not held:
+                    buckets[k - tlo].append(k * tsize + base + m)
+    return [[q for bucket in run[-1] for q in bucket] for run in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +605,7 @@ def default_schedule(p: ProblemInstance, rounds: int = 5) -> list[DegreeWindow]:
     """The nested windows exponent_test runs on, shaped by the shift analysis
     (see _round_window).  A longer run begins with the windows of a shorter
     one, so rounds only sets how many there are."""
-    sh = _shift_analysis(p)
-    return [_round_window(p, sh, r) for r in range(rounds)]
+    return [_round_window(p, p.shifts, r) for r in range(rounds)]
 
 
 def _round_window(p: ProblemInstance, sh: _Shifts, r: int) -> DegreeWindow:
@@ -652,7 +720,7 @@ def assemble_phi(
     component 1 at cells[1], and so on, with rows in win_out's canonical
     order.  cells = None means every cell for every component, so column
     ci * win_in.size(n) + q is component ci at cell q, as the window complex
-    needs; _kept gives the cells of the top image.  The caps of
+    needs; _select gives the cells of the top image.  The caps of
     _check_window count the full window and are checked before any cell is
     decoded.  Raises
     WindowError, naming the cell, when win_out cannot hold the image, slack
@@ -679,116 +747,146 @@ def _slack_start(win: DegreeWindow, win_out: DegreeWindow, n: int) -> int:
     return (win.tmax - win_out.tmin) * win_out.layout(n)[1]
 
 
-def _kept(
-    p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]
-) -> list[Sequence[int]]:
-    """The positions of win at which the top image takes each component, the
-    one selection of its cells: every cell, or with a grading those the
-    component sends into the top block; less component 0 at the top
-    t-layer, whose columns lie wholly in the slack rows (module docstring),
-    and, where p.commuting certifies the pruning theorem, less the cells
-    where it makes the column of component i >= 1 redundant (_unpruned).
-    The caps of _check_window are checked first, before any layout is built."""
-    size = win.size(p.n)
-    _check_window(p, (p.n + 1) * size)
-    top = size - win.layout(p.n)[1]  # the first cell of the top t-layer
+class _Selection(NamedTuple):
+    """The cells of a window's top image, chosen in one pass (_select):
+    kept[ci] the positions of win at which it takes component ci, gens those
+    at which it generates relation columns, and targets the output rows
+    (positions in the output window) of the interior cells."""
+
+    kept: list[Sequence[int]]
+    gens: Sequence[int]
+    targets: Sequence[int]
+
+
+def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) -> _Selection:
+    """The one selection of the top image's cells on win: every cell, or with
+    a grading those each column sends into the top block (the relations and
+    targets at weight 0); less component 0 at the top t-layer, whose columns
+    lie wholly in the slack rows (module docstring), and, where p.commuting
+    certifies the pruning theorem, less the cells where it makes the column
+    of component i >= 1 redundant.  Every list but the ungraded ranges comes
+    from one pass over win's (u, m) layer (_block_cells).  The caps of
+    _check_window are checked first, before any layout is built."""
+    n, sh = p.n, p.shifts
+    size = win.size(n)
+    _check_window(p, (n + 1) * size)
+    win_out, inner = sh.output_window(win), sh.interior(win)
+    box = (win.tmin, win.tmax, win.xmax, win.gmax)
+    groups = [_prune_groups(p, win, i) if p.commuting else None for i in range(1, n + 1)]
     if grading is None:
-        at = [range(top)] + [range(size)] * p.n
-    else:
-        at = [_cells(win, p.n, grading, s) for s in grading.shifts]
-        at[0] = [q for q in at[0] if q < top]
-    return _unpruned(p, win, at) if p.commuting else at
+        kept = [range(size - win.layout(n)[1])] + [range(size)] * n
+        if p.commuting:
+            kept[1:] = [_unpruned(win, n, gs) for gs in groups]
+        return _Selection(kept, range(size), _cells(inner, n, at=win_out))
+    lanes = [(grading.shifts[0], (win.tmin, win.tmax - 1, win.xmax, win.gmax), win, None)]
+    lanes += [(s, box, win, gs) for s, gs in zip(grading.shifts[1:], groups)]
+    lanes.append((0, (inner.tmin, inner.tmax, inner.xmax, inner.gmax), win_out, None))
+    lanes.append((0, box, win, None))
+    *kept, targets, gens = _block_cells(win, n, grading, lanes)
+    return _Selection(kept, gens, targets)
 
 
-def _unpruned(p: ProblemInstance, win: DegreeWindow, at: list) -> list:
-    """For each component ci, the positions of at[ci] in win where its column
-    is not redundant under the pruning theorem (module docstring), whose
-    hypotheses p.commuting certifies: all of them for component 0.
-
-    Component i at the cell t a is redundant when a + s lies in win for the
-    shift s of every term of component 0 other than -t, and of component
-    i, whose coefficient is not 0 at a.  A coefficient c * (e[var] + r)
-    vanishes only where e[var] = -r, so the terms are grouped by (var, r),
-    each group's shifts fit exactly when a lies in a box (_fit_box), and
-    only the groups with an integer r need their own box.  The boxes are
-    read once per (u, m) of win.layer, as the k where the cells
-    t^(k+1) x^u g^-m are redundant (_redundant_ks)."""
-    out = list(at)
+def _prune_groups(p: ProblemInstance, win: DegreeWindow, i: int) -> list[tuple]:
+    """The pruning hypothesis (module docstring) for component i >= 1 on win,
+    as groups (var, z, box).  Component i at the cell t a is redundant when
+    a + s lies in win for the shift s of every term of component 0 other
+    than -t, and of component i, whose coefficient is not 0 at a.  A
+    coefficient c * (e[var] + r) vanishes only where e[var] = -r, so the
+    terms are grouped by (var, r), and a group holds at a when e[var] = z =
+    -r or a lies in its box (_fit_box).  Only the groups with var >= 0 and
+    an integer r can vanish; the others are one group, var -1."""
     comps = p.stencils[0]
-    layer = win.layer(p.n)
-    tsize = len(layer)
-    for i in range(1, p.n + 1):
-        groups: dict[tuple, list[tuple]] = {}
-        for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
-            groups.setdefault((var, r), []).append(s)
-        live = [s for (var, r), ss in groups.items() if var < 0 or r.denominator != 1 for s in ss]
-        dying = sorted([(var, int(-r), _fit_box(win, ss)) for (var, r), ss in groups.items()
-                        if var >= 0 and r.denominator == 1], key=lambda d: -d[0])
-        box = _fit_box(win, live)
-        spans: list = [None] * tsize  # of each (u, m), less tmin - 1: read at q // tsize
-        kept = []
-        for q in at[i]:
-            span = spans[q % tsize]
-            if span is None:
-                lo, hi, z = _redundant_ks(box, dying, *layer[q % tsize])
-                d = win.tmin - 1
-                span = spans[q % tsize] = lo - d, hi - d, None if z is None else z - d
-            lo, hi, z = span
-            if not (lo <= q // tsize <= hi or q // tsize == z):
-                kept.append(q)
-        out[i] = kept
-    return out
+    by_key: dict[tuple, list[tuple]] = {}
+    for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
+        by_key.setdefault((var, r), []).append(s)
+    live = [s for (var, r), ss in by_key.items() if var < 0 or r.denominator != 1 for s in ss]
+    return [(-1, None, _fit_box(win, live))] * bool(live) + [
+        (var, int(-r), _fit_box(win, ss))
+        for (var, r), ss in by_key.items() if var >= 0 and r.denominator == 1]
 
 
-def _redundant_ks(box: Optional[tuple], dying: list[tuple], u: tuple, m: int) -> tuple:
-    """(lo, hi, z): _unpruned's hypothesis holds at (k, m, u) exactly when lo <= k
-    <= hi or k == z.  The group of var 0 (r = -alpha), if any, comes last in
-    dying and alone tests k itself: it holds at k == z or in its box."""
-    (lo, hi), e, z0 = _k_span(box, u, m), (None, m, *u), None
-    for var, z, b in dying:
+def _hypothesis_at(groups: list[tuple], u: tuple, su: int) -> Optional[tuple]:
+    """The groups of _prune_groups read at the cells t a, a = t^k x^u g^-m
+    (su = sum(u)), as (kl, kh, ml, mh, rest): the hypothesis holds at (k, m)
+    exactly when kl <= k <= kh, ml <= m <= mh and, for each (var, z, k0, k1,
+    m0, m1) of rest, (k, m)[var] == z or k0 <= k <= k1 and m0 <= m <= m1
+    (_span reads it at one m).  The groups that read u are decided here, once
+    per u; None when one of them fails at every such cell."""
+    kl, kh, ml, mh, rest = -math.inf, math.inf, -math.inf, math.inf, []
+    for var, z, (klo, khi, mlo, mhi, xhi, ulo) in groups:
+        if var >= 2 and u[var - 2] == z:
+            continue  # every coefficient of the group vanishes at u
+        fits = su <= xhi and (ulo is None or all(map(int.__ge__, u, ulo)))
+        if var in (0, 1):
+            rest.append((var, z, klo, khi, mlo, mhi) if fits else (var, z, 1, 0, 1, 0))
+        elif not fits:
+            return None
+        else:
+            kl, kh, ml, mh = max(kl, klo), min(kh, khi), max(ml, mlo), min(mh, mhi)
+    rest.sort(reverse=True)  # the group of var 0, which reads k, last
+    return kl, kh, ml, mh, rest
+
+
+def _unpruned(win: DegreeWindow, n: int, groups: list[tuple]) -> list[int]:
+    """The positions of the ungraded win at which the column of a component
+    i >= 1 with pruning groups groups (_prune_groups) is not redundant.  The
+    hypothesis is read once per (u, m) of win.layer, as the t-degrees k where
+    the cells t^(k+1) x^u g^-m are redundant (_span)."""
+    hyps = {u: _hypothesis_at(groups, u, sum(u)) for u in win.layout(n)[0]}
+    d = win.tmin - 1  # the span of each (u, m), less tmin - 1, is read at q // tsize
+    spans = [(lo - d, hi - d, None if z is None else z - d)
+             for lo, hi, z in (_span(hyps[u], m) if hyps[u] else (1, 0, None)
+                               for u, m in win.layer(n))]
+    tsize, kept = len(spans), []
+    for q in range(win.size(n)):
+        lo, hi, z = spans[q % tsize]
+        if not (lo <= q // tsize <= hi or q // tsize == z):
+            kept.append(q)
+    return kept
+
+
+def _span(hyp: tuple, m: int) -> tuple:
+    """(lo, hi, z): the hypothesis _hypothesis_at gives holds at (k, m) exactly
+    when lo <= k <= hi or k == z.  The group of var 0 (r = -alpha, the one
+    group of terms of component i that reads k) comes last in rest and alone
+    tests k itself: it holds at k == z or in its box."""
+    kl, kh, ml, mh, rest = hyp
+    if not ml <= m <= mh:
+        return 1, 0, None
+    lo, hi, z0 = kl, kh, None
+    for var, z, k0, k1, m0, m1 in rest:
         if var == 0:
             z0 = z if lo <= z <= hi else None
-        elif e[var] == z:
+        elif m == z:
             continue
-        blo, bhi = _k_span(b, u, m)
-        lo, hi = blo if blo > lo else lo, bhi if bhi < hi else hi
+        if not m0 <= m <= m1:
+            k0, k1 = 1, 0
+        lo, hi = k0 if k0 > lo else lo, k1 if k1 < hi else hi
     return lo, hi, z0
 
 
-def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> Optional[tuple]:
+def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> tuple:
     """The box (klo, khi, mlo, mhi, xhi, ulo) of the exponents e = (k, m, u)
-    with e + s in win for every shift s: klo <= k <= khi, mlo <= m <= mhi,
-    sum(u) <= xhi and u >= ulo componentwise (ulo is None when that holds
-    for every u >= 0).  None when there is no shift, and nothing to fit."""
-    if not shifts:
-        return None
+    with e + s in win for every shift s of a non-empty list: klo <= k <=
+    khi, mlo <= m <= mhi, sum(u) <= xhi and u >= ulo componentwise (ulo is
+    None when that holds for every u >= 0)."""
     dts, dgs, dxs = [s[0] for s in shifts], [s[1] for s in shifts], [s[2:] for s in shifts]
     ulo = tuple(max(0, -min(col)) for col in zip(*dxs))
     return (win.tmin - min(dts), win.tmax - max(dts), -min(dgs), win.gmax - max(dgs),
             win.xmax - max(map(sum, dxs)), ulo if any(ulo) else None)
 
 
-def _k_span(box: Optional[tuple], u: tuple, m: int) -> tuple:
-    """(lo, hi): (k, m, u) lies in a box of _fit_box exactly when lo <= k <= hi."""
-    if box is None:
-        return -math.inf, math.inf
-    klo, khi, mlo, mhi, xhi, ulo = box
-    if mlo <= m <= mhi and sum(u) <= xhi and (ulo is None or all(map(int.__ge__, u, ulo))):
-        return klo, khi
-    return 1, 0
-
-
 def _relation_columns(
-    p: ProblemInstance, gens: DegreeWindow, win: DegreeWindow,
-    grading: Optional[_Grading] = None, stop: Optional[int] = None,
+    p: ProblemInstance, gens: DegreeWindow, cells: Sequence[int], win: DegreeWindow,
+    stop: Optional[int] = None,
 ) -> list[dict]:
     """Columns mono * (g * g^-(m+1) - g^-m) over win's basis, for the
-    monomials of gens (of the top weight, with a grading) whose relation
-    lies inside win, without their rows >= stop.  A relation keeps t, so
-    one at or past stop's t-layer is all cut, and is left out."""
+    monomials of gens at the positions cells whose relation lies inside
+    win, without their rows >= stop.  A relation keeps t, so one at or past
+    stop's t-layer is all cut, and is left out."""
     if p.g.is_one():
         return []
-    cols = _stencil_columns(p.stencils[1], _cells(gens, p.n, grading), gens, win, p.n, stop)
+    cols = _stencil_columns(p.stencils[1], cells, gens, win, p.n, stop)
     return [c for c in cols if c]
 
 
@@ -821,7 +919,7 @@ def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _Wind
     win_out = sh.output_window(win)
     mat = assemble_phi(p, win, win_out)
     inner = sh.interior(win)
-    relations = _relation_columns(p, win, win_out, stop=mat.nrows)
+    relations = _relation_columns(p, win, _cells(win, p.n), win_out, mat.nrows)
     return _WindowComplex(
         mat,
         relations,
@@ -837,25 +935,24 @@ def _top_image(
     cx: Optional[_WindowComplex] = None,
 ) -> tuple[SparseMatrixQ, list[int]]:
     """(image, target rows) of degree n+1 on (p, win), for exponent_test and
-    koszul_cohomology alike: the component columns at the cells _kept
-    selects and the relation columns, over the output rows below the slack
+    koszul_cohomology alike: the component columns at the cells _select
+    chooses and the relation columns, over the output rows below the slack
     tail, and the output rows of the interior cells.  With a grading, only
     the top block (module docstring), whose degree n+1 is the whole
     window's.  Given cx = _window_complex(p, win, sh), nothing is assembled
     again: the same column objects, in the same order, are read from cx by
     position."""
     win_out = sh.output_window(win)
-    kept = _kept(p, win, grading)
+    sel = _select(p, win, grading)
     if cx is None:
-        mat = assemble_phi(p, win, win_out, kept)
+        mat = assemble_phi(p, win, win_out, sel.kept)
         cols = mat.cols
     else:  # column ci * win.size(n) + q of cx.mat is component ci at cell q
         mat, size = cx.mat, win.size(p.n)
-        cols = [mat.cols[ci * size + q] for ci, qs in enumerate(kept) for q in qs]
+        cols = [mat.cols[ci * size + q] for ci, qs in enumerate(sel.kept) for q in qs]
     relations = (cx.relations if cx and grading is None
-                 else _relation_columns(p, win, win_out, grading, mat.nrows))
-    targets = _cells(sh.interior(win), p.n, grading, at=win_out)
-    return SparseMatrixQ(mat.nrows, cols + relations), targets
+                 else _relation_columns(p, win, sel.gens, win_out, mat.nrows))
+    return SparseMatrixQ(mat.nrows, cols + relations), sel.targets
 
 
 def _top_cokernel(image: SparseMatrixQ, targets) -> int:
@@ -863,7 +960,8 @@ def _top_cokernel(image: SparseMatrixQ, targets) -> int:
     span of the image columns.  The non-empty image columns are pivoted
     first, each once, in the order of the module docstring (Order.), then
     the unit targets by row; the surviving target directions are counted."""
-    cols = sorted(filter(None, image.cols), key=lambda col: (len(col), -max(col)))
+    cols = sorted(filter(None, image.cols), key=max, reverse=True)
+    cols.sort(key=len)  # stable: by entry count, then by descending highest row
     _, coker = rank_with_extension(
         SparseMatrixQ(image.nrows, cols), [{r: (1, 1)} for r in sorted(targets)], in_order=True
     )
@@ -909,7 +1007,7 @@ def exponent_test(
         if rep is not None:
             return rep
         # fall through: reduction not applicable
-    sh = _shift_analysis(p)
+    sh = p.shifts
     estimates: list[int] = []
     used: list[DegreeWindow] = []
     verdict, dim = Verdict.UNDETERMINED, None
@@ -1002,15 +1100,16 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     _check_window(p, max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
     if not check_row_commutation(p):
         raise ValueError("row components do not commute; assembly is inconsistent")
-    sh = _shift_analysis(p)
+    sh = p.shifts
     sh.interior(win)  # a window with no interior is refused before any answer
     grading = p.grading
     proved = p.g.is_one() or (len(p.g.terms) == 1 and p.g.max_xdeg() > 0)
-    if grading and proved and not any(
-        _cells(win, p.n, grading, sum(s))
-        for k in range(p.n + 2) for s in itertools.combinations(grading.shifts, k)
-    ):  # alpha off the weight lattice: every degree is 0 (module docstring)
-        return dict.fromkeys(range(p.n + 2), 0)
+    if grading and proved:
+        box = (win.tmin, win.tmax, win.xmax, win.gmax)
+        sums = {sum(s) for k in range(p.n + 2) for s in itertools.combinations(grading.shifts, k)}
+        if not any(_block_cells(win, p.n, grading, [(s, box, win, None) for s in sorted(sums)])):
+            # alpha off the weight lattice: every degree is 0 (module docstring)
+            return dict.fromkeys(range(p.n + 2), 0)
     cx = _window_complex(p, win, sh)
     dims = {j: _koszul_h(p, j, cx, by_deg) for j in range(p.n + 1)}
     dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading, cx))
@@ -1031,7 +1130,17 @@ def _koszul_h(p: ProblemInstance, j: int, cx: _WindowComplex, by_deg) -> int:
     there is exact; any other count is only an upper bound, and the whole
     boundary matrix, d^(j-1) at every cell, is built and eliminated instead.
     Cycles that pi sends to 0 lie in the span of the relations and are
-    dropped.  Degree 0 has no boundary: the rank of its cycles is the answer."""
+    dropped.  Degree 0 has no boundary: the rank of its cycles is the answer.
+
+    For g = 1 degree 0 is 0, with nothing built: d^0 has full column rank at
+    the interior cells.  An interior cell c has t-degree <= win.tmax - 2, so
+    the entry -t c of its component-0 column lies below the slack tail, and
+    f c keeps c's t-degree.  In a combination of the columns at interior
+    cells, the cell c of highest t-degree among those used is the only one
+    whose column meets the row t c, so no non-zero combination is 0, and
+    with no relations there is no cycle."""
+    if j == 0 and p.g.is_one():
+        return 0
     cycles = _interior_cycles(j, cx, by_deg)
     kept = [(z, zq) for z, zq in zip(cycles, cx.reduce(cycles)) if zq]
     if not kept:

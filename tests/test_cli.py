@@ -395,3 +395,14 @@ def test_output_file(capsys, tmp_path):
     assert code == 0 and out == ""
     rep = json.loads(out_path.read_text())
     assert rep["rank"] == 1
+
+
+def test_dump_matrix_shares_the_shift_analysis_of_its_class(capsys, tmp_path, monkeypatch):
+    # --dump-matrix, the schedule and the exponent test of one class run one
+    # shift analysis between them
+    calls = []
+    real = engine._shift_analysis
+    monkeypatch.setattr(engine, "_shift_analysis", lambda p: calls.append(p.alpha) or real(p))
+    code, _, _ = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^2*(1-x1)",
+                         "--alphas", "1/2,1/3", "--dump-matrix", str(tmp_path / "mat.txt"))
+    assert code == 0 and sorted(map(str, calls)) == ["1/2", "1/3"]

@@ -13,10 +13,10 @@ from gmexp.engine import (
     Verdict,
     WindowError,
     _cells,
-    _kept,
     _koszul_bases,
     _koszul_differential,
     _relation_columns,
+    _select,
     _shift_analysis,
     _top_cokernel,
     _top_image,
@@ -160,7 +160,7 @@ def full_window(p, win):
     interior = sh.interior(win)
     return FullWindow(
         full_image(p, win, win_out),
-        _relation_columns(p, win, win_out),
+        _relation_columns(p, win, _cells(win, p.n), win_out),
         [{i: pair(Q(1))} for m, i in index.items() if m.tdeg >= win.tmax],
         sorted(index[m] for m in interior.monomials(p.n)),
     )
@@ -248,7 +248,7 @@ def test_stencil_assembly_matches_tree_walk(case):
                                          for col in expected])
 
         rel = tree_relations(p, win, index)
-        assert_columns(_relation_columns(p, win, win_out), rel)
+        assert_columns(_relation_columns(p, win, _cells(win, p.n), win_out), rel)
 
         by_deg = _koszul_bases(n)
         try:
@@ -541,7 +541,7 @@ def test_window_columns_hold_reduced_int_pairs(fs, n, gs, alpha):
     win = default_schedule(p)[0]
     out = sh.output_window(win)
     cx = _window_complex(p, win, sh)
-    matrices = [assemble_phi(p, win, out), assemble_phi(p, win, out, _kept(p, win, p.grading)),
+    matrices = [assemble_phi(p, win, out), assemble_phi(p, win, out, _select(p, win, p.grading).kept),
                 _top_image(p, win, sh, p.grading)[0], _top_image(p, win, sh, p.grading, cx)[0],
                 cx.mat, SparseMatrixQ(cx.mat.nrows, cx.relations)]
     for mat in matrices:
@@ -629,7 +629,7 @@ def test_pruning_drops_a_pinned_number_of_columns():
     out = _shift_analysis(p).output_window(win)
     assert (win, out.tmin, win.layout(2)[1]) == (DegreeWindow(-5, 5, 10, 0), -6, 66)
     full = full_window(p, win).mat
-    top = assemble_phi(p, win, out, _kept(p, win, None))
+    top = assemble_phi(p, win, out, _select(p, win, None).kept)
     assert (full.ncols, top.ncols) == (3 * 726, 3 * 726 - 378 - 66)
     assert top.nrows == 11 * (full.nrows // 13) == assemble_phi(p, win, out).nrows
     assert all(col and min(col) >= top.nrows for col in full.cols[726 - 66 : 726])
@@ -683,13 +683,23 @@ def block_cells(win, n, grading, shift):
 def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     assert p.commuting
+    sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=2):
         top = win.size(n) - win.layout(n)[1]  # the first position of the top t-layer
+        xrow, tsize = sh.output_window(win).layout(n)
+        inner = [(m, (m.tdeg - win.tmin + 1) * tsize + xrow[m.xdeg] + m.gpow)
+                 for m in sh.interior(win).monomials(n)]  # each with its output row
         for grading in {None, p.grading}:
             shifts = grading.shifts if grading else (0,) * (n + 1)
             cells = [block_cells(win, n, grading, s) for s in shifts]
-            assert [list(_cells(win, n, grading, s)) for s in shifts] == cells
-            kept = _kept(p, win, grading)
+            sel = _select(p, win, grading)
+            kept = sel.kept
+            # the relation generators and the targets: every cell of win,
+            # and the interior cells as rows of the output window, of weight
+            # lambda* with a grading
+            assert list(sel.gens) == block_cells(win, n, grading, 0)
+            assert list(sel.targets) == sorted(
+                row for m, row in inner if grading is None or weight(grading, m) == grading.top)
             # component 0 leaves out the top t-layer and nothing else
             assert list(kept[0]) == [q for q in cells[0] if q < top]
             for i in range(1, n + 1):
@@ -736,7 +746,8 @@ def test_top_image_cut_from_the_complex_is_its_own_assembly(fs, n, gs, alpha, gr
         cut, cut_targets = _top_image(p, win, sh, p.grading, cx)
         assert (cut.nrows, cut_targets) == (own.nrows, targets)
         assert cut.cols == own.cols
-        rels = _relation_columns(p, win, sh.output_window(win), p.grading, own.nrows)
+        rels = _relation_columns(p, win, _select(p, win, p.grading).gens, sh.output_window(win),
+                                 own.nrows)
         comps = len(own.cols) - len(rels)
         held = {id(col) for col in cx.mat.cols}
         assert all(id(col) in held for col in cut.cols[:comps])
@@ -1093,6 +1104,190 @@ def test_top_cokernel_in_order_matches_markowitz(fs, n, gs, alpha):
         fixed = rank_with_extension(a, units, in_order=True)
         assert fixed == rank_with_extension(a, units), win
         assert fixed[1] == _top_cokernel(image, targets)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass selection against the per-shift scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def scan_cells(win, n, grading, shift, at=None):
+    """The cells of win of weight (top - shift) / scale, as positions of at
+    (default win): one divmod per (u, m) and shift, then a sort; the scan
+    that the one-pass selection replaced, kept here as its reference."""
+    at = at or win
+    xrow, tsize = at.layout(n)
+    out = []
+    for u in win.layout(n)[0]:
+        rest = grading.top - shift - sum(a * b for a, b in zip(grading.wx, u))
+        for m in range(win.gmax + 1):
+            k, r = divmod(rest + grading.wg * m, grading.scale)
+            if not r and win.tmin <= k <= win.tmax:
+                out.append((k - at.tmin) * tsize + xrow[u] + m)
+    return sorted(out)
+
+
+def k_span(box, u, m):
+    """(lo, hi): (k, m, u) lies in a box of engine._fit_box exactly when lo <= k <= hi."""
+    if box is None:
+        return -math.inf, math.inf
+    klo, khi, mlo, mhi, xhi, ulo = box
+    if mlo <= m <= mhi and sum(u) <= xhi and (ulo is None or all(map(int.__ge__, u, ulo))):
+        return klo, khi
+    return 1, 0
+
+
+def redundant_ks(box, dying, u, m):
+    """(lo, hi, z): the pruning hypothesis holds at (k, m, u) exactly when
+    lo <= k <= hi or k == z; the group of var 0 comes last in dying."""
+    (lo, hi), e, z0 = k_span(box, u, m), (None, m, *u), None
+    for var, z, b in dying:
+        if var == 0:
+            z0 = z if lo <= z <= hi else None
+        elif e[var] == z:
+            continue
+        blo, bhi = k_span(b, u, m)
+        lo, hi = max(lo, blo), min(hi, bhi)
+    return lo, hi, z0
+
+
+def scan_unpruned(p, win, at):
+    """at less, for each component i >= 1, the cells where the pruning
+    hypothesis holds, tested cell by cell by redundant_ks."""
+    comps, layer, out = p.stencils[0], win.layer(p.n), list(at)
+    tsize = len(layer)
+    for i in range(1, p.n + 1):
+        groups = {}
+        for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
+            groups.setdefault((var, r), []).append(s)
+        live = [s for (var, r), ss in groups.items() if var < 0 or r.denominator != 1 for s in ss]
+        dying = sorted([(var, int(-r), engine._fit_box(win, ss)) for (var, r), ss in groups.items()
+                        if var >= 0 and r.denominator == 1], key=lambda d: -d[0])
+        box = engine._fit_box(win, live)
+        kept = []
+        for q in at[i]:
+            lo, hi, z = redundant_ks(box, dying, *layer[q % tsize])
+            k = win.tmin + q // tsize - 1  # the cell is t a; the span reads a
+            if not (lo <= k <= hi or k == z):
+                kept.append(q)
+        out[i] = kept
+    return out
+
+
+def scan_selection(p, win):
+    """(kept, gens, targets) of the graded top image on win, by scan_cells
+    per shift and scan_unpruned."""
+    sh, grading, n = _shift_analysis(p), p.grading, p.n
+    top = win.size(n) - win.layout(n)[1]
+    at = [scan_cells(win, n, grading, s) for s in grading.shifts]
+    at[0] = [q for q in at[0] if q < top]
+    kept = scan_unpruned(p, win, at) if p.commuting else at
+    inner = scan_cells(sh.interior(win), n, grading, 0, at=sh.output_window(win))
+    return kept, scan_cells(win, n, grading, 0), inner
+
+
+# x^w over x on and off the weight lattice, the Brieskorn-Pham shapes of
+# the sweep benchmark, and graded f over monomial g in two variables
+SELECTION_CASES = (
+    [("x1^2", 1, "x1", a) for a in ("1", "1/2", "1/3")]
+    + [("x1^3", 1, "x1", a) for a in ("1/3", "2/3", "1", "1/4")]
+    + [("x1^4", 1, "x1", a) for a in ("1/4", "1", "1/2", "1/5")]
+    + [case for case in SWEEP_SHAPES if "+" in case[0]]
+    + [("x1^2+x2^2", 2, "x1*x2", a) for a in ("1", "1/2", "1/3")]
+    + [("x1^3+x2^3", 2, "x1*x2^2", a) for a in ("1/3", "2/3", "1/4")]
+)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", SELECTION_CASES)
+def test_one_pass_selection_equals_the_per_shift_scan(fs, n, gs, alpha):
+    # on windows 0-3 the one pass gives the lists of the per-shift scan and
+    # the per-cell hypothesis test, equal and in the same order: the kept
+    # cells of every component, the relation generators, the targets, and
+    # the blocks of every Koszul subset sum, empty ones included
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    grading = p.grading
+    assert grading is not None
+    sums = sorted({sum(s) for k in range(n + 2) for s in itertools.combinations(grading.shifts, k)})
+    for win in default_schedule(p, rounds=4 if gs == "x1" or gs == "1" else 2):
+        sel = _select(p, win, grading)
+        assert (sel.kept, sel.gens, sel.targets) == scan_selection(p, win), win
+        box = (win.tmin, win.tmax, win.xmax, win.gmax)
+        lanes = [(s, box, win, None) for s in sums]
+        assert engine._block_cells(win, n, grading, lanes) == [
+            scan_cells(win, n, grading, s) for s in sums], win
+
+
+def test_selection_cases_hold_empty_and_pruned_blocks():
+    # the corpus above reaches empty blocks (alpha off the lattice) and
+    # blocks the pruning theorem cuts, with and without relations
+    empty = pruned = 0
+    for fs, n, gs, alpha in SELECTION_CASES:
+        p = instance(fs, n=n, gs=gs, alpha=alpha)
+        win = default_schedule(p)[1]
+        kept, gens, _ = scan_selection(p, win)
+        blocks = [scan_cells(win, n, p.grading, s) for s in p.grading.shifts]
+        empty += not any(blocks)
+        pruned += any(len(k) < len(b) for k, b in zip(kept[1:], blocks[1:]))
+    assert empty >= 4 and pruned >= 10
+
+
+# every slot of the sweep, koszul and localized benchmarks
+LOCALIZED_SHAPES = [("x1^2", 1, "x1", "1"), ("x1^3", 1, "x1", "1/3"), ("x1^3", 1, "x1", "2/3"),
+                    ("x1^4", 1, "x1", "1/4"), ("x1^4", 1, "x1", "1")]
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", SWEEP_SHAPES + KOSZUL_CORPUS + LOCALIZED_SHAPES)
+def test_top_cokernel_order_is_the_count_then_highest_row_key(monkeypatch, fs, n, gs, alpha):
+    # the two stable sorts of _top_cokernel (descending highest row, then
+    # entry count) pass the eliminator the very column objects, in the very
+    # order, of one sort by the key (len, -max) on the top images of
+    # windows 0-1
+    seen = []
+    monkeypatch.setattr(engine, "rank_with_extension",
+                        lambda a, extra, **kwargs: seen.append(a.cols) or (0, 0))
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    sh = _shift_analysis(p)
+    for win in default_schedule(p, rounds=2):
+        image, targets = _top_image(p, win, sh, p.grading)
+        _top_cokernel(image, targets)
+        want = sorted(filter(None, image.cols), key=lambda col: (len(col), -max(col)))
+        got = seen.pop()
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), win
+
+
+def test_shift_analysis_runs_once_per_instance(monkeypatch):
+    # the schedule, the exponent test and the Koszul query of one instance
+    # share one shift analysis
+    calls = []
+    real = engine._shift_analysis
+    monkeypatch.setattr(engine, "_shift_analysis", lambda p: calls.append(p) or real(p))
+    for fs, n, gs, alpha in [("x1^2*(1-x1)^3", 1, "1", "1/4"), ("x1^2", 1, "x1", "1/3"),
+                             ("x1^2+x2^3", 2, "1", "5/6")]:
+        p = instance(fs, n=n, gs=gs, alpha=alpha)
+        koszul_cohomology(p, default_schedule(p)[0])
+        exponent_test(p)
+        assert calls == [p] and p.shifts == real(p)
+        calls.clear()
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", [c for c in KOSZUL_CORPUS if c[2] == "1"])
+def test_koszul_degree_zero_is_zero_for_g_one(monkeypatch, fs, n, gs, alpha):
+    # for g = 1, degree 0 is 0 with no differential and no nullspace, as the
+    # definition finds it, and every other degree is eliminated as before
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    win = default_schedule(p)[0]
+    want = definition_koszul(p, win)
+    assert want[0] == 0
+    calls = []
+    real = engine.nullspace
+    monkeypatch.setattr(engine, "nullspace", lambda a: calls.append(a.ncols) or real(a))
+    monkeypatch.setattr(engine, "_koszul_differential", lambda j, *args, **kwargs: (
+        calls.append(("d", j)) or _koszul_differential(j, *args, **kwargs)))
+    by_deg = _koszul_bases(n)
+    cx = _window_complex(p, win, _shift_analysis(p))
+    assert engine._koszul_h(p, 0, cx, by_deg) == 0 and calls == []
+    assert koszul_cohomology(p, win) == want
+    assert sum(isinstance(c, int) for c in calls) in (0, n)  # degrees 1..n, or none off the lattice
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS)
