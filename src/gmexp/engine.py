@@ -764,9 +764,10 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     targets at weight 0); less component 0 at the top t-layer, whose columns
     lie wholly in the slack rows (module docstring), and, where p.commuting
     certifies the pruning theorem, less the cells where it makes the column
-    of component i >= 1 redundant.  Every list but the ungraded ranges comes
-    from one pass over win's (u, m) layer (_block_cells).  The caps of
-    _check_window are checked first, before any layout is built."""
+    of component i >= 1 redundant.  With a grading every list comes from one
+    pass over win's (u, m) layer (_block_cells); without one, the pruned
+    components come from _unpruned.  The caps of _check_window are checked
+    first, before any layout is built."""
     n, sh = p.n, p.shifts
     size = win.size(n)
     _check_window(p, (n + 1) * size)
@@ -1107,7 +1108,7 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     if grading and proved:
         box = (win.tmin, win.tmax, win.xmax, win.gmax)
         sums = {sum(s) for k in range(p.n + 2) for s in itertools.combinations(grading.shifts, k)}
-        if not any(_block_cells(win, p.n, grading, [(s, box, win, None) for s in sorted(sums)])):
+        if not any(_block_cells(win, p.n, grading, [(s, box, win, None) for s in sums])):
             # alpha off the weight lattice: every degree is 0 (module docstring)
             return dict.fromkeys(range(p.n + 2), 0)
     cx = _window_complex(p, win, sh)
