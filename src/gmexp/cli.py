@@ -13,7 +13,8 @@ version, and a timing field (the only nondeterministic part).  Exit
 codes: 0 success, 2 parse error (a GM_MAX_WINDOW_CELLS that is not a
 nonnegative integer too, before any option is read), 3 precondition
 violation (an --output or --dump-matrix path that cannot be written too,
-checked for a missing directory before the run), 4 resource limit
+checked for a missing directory before the run, and --dump-matrix with no
+class in --alphas), 4 resource limit
 exceeded (the window cell cap, GM_MAX_WINDOW_CELLS or else
 engine.DEFAULT_MAX_WINDOW_CELLS; engine.MAX_WINDOW_ENTRIES, on a window's
 cells times its longest stencil; a MemoryError, a RecursionError,
@@ -130,8 +131,11 @@ def _report(mode: str, inputs: dict, body: dict, started: float) -> dict:
 def _run_exponent_test(args, started):
     f = parse_poly(args.f, args.n, allow_ginv=True)
     g = parse_poly(args.g, args.n)
+    alphas = parse_rationals(args.alphas)
+    if args.dump_matrix and not alphas:
+        raise ValueError("--dump-matrix needs at least one class in --alphas")
     results = []
-    for alpha in parse_rationals(args.alphas):
+    for alpha in alphas:
         p = ProblemInstance(n=args.n, f=f, g=g, alpha=alpha)
         if args.dump_matrix and not results:
             win = default_schedule(p)[0]

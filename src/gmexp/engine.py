@@ -92,8 +92,10 @@ t^k x^u g^-m is in the block exactly when scale k = c + wg m, for c =
 top - s - sum(wx_i u_i): its m form the arithmetic progression wg m = -c
 (mod scale), and each m gives its one k.  The pruning hypothesis below is
 tested on each block cell as it is found, against boxes built once per
-window (_prune_groups, _hypothesis_at).  Each list comes out t-major and
-ascending, as the per-shift scan of every (u, m) gave it.
+window (_prune_groups, _hypothesis_at).  The components i >= 1 of an
+ungraded window take the same walk, with every cell of the window in the
+block, so that hypothesis is tested in this one place.  Each list comes
+out t-major and ascending, as the per-shift scan of every (u, m) gave it.
 
 Theorem (every degree).  In the Koszul complex (koszul_cohomology), give
 e_S (x) a, the cell a in the copy of S, the weight mu = lambda(a) - sum_S
@@ -166,10 +168,9 @@ which is never left out, and of the columns of component i that are
 kept; so leaving all of them out keeps the span, and every estimate.  With
 a grading, the cells a + s of component i and q of component 0 have the
 weights those components are taken at, so the identity stays inside the
-top block.  _select applies the hypothesis (cell by cell in the graded
-pass, once per (u, m) in an ungraded window: _unpruned), and finds that
-the component columns of the benchmark's sweep lose about a fifth of
-their number.
+top block.  _select tests the hypothesis cell by cell in one walk over the
+(u, m) layer (_block_cells), graded or not, and finds that the component
+columns of the benchmark's sweep lose about a fifth of their number.
 
 Slack quotient, in every degree.  Solutions in k((t))[x, 1/g] carry
 infinite ascending t-tails, so a window truncation of a true preimage
@@ -497,16 +498,18 @@ def _cells(win: DegreeWindow, n: int, at: Optional[DegreeWindow] = None) -> Sequ
 
 
 def _block_cells(
-    win: DegreeWindow, n: int, grading: _Grading, lanes: list[tuple]
+    win: DegreeWindow, n: int, grading: Optional[_Grading], lanes: list[tuple]
 ) -> list[list[int]]:
     """One pass over the (u, m) layer of win for every lane (shift, box, at,
     groups): the cells t^k x^u g^-m of win inside box = (tlo, thi, xhi, ghi)
-    (tlo <= k <= thi, sum(u) <= xhi, m <= ghi) that a column moving weight
-    by shift sends into the top block, of weight (top - shift) / scale, as
-    ascending positions of the window at, which holds them; with pruning
-    groups (_prune_groups), less the cells where the pruning hypothesis
-    holds, tested cell by cell on the groups as _hypothesis_at reads them.
+    (tlo <= k <= thi, sum(u) <= xhi, m <= ghi), with a grading only those
+    that a column moving weight by shift sends into the top block, of weight
+    (top - shift) / scale, as ascending positions of the window at, which
+    holds them; with pruning groups (_prune_groups), less the cells where
+    the pruning hypothesis holds, tested cell by cell on the groups as
+    _hypothesis_at reads them.  This is the one test of that hypothesis.
 
+    Without a grading a lane takes every (k, m) of its box.  With one,
     sum(w_i u_i) is taken once per u.  For c = top - shift - sum(wx_i u_i)
     a cell has the weight exactly when scale k = c + wg m, so its m are the
     progression wg m = -c (mod scale), of step scale / gcd(wg, scale), cut to
@@ -514,10 +517,11 @@ def _block_cells(
     step.  Each lane collects its cells per t-layer, in the order of u and
     then m that the layout gives them, so the t-major concatenation is
     ascending."""
-    scale, wg = grading.scale, grading.wg
-    d = math.gcd(wg, scale)
-    step, kstep = scale // d, wg // d
-    inv = pow(kstep, -1, step) if step > 1 else 0
+    if grading:
+        scale, wg = grading.scale, grading.wg
+        d = math.gcd(wg, scale)
+        step, kstep = scale // d, wg // d
+        inv = pow(kstep, -1, step) if step > 1 else 0
     runs = []
     for shift, (tlo, thi, xhi, ghi), at, groups in lanes:
         xrow_at, tsize = at.layout(n)
@@ -525,24 +529,29 @@ def _block_cells(
         runs.append((shift, tlo, thi, xhi, ghi, xrow_at, tsize, at.tmin, groups, buckets))
     for u in win.layout(n)[0]:
         su = sum(u)
-        top_u = grading.top - sum(a * b for a, b in zip(grading.wx, u))
+        if grading:
+            top_u = grading.top - sum(a * b for a, b in zip(grading.wx, u))
         for shift, tlo, thi, xhi, ghi, xrow_at, tsize, atmin, groups, buckets in runs:
             if su > xhi:
                 continue
-            c = top_u - shift
-            if c % d:
-                continue
-            lo, hi = tlo * scale - c, thi * scale - c  # the bounds of wg m
-            if wg:
-                mlo, mhi = (-(-lo // wg), hi // wg) if wg > 0 else (-(-hi // wg), lo // wg)
-            elif lo <= 0 <= hi:
-                mlo, mhi = 0, ghi
+            if grading is None:
+                pairs = itertools.product(range(tlo, thi + 1), range(ghi + 1))
             else:
-                continue
-            mlo = max(mlo, 0)
-            ms = range(mlo + ((-c // d) * inv - mlo) % step, min(mhi, ghi) + 1, step)
-            k = (c + wg * ms.start) // scale
-            pairs = zip(range(k, k + kstep * len(ms), kstep) if kstep else itertools.repeat(k), ms)
+                c = top_u - shift
+                if c % d:
+                    continue
+                lo, hi = tlo * scale - c, thi * scale - c  # the bounds of wg m
+                if wg:
+                    mlo, mhi = (-(-lo // wg), hi // wg) if wg > 0 else (-(-hi // wg), lo // wg)
+                elif lo <= 0 <= hi:
+                    mlo, mhi = 0, ghi
+                else:
+                    continue
+                mlo = max(mlo, 0)
+                ms = range(mlo + ((-c // d) * inv - mlo) % step, min(mhi, ghi) + 1, step)
+                k = (c + wg * ms.start) // scale
+                ks = range(k, k + kstep * len(ms), kstep) if kstep else itertools.repeat(k)
+                pairs = zip(ks, ms)
             base = xrow_at[u] - atmin * tsize
             hyp = groups and _hypothesis_at(groups, u, su)
             if not hyp:
@@ -605,14 +614,14 @@ def default_schedule(p: ProblemInstance, rounds: int = 5) -> list[DegreeWindow]:
     """The nested windows exponent_test runs on, shaped by the shift analysis
     (see _round_window).  A longer run begins with the windows of a shorter
     one, so rounds only sets how many there are."""
-    return [_round_window(p, p.shifts, r) for r in range(rounds)]
+    return [_round_window(p, r) for r in range(rounds)]
 
 
-def _round_window(p: ProblemInstance, sh: _Shifts, r: int) -> DegreeWindow:
+def _round_window(p: ProblemInstance, r: int) -> DegreeWindow:
     """Window r of the schedule: t in [-tmax, tmax] with tmax = _T_MARGIN + 1 + 2r,
     xmax = x_margin + 2 + 3r, and gmax = xmax when g != 1."""
     tmax = _T_MARGIN + 1 + 2 * r
-    xmax = sh.x_margin + 2 + 3 * r
+    xmax = p.shifts.x_margin + 2 + 3 * r
     return DegreeWindow(-tmax, tmax, xmax, 0 if p.g.is_one() else xmax)
 
 
@@ -765,9 +774,9 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     lie wholly in the slack rows (module docstring), and, where p.commuting
     certifies the pruning theorem, less the cells where it makes the column
     of component i >= 1 redundant.  With a grading every list comes from one
-    pass over win's (u, m) layer (_block_cells); without one, the pruned
-    components come from _unpruned.  The caps of _check_window are checked
-    first, before any layout is built."""
+    pass over win's (u, m) layer (_block_cells); without one, the components
+    i >= 1 do, and the others are ranges.  The caps of _check_window are
+    checked first, before any layout is built."""
     n, sh = p.n, p.shifts
     size = win.size(n)
     _check_window(p, (n + 1) * size)
@@ -775,9 +784,8 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     box = (win.tmin, win.tmax, win.xmax, win.gmax)
     groups = [_prune_groups(p, win, i) if p.commuting else None for i in range(1, n + 1)]
     if grading is None:
-        kept = [range(size - win.layout(n)[1])] + [range(size)] * n
-        if p.commuting:
-            kept[1:] = [_unpruned(win, n, gs) for gs in groups]
+        kept = [range(size - win.layout(n)[1])]
+        kept += _block_cells(win, n, None, [(0, box, win, gs) for gs in groups])
         return _Selection(kept, range(size), _cells(inner, n, at=win_out))
     lanes = [(grading.shifts[0], (win.tmin, win.tmax - 1, win.xmax, win.gmax), win, None)]
     lanes += [(s, box, win, gs) for s, gs in zip(grading.shifts[1:], groups)]
@@ -810,9 +818,9 @@ def _hypothesis_at(groups: list[tuple], u: tuple, su: int) -> Optional[tuple]:
     """The groups of _prune_groups read at the cells t a, a = t^k x^u g^-m
     (su = sum(u)), as (kl, kh, ml, mh, rest): the hypothesis holds at (k, m)
     exactly when kl <= k <= kh, ml <= m <= mh and, for each (var, z, k0, k1,
-    m0, m1) of rest, (k, m)[var] == z or k0 <= k <= k1 and m0 <= m <= m1
-    (_span reads it at one m).  The groups that read u are decided here, once
-    per u; None when one of them fails at every such cell."""
+    m0, m1) of rest, (k, m)[var] == z or k0 <= k <= k1 and m0 <= m <= m1.
+    The groups that read u are decided here, once per u; None when one of
+    them fails at every such cell."""
     kl, kh, ml, mh, rest = -math.inf, math.inf, -math.inf, math.inf, []
     for var, z, (klo, khi, mlo, mhi, xhi, ulo) in groups:
         if var >= 2 and u[var - 2] == z:
@@ -826,44 +834,6 @@ def _hypothesis_at(groups: list[tuple], u: tuple, su: int) -> Optional[tuple]:
             kl, kh, ml, mh = max(kl, klo), min(kh, khi), max(ml, mlo), min(mh, mhi)
     rest.sort(reverse=True)  # the group of var 0, which reads k, last
     return kl, kh, ml, mh, rest
-
-
-def _unpruned(win: DegreeWindow, n: int, groups: list[tuple]) -> list[int]:
-    """The positions of the ungraded win at which the column of a component
-    i >= 1 with pruning groups groups (_prune_groups) is not redundant.  The
-    hypothesis is read once per (u, m) of win.layer, as the t-degrees k where
-    the cells t^(k+1) x^u g^-m are redundant (_span)."""
-    hyps = {u: _hypothesis_at(groups, u, sum(u)) for u in win.layout(n)[0]}
-    d = win.tmin - 1  # the span of each (u, m), less tmin - 1, is read at q // tsize
-    spans = [(lo - d, hi - d, None if z is None else z - d)
-             for lo, hi, z in (_span(hyps[u], m) if hyps[u] else (1, 0, None)
-                               for u, m in win.layer(n))]
-    tsize, kept = len(spans), []
-    for q in range(win.size(n)):
-        lo, hi, z = spans[q % tsize]
-        if not (lo <= q // tsize <= hi or q // tsize == z):
-            kept.append(q)
-    return kept
-
-
-def _span(hyp: tuple, m: int) -> tuple:
-    """(lo, hi, z): the hypothesis _hypothesis_at gives holds at (k, m) exactly
-    when lo <= k <= hi or k == z.  The group of var 0 (r = -alpha, the one
-    group of terms of component i that reads k) comes last in rest and alone
-    tests k itself: it holds at k == z or in its box."""
-    kl, kh, ml, mh, rest = hyp
-    if not ml <= m <= mh:
-        return 1, 0, None
-    lo, hi, z0 = kl, kh, None
-    for var, z, k0, k1, m0, m1 in rest:
-        if var == 0:
-            z0 = z if lo <= z <= hi else None
-        elif m == z:
-            continue
-        if not m0 <= m <= m1:
-            k0, k1 = 1, 0
-        lo, hi = k0 if k0 > lo else lo, k1 if k1 < hi else hi
-    return lo, hi, z0
 
 
 def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> tuple:
@@ -915,11 +885,11 @@ class _WindowComplex(NamedTuple):
         return [quotient(col, self.pi, self.mat.nrows) for col in cols]
 
 
-def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _WindowComplex:
+def _window_complex(p: ProblemInstance, win: DegreeWindow) -> _WindowComplex:
     """The complex of (p, win), every column cut at the slack tail."""
-    win_out = sh.output_window(win)
+    win_out = p.shifts.output_window(win)
     mat = assemble_phi(p, win, win_out)
-    inner = sh.interior(win)
+    inner = p.shifts.interior(win)
     relations = _relation_columns(p, win, _cells(win, p.n), win_out, mat.nrows)
     return _WindowComplex(
         mat,
@@ -932,7 +902,7 @@ def _window_complex(p: ProblemInstance, win: DegreeWindow, sh: _Shifts) -> _Wind
 
 
 def _top_image(
-    p: ProblemInstance, win: DegreeWindow, sh: _Shifts, grading: Optional[_Grading] = None,
+    p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading] = None,
     cx: Optional[_WindowComplex] = None,
 ) -> tuple[SparseMatrixQ, list[int]]:
     """(image, target rows) of degree n+1 on (p, win), for exponent_test and
@@ -940,10 +910,10 @@ def _top_image(
     chooses and the relation columns, over the output rows below the slack
     tail, and the output rows of the interior cells.  With a grading, only
     the top block (module docstring), whose degree n+1 is the whole
-    window's.  Given cx = _window_complex(p, win, sh), nothing is assembled
+    window's.  Given cx = _window_complex(p, win), nothing is assembled
     again: the same column objects, in the same order, are read from cx by
     position."""
-    win_out = sh.output_window(win)
+    win_out = p.shifts.output_window(win)
     sel = _select(p, win, grading)
     if cx is None:
         mat = assemble_phi(p, win, win_out, sel.kept)
@@ -1008,13 +978,12 @@ def exponent_test(
         if rep is not None:
             return rep
         # fall through: reduction not applicable
-    sh = p.shifts
     estimates: list[int] = []
     used: list[DegreeWindow] = []
     verdict, dim = Verdict.UNDETERMINED, None
     for r in range(rounds):
-        win = _round_window(p, sh, r)
-        estimates.append(_top_cokernel(*_top_image(p, win, sh, p.grading)))
+        win = _round_window(p, r)
+        estimates.append(_top_cokernel(*_top_image(p, win, p.grading)))
         used.append(win)
         v = estimates[-1]
         agree = 3 if v == 0 and not p.g.is_one() else 2
@@ -1101,8 +1070,7 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
     _check_window(p, max(len(sets) for sets in by_deg[: p.n + 1]) * win.size(p.n))
     if not check_row_commutation(p):
         raise ValueError("row components do not commute; assembly is inconsistent")
-    sh = p.shifts
-    sh.interior(win)  # a window with no interior is refused before any answer
+    p.shifts.interior(win)  # a window with no interior is refused before any answer
     grading = p.grading
     proved = p.g.is_one() or (len(p.g.terms) == 1 and p.g.max_xdeg() > 0)
     if grading and proved:
@@ -1111,9 +1079,9 @@ def koszul_cohomology(p: ProblemInstance, win: DegreeWindow) -> dict[int, int]:
         if not any(_block_cells(win, p.n, grading, [(s, box, win, None) for s in sums])):
             # alpha off the weight lattice: every degree is 0 (module docstring)
             return dict.fromkeys(range(p.n + 2), 0)
-    cx = _window_complex(p, win, sh)
+    cx = _window_complex(p, win)
     dims = {j: _koszul_h(p, j, cx, by_deg) for j in range(p.n + 1)}
-    dims[p.n + 1] = _top_cokernel(*_top_image(p, win, sh, p.grading, cx))
+    dims[p.n + 1] = _top_cokernel(*_top_image(p, win, p.grading, cx))
     return dims
 
 

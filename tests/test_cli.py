@@ -406,3 +406,15 @@ def test_dump_matrix_shares_the_shift_analysis_of_its_class(capsys, tmp_path, mo
     code, _, _ = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^2*(1-x1)",
                          "--alphas", "1/2,1/3", "--dump-matrix", str(tmp_path / "mat.txt"))
     assert code == 0 and sorted(map(str, calls)) == ["1/2", "1/3"]
+
+
+def test_dump_matrix_needs_a_class(capsys, tmp_path):
+    # with no class there is no first window to dump: a precondition
+    # violation that writes no file, where an empty report alone is fine
+    dump = tmp_path / "mat.txt"
+    code, out, err = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1^2*(1-x1)",
+                             "--alphas", "", "--dump-matrix", str(dump))
+    assert code == 3 and out == "" and "--dump-matrix needs at least one class" in err
+    assert not dump.exists()
+    code, out, _ = run_cli(capsys, "exponent-test", "--n", "1", "--f", "x1", "--alphas", "")
+    assert code == 0 and json.loads(out)["results"] == []

@@ -273,7 +273,7 @@ def test_stencil_assembly_matches_tree_walk(case):
     big = win.expand(dt=engine._T_MARGIN)
     out = sh.output_window(big)
     index_in, index_out = positions(big, n), positions(out, n)
-    cx = _window_complex(p, big, sh)
+    cx = _window_complex(p, big)
     interior = sh.interior(big)
     assert cx.targets == {index_in[m]: index_out[m] for m in interior.monomials(n)}
     tail = [i for m, i in index_out.items() if m.tdeg >= big.tmax]
@@ -359,9 +359,8 @@ def test_brieskorn_pham_late_windows():
     p = instance("x1^5+x2^5", n=2, alpha="3/5")
     expected = brieskorn_pham_count((5, 5), Q(3, 5))
     assert expected == 3
-    sh = _shift_analysis(p)
     late = default_schedule(p, rounds=4)[2:]
-    assert [_top_cokernel(*_top_image(p, w, sh)) for w in late] == [expected] * 2
+    assert [_top_cokernel(*_top_image(p, w)) for w in late] == [expected] * 2
 
 
 @pytest.mark.xfail(
@@ -540,9 +539,9 @@ def test_window_columns_hold_reduced_int_pairs(fs, n, gs, alpha):
     sh = _shift_analysis(p)
     win = default_schedule(p)[0]
     out = sh.output_window(win)
-    cx = _window_complex(p, win, sh)
+    cx = _window_complex(p, win)
     matrices = [assemble_phi(p, win, out), assemble_phi(p, win, out, _select(p, win, p.grading).kept),
-                _top_image(p, win, sh, p.grading)[0], _top_image(p, win, sh, p.grading, cx)[0],
+                _top_image(p, win, p.grading)[0], _top_image(p, win, p.grading, cx)[0],
                 cx.mat, SparseMatrixQ(cx.mat.nrows, cx.relations)]
     for mat in matrices:
         assert all(is_reduced_pair(v) for col in mat.cols for v in col.values())
@@ -577,12 +576,11 @@ def test_top_image_equals_the_full_image(fs, n, gs, alpha, rounds, commuting):
     # the cokernel of the full image, and none has a row in the slack tail
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     assert p.commuting is commuting
-    sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=rounds):
         full = full_window(p, win)
-        cx = _window_complex(p, win, sh)
-        image, targets = _top_image(p, win, sh, p.grading)
-        whole, whole_targets = _top_image(p, win, sh)
+        cx = _window_complex(p, win)
+        image, targets = _top_image(p, win, p.grading)
+        whole, whole_targets = _top_image(p, win)
         assert image.nrows == min(full.slack[0]) == cx.mat.nrows == whole.nrows
         assert all(r < image.nrows
                    for col in image.cols + whole.cols + cx.mat.cols + cx.relations for r in col)
@@ -611,9 +609,8 @@ def test_pruning_needs_the_commutation_certificate(monkeypatch):
     monkeypatch.setattr(engine, "_row_stencils", bare_dx1)
     p = instance("x1^2*(1-x1)", alpha="1/2")
     assert not p.commuting
-    sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=3):
-        image, targets = _top_image(p, win, sh)
+        image, targets = _top_image(p, win)
         assert image.ncols == 2 * win.size(1) - win.layout(1)[1]
         assert _top_cokernel(image, targets) == full_image_cokernel(full_window(p, win))
 
@@ -671,6 +668,17 @@ def block_cells(win, n, grading, shift):
     return [q for q in cells if weight(grading, decode(win, n, q)) == grading.top - shift]
 
 
+# the sweep benchmark's shapes at each of their classes, rendered here
+SWEEP_SHAPES = (
+    [(f, n, "1", a) for f, n, alphas in (
+        ("x1^3*(1-x1)^2", 1, "1/5 1/2 1"), ("x1*(1-x1)^4", 1, "1/4 2/5"),
+        ("x1*x2*(1-x1-x2)", 2, "1/4 1"), ("x1^2*x2^2*(1-x1-x2)", 2, "1/3 1/2"),
+        ("x1*x2*(1-x1-x2)^2", 2, "1/3"), ("x1^2+x2^3", 2, "5/6 1/2 1/6"),
+        ("x1^3+x2^3", 2, "1 1/3"), ("x1^2+x2^5", 2, "3/10 1/5"), ("x1^3+x2^4", 2, "5/12"),
+    ) for a in alphas.split()]
+)
+
+
 @pytest.mark.parametrize("fs, n, gs, alpha", [
     ("x1^2*(1-x1)^3", 1, "1", "1"),  # alpha = 1: the f' terms vanish at k = 1
     ("x1^2*(1-x1)^3", 1, "1", "1/5"),
@@ -679,12 +687,15 @@ def block_cells(win, n, grading, shift):
     ("x1*x2*(1-x1-x2)", 2, "x1+1", "1/3"),
     ("ginv", 1, "x1", "1"),  # f' has the higher g-power: k = 1 decides alone
     ("x2*ginv", 2, "1-x1", "1"),
-])
+] + [case for case in SWEEP_SHAPES if "+" not in case[0]])  # the ungraded sweep slots
 def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
+    # on windows 0-2 every list of _select, graded or not, is the per-cell
+    # reference: the weight of each cell and the pruning hypothesis term by
+    # term (hypothesis_holds)
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     assert p.commuting
     sh = _shift_analysis(p)
-    for win in default_schedule(p, rounds=2):
+    for win in default_schedule(p, rounds=3):
         top = win.size(n) - win.layout(n)[1]  # the first position of the top t-layer
         xrow, tsize = sh.output_window(win).layout(n)
         inner = [(m, (m.tdeg - win.tmin + 1) * tsize + xrow[m.xdeg] + m.gpow)
@@ -741,9 +752,9 @@ def test_top_image_cut_from_the_complex_is_its_own_assembly(fs, n, gs, alpha, gr
     assert (p.grading is not None, p.commuting) == (graded, commuting)
     sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=2):
-        cx = _window_complex(p, win, sh)
-        own, targets = _top_image(p, win, sh, p.grading)
-        cut, cut_targets = _top_image(p, win, sh, p.grading, cx)
+        cx = _window_complex(p, win)
+        own, targets = _top_image(p, win, p.grading)
+        cut, cut_targets = _top_image(p, win, p.grading, cx)
         assert (cut.nrows, cut_targets) == (own.nrows, targets)
         assert cut.cols == own.cols
         rels = _relation_columns(p, win, _select(p, win, p.grading).gens, sh.output_window(win),
@@ -1080,25 +1091,13 @@ def test_certificate_accepts_the_components_of_any_instance(case):
     assert check_row_commutation(instance(fs, n=n, gs=gs, alpha=alpha))
 
 
-# the sweep benchmark's shapes at each of their classes, rendered here
-SWEEP_SHAPES = (
-    [(f, n, "1", a) for f, n, alphas in (
-        ("x1^3*(1-x1)^2", 1, "1/5 1/2 1"), ("x1*(1-x1)^4", 1, "1/4 2/5"),
-        ("x1*x2*(1-x1-x2)", 2, "1/4 1"), ("x1^2*x2^2*(1-x1-x2)", 2, "1/3 1/2"),
-        ("x1*x2*(1-x1-x2)^2", 2, "1/3"), ("x1^2+x2^3", 2, "5/6 1/2 1/6"),
-        ("x1^3+x2^3", 2, "1 1/3"), ("x1^2+x2^5", 2, "3/10 1/5"), ("x1^3+x2^4", 2, "5/12"),
-    ) for a in alphas.split()]
-)
-
-
 @pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + SWEEP_SHAPES)
 def test_top_cokernel_in_order_matches_markowitz(fs, n, gs, alpha):
     # the fixed column order of _top_cokernel and the Markowitz rule, the
     # reference, find the same ranks on the top images of windows 0-2
     p = instance(fs, n=n, gs=gs, alpha=alpha)
-    sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=3):
-        image, targets = _top_image(p, win, sh, p.grading)
+        image, targets = _top_image(p, win, p.grading)
         cols = sorted(filter(None, image.cols), key=lambda col: (len(col), -max(col)))
         a, units = SparseMatrixQ(image.nrows, cols), [{r: (1, 1)} for r in sorted(targets)]
         fixed = rank_with_extension(a, units, in_order=True)
@@ -1246,9 +1245,8 @@ def test_top_cokernel_order_is_the_count_then_highest_row_key(monkeypatch, fs, n
     monkeypatch.setattr(engine, "rank_with_extension",
                         lambda a, extra, **kwargs: seen.append(a.cols) or (0, 0))
     p = instance(fs, n=n, gs=gs, alpha=alpha)
-    sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=2):
-        image, targets = _top_image(p, win, sh, p.grading)
+        image, targets = _top_image(p, win, p.grading)
         _top_cokernel(image, targets)
         want = sorted(filter(None, image.cols), key=lambda col: (len(col), -max(col)))
         got = seen.pop()
@@ -1284,7 +1282,7 @@ def test_koszul_degree_zero_is_zero_for_g_one(monkeypatch, fs, n, gs, alpha):
     monkeypatch.setattr(engine, "_koszul_differential", lambda j, *args, **kwargs: (
         calls.append(("d", j)) or _koszul_differential(j, *args, **kwargs)))
     by_deg = _koszul_bases(n)
-    cx = _window_complex(p, win, _shift_analysis(p))
+    cx = _window_complex(p, win)
     assert engine._koszul_h(p, 0, cx, by_deg) == 0 and calls == []
     assert koszul_cohomology(p, win) == want
     assert sum(isinstance(c, int) for c in calls) in (0, n)  # degrees 1..n, or none off the lattice
@@ -1299,7 +1297,7 @@ def test_neighbourhood_columns_are_those_of_the_whole_boundary_that_meet_the_row
     # interior cycles of each degree, and for every interior row of K^j
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     by_deg = _koszul_bases(n)
-    cx = _window_complex(p, default_schedule(p)[0], _shift_analysis(p))
+    cx = _window_complex(p, default_schedule(p)[0])
     nm = cx.mat.nrows
     for j in range(1, n + 1):
         whole = _koszul_differential(j - 1, cx.mat, by_deg).cols
@@ -1518,9 +1516,8 @@ def test_graded_windows_equal_the_full_windows(fs, n, gs, alpha):
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     grading = p.grading
     assert grading is not None
-    sh = _shift_analysis(p)
     for win in default_schedule(p, rounds=4):
-        graded = _top_cokernel(*_top_image(p, win, sh, grading))
+        graded = _top_cokernel(*_top_image(p, win, grading))
         assert full_window_blocks(p, win, grading) == (graded, 0), win
 
 

@@ -1,7 +1,8 @@
 """No module in src/gmexp or tests imports a name it never uses, no
 function in src/gmexp imports anything (outside one allowlisted cycle), no
-top-level definition in src/gmexp is dead, and importing gmexp leaves the
-operator calculus unloaded."""
+top-level definition in src/gmexp is dead, no top-level function or class
+there goes unread by src/gmexp, tests and perfbench, and importing gmexp
+leaves the operator calculus unloaded."""
 
 import ast
 import subprocess
@@ -110,6 +111,29 @@ def dead_definitions() -> list[str]:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def unread_definitions() -> list[str]:
+    """Top-level functions and classes of src/gmexp that no ast.Name or
+    ast.Attribute anywhere in src/gmexp, tests or perfbench reads and that
+    gmexp.__all__ does not list; an import alone is no read."""
+    readers = [*SRC, *sorted((ROOT / "tests").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    read = exported(ast.parse((ROOT / "src" / "gmexp" / "__init__.py").read_text()))
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"src/gmexp/{path.stem}.py:{node.lineno} {node.name}"
+            for path in SRC for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_every_definition_is_read():
+    assert unread_definitions() == []
 
 
 def test_import_leaves_the_operator_calculus_unloaded():
