@@ -37,9 +37,10 @@ A window matrix is its row count and a list of {row: value} columns from
 the stencil to the pivot.  Window cells are their positions in
 DegreeWindow.layout from selection (_cells, _select) to assembly, decoded
 by its inverse DegreeWindow.layer; no Monomial label is built.  Every value
-is the reduced int pair (num, den) that gmexp.linalg eliminates
-(rational.pair), made once per stencil term and value of the exponent it
-reads; no Q value is built per entry.
+is the reduced int pair (num, den) that gmexp.linalg eliminates, made once
+per stencil term and value x of the exponent it reads: (a x + b, L) reduced
+by one gcd, from int numerators over one denominator, with no Q product
+(_int_stencil), the ints that the commutation certificate reads too.
 
 Quasi-homogeneous instances are graded by the Euler field (K. Saito 1971).
 Let rational weights w_1..w_n and delta give every term of f the weight 1
@@ -92,10 +93,10 @@ t^k x^u g^-m is in the block exactly when scale k = c + wg m, for c =
 top - s - sum(wx_i u_i): its m form the arithmetic progression wg m = -c
 (mod scale), and each m gives its one k.  The pruning hypothesis below is
 tested on each block cell as it is found, against boxes built once per
-window (_prune_groups, _hypothesis_at).  The components i >= 1 of an
-ungraded window take the same walk, with every cell of the window in the
-block, so that hypothesis is tested in this one place.  Each list comes
-out t-major and ascending, as the per-shift scan of every (u, m) gave it.
+window (_prune_groups, _hypothesis_at) and read once per (u, m) (_span).
+The components i >= 1 of an ungraded window take the same walk, with every
+cell of the window in the block.  Each list comes out t-major and
+ascending, as the per-shift scan of every (u, m) gave it.
 
 Theorem (every degree).  In the Koszul complex (koszul_cohomology), give
 e_S (x) a, the cell a in the copy of S, the weight mu = lambda(a) - sum_S
@@ -168,9 +169,9 @@ which is never left out, and of the columns of component i that are
 kept; so leaving all of them out keeps the span, and every estimate.  With
 a grading, the cells a + s of component i and q of component 0 have the
 weights those components are taken at, so the identity stays inside the
-top block.  _select tests the hypothesis cell by cell in one walk over the
-(u, m) layer (_block_cells), graded or not, and finds that the component
-columns of the benchmark's sweep lose about a fifth of their number.
+top block.  _select tests the hypothesis in one walk over the (u, m) layer
+(_block_cells), graded or not, and finds that the component columns of the
+benchmark's sweep lose about a fifth of their number.
 
 Slack quotient, in every degree.  Solutions in k((t))[x, 1/g] carry
 infinite ascending t-tails, so a window truncation of a true preimage
@@ -216,11 +217,12 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import SparseMatrixQ, nullspace, quotient, quotient_map, rank_with_extension
-from .rational import Q, ResourceLimitError, class_rep, pair
+from .rational import Q, ResourceLimitError, class_rep
 from .ring import (
     DegreeWindow,
     Monomial,
     RingElement,
+    _collect,
     clear_g,
     partial_x,
     quasi_weights,
@@ -291,8 +293,8 @@ class ProblemInstance:
         shift (1, 0, ..., 0) with a non-zero constant coefficient, and
         component 0 commutes formally with each component i >= 1 (its
         bracket has no surviving form); computed on first use."""
-        # (shift, var, c * (e[-1] + r) != 0), e[-1] = 1
-        raising = [(s, var, bool(c * (1 + r))) for s, c, var, r in self.stencils[0][0] if s[0] > 0]
+        raising = [(s, var, bool(a + b))  # c * (e[-1] + r) = (a + b) / L, e[-1] = 1
+                   for s, a, var, b in _int_stencil(self.stencils[0][0])[1] if s[0] > 0]
         tau = ((1,) + (0,) * (self.n + 1), -1, True)
         return raising == [tau] and not any(self._brackets_with_0)
 
@@ -411,11 +413,12 @@ def _commutator(left: tuple, right: tuple) -> dict[tuple, dict[int, int]]:
     s1 collects c0 * c1 * (s0[v1] * (e[v0] + r0) - s1[v0] * (e[v1] + r1))
     over the terms (s0, c0, v0, r0) of left and (s1, c1, v1, r1) of right,
     a shift read as 0 in the constant slot -1: an affine form, var -1 its
-    constant.  The arithmetic is on ints (_int_terms): every form is scaled
-    by the same non-zero constant, which keeps its zero test exact."""
+    constant.  The arithmetic is on the ints of _int_stencil, with no Q product:
+    every form is scaled by the same non-zero constant, which keeps its zero
+    test exact."""
     diff: dict[tuple, dict[int, int]] = {}
-    right = _int_terms(right)
-    for s0, c0, v0, cr0 in _int_terms(left):
+    right = _int_stencil(right)[1]
+    for s0, c0, v0, cr0 in _int_stencil(left)[1]:
         for s1, c1, v1, cr1 in right:
             a = s0[v1] if v1 >= 0 else 0
             b = s1[v0] if v0 >= 0 else 0
@@ -434,11 +437,20 @@ def _commutator(left: tuple, right: tuple) -> dict[tuple, dict[int, int]]:
     return {s: form for s, form in survivors if form}
 
 
-def _int_terms(stencil: tuple) -> list[tuple]:
-    """The terms (shift, L c, var, L c r) of a stencil, for L the lcm of the
-    denominators of every c and c * r in it: all ints."""
-    scale = math.lcm(*(int(q.denominator) for _s, c, _v, r in stencil for q in (c, c * r)))
-    return [(s, int(c * scale), var, int(c * r * scale)) for s, c, var, r in stencil]
+def _int_stencil(stencil: tuple) -> tuple[int, list[tuple]]:
+    """(L, [(shift, a, var, b)]) for a stencil's terms (shift, c, var, r):
+    c * (x + r) = (a x + b) / L, for L the lcm of the denominators of every c
+    and c * r, in ints read from the numerators and denominators of c and r
+    alone (so mpq works too), c * r reduced by one gcd, with no Q product."""
+    parts = []
+    for s, c, var, r in stencil:
+        cn, cd = int(c.numerator), int(c.denominator)
+        pn, pd = cn * int(r.numerator), cd * int(r.denominator)  # c * r
+        d = math.gcd(pn, pd)
+        parts.append((s, cn, cd, var, pn // d, pd // d))
+    scale = math.lcm(*(x for part in parts for x in part[2::3]))  # every cd and pd
+    return scale, [(s, cn * (scale // cd), var, pn * (scale // pd))
+                   for s, cn, cd, var, pn, pd in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +481,11 @@ def _certify_grading(p: ProblemInstance) -> Optional[_Grading]:
     if found is None:
         return None
     w, delta = found
-    euler = RingElement.zero(p.n)
-    for i, (wi, df) in enumerate(zip(w, p.derivatives), start=1):
-        euler = euler + (RingElement.var(p.n, i) * df).scale(wi)
-    if euler != p.f:
+    euler = _collect(  # sum(w_i x_i f'_i), term by term in one dict
+        (Monomial(m.tdeg, tuple(u + 1 if j == i else u for j, u in enumerate(m.xdeg)), m.gpow),
+         wi * c)
+        for i, (wi, df) in enumerate(zip(w, p.derivatives)) for m, c in df.terms.items())
+    if euler != p.f.terms:
         return None
     scale = math.lcm(*(int(q.denominator) for q in (*w, delta, p.alpha)))
     top = (p.alpha - sum(w)) * scale
@@ -506,17 +519,16 @@ def _block_cells(
     that a column moving weight by shift sends into the top block, of weight
     (top - shift) / scale, as ascending positions of the window at, which
     holds them; with pruning groups (_prune_groups), less the cells where
-    the pruning hypothesis holds, tested cell by cell on the groups as
-    _hypothesis_at reads them.  This is the one test of that hypothesis.
+    the pruning hypothesis holds, read once per (u, m) by _span.
 
-    Without a grading a lane takes every (k, m) of its box.  With one,
-    sum(w_i u_i) is taken once per u.  For c = top - shift - sum(wx_i u_i)
-    a cell has the weight exactly when scale k = c + wg m, so its m are the
-    progression wg m = -c (mod scale), of step scale / gcd(wg, scale), cut to
-    the m whose k lies in [tlo, thi], and k moves by wg / gcd(wg, scale) per
-    step.  Each lane collects its cells per t-layer, in the order of u and
-    then m that the layout gives them, so the t-major concatenation is
-    ascending."""
+    Without a grading a lane takes every (k, m) of its box, kept as spans of
+    k and written t-major after the pass.  With one, sum(w_i u_i) is taken
+    once per u.  For c = top - shift - sum(wx_i u_i) a cell has the weight
+    exactly when scale k = c + wg m, so its m are the progression wg m = -c
+    (mod scale), of step scale / gcd(wg, scale), cut to the m whose k lies
+    in [tlo, thi], and k moves by wg / gcd(wg, scale) per step; each lane
+    collects them per t-layer in layout order, so the t-major concatenation
+    is ascending."""
     if grading:
         scale, wg = grading.scale, grading.wg
         d = math.gcd(wg, scale)
@@ -525,50 +537,50 @@ def _block_cells(
     runs = []
     for shift, (tlo, thi, xhi, ghi), at, groups in lanes:
         xrow_at, tsize = at.layout(n)
-        buckets: list[list[int]] = [[] for _ in range(thi - tlo + 1)]
-        runs.append((shift, tlo, thi, xhi, ghi, xrow_at, tsize, at.tmin, groups, buckets))
+        # the cells per t-layer, or without a grading the (offset, lo, hi, z) spans
+        found: list = [[] for _ in range(thi - tlo + 1)] if grading else []
+        runs.append((shift, tlo, thi, xhi, ghi, xrow_at, tsize, at.tmin, groups, found))
     for u in win.layout(n)[0]:
         su = sum(u)
         if grading:
             top_u = grading.top - sum(a * b for a, b in zip(grading.wx, u))
-        for shift, tlo, thi, xhi, ghi, xrow_at, tsize, atmin, groups, buckets in runs:
+        for shift, tlo, thi, xhi, ghi, xrow_at, tsize, atmin, groups, found in runs:
             if su > xhi:
                 continue
-            if grading is None:
-                pairs = itertools.product(range(tlo, thi + 1), range(ghi + 1))
-            else:
-                c = top_u - shift
-                if c % d:
-                    continue
-                lo, hi = tlo * scale - c, thi * scale - c  # the bounds of wg m
-                if wg:
-                    mlo, mhi = (-(-lo // wg), hi // wg) if wg > 0 else (-(-hi // wg), lo // wg)
-                elif lo <= 0 <= hi:
-                    mlo, mhi = 0, ghi
-                else:
-                    continue
-                mlo = max(mlo, 0)
-                ms = range(mlo + ((-c // d) * inv - mlo) % step, min(mhi, ghi) + 1, step)
-                k = (c + wg * ms.start) // scale
-                ks = range(k, k + kstep * len(ms), kstep) if kstep else itertools.repeat(k)
-                pairs = zip(ks, ms)
             base = xrow_at[u] - atmin * tsize
+            if grading is None:
+                hyp = groups and _hypothesis_at(groups, u, su)
+                for m in range(ghi + 1):
+                    found.append((base + m, *_span(hyp, m)) if hyp else (base + m, 1, 0, None))
+                continue
+            c = top_u - shift
+            if c % d:
+                continue
+            lo, hi = tlo * scale - c, thi * scale - c  # the bounds of wg m
+            if wg:
+                mlo, mhi = (-(-lo // wg), hi // wg) if wg > 0 else (-(-hi // wg), lo // wg)
+            elif lo <= 0 <= hi:
+                mlo, mhi = 0, ghi
+            else:
+                continue
+            mlo = max(mlo, 0)
+            ms = range(mlo + ((-c // d) * inv - mlo) % step, min(mhi, ghi) + 1, step)
+            k = (c + wg * ms.start) // scale
+            ks = range(k, k + kstep * len(ms), kstep) if kstep else itertools.repeat(k)
             hyp = groups and _hypothesis_at(groups, u, su)
             if not hyp:
-                for k, m in pairs:
-                    buckets[k - tlo].append(k * tsize + base + m)
+                for k, m in zip(ks, ms):
+                    found[k - tlo].append(k * tsize + base + m)
                 continue
-            kl, kh, ml, mh, rest = hyp
-            for k, m in pairs:
-                a = k - 1  # the cell is t a, and the hypothesis reads a
-                held = kl <= a <= kh and ml <= m <= mh
-                for var, z, k0, k1, m0, m1 in rest if held else ():
-                    if (a, m)[var] != z and not (k0 <= a <= k1 and m0 <= m <= m1):
-                        held = False
-                        break
-                if not held:
-                    buckets[k - tlo].append(k * tsize + base + m)
-    return [[q for bucket in run[-1] for q in bucket] for run in runs]
+            for k, m in zip(ks, ms):
+                lo, hi, z = _span(hyp, m)
+                if not (lo <= k <= hi or k == z):
+                    found[k - tlo].append(k * tsize + base + m)
+    if grading:
+        return [[q for layer in run[-1] for q in layer] for run in runs]
+    return [[k * tsize + x for k in range(tlo, thi + 1) for x, lo, hi, z in found
+             if not (lo <= k <= hi or k == z)]
+            for _s, tlo, thi, _x, _g, _xr, tsize, _t, _gs, found in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -682,15 +694,16 @@ def _stencil_columns(
     its position in win_in, as a column {row: (num, den)} over win's
     canonical order (rows placed by win.layout), or None if a non-zero term
     falls outside win; with stop, the entries on rows >= stop are left out
-    (but must still lie in win).  Each term's coefficient is made into a
-    pair once per value of the exponent it reads, and that one pair object
-    is shared by its entries."""
+    (but must still lie in win).  Each term's coefficient is made once per
+    value x of the exponent it reads, (a x + b, L) of _int_stencil reduced
+    by one gcd, and that one pair object is shared by its entries."""
     xrow, tsize = win.layout(n)
     if stop is None:
         stop = (win.tmax - win.tmin + 1) * tsize
     tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
     layer, kmin, lsize = win_in.layer(n), win_in.tmin, win_in.layout(n)[1]
-    terms = [(s[0], s[1], s[0] * tsize + s[1], c, var, r, {}) for s, c, var, r in stencil]
+    den, ints = _int_stencil(stencil)
+    terms = [(s[0], s[1], s[0] * tsize + s[1], a, var, b, {}) for s, a, var, b in ints]
     by_u: dict[tuple, list] = {}  # u -> row offset of u + dx for each term, None outside
     cols: list[Optional[dict[int, tuple[int, int]]]] = []
     for q in cells:
@@ -701,11 +714,12 @@ def _stencil_columns(
         e = (k, m, *u, 1)
         base = (k - tmin) * tsize + m
         col: Optional[dict[int, tuple[int, int]]] = {}
-        for (dt, dg, off, c, var, r, memo), x in zip(terms, xs):
+        for (dt, dg, off, a, var, b, memo), x in zip(terms, xs):
             v = memo.get(e[var], memo)  # memo itself marks a miss, None a zero
             if v is memo:
-                v = c * (e[var] + r)
-                v = memo[e[var]] = pair(v) if v else None
+                v = a * e[var] + b
+                d = math.gcd(v, den)
+                v = memo[e[var]] = (v // d, den // d) if v else None
             if v is None:
                 continue
             if x is None or not tmin <= k + dt <= tmax or m + dg > gmax:
@@ -834,6 +848,26 @@ def _hypothesis_at(groups: list[tuple], u: tuple, su: int) -> Optional[tuple]:
             kl, kh, ml, mh = max(kl, klo), min(kh, khi), max(ml, mlo), min(mh, mhi)
     rest.sort(reverse=True)  # the group of var 0, which reads k, last
     return kl, kh, ml, mh, rest
+
+
+def _span(hyp: tuple, m: int) -> tuple:
+    """(lo, hi, z): the hypothesis _hypothesis_at gives holds at (a, m), for
+    the cell t a of t-degree k, exactly when lo <= k <= hi or k == z.  The
+    group of var 0 (r = -alpha, the one group that reads a) comes last in
+    rest and alone tests a itself: it holds at a == z or in its box."""
+    kl, kh, ml, mh, rest = hyp
+    if not ml <= m <= mh:
+        return 1, 0, None
+    lo, hi, z0 = kl, kh, None
+    for var, z, k0, k1, m0, m1 in rest:
+        if var == 0:
+            z0 = z + 1 if lo <= z <= hi else None
+        elif m == z:
+            continue
+        if not m0 <= m <= m1:
+            k0, k1 = 1, 0
+        lo, hi = k0 if k0 > lo else lo, k1 if k1 < hi else hi
+    return lo + 1, hi + 1, z0
 
 
 def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> tuple:

@@ -10,8 +10,8 @@ boundaries and nullspace keep Markowitz, where a fixed order is several
 times slower.  No rank depends on the policy.
 
 Every value, from the columns to the last pivot, is a reduced (numerator,
-denominator) pair of Python ints with a positive denominator (rational.pair),
-the canonical form of Q, so the pivots do not depend on it.  The eliminator
+denominator) pair of Python ints with a positive denominator, the canonical
+form of Q, so the pivots do not depend on it.  The eliminator
 converts nothing, and nullspace returns pair vectors; a caller that holds Q
 values converts at its boundary (ring.quasi_weights).
 

@@ -135,14 +135,7 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, QZERO) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return RingElement._trusted(self.n, out)
+        return RingElement._trusted(self.n, _collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "RingElement":
         return RingElement._trusted(self.n, {m: -c for m, c in self.terms.items()})
@@ -222,9 +215,11 @@ def _bits(e: RingElement) -> int:
                 for c in e.terms.values()), default=0)
 
 
-def _collect(items) -> dict:
-    """Sum (key, value) pairs by key, dropping keys whose sum is 0."""
-    out: dict = {}
+def _collect(items, out: dict | None = None) -> dict:
+    """Sum (key, value) pairs by key into out (a new dict by default),
+    dropping keys whose sum is 0."""
+    if out is None:
+        out = {}
     for key, c in items:
         s = out[key] + c if key in out else c
         if s == 0:
@@ -411,11 +406,8 @@ def clear_g(e: RingElement, g: RingElement) -> RingElement:
     if big_m == 0:
         return e
     if g.is_one():
-        flat: dict[Monomial, object] = {}
-        for m, c in e.terms.items():
-            k = Monomial(m.tdeg, m.xdeg, 0)
-            flat[k] = flat.get(k, QZERO) + c
-        return RingElement(e.n, flat)
+        flat = ((Monomial(m.tdeg, m.xdeg, 0), c) for m, c in e.terms.items())
+        return RingElement(e.n, _collect(flat))
     layers: list[dict[Monomial, object]] = [{} for _ in range(big_m + 1)]
     for m, c in e.terms.items():
         layers[m.gpow][Monomial(m.tdeg, m.xdeg, 0)] = c

@@ -30,8 +30,14 @@ from gmexp.engine import (
 from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, quotient, rank_with_extension
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
-from gmexp.rational import Q, pair
-from gmexp.ring import Monomial, RingElement, clear_g
+from gmexp.rational import Q
+from gmexp.ring import Monomial, RingElement, clear_g, quasi_weights
+
+
+def pair(q):
+    """q as the reduced (numerator, denominator) pair of ints, with a
+    positive denominator, that gmexp.linalg computes on."""
+    return int(q.numerator), int(q.denominator)
 
 
 def instance(fs, n=1, gs="1", alpha="0"):
@@ -1422,19 +1428,94 @@ def rational_commutator(left, right):
     return {s: form for s, form in forms.items() if form}
 
 
-@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS)
+def moved_by_thirds(comps):
+    """comps with the first term of each component moved: its coefficient
+    times 2/3 and its offset plus 1/3."""
+    return tuple(tuple((s, c * Q(2, 3), var, r + Q(1, 3)) if k == 0 else (s, c, var, r)
+                       for k, (s, c, var, r) in enumerate(comp)) for comp in comps)
+
+
+def int_terms(stencil):
+    """(L, [(shift, L c, var, L c r)]) for L the lcm of the denominators of
+    every c and c * r, made by Q products: the int scaling that _commutator
+    read before _int_stencil, kept as its reference."""
+    scale = math.lcm(*(int(q.denominator) for _s, c, _v, r in stencil for q in (c, c * r)))
+    return scale, [(s, int(c * scale), var, int(c * r * scale)) for s, c, var, r in stencil]
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + G_LAYERS)
 def test_int_commutator_matches_the_rational_one(fs, n, gs, alpha):
     # the int-scaled forms survive exactly where the rational ones do, each
-    # the same positive multiple of its rational form, also for components
+    # the rational form times the product of the two stencils' L: the ints
+    # that the Q-product scaling (int_terms) gives, also for components
     # whose coefficients and offsets are moved by thirds
     comps = instance(fs, n=n, gs=gs, alpha=alpha).stencils[0]
-    moved = [tuple((s, c * Q(2, 3), var, r + Q(1, 3)) if k == 0 else (s, c, var, r)
-                   for k, (s, c, var, r) in enumerate(comp)) for comp in comps]
-    for left, right in itertools.permutations(comps + tuple(moved), 2):
+    for left, right in itertools.permutations(comps + moved_by_thirds(comps), 2):
         got, want = engine._commutator(left, right), rational_commutator(left, right)
-        assert {s: set(f) for s, f in got.items()} == {s: set(f) for s, f in want.items()}
-        ratios = {Q(got[s][v]) / want[s][v] for s in want for v in want[s]}
-        assert len(ratios) <= 1 and all(q > 0 for q in ratios)
+        scale = int_terms(left)[0] * int_terms(right)[0]
+        assert got == {s: {v: int(d * scale) for v, d in f.items()} for s, f in want.items()}
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + G_LAYERS + LOCALIZED_SHAPES)
+def test_int_stencils_give_the_rational_coefficients(fs, n, gs, alpha):
+    # every component and relation stencil, and the components moved by
+    # thirds: _int_stencil's (L, a, b) are int_terms' ints, and the pair
+    # that _stencil_columns makes of (a x + b, L) is pair(c * (x + r))
+    comps, relation = instance(fs, n=n, gs=gs, alpha=alpha).stencils
+    for stencil in comps + (relation,) + moved_by_thirds(comps):
+        den, ints = engine._int_stencil(stencil)
+        assert (den, ints) == int_terms(stencil)
+        assert all(type(a) is int and type(b) is int for _s, a, _v, b in ints)
+        for (s, c, var, r), (s_int, a, var_int, b) in zip(stencil, ints):
+            assert (s_int, var_int) == (s, var)
+            for x in range(-12, 13):
+                v, d = a * x + b, math.gcd(a * x + b, den)
+                assert (v != 0) == (c * (x + r) != 0)
+                assert not v or (v // d, den // d) == pair(c * (x + r))
+
+
+def rational_columns(stencil, cells, win_in, win, n, stop):
+    """_stencil_columns evaluated in Q, entry by entry: each coefficient
+    c * (e[var] + r) a Q product made into a pair, and each row found from
+    the monomial of the image."""
+    xrow, tsize = win.layout(n)
+    cols = []
+    for q in cells:
+        mono = decode(win_in, n, q)
+        e = (mono.tdeg, mono.gpow, *mono.xdeg, 1)
+        col = {}
+        for (dt, dg, *dx), c, var, r in stencil:
+            v = c * (e[var] + r)
+            if not v:
+                continue
+            k, m, u = mono.tdeg + dt, mono.gpow + dg, tuple(map(sum, zip(mono.xdeg, dx)))
+            if not (win.tmin <= k <= win.tmax and m <= win.gmax and u in xrow):
+                col = None
+                break
+            row = (k - win.tmin) * tsize + xrow[u] + m
+            if row < stop:
+                col[row] = pair(v)
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", KOSZUL_CORPUS + G_LAYERS + LOCALIZED_SHAPES)
+def test_stencil_columns_equal_the_rational_evaluation(fs, n, gs, alpha):
+    # on windows 0-1 every component and relation column, and those of the
+    # components moved by thirds, equal their evaluation in Q: over the
+    # output window cut at the slack tail, and over the window itself, which
+    # some images leave (None)
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    comps, relation = p.stencils
+    left = 0
+    for win in default_schedule(p, rounds=2):
+        win_out, cells = p.shifts.output_window(win), range(win.size(n))
+        for out, stop in ((win_out, engine._slack_start(win, win_out, n)), (win, None)):
+            for stencil in comps + (relation,) + moved_by_thirds(comps):
+                got = engine._stencil_columns(stencil, cells, win, out, n, stop)
+                assert got == rational_columns(stencil, cells, win, out, n, stop or len(cells))
+                left += got.count(None)
+    assert left
 
 
 def test_each_pair_of_components_is_certified_once(monkeypatch):
@@ -1519,6 +1600,54 @@ def test_graded_windows_equal_the_full_windows(fs, n, gs, alpha):
     for win in default_schedule(p, rounds=4):
         graded = _top_cokernel(*_top_image(p, win, grading))
         assert full_window_blocks(p, win, grading) == (graded, 0), win
+
+
+def product_grading(p):
+    """(Euler identity holds, every stencil term moves the weight by its
+    component's shift, the grading those checks certify), with the identity
+    summed through RingElement products as _certify_grading summed it
+    before its one dict; None when the weights are not unique."""
+    found = quasi_weights(p.f, p.g)
+    if found is None:
+        return None
+    w, delta = found
+    euler = RingElement.zero(p.n)
+    for i, (wi, df) in enumerate(zip(w, p.derivatives), start=1):
+        euler = euler + (RingElement.var(p.n, i) * df).scale(wi)
+    scale = math.lcm(*(int(q.denominator) for q in (*w, delta, p.alpha)))
+    wx, wg = tuple(int(wi * scale) for wi in w), int(delta * scale)
+    shifts = (scale, *(-a for a in wx))
+    comps, relation = p.stencils
+    moves = all(scale * dt - wg * dg + sum(map(math.prod, zip(wx, dx))) == shift
+                for stencil, shift in zip((*comps, relation), (*shifts, 0))
+                for (dt, dg, *dx), *_ in stencil)
+    top = int((p.alpha - sum(w)) * scale)
+    return euler == p.f, moves, engine._Grading(scale, wx, wg, shifts, top)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", sorted(set(
+    GRADED + SELECTION_CASES + SWEEP_SHAPES + KOSZUL_CORPUS + G_LAYERS + LOCALIZED_SHAPES)))
+def test_euler_certificate_equals_the_sum_of_products(fs, n, gs, alpha):
+    # the termwise Euler sum of _certify_grading certifies exactly what the
+    # sum of RingElement products does, on every instance of the corpora
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    found = product_grading(p)
+    if found is None:
+        assert p.grading is None
+        return
+    identity, moves, grading = found
+    assert p.grading == (grading if identity and moves else None)
+
+
+def test_euler_identity_is_checked_as_formal_elements():
+    # x1^2 g^-1 over g = x1 + x2 has the unique weights ((1, 1), 1), and
+    # every stencil term moves the weight as it should, but sum(x_i f'_i) =
+    # x1^2 (x1 + x2) g^-2 is not x1^2 g^-1 as a formal element: no grading
+    p = instance("x1^2*ginv", n=2, gs="x1+x2", alpha="1/2")
+    assert quasi_weights(p.f, p.g) == ((Q(1), Q(1)), Q(1))
+    identity, moves, _grading = product_grading(p)
+    assert not identity and moves
+    assert p.grading is None
 
 
 # (f, n, g, alpha, closed-form cokernel: the x^w/x rule or Brieskorn-Pham)

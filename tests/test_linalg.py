@@ -8,7 +8,13 @@ from gmexp import linalg
 from gmexp.engine import ProblemInstance, default_schedule, exponent_test, koszul_cohomology
 from gmexp.linalg import SparseMatrixQ, nullspace, quotient, quotient_map, rank_with_extension
 from gmexp.parser import parse_poly
-from gmexp.rational import Q, pair
+from gmexp.rational import Q
+
+
+def pair(q):
+    """q as the reduced (numerator, denominator) pair of ints, with a
+    positive denominator, that gmexp.linalg computes on."""
+    return int(q.numerator), int(q.denominator)
 
 
 def rank(m):

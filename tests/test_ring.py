@@ -134,6 +134,43 @@ def test_partial_x_adds_no_ring_elements(e, i, gs):
     assert calls == []
 
 
+def looped_sum(a, b):
+    """The terms of a + b by the loop __add__ ran before it summed through
+    ring._collect: the reference for their values and their order."""
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        s = out.get(m, Q(0)) + c
+        if s == 0:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+@given(elem(), elem())
+def test_sum_keeps_the_terms_and_their_order(a, b):
+    for x, y in ((a, b), (a, -a), (a, b - a)):
+        got = x + y
+        assert list(got.terms.items()) == list(looped_sum(x, y).items())
+        assert_canonical(got)
+
+
+@given(elem(max_terms=8))
+def test_clear_g_by_one_sums_the_layers(e):
+    # the g = 1 branch sums through ring._collect: the loop it replaced
+    # gives the same terms, in the same order unless an x-monomial's layers
+    # cancel before its last one (_collect then moves it to its last)
+    flat, cancelled = {}, False
+    for m, c in e.terms.items():
+        key = Monomial(m.tdeg, m.xdeg, 0)
+        cancelled |= key in flat and flat[key] == 0
+        flat[key] = flat.get(key, Q(0)) + c
+    got = clear_g(e, RingElement.one(2))
+    assert got == RingElement(2, flat)
+    assert cancelled or list(got.terms) == [k for k, c in flat.items() if c]
+    assert_canonical(got)
+
+
 def test_partial_x_keeps_the_product_cap(monkeypatch):
     # each g-layer term's product with d_i g still goes through __mul__
     g, f, df = (parse_poly(s, 1) for s in ("1 - x1", "x1^3", "3*x1^2"))
