@@ -13,8 +13,9 @@ version, and a timing field (the only nondeterministic part).  Exit
 codes: 0 success, 2 parse error (a GM_MAX_WINDOW_CELLS that is not a
 nonnegative integer too, before any option is read), 3 precondition
 violation (an --output or --dump-matrix path that cannot be written too,
-checked for a missing directory before the run, and --dump-matrix with no
-class in --alphas), 4 resource limit
+checked for a missing directory before the run, --dump-matrix with no
+class in --alphas, and a negative --n, refused before any expression is
+parsed), 4 resource limit
 exceeded (the window cell cap, GM_MAX_WINDOW_CELLS or else
 engine.DEFAULT_MAX_WINDOW_CELLS; engine.MAX_WINDOW_ENTRIES, on a window's
 cells times its longest stencil; a MemoryError, a RecursionError,
@@ -238,6 +239,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.time()
     try:
+        if getattr(args, "n", 0) < 0:  # refused before any expression is parsed
+            raise ValueError(f"--n must be a nonnegative variable count, not {args.n}")
         for path in filter(None, (getattr(args, a, None) for a in ("output", "dump_matrix"))):
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 raise OSError(f"cannot write {path!r}: no such directory, or a directory")

@@ -141,7 +141,7 @@ other query builds the whole window in degrees 0..n.
 Degree n+1 of a window is its target rows modulo the span of the
 component columns, the relation columns and the slack (the slack quotient
 below).  exponent_test and koszul_cohomology eliminate a smaller matrix
-with the same answer, the top image (_top_image), in three steps.
+with the same answer, the top image (_top_image), in four steps.
 
 Theorem (pruning).  Suppose that the one stencil term of component 0
 that raises t is -t, shift (1, 0, ..., 0) with a non-zero constant
@@ -196,6 +196,36 @@ slack tail, a relation column that the cut empties is left out, and no
 slack column is built.  Component 0 is t-free but for -t, so its column at
 a cell of the top t-layer lies wholly in the slack rows: the top image
 leaves it out (_select).
+
+Theorem (top x-degree).  Let d0 be the largest raise of total x-degree by
+a term of component 0: f's top total degree, over all its g-layers (-t
+raises none).  Suppose every term of components 1..n and of the relation
+raises total x-degree by less than d0, which p.shifts.top_x decides once
+per instance (f'_i, d_i g and g have total degree below d0; the
+relation's constant term makes d0 >= 1).  Then, after pruning and the
+slack quotient, the columns of component 0 at the cells of the top total
+x-degree win.xmax can be left out of the top image, and every estimate
+stays.
+
+Proof.  Let E be the output rows of x-degree win.xmax + d0 below the
+slack tail.  A column of component i >= 1 or of a relation at a cell of
+win raises x-degree by less than d0, and a column of component 0 at a cell
+of x-degree below win.xmax by at most d0, so none of them meets E; the
+targets are interior cells, of x-degree <= win.xmax - x_margin, so they do
+not meet it either.  On E the column of component 0 at t^k x^u g^-m, with
+sum(u) = win.xmax and k < win.tmax, is F x^u y^m at t-layer k, for F the
+part of f of total degree d0, whose coefficients are constants, read as a
+non-zero polynomial in x and y, the formal g^-1 of the window's basis.
+k[x, y] is a domain, so multiplying by F is injective, and these columns
+are independent on E.  With C these columns, B the others and T the
+targets, C c = B b + T z gives C c = 0 on E, so c = 0: rank([C | B]) =
+|C| + rank(B) and rank([C | B | T]) = |C| + rank([B | T]), and the
+cokernel, their difference, is that of B.  Pruning comes first, on the
+whole window, since its identity may read component 0 at x-degree
+win.xmax; the argument then holds for any B that avoids E, so for the
+columns pruning keeps and for a grading's top block.  It needs neither
+p.commuting nor a grading, and koszul_cohomology's degree n+1 reads the
+same selection; degrees 0..n are untouched.
 
 Order.  _top_cokernel pivots the non-empty image columns in one order
 fixed before elimination (linalg's in_order policy): by entry count, then
@@ -596,6 +626,7 @@ class _Shifts(NamedTuple):
     dg: int  # max raise of gpow
     x_margin: int  # interior margin in x
     g_margin: int  # interior margin in gpow
+    top_x: bool  # component 0 alone raises total x-degree the most (theorem (top x-degree))
 
     def output_window(self, win: DegreeWindow) -> DegreeWindow:
         """The window holding the image of win under the row components and relations."""
@@ -619,7 +650,10 @@ def _shift_analysis(p: ProblemInstance) -> _Shifts:
         dg = max(dg, 1)
     x_margin = max(p.f.max_xdeg() + dgx, 1)
     g_margin = 2 * dg if not g_trivial else 0
-    return _Shifts(dx=dx, dg=dg, x_margin=x_margin, g_margin=g_margin)
+    # the top raise of every stencil term but f's: f'_i's or g's (d_i g and constants raise less)
+    rest = max([dgx] + [df.max_xdeg() for df in p.derivatives])
+    return _Shifts(dx=dx, dg=dg, x_margin=x_margin, g_margin=g_margin,
+                   top_x=p.f.max_xdeg() > rest)
 
 
 def default_schedule(p: ProblemInstance, rounds: int = 5) -> list[DegreeWindow]:
@@ -785,23 +819,29 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     """The one selection of the top image's cells on win: every cell, or with
     a grading those each column sends into the top block (the relations and
     targets at weight 0); less component 0 at the top t-layer, whose columns
-    lie wholly in the slack rows (module docstring), and, where p.commuting
-    certifies the pruning theorem, less the cells where it makes the column
-    of component i >= 1 redundant.  With a grading every list comes from one
-    pass over win's (u, m) layer (_block_cells); without one, the components
-    i >= 1 do, and the others are ranges.  The caps of _check_window are
-    checked first, before any layout is built."""
+    lie wholly in the slack rows (module docstring), and at win's top total
+    x-degree where p.shifts.top_x holds the theorem (top x-degree); and,
+    where p.commuting certifies the pruning theorem, less the cells where it
+    makes the column of component i >= 1 redundant.  With a grading every
+    list comes from one pass over win's (u, m) layer (_block_cells); without
+    one, the components i >= 1 do, component 0 takes one prefix of each
+    t-layer below the top (layout lists u by total degree, m fastest), and
+    the others are ranges.  The caps of _check_window are checked first,
+    before any layout is built."""
     n, sh = p.n, p.shifts
     size = win.size(n)
     _check_window(p, (n + 1) * size)
     win_out, inner = sh.output_window(win), sh.interior(win)
     box = (win.tmin, win.tmax, win.xmax, win.gmax)
+    x0 = win.xmax - 1 if sh.top_x else win.xmax  # component 0's top x-degree
     groups = [_prune_groups(p, win, i) if p.commuting else None for i in range(1, n + 1)]
     if grading is None:
-        kept = [range(size - win.layout(n)[1])]
+        tsize = win.layout(n)[1]
+        width = math.comb(x0 + n, n) * (win.gmax + 1)  # the (u, m) with sum(u) <= x0
+        kept = [[q for k in range(0, size - tsize, tsize) for q in range(k, k + width)]]
         kept += _block_cells(win, n, None, [(0, box, win, gs) for gs in groups])
         return _Selection(kept, range(size), _cells(inner, n, at=win_out))
-    lanes = [(grading.shifts[0], (win.tmin, win.tmax - 1, win.xmax, win.gmax), win, None)]
+    lanes = [(grading.shifts[0], (win.tmin, win.tmax - 1, x0, win.gmax), win, None)]
     lanes += [(s, box, win, gs) for s, gs in zip(grading.shifts[1:], groups)]
     lanes.append((0, (inner.tmin, inner.tmax, inner.xmax, inner.gmax), win_out, None))
     lanes.append((0, box, win, None))

@@ -603,7 +603,9 @@ def test_top_image_equals_the_full_image(fs, n, gs, alpha, rounds, commuting):
 def test_pruning_needs_the_commutation_certificate(monkeypatch):
     # d/dx1 alone does not commute with f - t: the certificate refuses, and
     # the top image keeps every component column but those of component 0
-    # at the top t-layer
+    # at the top t-layer and, by the theorem (top x-degree), which holds with
+    # f of degree 3 over d/dx1's raise of -1, at the top x-degree: one cell
+    # in each other t-layer
     real = engine._row_stencils
 
     def bare_dx1(p):
@@ -617,23 +619,25 @@ def test_pruning_needs_the_commutation_certificate(monkeypatch):
     assert not p.commuting
     for win in default_schedule(p, rounds=3):
         image, targets = _top_image(p, win)
-        assert image.ncols == 2 * win.size(1) - win.layout(1)[1]
+        assert top_x_cut(p)
+        assert image.ncols == 2 * win.size(1) - win.layout(1)[1] - (win.tmax - win.tmin)
         assert _top_cokernel(image, targets) == full_image_cokernel(full_window(p, win))
 
 
 def test_pruning_drops_a_pinned_number_of_columns():
     # the benchmark's arr(1,2,2) at 1/3 on its second window: 378 of the
     # 1452 columns of components 1 and 2 are redundant, the 66 columns of
-    # component 0 at the top t-layer lie wholly in the slack rows, and the
-    # rows stop at the slack tail (t-degree >= 5 of the output window from
-    # t^-6)
+    # component 0 at the top t-layer lie wholly in the slack rows, the 110
+    # at the top x-degree below it (11 monomials of degree 10 in each of 10
+    # t-layers) are left out by the theorem (top x-degree), and the rows stop
+    # at the slack tail (t-degree >= 5 of the output window from t^-6)
     p = instance("x1*x2^2*(1-x1-x2)^2", n=2, alpha="1/3")
     win = default_schedule(p)[1]
     out = _shift_analysis(p).output_window(win)
     assert (win, out.tmin, win.layout(2)[1]) == (DegreeWindow(-5, 5, 10, 0), -6, 66)
     full = full_window(p, win).mat
     top = assemble_phi(p, win, out, _select(p, win, None).kept)
-    assert (full.ncols, top.ncols) == (3 * 726, 3 * 726 - 378 - 66)
+    assert (full.ncols, top.ncols) == (3 * 726, 3 * 726 - 378 - 66 - 110)
     assert top.nrows == 11 * (full.nrows // 13) == assemble_phi(p, win, out).nrows
     assert all(col and min(col) >= top.nrows for col in full.cols[726 - 66 : 726])
 
@@ -650,6 +654,23 @@ def hypothesis_holds(p, win, i, cell):
                                            and min(u) >= 0 and sum(u) <= win.xmax):
             return False
     return True
+
+
+def top_x_cut(p):
+    """The hypothesis of the theorem (top x-degree), read off the stencils
+    term by term: some term of component 0 raises total x-degree by more
+    than every term of components 1..n and of the relation."""
+    comps, relation = p.stencils
+
+    def top_raise(stencil):
+        return max(sum(s[2:]) for s, *_ in stencil)
+
+    return top_raise(comps[0]) > max(map(top_raise, (*comps[1:], relation)))
+
+
+def at_top_x(win, n, q):
+    """Whether position q of win is a cell of win's top total x-degree."""
+    return sum(decode(win, n, q).xdeg) == win.xmax
 
 
 def decode(win, n, q):
@@ -700,7 +721,8 @@ def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
     # term (hypothesis_holds)
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     assert p.commuting
-    sh = _shift_analysis(p)
+    sh, cut = _shift_analysis(p), top_x_cut(p)
+    assert sh.top_x is cut
     for win in default_schedule(p, rounds=3):
         top = win.size(n) - win.layout(n)[1]  # the first position of the top t-layer
         xrow, tsize = sh.output_window(win).layout(n)
@@ -717,11 +739,109 @@ def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
             assert list(sel.gens) == block_cells(win, n, grading, 0)
             assert list(sel.targets) == sorted(
                 row for m, row in inner if grading is None or weight(grading, m) == grading.top)
-            # component 0 leaves out the top t-layer and nothing else
-            assert list(kept[0]) == [q for q in cells[0] if q < top]
+            # component 0 leaves out the top t-layer, the top x-degree where
+            # the theorem (top x-degree) holds, and nothing else
+            assert list(kept[0]) == [q for q in cells[0]
+                                     if q < top and not (cut and at_top_x(win, n, q))]
             for i in range(1, n + 1):
                 assert list(kept[i]) == [q for q in cells[i]
                                          if not hypothesis_holds(p, win, i, decode(win, n, q))]
+
+
+def check_top_x_cut(p, win, grading):
+    """The theorem (top x-degree) on win against a reference top image that
+    keeps component 0 at the top x-degree, chosen here: every cell of its
+    block below the top t-layer.  The base rank drops by exactly the columns
+    left out, the extension rank stays, and the output rows of x-degree
+    xmax + d0 are met by those columns alone."""
+    n, sh = p.n, p.shifts
+    win_out, cut = sh.output_window(win), top_x_cut(p)
+    assert sh.top_x is cut
+    sel = _select(p, win, grading)
+    top = win.size(n) - win.layout(n)[1]
+    ref0 = [q for q in block_cells(win, n, grading, grading.shifts[0] if grading else 0)
+            if q < top]
+    left_out = [j for j, q in enumerate(ref0) if cut and at_top_x(win, n, q)]
+    assert list(sel.kept[0]) == [q for j, q in enumerate(ref0) if j not in left_out]
+    image, targets = _top_image(p, win, grading)
+    ref = assemble_phi(p, win, win_out, [ref0, *sel.kept[1:]])
+    ref = SparseMatrixQ(ref.nrows, ref.cols + _relation_columns(p, win, sel.gens, win_out,
+                                                                ref.nrows))
+    units = [{r: (1, 1)} for r in sorted(targets)]
+    base, extra = rank_with_extension(image, units)
+    assert rank_with_extension(ref, units) == (base + len(left_out), extra)
+    assert _top_cokernel(image, targets) == _top_cokernel(ref, targets) == extra
+    if cut:  # component 0 is ref's first columns, in the order of ref0
+        d0 = max(sum(s[2:]) for s, *_ in p.stencils[0][0])
+        layer, tsize = win_out.layer(n), win_out.layout(n)[1]
+        edge = {r for r in range(ref.nrows) if sum(layer[r % tsize][0]) == win.xmax + d0}
+        assert [j for j, col in enumerate(ref.cols) if not edge.isdisjoint(col)] == left_out
+        assert edge.isdisjoint(targets)
+
+
+TOP_X_G = {1: ["1", "x1", "1-x1"], 2: ["1", "x1*x2", "1-x1-x2"]}
+
+
+@st.composite
+def top_x_cases(draw):
+    n = draw(st.integers(1, 2))
+    gs = draw(st.sampled_from(TOP_X_G[n]))
+    powers = st.tuples(*[st.integers(0, 4 - n)] * n, st.integers(0, gs != "1"))
+    terms = draw(st.dictionaries(powers, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    fs = " + ".join(
+        f"{c}*" + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(pw[:n])) + f"*ginv^{pw[n]}"
+        for pw, c in terms.items()
+    )
+    alpha = draw(st.sampled_from(["1", "1/2", "1/3", "2/3"]))
+    return n, fs, gs, alpha, draw(st.integers(0, 1 if n == 1 or gs == "1" else 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(top_x_cases())
+@example((2, "x1^2*x2 + x1*x2^2", "1", "1/3", 1))  # arr(2,1,1)'s degree part
+@example((1, "x1^2*ginv + x1^3", "x1", "1/2", 1))  # graded only in part: a g-layer
+def test_top_x_degree_cut_keeps_every_estimate(case):
+    # on random small f, over 1, a monomial or another g, graded and not,
+    # the theorem (top x-degree) holds on the top image built both ways
+    n, fs, gs, alpha, r = case
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    win = default_schedule(p, rounds=r + 1)[r]
+    for grading in {None, p.grading}:
+        check_top_x_cut(p, win, grading)
+
+
+@pytest.mark.parametrize("fs, gs, alpha", [
+    ("ginv", "x1", "1"),  # d0 = 0: f has no x-degree to raise
+    ("x1", "x1^2+1", "1/2"),  # the relation raises by deg g = 2 > d0 = 1
+    ("x1^2*ginv", "1-x1", "1/3"),  # f'_1 = 2 x1 g^-1 + x1^2 g^-2 reaches d0 = 2
+])
+def test_top_x_degree_cut_needs_its_hypothesis(fs, gs, alpha):
+    # where some other term raises total x-degree as far as f, nothing is
+    # left out at the top x-degree, on windows 0-1
+    p = instance(fs, gs=gs, alpha=alpha)
+    assert not top_x_cut(p) and not p.shifts.top_x
+    for win in default_schedule(p, rounds=2):
+        for grading in {None, p.grading}:
+            check_top_x_cut(p, win, grading)
+
+
+def test_commuting_needs_a_live_raising_term(monkeypatch):
+    # component 0's one t-raising term, -t, rewritten as -(e[-1] - 1) t,
+    # vanishes at e[-1] = 1 and raises nothing: the certificate refuses, on
+    # a constant f whose brackets with component 0 vanish either way
+    real = engine._row_stencils
+
+    def dead_tau(p):
+        comps, relation = real(p)
+        comp0 = tuple((s, c, var, Q(-1) if s[0] > 0 else r) for s, c, var, r in comps[0])
+        return (comp0, *comps[1:]), relation
+
+    p = instance("2", alpha="1/2")
+    assert p._brackets_with_0 == ({},) and p.commuting
+    monkeypatch.setattr(engine, "_row_stencils", dead_tau)
+    p = instance("2", alpha="1/2")
+    assert [t for t in p.stencils[0][0] if t[0][0] > 0] == [((1, 0, 0), Q(-1), -1, Q(-1))]
+    assert p._brackets_with_0 == ({},) and not p.commuting
 
 
 def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
@@ -1181,11 +1301,12 @@ def scan_unpruned(p, win, at):
 
 def scan_selection(p, win):
     """(kept, gens, targets) of the graded top image on win, by scan_cells
-    per shift and scan_unpruned."""
+    per shift and scan_unpruned, component 0 less its top t-layer and, where
+    top_x_cut holds, its top x-degree."""
     sh, grading, n = _shift_analysis(p), p.grading, p.n
-    top = win.size(n) - win.layout(n)[1]
+    top, cut = win.size(n) - win.layout(n)[1], top_x_cut(p)
     at = [scan_cells(win, n, grading, s) for s in grading.shifts]
-    at[0] = [q for q in at[0] if q < top]
+    at[0] = [q for q in at[0] if q < top and not (cut and at_top_x(win, n, q))]
     kept = scan_unpruned(p, win, at) if p.commuting else at
     inner = scan_cells(sh.interior(win), n, grading, 0, at=sh.output_window(win))
     return kept, scan_cells(win, n, grading, 0), inner
@@ -1697,9 +1818,11 @@ def test_classes_off_the_weight_lattice_vanish(monkeypatch, fs, n, gs, alpha, cl
 ])
 def test_uncertified_instances_take_the_full_window(monkeypatch, fs, n, gs):
     # no grading selects the cells that reach assembly: component 0 (never
-    # pruned) has a column at every cell of the window below its top t-layer
+    # pruned) has a column at every cell of the window below its top t-layer,
+    # less its top x-degree where the theorem (top x-degree) holds (not for
+    # the g-layer, whose f'_1 reaches f's degree)
     p = instance(fs, n=n, gs=gs, alpha="1/2")
-    assert p.grading is None
+    assert p.grading is None and top_x_cut(p) is (gs == "1")
     calls = []
     real = engine.assemble_phi
 
@@ -1710,8 +1833,9 @@ def test_uncertified_instances_take_the_full_window(monkeypatch, fs, n, gs):
 
     monkeypatch.setattr(engine, "assemble_phi", recording)
     rep = exponent_test(p, rounds=2)
-    assert [cells[0] for cells, _ in calls] == [range(w.size(n) - w.layout(n)[1])
-                                                for w in rep.windows_used]
+    assert [list(cells[0]) for cells, _ in calls] == [
+        [q for q in range(w.size(n) - w.layout(n)[1])
+         if not (top_x_cut(p) and at_top_x(w, n, q))] for w in rep.windows_used]
     assert all(ncols >= w.size(n) for (_, ncols), w in zip(calls, rep.windows_used))
 
 
