@@ -93,9 +93,10 @@ t^k x^u g^-m is in the block exactly when scale k = c + wg m, for c =
 top - s - sum(wx_i u_i): its m form the arithmetic progression wg m = -c
 (mod scale), and each m gives its one k.  The pruning hypothesis below is
 tested on each block cell as it is found, against boxes built once per
-window (_prune_groups, _hypothesis_at) and read once per (u, m) (_span).
-The components i >= 1 of an ungraded window take the same walk, with every
-cell of the window in the block.  Each list comes out t-major and
+window (_prune_groups, _hypothesis_at) and read once per (u, m) (_span),
+and so is the rule of standard cells below (_standard_boxes, _standard_at).
+The components of an ungraded window take the same walk, with every cell
+of the window in the block.  Each list comes out t-major and
 ascending, as the per-shift scan of every (u, m) gave it.
 
 Theorem (every degree).  In the Koszul complex (koszul_cohomology), give
@@ -141,7 +142,7 @@ other query builds the whole window in degrees 0..n.
 Degree n+1 of a window is its target rows modulo the span of the
 component columns, the relation columns and the slack (the slack quotient
 below).  exponent_test and koszul_cohomology eliminate a smaller matrix
-with the same answer, the top image (_top_image), in four steps.
+with the same answer, the top image (_top_image), in five steps.
 
 Theorem (pruning).  Suppose that the one stencil term of component 0
 that raises t is -t, shift (1, 0, ..., 0) with a non-zero constant
@@ -226,6 +227,50 @@ win.xmax; the argument then holds for any B that avoids E, so for the
 columns pruning keeps and for a grading's top block.  It needs neither
 p.commuting nor a grading, and koszul_cohomology's degree n+1 reads the
 same selection; degrees 0..n are untouched.
+
+Theorem (standard cells).  Let g = c x^v have one term, g != 1 (v = 0
+allowed).  Let b = t^k x^u g^-m be a cell of the window with m >= 1 and
+x^v | x^u, and a = t^k x^(u-v) g^-(m-1).  If a + s is a cell of the window
+for the shift s of every term of component ci but the term u_i x^(u-e_i)
+of d_i, then col_ci(b) lies in the span of col_ci(a) and the relation
+columns.  So the top image leaves out the columns of component ci at
+these standard cells, and every estimate stays.
+
+Proof.  rel(a) = c b - a formally, so b = c^-1 (a + rel(a)).  Each
+component maps a relation to relations at its stencil neighbours:
+multiplication by an element of k[x, 1/g] commutes with rel, which
+multiplies by g y - 1 (y the formal g^-1 of the basis); phi lowers t,
+which rel keeps; and the derivation d_i, with d_i g = c v_i x^(v - e_i),
+gives
+
+    d_i(rel(a)) = u_i rel(a - e_i) - (m' + 1) c v_i rel(a + (0, 1, v - e_i)),
+
+for m' = m - 1 the g-power of a.  So col_ci(b) = c^-1 (col_ci(a) + sum_s
+c_s rel(a + s)) over the terms of component ci, where the coefficient
+c_s of the term u_i x^(u-e_i) is u_i: where it is not 0, a - e_i is a
+cell of the window, and every other a + s is one by hypothesis.  So each
+rel(a + s) is a relation column (with a grading a + s has the top
+block's weight, at which the relations are generated); relations keep t,
+so the slack cut treats both sides alike.  The cell a has g-power m - 1:
+by induction on m, and on (t, m) for the components i >= 1 together with
+pruning (which lowers t), col_ci(a) lies in the span of the columns kept
+and the relations, or in the slack rows (component 0 at the top t-layer,
+which b shares).  So leaving out these columns keeps span([B | R]) and
+span([B | R | T]), and the cokernel.  The cut is taken on the whole
+window, with pruning, and the theorem (top x-degree) after it still
+holds, its B still avoiding E; component 0 is never standard at x-degree
+win.xmax when p.shifts.top_x holds, since f's term of degree d0 > deg g
+would take a beyond it.  For g = 1 there is no g-power to lower, and a g
+of two or more terms has no such identity: _select cuts neither.  The
+relation generators and degrees 0..n of koszul_cohomology are untouched.
+_select reads the hypothesis as one box per component (_standard_boxes),
+decided once per (u, m) in the walk of _block_cells; on its fourth
+window, the benchmark's x^2/x at class 1 keeps 16 of its 127 component
+columns.
+
+The targets of the interior standard cells could go as well, since e_b =
+c^-1 (e_a + rel(a)) with a interior; they are kept for now (ROADMAP,
+item 7).
 
 Order.  _top_cokernel pivots the non-empty image columns in one order
 fixed before elimination (linalg's in_order policy): by entry count, then
@@ -544,12 +589,15 @@ def _block_cells(
     win: DegreeWindow, n: int, grading: Optional[_Grading], lanes: list[tuple]
 ) -> list[list[int]]:
     """One pass over the (u, m) layer of win for every lane (shift, box, at,
-    groups): the cells t^k x^u g^-m of win inside box = (tlo, thi, xhi, ghi)
+    cuts): the cells t^k x^u g^-m of win inside box = (tlo, thi, xhi, ghi)
     (tlo <= k <= thi, sum(u) <= xhi, m <= ghi), with a grading only those
     that a column moving weight by shift sends into the top block, of weight
     (top - shift) / scale, as ascending positions of the window at, which
-    holds them; with pruning groups (_prune_groups), less the cells where
-    the pruning hypothesis holds, read once per (u, m) by _span.
+    holds them; with cuts = (groups, standard), less the cells where the
+    pruning hypothesis of the groups (_prune_groups) holds and those of the
+    standard box (_standard_boxes), each read once per u (_hypothesis_at,
+    _standard_at) and decided per (u, m): a graded lane tests both at its
+    one k, an ungraded one keeps their union as one span (_cut_span).
 
     Without a grading a lane takes every (k, m) of its box, kept as spans of
     k and written t-major after the pass.  With one, sum(w_i u_i) is taken
@@ -565,23 +613,26 @@ def _block_cells(
         step, kstep = scale // d, wg // d
         inv = pow(kstep, -1, step) if step > 1 else 0
     runs = []
-    for shift, (tlo, thi, xhi, ghi), at, groups in lanes:
+    for shift, (tlo, thi, xhi, ghi), at, cuts in lanes:
         xrow_at, tsize = at.layout(n)
         # the cells per t-layer, or without a grading the (offset, lo, hi, z) spans
         found: list = [[] for _ in range(thi - tlo + 1)] if grading else []
-        runs.append((shift, tlo, thi, xhi, ghi, xrow_at, tsize, at.tmin, groups, found))
+        runs.append((shift, tlo, thi, xhi, ghi, xrow_at, tsize, at.tmin, cuts or (None, None),
+                     found))
     for u in win.layout(n)[0]:
         su = sum(u)
         if grading:
             top_u = grading.top - sum(a * b for a, b in zip(grading.wx, u))
-        for shift, tlo, thi, xhi, ghi, xrow_at, tsize, atmin, groups, found in runs:
+        for shift, tlo, thi, xhi, ghi, xrow_at, tsize, atmin, (groups, std), found in runs:
             if su > xhi:
                 continue
             base = xrow_at[u] - atmin * tsize
             if grading is None:
                 hyp = groups and _hypothesis_at(groups, u, su)
+                std_u = std and _standard_at(std, u, su)
                 for m in range(ghi + 1):
-                    found.append((base + m, *_span(hyp, m)) if hyp else (base + m, 1, 0, None))
+                    found.append((base + m, *_cut_span(hyp, std_u, m)) if hyp or std_u
+                                 else (base + m, 1, 0, None))
                 continue
             c = top_u - shift
             if c % d:
@@ -598,19 +649,24 @@ def _block_cells(
             k = (c + wg * ms.start) // scale
             ks = range(k, k + kstep * len(ms), kstep) if kstep else itertools.repeat(k)
             hyp = groups and _hypothesis_at(groups, u, su)
-            if not hyp:
+            kl, kh, ml, mh = std and _standard_at(std, u, su) or (1, 0, 1, 0)
+            if not hyp and ml > mh:
                 for k, m in zip(ks, ms):
                     found[k - tlo].append(k * tsize + base + m)
                 continue
             for k, m in zip(ks, ms):
-                lo, hi, z = _span(hyp, m)
-                if not (lo <= k <= hi or k == z):
-                    found[k - tlo].append(k * tsize + base + m)
+                if ml <= m <= mh and kl <= k <= kh:
+                    continue  # standard
+                if hyp:
+                    lo, hi, z = _span(hyp, m)
+                    if lo <= k <= hi or k == z:
+                        continue  # pruned
+                found[k - tlo].append(k * tsize + base + m)
     if grading:
         return [[q for layer in run[-1] for q in layer] for run in runs]
     return [[k * tsize + x for k in range(tlo, thi + 1) for x, lo, hi, z in found
              if not (lo <= k <= hi or k == z)]
-            for _s, tlo, thi, _x, _g, _xr, tsize, _t, _gs, found in runs]
+            for _s, tlo, thi, _x, _g, _xr, tsize, _t, _c, found in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +683,7 @@ class _Shifts(NamedTuple):
     x_margin: int  # interior margin in x
     g_margin: int  # interior margin in gpow
     top_x: bool  # component 0 alone raises total x-degree the most (theorem (top x-degree))
+    g_mono: Optional[tuple[int, ...]]  # v for a one-term g = c x^v other than 1 (standard cells)
 
     def output_window(self, win: DegreeWindow) -> DegreeWindow:
         """The window holding the image of win under the row components and relations."""
@@ -652,8 +709,10 @@ def _shift_analysis(p: ProblemInstance) -> _Shifts:
     g_margin = 2 * dg if not g_trivial else 0
     # the top raise of every stencil term but f's: f'_i's or g's (d_i g and constants raise less)
     rest = max([dgx] + [df.max_xdeg() for df in p.derivatives])
+    one_term = len(p.g.terms) == 1 and not g_trivial
     return _Shifts(dx=dx, dg=dg, x_margin=x_margin, g_margin=g_margin,
-                   top_x=p.f.max_xdeg() > rest)
+                   top_x=p.f.max_xdeg() > rest,
+                   g_mono=next(iter(p.g.terms)).xdeg if one_term else None)
 
 
 def default_schedule(p: ProblemInstance, rounds: int = 5) -> list[DegreeWindow]:
@@ -820,14 +879,14 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     a grading those each column sends into the top block (the relations and
     targets at weight 0); less component 0 at the top t-layer, whose columns
     lie wholly in the slack rows (module docstring), and at win's top total
-    x-degree where p.shifts.top_x holds the theorem (top x-degree); and,
-    where p.commuting certifies the pruning theorem, less the cells where it
-    makes the column of component i >= 1 redundant.  With a grading every
-    list comes from one pass over win's (u, m) layer (_block_cells); without
-    one, the components i >= 1 do, component 0 takes one prefix of each
-    t-layer below the top (layout lists u by total degree, m fastest), and
-    the others are ranges.  The caps of _check_window are checked first,
-    before any layout is built."""
+    x-degree where p.shifts.top_x holds the theorem (top x-degree); where
+    p.commuting certifies the pruning theorem, less the cells where it makes
+    the column of component i >= 1 redundant; and for a one-term g other
+    than 1, less the standard cells (theorem (standard cells)) of every
+    component.  The components come from one pass over win's (u, m) layer
+    (_block_cells), and with a grading the relation generators and targets
+    too; without one they are ranges of cells.  The caps of _check_window
+    are checked first, before any layout is built."""
     n, sh = p.n, p.shifts
     size = win.size(n)
     _check_window(p, (n + 1) * size)
@@ -835,18 +894,67 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     box = (win.tmin, win.tmax, win.xmax, win.gmax)
     x0 = win.xmax - 1 if sh.top_x else win.xmax  # component 0's top x-degree
     groups = [_prune_groups(p, win, i) if p.commuting else None for i in range(1, n + 1)]
+    standard = _standard_boxes(p, win) or [None] * (n + 1)
+    shifts = grading.shifts if grading else (0,) * (n + 1)
+    lanes = [(shifts[0], (win.tmin, win.tmax - 1, x0, win.gmax), win, (None, standard[0]))]
+    lanes += [(s, box, win, cuts) for s, cuts in zip(shifts[1:], zip(groups, standard[1:]))]
     if grading is None:
-        tsize = win.layout(n)[1]
-        width = math.comb(x0 + n, n) * (win.gmax + 1)  # the (u, m) with sum(u) <= x0
-        kept = [[q for k in range(0, size - tsize, tsize) for q in range(k, k + width)]]
-        kept += _block_cells(win, n, None, [(0, box, win, gs) for gs in groups])
-        return _Selection(kept, range(size), _cells(inner, n, at=win_out))
-    lanes = [(grading.shifts[0], (win.tmin, win.tmax - 1, x0, win.gmax), win, None)]
-    lanes += [(s, box, win, gs) for s, gs in zip(grading.shifts[1:], groups)]
+        return _Selection(_block_cells(win, n, None, lanes), range(size),
+                          _cells(inner, n, at=win_out))
     lanes.append((0, (inner.tmin, inner.tmax, inner.xmax, inner.gmax), win_out, None))
     lanes.append((0, box, win, None))
     *kept, targets, gens = _block_cells(win, n, grading, lanes)
     return _Selection(kept, gens, targets)
+
+
+def _standard_boxes(p: ProblemInstance, win: DegreeWindow) -> Optional[list[tuple]]:
+    """The standard cells (theorem (standard cells)) of win, for g = c x^v of
+    one term other than 1, as one box (xhi, ulo, (klo, khi, mlo, mhi)) for
+    each component ci = 0..n; None for any other g.  The cell b = t^k x^u
+    g^-m is in a box exactly when sum(u) <= xhi, u >= ulo componentwise
+    (ulo None when that holds for every u), klo <= k <= khi and mlo <= m <=
+    mhi.  Component ci's box holds the b with m >= 1 and x^v | x^u such
+    that a + s lies in win, for a = t^k x^(u-v) g^-(m-1), for the shift s
+    of every term of component ci but the term u_i x^(u - e_i) of d_i: that
+    term's coefficient reads u_i, and where u_i > 0 the cell a - e_i lies
+    in win.  It is _fit_box's box of a, moved by (0, 1, v)."""
+    v = p.shifts.g_mono
+    if v is None:
+        return None
+    boxes = []
+    for stencil in p.stencils[0]:
+        shifts = [s for s, _c, var, _r in stencil if var < 2] or [(0,) * (p.n + 2)]
+        klo, khi, mlo, mhi, xhi, ulo = _fit_box(win, shifts)
+        ulo = tuple(a + b for a, b in zip(v, ulo or itertools.repeat(0)))
+        boxes.append((xhi + sum(v), ulo if any(ulo) else None, (klo, khi, max(mlo, 0) + 1, mhi + 1)))
+    return boxes
+
+
+def _standard_at(std: tuple, u: tuple, su: int) -> Optional[tuple]:
+    """The span (klo, khi, mlo, mhi) of a box of _standard_boxes at u (su =
+    sum(u)): t^k x^u g^-m is in the box exactly when klo <= k <= khi and
+    mlo <= m <= mhi; None when no cell at u is."""
+    xhi, ulo, span = std
+    if su > xhi or ulo is not None and not all(map(int.__ge__, u, ulo)):
+        return None
+    return span
+
+
+def _cut_span(hyp: Optional[tuple], std: Optional[tuple], m: int) -> tuple:
+    """(lo, hi, z): the cell t^k x^u g^-m of an ungraded lane is left out
+    exactly when lo <= k <= hi or k == z, for the pruning hypothesis at u
+    (_hypothesis_at) and the span of the standard box at u (_standard_at),
+    either None.  Where both spans are non-empty they meet at the top
+    t-layer (no term of a component i >= 1 raises t, so neither box bounds
+    k below win.tmax), and their union is one span; were they apart, only
+    the pruning span would be left out, which keeps every estimate too."""
+    lo, hi, z = _span(hyp, m) if hyp else (1, 0, None)
+    if std and std[2] <= m <= std[3]:
+        if lo > hi:
+            lo, hi = std[0], std[1]
+        elif std[0] <= hi + 1 and lo <= std[1] + 1:
+            lo, hi = min(lo, std[0]), max(hi, std[1])
+    return lo, hi, z
 
 
 def _prune_groups(p: ProblemInstance, win: DegreeWindow, i: int) -> list[tuple]:

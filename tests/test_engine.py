@@ -668,6 +668,62 @@ def top_x_cut(p):
     return top_raise(comps[0]) > max(map(top_raise, (*comps[1:], relation)))
 
 
+def one_term_g(p):
+    """v for g = c x^v of one term other than 1, read off p.g; None for
+    every other g."""
+    if p.g.is_one() or len(p.g.terms) != 1:
+        return None
+    (m,) = p.g.terms
+    return m.xdeg
+
+
+def standard_cell(p, win, ci, cell):
+    """The theorem (standard cells) for component ci at cell = b, term by
+    term: g = c x^v has one term other than 1, b has g-power >= 1 and x^v
+    divides x^u, and for a = b x^-v g the cell a + s lies in win for the
+    shift s of every term of component ci, but a term that reads u_i (var
+    >= 2) whose coefficient is 0 at a."""
+    v = one_term_g(p)
+    if v is None or cell.gpow < 1 or not all(map(int.__ge__, cell.xdeg, v)):
+        return False
+    a = (cell.tdeg, cell.gpow - 1, *(x - y for x, y in zip(cell.xdeg, v)))
+    for s, c, var, r in p.stencils[0][ci]:
+        if var >= 2 and not c * ((*a, 1)[var] + r):
+            continue
+        k, m, *u = (x + y for x, y in zip(a, s))
+        if not (win.tmin <= k <= win.tmax and 0 <= m <= win.gmax
+                and min(u) >= 0 and sum(u) <= win.xmax):
+            return False
+    return True
+
+
+def rule_selection(p, win, grading, top_x=True, standard=True):
+    """(kept, gens, targets) of the top image on win, cell by cell from the
+    stencils: every cell of win, or with a grading those of each list's
+    weight; component 0 less its top t-layer and, with top_x where
+    top_x_cut holds, its top x-degree; component i >= 1 less the cells of
+    hypothesis_holds where p.commuting; with standard, every component less
+    its standard cells (standard_cell).  The targets are the interior cells,
+    of lambda* with a grading."""
+    n, sh = p.n, p.shifts
+    out, cut = sh.output_window(win), top_x and top_x_cut(p)
+    top = win.size(n) - win.layout(n)[1]  # the first position of the top t-layer
+    shifts = grading.shifts if grading else (0,) * (n + 1)
+    kept = []
+    for ci, shift in enumerate(shifts):
+        cells = [(q, decode(win, n, q)) for q in block_cells(win, n, grading, shift)]
+        if ci == 0:
+            cells = [(q, m) for q, m in cells if q < top and not (cut and at_top_x(win, n, q))]
+        elif p.commuting:
+            cells = [(q, m) for q, m in cells if not hypothesis_holds(p, win, ci, m)]
+        kept.append([q for q, m in cells if not (standard and standard_cell(p, win, ci, m))])
+    xrow, tsize = out.layout(n)
+    targets = sorted((m.tdeg - out.tmin) * tsize + xrow[m.xdeg] + m.gpow
+                     for m in sh.interior(win).monomials(n)
+                     if grading is None or weight(grading, m) == grading.top)
+    return kept, block_cells(win, n, grading, 0), targets
+
+
 def at_top_x(win, n, q):
     """Whether position q of win is a cell of win's top total x-degree."""
     return sum(decode(win, n, q).xdeg) == win.xmax
@@ -714,53 +770,40 @@ SWEEP_SHAPES = (
     ("x1*x2*(1-x1-x2)", 2, "x1+1", "1/3"),
     ("ginv", 1, "x1", "1"),  # f' has the higher g-power: k = 1 decides alone
     ("x2*ginv", 2, "1-x1", "1"),
+    ("x1^2+x1^3", 1, "x1", "1/2"),  # ungraded, one-term g: standard cells
+    ("x1^3*ginv^2", 1, "-2*x1", "1"),  # a g-layer over a scaled monomial
+    ("x1^2*ginv", 1, "3", "1/2"),  # g = 3: v = 0, every g-power >= 1 is standard
+    ("x1^2+x2^3", 2, "x1*x2", "1/6"),
+    ("x1*x2+x1^2", 2, "x2", "1/2"),  # ungraded over a monomial in one of two variables
 ] + [case for case in SWEEP_SHAPES if "+" not in case[0]])  # the ungraded sweep slots
 def test_kept_leaves_out_exactly_the_cells_of_the_hypothesis(fs, n, gs, alpha):
     # on windows 0-2 every list of _select, graded or not, is the per-cell
-    # reference: the weight of each cell and the pruning hypothesis term by
-    # term (hypothesis_holds)
+    # reference (rule_selection): the weight of each cell, the pruning
+    # hypothesis term by term (hypothesis_holds) and, for a one-term g, the
+    # standard cells term by term (standard_cell)
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     assert p.commuting
-    sh, cut = _shift_analysis(p), top_x_cut(p)
-    assert sh.top_x is cut
+    assert _shift_analysis(p).top_x is top_x_cut(p)
     for win in default_schedule(p, rounds=3):
-        top = win.size(n) - win.layout(n)[1]  # the first position of the top t-layer
-        xrow, tsize = sh.output_window(win).layout(n)
-        inner = [(m, (m.tdeg - win.tmin + 1) * tsize + xrow[m.xdeg] + m.gpow)
-                 for m in sh.interior(win).monomials(n)]  # each with its output row
         for grading in {None, p.grading}:
-            shifts = grading.shifts if grading else (0,) * (n + 1)
-            cells = [block_cells(win, n, grading, s) for s in shifts]
             sel = _select(p, win, grading)
-            kept = sel.kept
-            # the relation generators and the targets: every cell of win,
-            # and the interior cells as rows of the output window, of weight
-            # lambda* with a grading
-            assert list(sel.gens) == block_cells(win, n, grading, 0)
-            assert list(sel.targets) == sorted(
-                row for m, row in inner if grading is None or weight(grading, m) == grading.top)
-            # component 0 leaves out the top t-layer, the top x-degree where
-            # the theorem (top x-degree) holds, and nothing else
-            assert list(kept[0]) == [q for q in cells[0]
-                                     if q < top and not (cut and at_top_x(win, n, q))]
-            for i in range(1, n + 1):
-                assert list(kept[i]) == [q for q in cells[i]
-                                         if not hypothesis_holds(p, win, i, decode(win, n, q))]
+            kept, gens, targets = rule_selection(p, win, grading)
+            assert [list(k) for k in sel.kept] == kept, (win, grading)
+            assert (list(sel.gens), list(sel.targets)) == (gens, targets), (win, grading)
 
 
 def check_top_x_cut(p, win, grading):
     """The theorem (top x-degree) on win against a reference top image that
     keeps component 0 at the top x-degree, chosen here: every cell of its
-    block below the top t-layer.  The base rank drops by exactly the columns
-    left out, the extension rank stays, and the output rows of x-degree
-    xmax + d0 are met by those columns alone."""
+    block below the top t-layer but its standard cells (rule_selection).
+    The base rank drops by exactly the columns left out, the extension rank
+    stays, and the output rows of x-degree xmax + d0 are met by those
+    columns alone."""
     n, sh = p.n, p.shifts
     win_out, cut = sh.output_window(win), top_x_cut(p)
     assert sh.top_x is cut
     sel = _select(p, win, grading)
-    top = win.size(n) - win.layout(n)[1]
-    ref0 = [q for q in block_cells(win, n, grading, grading.shifts[0] if grading else 0)
-            if q < top]
+    ref0 = rule_selection(p, win, grading, top_x=False)[0][0]
     left_out = [j for j, q in enumerate(ref0) if cut and at_top_x(win, n, q)]
     assert list(sel.kept[0]) == [q for j, q in enumerate(ref0) if j not in left_out]
     image, targets = _top_image(p, win, grading)
@@ -823,6 +866,109 @@ def test_top_x_degree_cut_needs_its_hypothesis(fs, gs, alpha):
     for win in default_schedule(p, rounds=2):
         for grading in {None, p.grading}:
             check_top_x_cut(p, win, grading)
+
+
+def check_standard_cells(p, win, grading):
+    """The theorem (standard cells) on win against a reference top image
+    that keeps every standard cell, chosen here (rule_selection without
+    the cut): _select leaves out exactly the cells of the rule, and the
+    base rank and the extension rank both stay.  Returns the number of
+    columns left out."""
+    out = p.shifts.output_window(win)
+    sel = _select(p, win, grading)
+    kept, gens, targets = rule_selection(p, win, grading)
+    assert [list(k) for k in sel.kept] == kept
+    assert (list(sel.gens), list(sel.targets)) == (gens, targets)
+    whole = rule_selection(p, win, grading, standard=False)[0]
+    image, _ = _top_image(p, win, grading)
+    ref = assemble_phi(p, win, out, whole)
+    ref = SparseMatrixQ(ref.nrows, ref.cols + _relation_columns(p, win, sel.gens, out, ref.nrows))
+    units = [{r: (1, 1)} for r in targets]
+    assert rank_with_extension(image, units) == rank_with_extension(ref, units)
+    return sum(map(len, whole)) - sum(map(len, kept))
+
+
+# one-term g: monomials, scaled, and constants (v = 0)
+STANDARD_G = {1: ["x1", "-2*x1", "x1^2", "3"], 2: ["x1", "x1*x2", "-x2^2", "5"]}
+
+
+@st.composite
+def standard_cases(draw):
+    n = draw(st.integers(1, 2))
+    gs = draw(st.sampled_from(STANDARD_G[n]))
+    powers = st.tuples(*[st.integers(0, 4 - n)] * n, st.integers(0, 2))
+    terms = draw(st.dictionaries(powers, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    fs = " + ".join(
+        f"{c}*" + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(pw[:n])) + f"*ginv^{pw[n]}"
+        for pw, c in terms.items()
+    )
+    alpha = draw(st.sampled_from(["1", "1/2", "1/3", "2/3", "1/6"]))
+    return n, fs, gs, alpha, draw(st.integers(0, 2 if n == 1 else 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(standard_cases())
+@example((1, "x1^2", "x1", "1", 2))  # the localized benchmark's x^2/x
+@example((1, "x1^2 + x1^3", "x1", "1/2", 2))  # ungraded
+@example((1, "x1^3*ginv^2", "-2*x1", "1", 1))  # a g-layer over a scaled monomial
+@example((1, "x1^2*ginv", "3", "1/2", 2))  # v = 0
+@example((2, "x1^2 + x2^3", "x1*x2", "1/6", 1))
+def test_standard_cells_keep_every_estimate(case):
+    # on random small f, with and without g-layers, over a one-term g,
+    # graded and not, the top image leaves out exactly the standard cells
+    # read off the stencils, and keeps rank([A | R]) and rank([A | R | T])
+    n, fs, gs, alpha, r = case
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    assert p.shifts.g_mono == one_term_g(p) is not None
+    win = default_schedule(p, rounds=r + 1)[r]
+    for grading in {None, p.grading}:
+        check_standard_cells(p, win, grading)
+
+
+@pytest.mark.parametrize("fs, n, gs, alpha", [
+    ("x1^2*(1-x1)", 1, "1", "1/2"),
+    ("x1^2*ginv", 1, "1-x1", "1/3"),
+    ("x1*x2", 2, "x1+x2", "1/2"),
+])
+def test_standard_cells_need_their_hypothesis(fs, n, gs, alpha):
+    # g = 1 and a g of two terms leave nothing out, on windows 0-1
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    assert p.shifts.g_mono is None and one_term_g(p) is None
+    for win in default_schedule(p, rounds=2):
+        for grading in {None, p.grading}:
+            assert engine._standard_boxes(p, win) is None
+            assert check_standard_cells(p, win, grading) == 0
+
+
+def test_standard_cells_keep_the_cells_that_leave_the_window():
+    # x^2 over x at 1/2 (ungraded), window 0: at the bottom t-layer the
+    # term 2 x1 phi of component 1 takes a = b x1^-1 g below the window, so
+    # every cell there stays, though its g-power is >= 1 and x1 divides it;
+    # one t-layer up they are standard; no cell of g-power 0 is left out
+    p = instance("x1^2", gs="x1", alpha="1/2")
+    win = default_schedule(p)[0]
+    sel = _select(p, win, None)
+    whole = rule_selection(p, win, None, standard=False)[0]
+    cells = [decode(win, 1, q) for q in sel.kept[1]]
+    bottom = [m for m in cells if m.tdeg == win.tmin and m.gpow >= 1 and m.xdeg[0] >= 1]
+    assert len(bottom) == win.xmax * win.gmax
+    assert not [m for m in cells if m.tdeg == win.tmin + 1 and m.gpow >= 1 and m.xdeg[0] >= 1]
+    dropped = [decode(win, 1, q) for ci in range(2) for q in set(whole[ci]) - set(sel.kept[ci])]
+    assert dropped and min(m.gpow for m in dropped) >= 1
+    assert check_standard_cells(p, win, None) == len(dropped)
+
+
+def test_standard_cells_drop_a_pinned_number_of_columns():
+    # the localized benchmark's x^2/x at class 1 on its fourth window: the
+    # graded top image keeps 14 of the 105 columns of component 0 and 2 of
+    # the 22 of component 1; the relation generators and the targets stay
+    p = instance("x1^2", gs="x1", alpha="1")
+    win = default_schedule(p)[3]
+    assert win == DegreeWindow(-9, 9, 14, 14)
+    sel = _select(p, win, p.grading)
+    whole = rule_selection(p, win, p.grading, standard=False)[0]
+    assert ([len(k) for k in whole], [len(k) for k in sel.kept]) == ([105, 22], [14, 2])
+    assert (len(sel.gens), len(sel.targets)) == (112, 78)
 
 
 def test_commuting_needs_a_live_raising_term(monkeypatch):
@@ -1122,6 +1268,13 @@ def definition_koszul(p, win):
     ("x1^2+x2^3", 2, "1", "5/6", 0),  # Brieskorn-Pham exponent classes, graded top
     ("x1^3+x2^3", 2, "1", "2/3", 0),
     ("x1*x2*x3", 3, "1", "1", 0),  # an arrangement, non-zero in degrees 1 to 4
+    # on-lattice queries over a one-term g, whose degree n+1 leaves out the
+    # standard cells (x1^3 over x1 at 1/3 is above)
+    ("x1^2", 1, "x1", "1/2", 0),
+    ("x1^2", 1, "x1", "1/2", 1),
+    ("x1^2+x2^3", 2, "x1*x2", "1/6", 0),
+    ("x1^3*ginv^2", 1, "x1", "1", 0),
+    ("x1^3*ginv^2", 1, "x1", "1", 1),
 ] + [  # every localized case of KOSZUL_CORPUS and G_LAYERS, at windows 0 and 1
     (fs, n, gs, alpha, window)
     for fs, n, gs, alpha in KOSZUL_CORPUS + G_LAYERS if gs != "1"
@@ -1302,13 +1455,17 @@ def scan_unpruned(p, win, at):
 def scan_selection(p, win):
     """(kept, gens, targets) of the graded top image on win, by scan_cells
     per shift and scan_unpruned, component 0 less its top t-layer and, where
-    top_x_cut holds, its top x-degree."""
+    top_x_cut holds, its top x-degree, and for a one-term g every component
+    less its standard cells (standard_cell)."""
     sh, grading, n = _shift_analysis(p), p.grading, p.n
+    out = sh.output_window(win)
     top, cut = win.size(n) - win.layout(n)[1], top_x_cut(p)
     at = [scan_cells(win, n, grading, s) for s in grading.shifts]
     at[0] = [q for q in at[0] if q < top and not (cut and at_top_x(win, n, q))]
     kept = scan_unpruned(p, win, at) if p.commuting else at
-    inner = scan_cells(sh.interior(win), n, grading, 0, at=sh.output_window(win))
+    kept = [[q for q in qs if not standard_cell(p, win, ci, decode(win, n, q))]
+            for ci, qs in enumerate(kept)]
+    inner = scan_cells(sh.interior(win), n, grading, 0, at=out)
     return kept, scan_cells(win, n, grading, 0), inner
 
 
