@@ -16,23 +16,26 @@ Verdicts come once the estimates stabilize over a schedule of nested windows.
 
 The localization by g is handled formally: window bases use monomials
 t^k x^u g^-m, and cokernels are computed modulo the span R of the relation
-columns g * g^-(m+1) - g^-m.  The top degree (exponent_test's image)
-augments its columns with R.  Degrees 0..n of koszul_cohomology, where R
-would be stacked into every copy of every degree, use instead the quotient
-map pi by span(R), built once per window by Gauss-Jordan over R
-(linalg.quotient_map) and applied to each copy of the rows: the cycles
-are the kernel of pi(d^j), exactly {z : d^j z in span R}, and since
-rank([B | R | Z]) - rank([B | R]) = rank([pi B | pi Z]) - rank(pi B), each
-degree is compared as pi of its cycles modulo pi of its boundaries.  For
-g = 1, R and pi are empty.
+columns g * g^-(m+1) - g^-m, through the quotient map pi by span(R), built
+once per window and applied to each copy of the rows: the cycles are the
+kernel of pi(d^j), exactly {z : d^j z in span R}, and since rank([B | R |
+Z]) - rank([B | R]) = rank([pi B | pi Z]) - rank(pi B), each degree is
+compared as pi of its cycles modulo pi of its boundaries.  For a one-term
+g = c x^v other than 1, pi is written in closed form, with no relation
+column built (_chain_quotient; the relation quotient below), and the top
+degree (exponent_test's image) reads it too.  For a g of two or more
+terms, pi is Gauss-Jordan over R (linalg.quotient_map), whose fill makes
+it costlier than R itself on the top image: that degree augments its
+columns with R instead.  For g = 1, R and pi are empty.
 
 Each row component, and the relation generator, is a stencil: a few
 shifted terms with coefficients affine in the exponents (k, m, u) of
 t^k x^u g^-m, written once per instance straight from f, its derivatives,
-g and alpha (_row_stencils).  A column is a stencil at one monomial, its
-rows found by index arithmetic over the output window's canonical order
-(DegreeWindow.layout).  Commutation is certified on the stencils
-themselves, with no window (check_row_commutation).
+g and alpha (_row_stencils; gmexp.stencil holds the stencil code).  A
+column is a stencil at one monomial, its rows found by index arithmetic
+over the output window's canonical order (DegreeWindow.layout).
+Commutation is certified on the stencils themselves, with no window
+(check_row_commutation).
 A window matrix is its row count and a list of {row: value} columns from
 the stencil to the pivot.  Window cells are their positions in
 DegreeWindow.layout from selection (_cells, _select) to assembly, decoded
@@ -94,7 +97,8 @@ top - s - sum(wx_i u_i): its m form the arithmetic progression wg m = -c
 (mod scale), and each m gives its one k.  The pruning hypothesis below is
 tested on each block cell as it is found, against boxes built once per
 window (_prune_groups, _hypothesis_at) and read once per (u, m) (_span),
-and so is the rule of standard cells below (_standard_boxes, _standard_at).
+and so is the rule of standard cells below (_standard_boxes, _standard_at);
+the walk and its box readers live in gmexp.walk.
 The components of an ungraded window take the same walk, with every cell
 of the window in the block.  Each list comes out t-major and
 ascending, as the per-shift scan of every (u, m) gave it.
@@ -142,7 +146,7 @@ other query builds the whole window in degrees 0..n.
 Degree n+1 of a window is its target rows modulo the span of the
 component columns, the relation columns and the slack (the slack quotient
 below).  exponent_test and koszul_cohomology eliminate a smaller matrix
-with the same answer, the top image (_top_image), in five steps.
+with the same answer, the top image (_top_image), in six steps.
 
 Theorem (pruning).  Suppose that the one stencil term of component 0
 that raises t is -t, shift (1, 0, ..., 0) with a non-zero constant
@@ -181,7 +185,8 @@ therefore defined with slack S, the unit columns on the output rows at
 t-degree >= win.tmax (the t-major tail from _slack_start, in each copy):
 it is rank([B | S | Z]) - rank([B | S]), with B the boundaries (the image
 of d^(j-1), or of the components for j = n+1, and the relations, as
-columns for j = n+1 and through pi below it) and Z the interior cycles
+columns for j = n+1 and a g of two or more terms and through pi
+otherwise) and Z the interior cycles
 (the unit targets for j = n+1).  The span of [B | S | Z] is span(S) plus
 the projection of [B | Z] away from the slack rows, so when Z has no entry
 there this is rank([B' | Z']) - rank(B'), where ' deletes them.  That
@@ -261,16 +266,26 @@ window, with pruning, and the theorem (top x-degree) after it still
 holds, its B still avoiding E; component 0 is never standard at x-degree
 win.xmax when p.shifts.top_x holds, since f's term of degree d0 > deg g
 would take a beyond it.  For g = 1 there is no g-power to lower, and a g
-of two or more terms has no such identity: _select cuts neither.  The
-relation generators and degrees 0..n of koszul_cohomology are untouched.
-_select reads the hypothesis as one box per component (_standard_boxes),
-decided once per (u, m) in the walk of _block_cells; on its fourth
-window, the benchmark's x^2/x at class 1 keeps 16 of its 127 component
-columns.
+of two or more terms has no such identity: _select cuts neither.  Degrees
+0..n of koszul_cohomology are untouched.  _select reads the hypothesis as
+one box per component (_standard_boxes), decided once per (u, m) in the
+walk of _block_cells; on its fourth window, the benchmark's x^2/x at class
+1 keeps 16 of its 127 component columns.
 
-The targets of the interior standard cells could go as well, since e_b =
-c^-1 (e_a + rel(a)) with a interior; they are kept for now (ROADMAP,
-item 7).
+Relation quotient (one-term g).  For g = c x^v other than 1, rel(a) = c e_b
+- e_a with b = a x^v g^-1, and distinct generators a have distinct tops b,
+the higher row of the two.  So pi, the quotient by the relations
+generated in win, sends e_b to c^-1 e_a and on down the chain: the row
+t^k x^u g^-m goes to c^-j times the row t^k x^(u - jv) g^-(m - j), for j
+the number of chain steps whose generator is a cell of the window
+(_chain_quotient).  Every row goes to one row, so pi adds no fill.  The
+top image sends its kept columns and its targets through pi and builds no
+relation column and no generator; targets that land on one row count
+once, which folds the targets of the interior standard cells (e_b = c^-1
+(e_a + rel(a))) onto those one g-power lower.  A grading keeps the weight,
+so the rows of the top block chain inside it, and pi on them is the
+quotient by the block's own relations.  Degrees 0..n read the same pi, on
+every row.
 
 Order.  _top_cokernel pivots the non-empty image columns in one order
 fixed before elimination (linalg's in_order policy): by entry count, then
@@ -283,26 +298,25 @@ order, only the fill-in on the way.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .linalg import SparseMatrixQ, nullspace, quotient, quotient_map, rank_with_extension
 from .rational import Q, ResourceLimitError, class_rep
-from .ring import (
-    DegreeWindow,
-    Monomial,
-    RingElement,
-    _collect,
-    clear_g,
-    partial_x,
-    quasi_weights,
-    serialize,
+from .ring import DegreeWindow, Monomial, RingElement, clear_g, partial_x, serialize
+from .stencil import (
+    _Grading,
+    _certify_grading,
+    _commutator,
+    _int_stencil,
+    _row_stencils,
+    _stencil_columns,
 )
+from .walk import _block_cells, _fit_box, _prune_groups
 
 
 class WindowError(ValueError):
@@ -411,34 +425,8 @@ class ExponentReport:
 
 
 # ---------------------------------------------------------------------------
-# Row construction and commutation
+# Commutation and window cells (the stencils are in gmexp.stencil)
 # ---------------------------------------------------------------------------
-
-
-def _times(e: RingElement, dt: int = 0, dg: int = 0, var: int = -1, r=0) -> list[tuple]:
-    """Stencil terms of multiplication by e, moved by t^dt g^-dg, with each
-    coefficient c of e read as c * (e[var] + r)."""
-    return [((dt, m.gpow + dg, *m.xdeg), c, var, r) for m, c in e.terms.items()]
-
-
-def _row_stencils(p: ProblemInstance) -> tuple[tuple, tuple]:
-    """The n+1 row components and the relation g * g^-(m+1) - g^-m as stencils.
-
-    A stencil is a tuple of terms (shift, c, var, r).  With e = (k, m, u_1,
-    ..., u_n, 1) the exponents of t^k x^u g^-m, a term sends it to
-    c * (e[var] + r) times the monomial with exponents e + shift, shift =
-    (dt, dg, dx_1, ..., dx_n); var = -1 reads the constant slot.  The
-    components are f - t and d_i + f'_i (d/dt - alpha/t), where d_i acts on
-    x^u g^-m as u_i x^(u - e_i) g^-m - m (d_i g) x^u g^-(m+1).  No two terms
-    of one stencil share a shift.
-    """
-    n, g = p.n, p.g
-    comps = [tuple(_times(p.f) + [((1,) + (0,) * (n + 1), Q(-1), -1, 0)])]  # f - t
-    for i, df in enumerate(p.derivatives, start=1):
-        lower = ((0, 0, *(-1 if j == i else 0 for j in range(1, n + 1))), Q(1), i + 1, 0)
-        quotient_rule = _times(-partial_x(i, g, g), dg=1, var=1)
-        comps.append(tuple([lower] + quotient_rule + _times(df, dt=-1, var=0, r=-p.alpha)))
-    return tuple(comps), tuple(_times(g, dg=1) + [((0,) * (n + 2), Q(-1), -1, 0)])
 
 
 def check_row_commutation(p: ProblemInstance) -> bool:
@@ -478,103 +466,6 @@ def check_row_commutation(p: ProblemInstance) -> bool:
     return True
 
 
-def _commutator(left: tuple, right: tuple) -> dict[tuple, dict[int, int]]:
-    """The bracket of two stencils, as its surviving forms {shift: {var: coeff}}
-    (ints, none of them 0); {} exactly when the stencils commute formally.
-
-    Composing stencils gives coefficients of degree <= 2 in e = (k, m, u),
-    and for any pair the quadratic parts cancel in the commutator:
-    right(left(e)) - left(right(e)) is the stencil whose term at shift s0 +
-    s1 collects c0 * c1 * (s0[v1] * (e[v0] + r0) - s1[v0] * (e[v1] + r1))
-    over the terms (s0, c0, v0, r0) of left and (s1, c1, v1, r1) of right,
-    a shift read as 0 in the constant slot -1: an affine form, var -1 its
-    constant.  The arithmetic is on the ints of _int_stencil, with no Q product:
-    every form is scaled by the same non-zero constant, which keeps its zero
-    test exact."""
-    diff: dict[tuple, dict[int, int]] = {}
-    right = _int_stencil(right)[1]
-    for s0, c0, v0, cr0 in _int_stencil(left)[1]:
-        for s1, c1, v1, cr1 in right:
-            a = s0[v1] if v1 >= 0 else 0
-            b = s1[v0] if v0 >= 0 else 0
-            if not (a or b):
-                continue
-            form = diff.setdefault(tuple(map(sum, zip(s0, s1))), {})
-            if a:  # + c0 * c1 * a * (e[v0] + r0)
-                form[v0] = form.get(v0, 0) + c0 * c1 * a
-                form[-1] = form.get(-1, 0) + cr0 * c1 * a
-            if b:  # - c0 * c1 * b * (e[v1] + r1)
-                form[v1] = form.get(v1, 0) - c0 * c1 * b
-                form[-1] = form.get(-1, 0) - c0 * cr1 * b
-    if not any(v for form in diff.values() for v in form.values()):
-        return {}
-    survivors = ((s, {var: v for var, v in form.items() if v}) for s, form in diff.items())
-    return {s: form for s, form in survivors if form}
-
-
-def _int_stencil(stencil: tuple) -> tuple[int, list[tuple]]:
-    """(L, [(shift, a, var, b)]) for a stencil's terms (shift, c, var, r):
-    c * (x + r) = (a x + b) / L, for L the lcm of the denominators of every c
-    and c * r, in ints read from the numerators and denominators of c and r
-    alone (so mpq works too), c * r reduced by one gcd, with no Q product."""
-    parts = []
-    for s, c, var, r in stencil:
-        cn, cd = int(c.numerator), int(c.denominator)
-        pn, pd = cn * int(r.numerator), cd * int(r.denominator)  # c * r
-        d = math.gcd(pn, pd)
-        parts.append((s, cn, cd, var, pn // d, pd // d))
-    scale = math.lcm(*(x for part in parts for x in part[2::3]))  # every cd and pd
-    return scale, [(s, cn * (scale // cd), var, pn * (scale // pd))
-                   for s, cn, cd, var, pn, pd in parts]
-
-
-# ---------------------------------------------------------------------------
-# Euler grading
-# ---------------------------------------------------------------------------
-
-
-class _Grading(NamedTuple):
-    """A certified Euler grading in integers: t^k x^u g^-m has the weight
-    (scale * k + sum(wx_i u_i) - wg * m) / scale, component ci moves every
-    weight by shifts[ci] / scale, and top / scale = alpha - sum(w_i), which
-    no cell has when alpha is off the weight lattice."""
-
-    scale: int
-    wx: tuple[int, ...]
-    wg: int
-    shifts: tuple[int, ...]
-    top: int
-
-
-def _certify_grading(p: ProblemInstance) -> Optional[_Grading]:
-    """The grading of the module docstring's theorem, when all three of its
-    hypotheses hold exactly (the weights are unique, the Euler identity
-    sum(w_i x_i f'_i) == f holds as formal elements, and every stencil term
-    moves the weight by its component's shift, the relation's by 0), scaled
-    by the lcm of the denominators of w, delta and alpha.  None otherwise."""
-    found = quasi_weights(p.f, p.g)
-    if found is None:
-        return None
-    w, delta = found
-    euler = _collect(  # sum(w_i x_i f'_i), term by term in one dict
-        (Monomial(m.tdeg, tuple(u + 1 if j == i else u for j, u in enumerate(m.xdeg)), m.gpow),
-         wi * c)
-        for i, (wi, df) in enumerate(zip(w, p.derivatives)) for m, c in df.terms.items())
-    if euler != p.f.terms:
-        return None
-    scale = math.lcm(*(int(q.denominator) for q in (*w, delta, p.alpha)))
-    top = (p.alpha - sum(w)) * scale
-    wx = tuple(int(wi * scale) for wi in w)
-    wg = int(delta * scale)
-    shifts = (scale, *(-a for a in wx))
-    comps, relation = p.stencils
-    for stencil, shift in zip((*comps, relation), (*shifts, 0)):
-        for (dt, dg, *dx), *_ in stencil:
-            if scale * dt - wg * dg + sum(a * b for a, b in zip(wx, dx)) != shift:
-                return None
-    return _Grading(scale, wx, wg, shifts, int(top))
-
-
 def _cells(win: DegreeWindow, n: int, at: Optional[DegreeWindow] = None) -> Sequence[int]:
     """The cells of win, ascending, as their positions in the window at, which
     holds win (default win itself, where they are range(win.size(n)))."""
@@ -583,90 +474,6 @@ def _cells(win: DegreeWindow, n: int, at: Optional[DegreeWindow] = None) -> Sequ
     xrow, tsize = at.layout(n)
     offsets = [xrow[u] + m for u, m in win.layer(n)]
     return [(k - at.tmin) * tsize + x for k in range(win.tmin, win.tmax + 1) for x in offsets]
-
-
-def _block_cells(
-    win: DegreeWindow, n: int, grading: Optional[_Grading], lanes: list[tuple]
-) -> list[list[int]]:
-    """One pass over the (u, m) layer of win for every lane (shift, box, at,
-    cuts): the cells t^k x^u g^-m of win inside box = (tlo, thi, xhi, ghi)
-    (tlo <= k <= thi, sum(u) <= xhi, m <= ghi), with a grading only those
-    that a column moving weight by shift sends into the top block, of weight
-    (top - shift) / scale, as ascending positions of the window at, which
-    holds them; with cuts = (groups, standard), less the cells where the
-    pruning hypothesis of the groups (_prune_groups) holds and those of the
-    standard box (_standard_boxes), each read once per u (_hypothesis_at,
-    _standard_at) and decided per (u, m): a graded lane tests both at its
-    one k, an ungraded one keeps their union as one span (_cut_span).
-
-    Without a grading a lane takes every (k, m) of its box, kept as spans of
-    k and written t-major after the pass.  With one, sum(w_i u_i) is taken
-    once per u.  For c = top - shift - sum(wx_i u_i) a cell has the weight
-    exactly when scale k = c + wg m, so its m are the progression wg m = -c
-    (mod scale), of step scale / gcd(wg, scale), cut to the m whose k lies
-    in [tlo, thi], and k moves by wg / gcd(wg, scale) per step; each lane
-    collects them per t-layer in layout order, so the t-major concatenation
-    is ascending."""
-    if grading:
-        scale, wg = grading.scale, grading.wg
-        d = math.gcd(wg, scale)
-        step, kstep = scale // d, wg // d
-        inv = pow(kstep, -1, step) if step > 1 else 0
-    runs = []
-    for shift, (tlo, thi, xhi, ghi), at, cuts in lanes:
-        xrow_at, tsize = at.layout(n)
-        # the cells per t-layer, or without a grading the (offset, lo, hi, z) spans
-        found: list = [[] for _ in range(thi - tlo + 1)] if grading else []
-        runs.append((shift, tlo, thi, xhi, ghi, xrow_at, tsize, at.tmin, cuts or (None, None),
-                     found))
-    for u in win.layout(n)[0]:
-        su = sum(u)
-        if grading:
-            top_u = grading.top - sum(a * b for a, b in zip(grading.wx, u))
-        for shift, tlo, thi, xhi, ghi, xrow_at, tsize, atmin, (groups, std), found in runs:
-            if su > xhi:
-                continue
-            base = xrow_at[u] - atmin * tsize
-            if grading is None:
-                hyp = groups and _hypothesis_at(groups, u, su)
-                std_u = std and _standard_at(std, u, su)
-                for m in range(ghi + 1):
-                    found.append((base + m, *_cut_span(hyp, std_u, m)) if hyp or std_u
-                                 else (base + m, 1, 0, None))
-                continue
-            c = top_u - shift
-            if c % d:
-                continue
-            lo, hi = tlo * scale - c, thi * scale - c  # the bounds of wg m
-            if wg:
-                mlo, mhi = (-(-lo // wg), hi // wg) if wg > 0 else (-(-hi // wg), lo // wg)
-            elif lo <= 0 <= hi:
-                mlo, mhi = 0, ghi
-            else:
-                continue
-            mlo = max(mlo, 0)
-            ms = range(mlo + ((-c // d) * inv - mlo) % step, min(mhi, ghi) + 1, step)
-            k = (c + wg * ms.start) // scale
-            ks = range(k, k + kstep * len(ms), kstep) if kstep else itertools.repeat(k)
-            hyp = groups and _hypothesis_at(groups, u, su)
-            kl, kh, ml, mh = std and _standard_at(std, u, su) or (1, 0, 1, 0)
-            if not hyp and ml > mh:
-                for k, m in zip(ks, ms):
-                    found[k - tlo].append(k * tsize + base + m)
-                continue
-            for k, m in zip(ks, ms):
-                if ml <= m <= mh and kl <= k <= kh:
-                    continue  # standard
-                if hyp:
-                    lo, hi, z = _span(hyp, m)
-                    if lo <= k <= hi or k == z:
-                        continue  # pruned
-                found[k - tlo].append(k * tsize + base + m)
-    if grading:
-        return [[q for layer in run[-1] for q in layer] for run in runs]
-    return [[k * tsize + x for k in range(tlo, thi + 1) for x, lo, hi, z in found
-             if not (lo <= k <= hi or k == z)]
-            for _s, tlo, thi, _x, _g, _xr, tsize, _t, _c, found in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +490,9 @@ class _Shifts(NamedTuple):
     x_margin: int  # interior margin in x
     g_margin: int  # interior margin in gpow
     top_x: bool  # component 0 alone raises total x-degree the most (theorem (top x-degree))
-    g_mono: Optional[tuple[int, ...]]  # v for a one-term g = c x^v other than 1 (standard cells)
+    # v for a one-term g = c x^v other than 1: its standard cells and its
+    # relation quotient in closed form (_chain_quotient)
+    g_mono: Optional[tuple[int, ...]]
 
     def output_window(self, win: DegreeWindow) -> DegreeWindow:
         """The window holding the image of win under the row components and relations."""
@@ -779,51 +588,6 @@ def _check_window(p: ProblemInstance, cells: int) -> None:
             f"MAX_WINDOW_ENTRIES = {MAX_WINDOW_ENTRIES}")
 
 
-def _stencil_columns(
-    stencil: tuple, cells: Sequence[int], win_in: DegreeWindow, win: DegreeWindow, n: int,
-    stop: Optional[int] = None,
-) -> list[Optional[dict[int, tuple[int, int]]]]:
-    """The image under a stencil (see _row_stencils) of each cell, given by
-    its position in win_in, as a column {row: (num, den)} over win's
-    canonical order (rows placed by win.layout), or None if a non-zero term
-    falls outside win; with stop, the entries on rows >= stop are left out
-    (but must still lie in win).  Each term's coefficient is made once per
-    value x of the exponent it reads, (a x + b, L) of _int_stencil reduced
-    by one gcd, and that one pair object is shared by its entries."""
-    xrow, tsize = win.layout(n)
-    if stop is None:
-        stop = (win.tmax - win.tmin + 1) * tsize
-    tmin, tmax, gmax = win.tmin, win.tmax, win.gmax
-    layer, kmin, lsize = win_in.layer(n), win_in.tmin, win_in.layout(n)[1]
-    den, ints = _int_stencil(stencil)
-    terms = [(s[0], s[1], s[0] * tsize + s[1], a, var, b, {}) for s, a, var, b in ints]
-    by_u: dict[tuple, list] = {}  # u -> row offset of u + dx for each term, None outside
-    cols: list[Optional[dict[int, tuple[int, int]]]] = []
-    for q in cells:
-        k, (u, m) = kmin + q // lsize, layer[q % lsize]
-        xs = by_u.get(u)
-        if xs is None:
-            xs = by_u[u] = [xrow.get(tuple(map(sum, zip(u, s[2:])))) for s, *_ in stencil]
-        e = (k, m, *u, 1)
-        base = (k - tmin) * tsize + m
-        col: Optional[dict[int, tuple[int, int]]] = {}
-        for (dt, dg, off, a, var, b, memo), x in zip(terms, xs):
-            v = memo.get(e[var], memo)  # memo itself marks a miss, None a zero
-            if v is memo:
-                v = a * e[var] + b
-                d = math.gcd(v, den)
-                v = memo[e[var]] = (v // d, den // d) if v else None
-            if v is None:
-                continue
-            if x is None or not tmin <= k + dt <= tmax or m + dg > gmax:
-                col = None
-                break
-            if base + x + off < stop:
-                col[base + x + off] = v
-        cols.append(col)
-    return cols
-
-
 def assemble_phi(
     p: ProblemInstance, win_in: DegreeWindow, win_out: DegreeWindow,
     cells: Optional[list[Sequence[int]]] = None,
@@ -866,8 +630,9 @@ def _slack_start(win: DegreeWindow, win_out: DegreeWindow, n: int) -> int:
 class _Selection(NamedTuple):
     """The cells of a window's top image, chosen in one pass (_select):
     kept[ci] the positions of win at which it takes component ci, gens those
-    at which it generates relation columns, and targets the output rows
-    (positions in the output window) of the interior cells."""
+    at which it generates relation columns (none unless g has two or more
+    terms), and targets the output rows (positions in the output window) of
+    the interior cells."""
 
     kept: list[Sequence[int]]
     gens: Sequence[int]
@@ -883,10 +648,13 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     p.commuting certifies the pruning theorem, less the cells where it makes
     the column of component i >= 1 redundant; and for a one-term g other
     than 1, less the standard cells (theorem (standard cells)) of every
-    component.  The components come from one pass over win's (u, m) layer
-    (_block_cells), and with a grading the relation generators and targets
-    too; without one they are ranges of cells.  The caps of _check_window
-    are checked first, before any layout is built."""
+    component.  Relation generators are selected only for a g of two or
+    more terms, whose top image stacks its relation columns; a one-term g's
+    top image reads the relation quotient instead, and g = 1 has none.  The
+    components come from one pass over win's (u, m) layer (_block_cells),
+    and with a grading the targets and generators too; without one those
+    are ranges of cells.  The caps of _check_window are checked first,
+    before any layout is built."""
     n, sh = p.n, p.shifts
     size = win.size(n)
     _check_window(p, (n + 1) * size)
@@ -898,13 +666,15 @@ def _select(p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading]) 
     shifts = grading.shifts if grading else (0,) * (n + 1)
     lanes = [(shifts[0], (win.tmin, win.tmax - 1, x0, win.gmax), win, (None, standard[0]))]
     lanes += [(s, box, win, cuts) for s, cuts in zip(shifts[1:], zip(groups, standard[1:]))]
+    stacked = len(p.g.terms) > 1  # only a g of two or more terms stacks its relations
     if grading is None:
-        return _Selection(_block_cells(win, n, None, lanes), range(size),
+        return _Selection(_block_cells(win, n, None, lanes), range(size) if stacked else [],
                           _cells(inner, n, at=win_out))
     lanes.append((0, (inner.tmin, inner.tmax, inner.xmax, inner.gmax), win_out, None))
-    lanes.append((0, box, win, None))
-    *kept, targets, gens = _block_cells(win, n, grading, lanes)
-    return _Selection(kept, gens, targets)
+    if stacked:
+        lanes.append((0, box, win, None))
+    runs = _block_cells(win, n, grading, lanes)
+    return _Selection(runs[: n + 1], runs[n + 2] if stacked else [], runs[n + 1])
 
 
 def _standard_boxes(p: ProblemInstance, win: DegreeWindow) -> Optional[list[tuple]]:
@@ -930,105 +700,6 @@ def _standard_boxes(p: ProblemInstance, win: DegreeWindow) -> Optional[list[tupl
     return boxes
 
 
-def _standard_at(std: tuple, u: tuple, su: int) -> Optional[tuple]:
-    """The span (klo, khi, mlo, mhi) of a box of _standard_boxes at u (su =
-    sum(u)): t^k x^u g^-m is in the box exactly when klo <= k <= khi and
-    mlo <= m <= mhi; None when no cell at u is."""
-    xhi, ulo, span = std
-    if su > xhi or ulo is not None and not all(map(int.__ge__, u, ulo)):
-        return None
-    return span
-
-
-def _cut_span(hyp: Optional[tuple], std: Optional[tuple], m: int) -> tuple:
-    """(lo, hi, z): the cell t^k x^u g^-m of an ungraded lane is left out
-    exactly when lo <= k <= hi or k == z, for the pruning hypothesis at u
-    (_hypothesis_at) and the span of the standard box at u (_standard_at),
-    either None.  Where both spans are non-empty they meet at the top
-    t-layer (no term of a component i >= 1 raises t, so neither box bounds
-    k below win.tmax), and their union is one span; were they apart, only
-    the pruning span would be left out, which keeps every estimate too."""
-    lo, hi, z = _span(hyp, m) if hyp else (1, 0, None)
-    if std and std[2] <= m <= std[3]:
-        if lo > hi:
-            lo, hi = std[0], std[1]
-        elif std[0] <= hi + 1 and lo <= std[1] + 1:
-            lo, hi = min(lo, std[0]), max(hi, std[1])
-    return lo, hi, z
-
-
-def _prune_groups(p: ProblemInstance, win: DegreeWindow, i: int) -> list[tuple]:
-    """The pruning hypothesis (module docstring) for component i >= 1 on win,
-    as groups (var, z, box).  Component i at the cell t a is redundant when
-    a + s lies in win for the shift s of every term of component 0 other
-    than -t, and of component i, whose coefficient is not 0 at a.  A
-    coefficient c * (e[var] + r) vanishes only where e[var] = -r, so the
-    terms are grouped by (var, r), and a group holds at a when e[var] = z =
-    -r or a lies in its box (_fit_box).  Only the groups with var >= 0 and
-    an integer r can vanish; the others are one group, var -1."""
-    comps = p.stencils[0]
-    by_key: dict[tuple, list[tuple]] = {}
-    for s, _c, var, r in [t for t in comps[0] if t[0][0] <= 0] + list(comps[i]):
-        by_key.setdefault((var, r), []).append(s)
-    live = [s for (var, r), ss in by_key.items() if var < 0 or r.denominator != 1 for s in ss]
-    return [(-1, None, _fit_box(win, live))] * bool(live) + [
-        (var, int(-r), _fit_box(win, ss))
-        for (var, r), ss in by_key.items() if var >= 0 and r.denominator == 1]
-
-
-def _hypothesis_at(groups: list[tuple], u: tuple, su: int) -> Optional[tuple]:
-    """The groups of _prune_groups read at the cells t a, a = t^k x^u g^-m
-    (su = sum(u)), as (kl, kh, ml, mh, rest): the hypothesis holds at (k, m)
-    exactly when kl <= k <= kh, ml <= m <= mh and, for each (var, z, k0, k1,
-    m0, m1) of rest, (k, m)[var] == z or k0 <= k <= k1 and m0 <= m <= m1.
-    The groups that read u are decided here, once per u; None when one of
-    them fails at every such cell."""
-    kl, kh, ml, mh, rest = -math.inf, math.inf, -math.inf, math.inf, []
-    for var, z, (klo, khi, mlo, mhi, xhi, ulo) in groups:
-        if var >= 2 and u[var - 2] == z:
-            continue  # every coefficient of the group vanishes at u
-        fits = su <= xhi and (ulo is None or all(map(int.__ge__, u, ulo)))
-        if var in (0, 1):
-            rest.append((var, z, klo, khi, mlo, mhi) if fits else (var, z, 1, 0, 1, 0))
-        elif not fits:
-            return None
-        else:
-            kl, kh, ml, mh = max(kl, klo), min(kh, khi), max(ml, mlo), min(mh, mhi)
-    rest.sort(reverse=True)  # the group of var 0, which reads k, last
-    return kl, kh, ml, mh, rest
-
-
-def _span(hyp: tuple, m: int) -> tuple:
-    """(lo, hi, z): the hypothesis _hypothesis_at gives holds at (a, m), for
-    the cell t a of t-degree k, exactly when lo <= k <= hi or k == z.  The
-    group of var 0 (r = -alpha, the one group that reads a) comes last in
-    rest and alone tests a itself: it holds at a == z or in its box."""
-    kl, kh, ml, mh, rest = hyp
-    if not ml <= m <= mh:
-        return 1, 0, None
-    lo, hi, z0 = kl, kh, None
-    for var, z, k0, k1, m0, m1 in rest:
-        if var == 0:
-            z0 = z + 1 if lo <= z <= hi else None
-        elif m == z:
-            continue
-        if not m0 <= m <= m1:
-            k0, k1 = 1, 0
-        lo, hi = k0 if k0 > lo else lo, k1 if k1 < hi else hi
-    return lo + 1, hi + 1, z0
-
-
-def _fit_box(win: DegreeWindow, shifts: list[tuple]) -> tuple:
-    """The box (klo, khi, mlo, mhi, xhi, ulo) of the exponents e = (k, m, u)
-    with e + s in win for every shift s of a non-empty list: klo <= k <=
-    khi, mlo <= m <= mhi, sum(u) <= xhi and u >= ulo componentwise (ulo is
-    None when that holds for every u >= 0)."""
-    dts, dgs, dxs = [s[0] for s in shifts], [s[1] for s in shifts], [s[2:] for s in shifts]
-    ulo = tuple(max(0, -min(col)) for col in zip(*dxs))
-    return (win.tmin - min(dts), win.tmax - max(dts), -min(dgs), win.gmax - max(dgs),
-            win.xmax - max(map(sum, dxs)), ulo if any(ulo) else None)
-
-
 def _relation_columns(
     p: ProblemInstance, gens: DegreeWindow, cells: Sequence[int], win: DegreeWindow,
     stop: Optional[int] = None,
@@ -1043,14 +714,64 @@ def _relation_columns(
     return [c for c in cols if c]
 
 
+def _chain_quotient(p: ProblemInstance, win: DegreeWindow, rows: Iterable[int]) -> dict[int, dict]:
+    """quotient_map(_relation_columns(p, win, every cell, win_out, stop)) on
+    the given rows of win_out = p.shifts.output_window(win), stop its slack
+    start, in closed form for g = c x^v of one term other than 1: no
+    relation column is built.
+
+    The relation at a cell a of win is rel(a) = c e_b - e_a, b = a x^v g^-1,
+    whose top row is b (layout orders rows by total x-degree, then by m);
+    distinct cells have distinct tops, and a relation at a t-layer >= win.tmax
+    is all cut.  So the quotient eliminates exactly the tops b, and sends e_b
+    to c^-1 e_a and on down the chain: a row t^k x^u g^-m, k < win.tmax, goes
+    to c^-j times the row t^k x^(u - j v) g^-(m - j), for j the number of
+    chain steps whose generator is a cell of win.  The cells below one are
+    cells too, so j = 0 when t^k x^(u-v) g^-(m-1) is not a cell of win and
+    otherwise the largest j with u >= j v and m >= j.  A row with j = 0 is
+    free, and left out of the map.  With a grading, a relation keeps the
+    weight, so the rows of one block chain inside it."""
+    n, v = p.n, p.shifts.g_mono
+    win_out = p.shifts.output_window(win)
+    xrow, tsize = win_out.layout(n)
+    layer = win_out.layer(n)
+    (c,) = p.g.terms.values()
+    cn, cd = int(c.numerator), int(c.denominator)
+    inv = (cd, cn) if cn > 0 else (-cd, -cn)  # c^-1, a reduced pair
+    lo, hi = (win.tmin - win_out.tmin) * tsize, (win.tmax - win_out.tmin) * tsize
+    xtop, gtop, nz = win.xmax + sum(v), win.gmax + 1, [(i, x) for i, x in enumerate(v) if x]
+    moves: dict[int, Optional[tuple]] = {}  # layer position -> (row drop, c^-j), None if free
+    image = {}
+    for r in rows:
+        if not lo <= r < hi:
+            continue
+        q = r % tsize
+        move = moves.get(q, moves)  # moves itself marks a miss
+        if move is moves:
+            u, m = layer[q]
+            move = None
+            if 1 <= m <= gtop and sum(u) <= xtop and all(u[i] >= x for i, x in nz):
+                j = min([m] + [u[i] // x for i, x in nz])
+                end = xrow[tuple(a - j * b for a, b in zip(u, v))] + m - j
+                move = (q - end, (inv[0] ** j, inv[1] ** j))
+            moves[q] = move
+        if move:
+            image[r] = {r - move[0]: move[1]}
+    return image
+
+
 class _WindowComplex(NamedTuple):
     """Degrees 0..n of one window's complex, built once from (p, win), with
     the slack rows quotiented out (module docstring): the component images
-    (assemble_phi from win to its output window win_out), the relation
-    columns generated in win over the same rows, the quotient map by their
-    span (linalg.quotient_map, empty when g = 1), which degrees 0..n apply
-    to each copy of the rows in place of the relation columns, and targets,
-    {position in win: row in win_out} of each interior cell."""
+    (assemble_phi from win to its output window win_out); the relation
+    columns generated in win over the same rows, for a g of two or more
+    terms (empty otherwise); pi, the quotient map by the span of the
+    relations, which degrees 0..n apply to each copy of the rows and the
+    top image of a one-term g to its columns and targets: Gauss-Jordan
+    over the relation columns (linalg.quotient_map), or _chain_quotient's
+    closed form for a one-term g, with no relation column built (empty when
+    g = 1); and targets, {position in win: row in win_out} of each interior
+    cell."""
 
     mat: SparseMatrixQ
     relations: list[dict]
@@ -1072,29 +793,31 @@ def _window_complex(p: ProblemInstance, win: DegreeWindow) -> _WindowComplex:
     win_out = p.shifts.output_window(win)
     mat = assemble_phi(p, win, win_out)
     inner = p.shifts.interior(win)
-    relations = _relation_columns(p, win, _cells(win, p.n), win_out, mat.nrows)
-    return _WindowComplex(
-        mat,
-        relations,
-        dict(zip(_cells(inner, p.n, at=win), _cells(inner, p.n, at=win_out))),
-        win,
-        win_out,
-        quotient_map(relations),
-    )
+    if p.shifts.g_mono is not None:
+        relations, pi = [], _chain_quotient(p, win, range(mat.nrows))
+    else:
+        relations = _relation_columns(p, win, _cells(win, p.n), win_out, mat.nrows)
+        pi = quotient_map(relations)
+    targets = dict(zip(_cells(inner, p.n, at=win), _cells(inner, p.n, at=win_out)))
+    return _WindowComplex(mat, relations, targets, win, win_out, pi)
 
 
 def _top_image(
     p: ProblemInstance, win: DegreeWindow, grading: Optional[_Grading] = None,
     cx: Optional[_WindowComplex] = None,
-) -> tuple[SparseMatrixQ, list[int]]:
+) -> tuple[SparseMatrixQ, Sequence[int]]:
     """(image, target rows) of degree n+1 on (p, win), for exponent_test and
-    koszul_cohomology alike: the component columns at the cells _select
-    chooses and the relation columns, over the output rows below the slack
-    tail, and the output rows of the interior cells.  With a grading, only
-    the top block (module docstring), whose degree n+1 is the whole
-    window's.  Given cx = _window_complex(p, win), nothing is assembled
-    again: the same column objects, in the same order, are read from cx by
-    position."""
+    koszul_cohomology alike, over the output rows below the slack tail: the
+    component columns at the cells _select chooses, and the output rows of
+    the interior cells, modulo the relations.  For a g of two or more terms
+    the relation columns join the image.  For a one-term g other than 1 the
+    columns and targets are sent through the relation quotient pi instead
+    (_chain_quotient, on the rows they hold), and targets that land on one
+    row count once: rank([A | R | T]) - rank([A | R]) = rank([pi A | pi T])
+    - rank(pi A).  With a grading, only the top block (module docstring),
+    whose degree n+1 is the whole window's.  Given cx = _window_complex(p,
+    win), nothing is assembled again: the same column objects, in the same
+    order, are read from cx by position, and so is pi."""
     win_out = p.shifts.output_window(win)
     sel = _select(p, win, grading)
     if cx is None:
@@ -1103,6 +826,10 @@ def _top_image(
     else:  # column ci * win.size(n) + q of cx.mat is component ci at cell q
         mat, size = cx.mat, win.size(p.n)
         cols = [mat.cols[ci * size + q] for ci, qs in enumerate(sel.kept) for q in qs]
+    if p.shifts.g_mono is not None:
+        pi = cx.pi if cx else _chain_quotient(p, win, set(sel.targets).union(*cols))
+        targets = {next(iter(pi[r])) if r in pi else r for r in sel.targets}
+        return SparseMatrixQ(mat.nrows, [quotient(col, pi, mat.nrows) for col in cols]), targets
     relations = (cx.relations if cx and grading is None
                  else _relation_columns(p, win, sel.gens, win_out, mat.nrows))
     return SparseMatrixQ(mat.nrows, cols + relations), sel.targets

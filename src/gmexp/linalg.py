@@ -19,7 +19,13 @@ A quotient by a column span is a map, not columns: quotient_map builds it
 once by Gauss-Jordan over the columns, and quotient applies it to each
 block of stacked rows, so a caller that would stack the same columns into
 every block of many matrices (the relations of gmexp.engine's Koszul
-degrees) eliminates them once.
+degrees) eliminates them once.  gmexp.engine builds the map by
+quotient_map only for a g of two or more terms, where it fills: each
+eliminated row goes to a combination of many free rows (15.7 on average
+for x1*x2*ginv over 1-x1-x2 at window 1).  For a one-term g every relation
+is a two-entry chain step, so each eliminated row goes to one free row,
+and the engine writes that map in closed form, in quotient_map's format,
+with no column built; quotient applies either.
 """
 
 from __future__ import annotations

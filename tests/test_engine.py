@@ -27,7 +27,14 @@ from gmexp.engine import (
     exponent_test,
     koszul_cohomology,
 )
-from gmexp.linalg import SparseMatrixQ, _Eliminator, nullspace, quotient, rank_with_extension
+from gmexp.linalg import (
+    SparseMatrixQ,
+    _Eliminator,
+    nullspace,
+    quotient,
+    quotient_map,
+    rank_with_extension,
+)
 from gmexp.operators import Compose, MulByElem, MulByT, PartialX, PhiC, Scale, Sum, apply
 from gmexp.parser import parse_poly
 from gmexp.rational import Q
@@ -286,13 +293,17 @@ def test_stencil_assembly_matches_tree_walk(case):
     assert tail == list(range(cx.mat.nrows, len(index_out)))
     full = full_window(p, big)
     assert full.targets == sorted(cx.targets.values())
-    assert cx.relations == [c for c in ({r: v for r, v in col.items() if r < cx.mat.nrows}
-                                        for col in full.relations) if c]
+    # the relation quotient is Gauss-Jordan over the relation columns as cut,
+    # which the complex holds for a g of two or more terms; for a one-term g
+    # it is the closed form, equal dict for dict, and no column is held
+    cut = [c for c in ({r: v for r, v in col.items() if r < cx.mat.nrows}
+                       for col in full.relations) if c]
+    assert cx.relations == ([] if one_term_g(p) else cut)
+    assert cx.pi == quotient_map(cut)
     # the quotient map sends every relation column, in every stacked copy, to 0
     nm = cx.mat.nrows
-    assert bool(cx.pi) is bool(cx.relations)
     assert all(quotient({b * nm + r: v for r, v in col.items()}, cx.pi, nm) == {}
-               for b in range(3) for col in cx.relations)
+               for b in range(3) for col in cut)
 
     # d^j built at the interior cells alone (as koszul_cohomology builds it
     # for its cycles) is the matching columns of the full d^j, entry for
@@ -534,13 +545,15 @@ def test_default_cap_bounds_a_query_in_many_variables(monkeypatch):
     ("x1^2*(1-x1)^3", 1, "1", "1/2"),  # ungraded, pruned
     ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4"),
     ("x1^2+x2^3", 2, "1", "5/6"),  # graded
-    ("x1^2", 1, "x1", "1/3"),  # graded, with relations
+    ("x1^2", 1, "x1", "1/3"),  # graded, with the relation quotient in closed form
+    ("x1^2", 1, "(2/3)*x1", "1/2"),  # the closed form's powers of c = 2/3
     ("x1^2*ginv", 1, "1-x1", "1/2"),  # a g-layer: relations, nothing pruned
     ("(1/3)*x1^2*x2+(1/5)*x2^3", 2, "1", "3/7"),  # rational coefficients
 ])
 def test_window_columns_hold_reduced_int_pairs(fs, n, gs, alpha):
     # the stencil evaluator writes reduced int pairs, and no Q value, into
-    # every column that reaches the eliminator
+    # every column that reaches the eliminator, and so does the relation
+    # quotient into every image it holds
     p = instance(fs, n=n, gs=gs, alpha=alpha)
     sh = _shift_analysis(p)
     win = default_schedule(p)[0]
@@ -548,10 +561,11 @@ def test_window_columns_hold_reduced_int_pairs(fs, n, gs, alpha):
     cx = _window_complex(p, win)
     matrices = [assemble_phi(p, win, out), assemble_phi(p, win, out, _select(p, win, p.grading).kept),
                 _top_image(p, win, p.grading)[0], _top_image(p, win, p.grading, cx)[0],
-                cx.mat, SparseMatrixQ(cx.mat.nrows, cx.relations)]
+                cx.mat, SparseMatrixQ(cx.mat.nrows, cx.relations + list(cx.pi.values()))]
     for mat in matrices:
         assert all(is_reduced_pair(v) for col in mat.cols for v in col.values())
     assert cx.mat.nnz() > 0 and any(v[1] > 1 for col in cx.mat.cols for v in col.values())
+    assert bool(cx.pi) is (gs != "1") and bool(cx.relations) is (gs == "1-x1")
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +578,30 @@ def full_image_cokernel(full):
     column, the relations and the unit slack columns, then unit targets."""
     image = SparseMatrixQ(full.mat.nrows, full.mat.cols + full.relations + full.slack)
     return rank_with_extension(image, [{r: pair(Q(1))} for r in full.targets])[1]
+
+
+def landing_rows(rows, pi, nrows):
+    """The rows onto which the unit targets at rows land under pi
+    (linalg.quotient), each once, sorted."""
+    return sorted({r for t in rows for r in quotient({t: (1, 1)}, pi, nrows)})
+
+
+def relation_form(p, win, cols, targets, gens):
+    """A top image over the rows below win's slack tail, in the form that
+    _top_image gives, built here from component columns cols, target rows
+    and relation generators gens (positions of win): for a one-term g other
+    than 1, cols and the targets through the quotient map of the relation
+    columns at gens by Gauss-Jordan (linalg.quotient_map), the targets that
+    land on one row once; for any other g, cols with those relation columns
+    after them, and the targets as they are."""
+    out = p.shifts.output_window(win)
+    nrows = engine._slack_start(win, out, p.n)
+    rels = _relation_columns(p, win, gens, out, nrows)
+    if one_term_g(p) is None:
+        return SparseMatrixQ(nrows, cols + rels), sorted(targets)
+    pi = quotient_map(rels)
+    return (SparseMatrixQ(nrows, [quotient(col, pi, nrows) for col in cols]),
+            landing_rows(targets, pi, nrows))
 
 
 @pytest.mark.parametrize("fs, n, gs, alpha, rounds, commuting", [
@@ -590,14 +628,17 @@ def test_top_image_equals_the_full_image(fs, n, gs, alpha, rounds, commuting):
         assert image.nrows == min(full.slack[0]) == cx.mat.nrows == whole.nrows
         assert all(r < image.nrows
                    for col in image.cols + whole.cols + cx.mat.cols + cx.relations for r in col)
-        assert sorted(whole_targets) == sorted(cx.targets.values()) == full.targets
+        assert sorted(cx.targets.values()) == full.targets
+        # a one-term g's targets are those rows under the relation quotient
+        nm, pi = cx.mat.nrows, cx.pi if one_term_g(p) else {}
+        assert sorted(whole_targets) == landing_rows(full.targets, pi, nm)
         if p.grading is None:
-            assert sorted(targets) == full.targets
+            assert sorted(targets) == landing_rows(full.targets, pi, nm)
         want = full_image_cokernel(full)
         assert _top_cokernel(image, targets) == want, win
         assert _top_cokernel(whole, whole_targets) == want, win
-        unpruned = SparseMatrixQ(cx.mat.nrows, cx.mat.cols + cx.relations)
-        assert _top_cokernel(unpruned, cx.targets.values()) == want, win
+        unpruned = SparseMatrixQ(nm, cx.reduce(cx.mat.cols) if pi else cx.mat.cols + cx.relations)
+        assert _top_cokernel(unpruned, landing_rows(full.targets, pi, nm)) == want, win
 
 
 def test_pruning_needs_the_commutation_certificate(monkeypatch):
@@ -703,8 +744,10 @@ def rule_selection(p, win, grading, top_x=True, standard=True):
     weight; component 0 less its top t-layer and, with top_x where
     top_x_cut holds, its top x-degree; component i >= 1 less the cells of
     hypothesis_holds where p.commuting; with standard, every component less
-    its standard cells (standard_cell).  The targets are the interior cells,
-    of lambda* with a grading."""
+    its standard cells (standard_cell).  The relation generators are the
+    cells of weight lambda* for a g of two or more terms, and none for any
+    other g, whose relations are never columns of the top image.  The
+    targets are the interior cells, of lambda* with a grading."""
     n, sh = p.n, p.shifts
     out, cut = sh.output_window(win), top_x and top_x_cut(p)
     top = win.size(n) - win.layout(n)[1]  # the first position of the top t-layer
@@ -721,7 +764,12 @@ def rule_selection(p, win, grading, top_x=True, standard=True):
     targets = sorted((m.tdeg - out.tmin) * tsize + xrow[m.xdeg] + m.gpow
                      for m in sh.interior(win).monomials(n)
                      if grading is None or weight(grading, m) == grading.top)
-    return kept, block_cells(win, n, grading, 0), targets
+    return kept, relation_gens(p, win, grading), targets
+
+
+def relation_gens(p, win, grading):
+    """block_cells of weight lambda* when g has two or more terms, [] otherwise."""
+    return block_cells(win, p.n, grading, 0) if len(p.g.terms) > 1 else []
 
 
 def at_top_x(win, n, q):
@@ -803,23 +851,26 @@ def check_top_x_cut(p, win, grading):
     win_out, cut = sh.output_window(win), top_x_cut(p)
     assert sh.top_x is cut
     sel = _select(p, win, grading)
-    ref0 = rule_selection(p, win, grading, top_x=False)[0][0]
+    whole, _, rule_targets = rule_selection(p, win, grading, top_x=False)
+    ref0 = whole[0]
     left_out = [j for j, q in enumerate(ref0) if cut and at_top_x(win, n, q)]
     assert list(sel.kept[0]) == [q for j, q in enumerate(ref0) if j not in left_out]
     image, targets = _top_image(p, win, grading)
-    ref = assemble_phi(p, win, win_out, [ref0, *sel.kept[1:]])
-    ref = SparseMatrixQ(ref.nrows, ref.cols + _relation_columns(p, win, sel.gens, win_out,
-                                                                ref.nrows))
-    units = [{r: (1, 1)} for r in sorted(targets)]
+    comps = assemble_phi(p, win, win_out, [ref0, *sel.kept[1:]])
+    gens = block_cells(win, n, grading, 0)
+    ref, ref_targets = relation_form(p, win, comps.cols, rule_targets, gens)
+    assert sorted(targets) == ref_targets
+    units = [{r: (1, 1)} for r in ref_targets]
     base, extra = rank_with_extension(image, units)
     assert rank_with_extension(ref, units) == (base + len(left_out), extra)
     assert _top_cokernel(image, targets) == _top_cokernel(ref, targets) == extra
-    if cut:  # component 0 is ref's first columns, in the order of ref0
+    if cut:  # component 0 comes first, in the order of ref0, then the relations
         d0 = max(sum(s[2:]) for s, *_ in p.stencils[0][0])
         layer, tsize = win_out.layer(n), win_out.layout(n)[1]
-        edge = {r for r in range(ref.nrows) if sum(layer[r % tsize][0]) == win.xmax + d0}
-        assert [j for j, col in enumerate(ref.cols) if not edge.isdisjoint(col)] == left_out
-        assert edge.isdisjoint(targets)
+        edge = {r for r in range(comps.nrows) if sum(layer[r % tsize][0]) == win.xmax + d0}
+        cols = comps.cols + _relation_columns(p, win, gens, win_out, comps.nrows)
+        assert [j for j, col in enumerate(cols) if not edge.isdisjoint(col)] == left_out
+        assert edge.isdisjoint(rule_targets)
 
 
 TOP_X_G = {1: ["1", "x1", "1-x1"], 2: ["1", "x1*x2", "1-x1-x2"]}
@@ -871,19 +922,20 @@ def test_top_x_degree_cut_needs_its_hypothesis(fs, gs, alpha):
 def check_standard_cells(p, win, grading):
     """The theorem (standard cells) on win against a reference top image
     that keeps every standard cell, chosen here (rule_selection without
-    the cut): _select leaves out exactly the cells of the rule, and the
-    base rank and the extension rank both stay.  Returns the number of
-    columns left out."""
+    the cut) and put in _top_image's form by relation_form: _select leaves
+    out exactly the cells of the rule, and the base rank and the extension
+    rank both stay.  Returns the number of columns left out."""
     out = p.shifts.output_window(win)
     sel = _select(p, win, grading)
     kept, gens, targets = rule_selection(p, win, grading)
     assert [list(k) for k in sel.kept] == kept
     assert (list(sel.gens), list(sel.targets)) == (gens, targets)
     whole = rule_selection(p, win, grading, standard=False)[0]
-    image, _ = _top_image(p, win, grading)
-    ref = assemble_phi(p, win, out, whole)
-    ref = SparseMatrixQ(ref.nrows, ref.cols + _relation_columns(p, win, sel.gens, out, ref.nrows))
-    units = [{r: (1, 1)} for r in targets]
+    image, image_targets = _top_image(p, win, grading)
+    ref, ref_targets = relation_form(p, win, assemble_phi(p, win, out, whole).cols, targets,
+                                     block_cells(win, p.n, grading, 0))
+    assert sorted(image_targets) == ref_targets
+    units = [{r: (1, 1)} for r in ref_targets]
     assert rank_with_extension(image, units) == rank_with_extension(ref, units)
     return sum(map(len, whole)) - sum(map(len, kept))
 
@@ -961,14 +1013,99 @@ def test_standard_cells_keep_the_cells_that_leave_the_window():
 def test_standard_cells_drop_a_pinned_number_of_columns():
     # the localized benchmark's x^2/x at class 1 on its fourth window: the
     # graded top image keeps 14 of the 105 columns of component 0 and 2 of
-    # the 22 of component 1; the relation generators and the targets stay
+    # the 22 of component 1 and selects no relation generator; through the
+    # relation quotient its 16 columns hold 32 entries and its 78 targets
+    # land on 12 rows, where stacking the block's 112 relation columns gives
+    # 128 columns and 256 entries; the cokernel is 1 either way
     p = instance("x1^2", gs="x1", alpha="1")
     win = default_schedule(p)[3]
     assert win == DegreeWindow(-9, 9, 14, 14)
     sel = _select(p, win, p.grading)
     whole = rule_selection(p, win, p.grading, standard=False)[0]
     assert ([len(k) for k in whole], [len(k) for k in sel.kept]) == ([105, 22], [14, 2])
-    assert (len(sel.gens), len(sel.targets)) == (112, 78)
+    assert (len(sel.gens), len(sel.targets)) == (0, 78)
+    image, targets = _top_image(p, win, p.grading)
+    assert (image.ncols, image.nnz(), len(targets)) == (16, 32, 12)
+    out = p.shifts.output_window(win)
+    comps = assemble_phi(p, win, out, sel.kept)
+    rels = _relation_columns(p, win, block_cells(win, 1, p.grading, 0), out, comps.nrows)
+    stacked_image = SparseMatrixQ(comps.nrows, comps.cols + rels)
+    assert (stacked_image.ncols, stacked_image.nnz()) == (128, 256)
+    assert _top_cokernel(image, targets) == _top_cokernel(stacked_image, sel.targets) == 1
+
+
+# one-term g: scaled monomials, c != +-1, and constants (v = 0), with f
+# with and without g-layers
+CHAIN_CASES = [
+    (fs, 1, gs) for gs in ("x1", "-2*x1", "(2/3)*x1", "-x1^2", "3")
+    for fs in ("x1^2", "x1^3*ginv^2", "x1^2*ginv + x1^3")
+] + [
+    (fs, 2, gs) for gs in ("x1*x2", "(1/2)*x2^2", "-5")
+    for fs in ("x1^2 + x2^3", "x1*x2*ginv + x2")
+]
+
+
+@pytest.mark.parametrize("fs, n, gs", CHAIN_CASES)
+def test_chain_quotient_equals_gauss_jordan(fs, n, gs):
+    # on windows 0-2 (0-1 for n = 2) the closed-form relation quotient is
+    # linalg.quotient_map over the relation columns, dict for dict: on every
+    # row below the slack tail, and with a grading on the rows of the top
+    # block, against the relation columns generated in the block alone
+    p = instance(fs, n=n, gs=gs, alpha="1/2")
+    assert p.shifts.g_mono == one_term_g(p) is not None
+    for win in default_schedule(p, rounds=3 if n == 1 else 2):
+        out = p.shifts.output_window(win)
+        stop = engine._slack_start(win, out, n)
+        rels = _relation_columns(p, win, _cells(win, n), out, stop)
+        assert engine._chain_quotient(p, win, range(stop)) == quotient_map(rels), win
+        if p.grading is not None:
+            rows = [r for r in block_cells(out, n, p.grading, 0) if r < stop]
+            block = _relation_columns(p, win, block_cells(win, n, p.grading, 0), out, stop)
+            assert engine._chain_quotient(p, win, rows) == quotient_map(block), win
+
+
+def stacked_estimate(p, win, grading):
+    """Degree n+1 on (p, win) with the relation columns stacked, built here:
+    _select's component columns, then the relation columns generated at
+    every cell of the block, then unit targets at the interior rows."""
+    out = p.shifts.output_window(win)
+    sel = _select(p, win, grading)
+    mat = assemble_phi(p, win, out, sel.kept)
+    rels = _relation_columns(p, win, block_cells(win, p.n, grading, 0), out, mat.nrows)
+    return _top_cokernel(SparseMatrixQ(mat.nrows, mat.cols + rels), sel.targets)
+
+
+def stacked_koszul(p, win):
+    """Degrees 0..n+1 of the Koszul complex on (p, win) by the relation
+    columns: degrees 0..n through their quotient map by Gauss-Jordan
+    (linalg.quotient_map), degree n+1 by stacked_estimate."""
+    cx = _window_complex(p, win)
+    rels = _relation_columns(p, win, _cells(win, p.n), cx.win_out, cx.mat.nrows)
+    ref = cx._replace(relations=rels, pi=quotient_map(rels))
+    by_deg = _koszul_bases(p.n)
+    dims = {j: engine._koszul_h(p, j, ref, by_deg) for j in range(p.n + 1)}
+    dims[p.n + 1] = stacked_estimate(p, win, p.grading)
+    return dims
+
+
+@settings(max_examples=20, deadline=None)
+@given(standard_cases())
+@example((1, "x1^2", "x1", "1", 2))  # the localized benchmark's x^2/x, late class
+@example((1, "x1^2 + x1^3", "-2*x1", "1/2", 1))  # ungraded, c = -2
+@example((1, "x1^2*ginv", "3", "1/2", 2))  # v = 0
+@example((2, "x1^2 + x2^3", "x1*x2", "1/6", 1))
+def test_relation_quotient_keeps_every_estimate_and_koszul_dimension(case):
+    # on random small f over a one-term g, graded and not, exponent_test's
+    # estimates, the ungraded top cokernel and every Koszul dimension equal
+    # those of the relation-stacking reference above
+    n, fs, gs, alpha, r = case
+    p = instance(fs, n=n, gs=gs, alpha=alpha)
+    rep = exponent_test(p, rounds=r + 2 if n == 1 else 2)
+    assert rep.estimates == [stacked_estimate(p, w, p.grading) for w in rep.windows_used]
+    win = default_schedule(p, rounds=r + 1)[r]
+    assert _top_cokernel(*_top_image(p, win)) == stacked_estimate(p, win, None)
+    win = default_schedule(p)[min(r, 2 - n)]
+    assert koszul_cohomology(p, win) == stacked_koszul(p, win)
 
 
 def test_commuting_needs_a_live_raising_term(monkeypatch):
@@ -1012,7 +1149,7 @@ def test_top_cokernel_pivots_the_top_t_layer_first(monkeypatch):
 
 @pytest.mark.parametrize("fs, n, gs, alpha, graded, commuting", [
     ("x1*x2*(1-x1-x2)^3", 2, "1", "1/4", False, True),  # ungraded, pruned
-    ("x1^2", 1, "x1", "1/3", True, True),  # graded, with relations
+    ("x1^2", 1, "x1", "1/3", True, True),  # graded, through the relation quotient
     ("x1^2+x2^3", 2, "1", "5/6", True, True),  # graded
     ("x1^2*ginv", 1, "1-x1", "1/3", False, False),  # a g-layer: nothing pruned
 ])
@@ -1029,11 +1166,14 @@ def test_top_image_cut_from_the_complex_is_its_own_assembly(fs, n, gs, alpha, gr
         cut, cut_targets = _top_image(p, win, p.grading, cx)
         assert (cut.nrows, cut_targets) == (own.nrows, targets)
         assert cut.cols == own.cols
-        rels = _relation_columns(p, win, _select(p, win, p.grading).gens, sh.output_window(win),
-                                 own.nrows)
+        sel = _select(p, win, p.grading)
+        rels = _relation_columns(p, win, sel.gens, sh.output_window(win), own.nrows)
         comps = len(own.cols) - len(rels)
-        held = {id(col) for col in cx.mat.cols}
-        assert all(id(col) in held for col in cut.cols[:comps])
+        held = [cx.mat.cols[ci * win.size(n) + q] for ci, qs in enumerate(sel.kept) for q in qs]
+        if one_term_g(p):  # the complex's columns at the kept cells, through its pi
+            assert not rels and cut.cols == [quotient(col, cx.pi, own.nrows) for col in held]
+        else:
+            assert all(a is b for a, b in zip(cut.cols[:comps], held))
         if not graded:
             assert cut.cols[comps:] == cx.relations
             assert all(a is b for a, b in zip(cut.cols[comps:], cx.relations))
@@ -1456,7 +1596,8 @@ def scan_selection(p, win):
     """(kept, gens, targets) of the graded top image on win, by scan_cells
     per shift and scan_unpruned, component 0 less its top t-layer and, where
     top_x_cut holds, its top x-degree, and for a one-term g every component
-    less its standard cells (standard_cell)."""
+    less its standard cells (standard_cell); relation generators only for a
+    g of two or more terms."""
     sh, grading, n = _shift_analysis(p), p.grading, p.n
     out = sh.output_window(win)
     top, cut = win.size(n) - win.layout(n)[1], top_x_cut(p)
@@ -1466,7 +1607,7 @@ def scan_selection(p, win):
     kept = [[q for q in qs if not standard_cell(p, win, ci, decode(win, n, q))]
             for ci, qs in enumerate(kept)]
     inner = scan_cells(sh.interior(win), n, grading, 0, at=out)
-    return kept, scan_cells(win, n, grading, 0), inner
+    return kept, scan_cells(win, n, grading, 0) if len(p.g.terms) > 1 else [], inner
 
 
 # x^w over x on and off the weight lattice, the Brieskorn-Pham shapes of
@@ -1478,6 +1619,7 @@ SELECTION_CASES = (
     + [case for case in SWEEP_SHAPES if "+" in case[0]]
     + [("x1^2+x2^2", 2, "x1*x2", a) for a in ("1", "1/2", "1/3")]
     + [("x1^3+x2^3", 2, "x1*x2^2", a) for a in ("1/3", "2/3", "1/4")]
+    + [("x1^2+x2^2", 2, "x1+x2", a) for a in ("1", "1/3")]  # relation generators
 )
 
 
